@@ -72,6 +72,30 @@ func BenchmarkOptimalHistory(b *testing.B)  { benchExperiment(b, "A3") }
 func BenchmarkInterference(b *testing.B)    { benchExperiment(b, "A4") }
 func BenchmarkImplicitSchemes(b *testing.B) { benchExperiment(b, "A5") }
 
+// BenchmarkAblations measures the §5 predictor ablations A1 and A5 over
+// the full suite at scale 0.05 on a GOMAXPROCS scheduler. Each
+// iteration renders both on a fresh context, so it times one (row ×
+// input) replay grid per ablation, with A5 replaying only the four
+// constructors A1 has not already run; the suite sweep itself is paid
+// outside the timer.
+func BenchmarkAblations(b *testing.B) {
+	s := NewScheduler(0)
+	defer s.Close()
+	cfg := SimConfig{Scale: 0.05, Sched: s}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ctx := NewExperimentContext(cfg)
+		ctx.Suite()
+		b.StartTimer()
+		for _, id := range []string{"A1", "A5"} {
+			if err := RunExperiment(ctx, id, io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkSuiteSweep measures the full two-pass pipeline itself (events
 // per op reported via custom metric): the record-once/replay-many engine
 // with the predictor bank sharded across goroutines. Scale 1.0 is the

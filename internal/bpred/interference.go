@@ -20,6 +20,14 @@ type AliasStats struct {
 	Destructive int64
 }
 
+// Add accumulates another run's counts into s, e.g. one input's
+// tracker into a suite-wide total.
+func (s *AliasStats) Add(o AliasStats) {
+	s.Updates += o.Updates
+	s.Aliased += o.Aliased
+	s.Destructive += o.Destructive
+}
+
 // AliasedRate returns Aliased/Updates (0 for an empty run).
 func (s AliasStats) AliasedRate() float64 {
 	if s.Updates == 0 {

@@ -13,6 +13,18 @@ func TestAliasStatsRates(t *testing.T) {
 	}
 }
 
+func TestAliasStatsAdd(t *testing.T) {
+	s := AliasStats{Updates: 100, Aliased: 40, Destructive: 10}
+	s.Add(AliasStats{Updates: 50, Aliased: 5, Destructive: 1})
+	if want := (AliasStats{Updates: 150, Aliased: 45, Destructive: 11}); s != want {
+		t.Fatalf("sum %+v, want %+v", s, want)
+	}
+	s.Add(AliasStats{})
+	if s.Updates != 150 {
+		t.Fatal("adding empty stats must be a no-op")
+	}
+}
+
 func TestAliasTrackerDetectsSharing(t *testing.T) {
 	tr := NewAliasTracker(4) // 16 counters
 	// Same index, same pc: never aliased.

@@ -178,6 +178,15 @@ func (q *Quadrants) Observe(highConf, correct bool) {
 	}
 }
 
+// Add accumulates another tally into q, e.g. one input's quadrants
+// into a suite-wide total.
+func (q *Quadrants) Add(o Quadrants) {
+	q.HighCorrect += o.HighCorrect
+	q.HighWrong += o.HighWrong
+	q.LowCorrect += o.LowCorrect
+	q.LowWrong += o.LowWrong
+}
+
 // Total returns the number of observations.
 func (q *Quadrants) Total() int64 {
 	return q.HighCorrect + q.HighWrong + q.LowCorrect + q.LowWrong

@@ -137,6 +137,32 @@ func TestQuadrantsEmpty(t *testing.T) {
 	}
 }
 
+// TestQuickQuadrantsAdd: tallying a stream in two halves and adding
+// them gives the same quadrants as tallying it whole.
+func TestQuickQuadrantsAdd(t *testing.T) {
+	f := func(hc, correct []bool, split uint8) bool {
+		n := min(len(hc), len(correct))
+		cut := 0
+		if n > 0 {
+			cut = int(split) % (n + 1)
+		}
+		var whole, head, tail Quadrants
+		for i := 0; i < n; i++ {
+			whole.Observe(hc[i], correct[i])
+			if i < cut {
+				head.Observe(hc[i], correct[i])
+			} else {
+				tail.Observe(hc[i], correct[i])
+			}
+		}
+		head.Add(tail)
+		return head == whole
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestQuickQuadrantsConsistency(t *testing.T) {
 	f := func(obs []bool) bool {
 		var q Quadrants

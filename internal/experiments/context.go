@@ -1,7 +1,9 @@
 // Package experiments contains one driver per table and figure in the
-// paper (T1, T2, F1-F15), the §4.2 coverage arithmetic (S1), and the §5
-// ablations (A1-A3). Each driver renders its artifact from a shared
-// SuiteResult so the expensive sweep runs once per process.
+// paper (T1, T2, F1-F15), the §4.2 coverage arithmetic (S1), the §5
+// ablations (A1-A5) and a per-benchmark supplement (X1). Each driver
+// renders its artifact from a shared SuiteResult so the expensive sweep
+// runs once per process; the ablations that replay the suite through
+// extra predictors run as (row × input) task grids (see runGrid).
 package experiments
 
 import (
@@ -9,6 +11,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"btr/internal/sched"
 	"btr/internal/sim"
@@ -24,6 +27,14 @@ type Context struct {
 
 	once  sync.Once
 	suite *sim.SuiteResult
+	// group is the group last passed to SuiteGroup; canceling it also
+	// cancels the ablation grids (see runGrid).
+	group atomic.Pointer[sched.Group]
+
+	// predMu guards predMemo: suite-wide predictor results keyed by
+	// constructor, so rows A1 and A5 share are replayed once.
+	predMu   sync.Mutex
+	predMemo map[string]predictorTally
 }
 
 // Shared bundles the immutable-state substrate experiment contexts
@@ -136,10 +147,15 @@ func (c *Context) Suite() *sim.SuiteResult {
 // cancels it when the client disconnects or a deadline fires. Inputs
 // dropped by the cancellation carry sim.ErrCanceled in
 // SuiteResult.Dropped. If the suite was already computed (by Suite or
-// an earlier SuiteGroup), the cached result is returned and g is
-// untouched. Configs that select a pool engine (NoSched, NoRecord)
-// ignore g, as sim.RunSuiteGroup does.
+// an earlier SuiteGroup), the cached result is returned and no task
+// joins g. Configs that select a pool engine (NoSched, NoRecord) run
+// the suite outside g, as sim.RunSuiteGroup does.
+//
+// Either way the context remembers g: once it is canceled, the
+// ablations (A1, A2, A4, A5) skip their replays and return
+// sim.ErrCanceled.
 func (c *Context) SuiteGroup(g *sched.Group) *sim.SuiteResult {
+	c.group.Store(g)
 	c.once.Do(func() {
 		c.suite = sim.RunSuiteGroup(g, c.Specs, c.Cfg)
 	})
@@ -156,11 +172,38 @@ type Experiment struct {
 	Run func(c *Context, w io.Writer) error
 }
 
-var registry []Experiment
+// registry lists every experiment in paper order: Tables 1-2 and the
+// §4.2 coverage arithmetic, Figures 1-15, the §5 ablations, then the
+// supplemental breakdown. All and Find walk it as is, so `brexp -run
+// all` and brserve's "all" render in this order.
+var registry = []Experiment{
+	{ID: "T1", Paper: "Table 1: benchmarks, input sets and number of dynamic conditional branches analyzed", Run: runTable1},
+	{ID: "T2", Paper: "Table 2: percentage of dynamic branches in each taken/transition joint class (misclassified cells marked *)", Run: runTable2},
+	{ID: "S1", Paper: "§4.2 coverage arithmetic: taken {0,10} vs transition {0,1} (GAs) and {0,1,9,10} (PAs)", Run: runCoverage},
+	{ID: "F1", Paper: "Figure 1: percent of dynamic branches per taken rate class", Run: runFig1},
+	{ID: "F2", Paper: "Figure 2: percent of dynamic branches per transition rate class", Run: runFig2},
+	{ID: "F3", Paper: "Figure 3: miss rates by taken rate class (optimal history per class)", Run: runFig3},
+	{ID: "F4", Paper: "Figure 4: miss rates by transition rate class (optimal history per class)", Run: runFig4},
+	{ID: "F5", Paper: "Figure 5: PAs miss rates by taken rate class and history length", Run: heatmapFig(sim.KindPAs, true, "Figure 5 — PAs miss rates, taken rate class x history length")},
+	{ID: "F6", Paper: "Figure 6: PAs miss rates by transition rate class and history length", Run: heatmapFig(sim.KindPAs, false, "Figure 6 — PAs miss rates, transition rate class x history length")},
+	{ID: "F7", Paper: "Figure 7: GAs miss rates by taken rate class and history length", Run: heatmapFig(sim.KindGAs, true, "Figure 7 — GAs miss rates, taken rate class x history length")},
+	{ID: "F8", Paper: "Figure 8: GAs miss rates by transition rate class and history length", Run: heatmapFig(sim.KindGAs, false, "Figure 8 — GAs miss rates, transition rate class x history length")},
+	{ID: "F9", Paper: "Figure 9: PAs miss rates by history length for taken classes 0,1,9,10", Run: lineFig(sim.KindPAs, true, "Figure 9 — PAs by history length, taken classes 0,1,9,10", "tac")},
+	{ID: "F10", Paper: "Figure 10: PAs miss rates by history length for transition classes 0,1,9,10", Run: lineFig(sim.KindPAs, false, "Figure 10 — PAs by history length, transition classes 0,1,9,10", "trc")},
+	{ID: "F11", Paper: "Figure 11: GAs miss rates by history length for taken classes 0,1,9,10", Run: lineFig(sim.KindGAs, true, "Figure 11 — GAs by history length, taken classes 0,1,9,10", "tac")},
+	{ID: "F12", Paper: "Figure 12: GAs miss rates by history length for transition classes 0,1,9,10", Run: lineFig(sim.KindGAs, false, "Figure 12 — GAs by history length, transition classes 0,1,9,10", "trc")},
+	{ID: "F13", Paper: "Figure 13: PAs miss rates for each joint class (optimal history per class)", Run: jointFig(sim.KindPAs, "Figure 13 — PAs joint-class miss rates (optimal history per cell)")},
+	{ID: "F14", Paper: "Figure 14: GAs miss rates for each joint class (optimal history per class)", Run: jointFig(sim.KindGAs, "Figure 14 — GAs joint-class miss rates (optimal history per cell)")},
+	{ID: "F15", Paper: "Figure 15: relative distance distribution of class 5/5 branches", Run: runFig15},
+	{ID: "A1", Paper: "Ablation (§5.4): classification-guided hybrids vs monolithic predictors at ~32KB", Run: runHybridAblation},
+	{ID: "A2", Paper: "Ablation (§5.3): class-derived confidence vs Jacobsen dynamic estimators", Run: runConfidenceAblation},
+	{ID: "A3", Paper: "Ablation (§5.1): optimal history length per class and per joint cell", Run: runOptimalHistoryAblation},
+	{ID: "A4", Paper: "Ablation (§2/§5.1): PHT interference with and without classification-based filtering", Run: runInterferenceAblation},
+	{ID: "A5", Paper: "Ablation (§2): implicit classification (Bi-Mode/YAGS/Filter/gskew) vs explicit taken/transition classification", Run: runImplicitClassificationAblation},
+	{ID: "X1", Paper: "Supplemental: per-benchmark coverage and miss rates (the paper reports suite aggregates only)", Run: runPerBenchmark},
+}
 
-func register(e Experiment) { registry = append(registry, e) }
-
-// All returns every experiment in registration (paper) order.
+// All returns every experiment in paper order.
 func All() []Experiment {
 	out := make([]Experiment, len(registry))
 	copy(out, registry)

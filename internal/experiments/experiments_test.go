@@ -50,6 +50,13 @@ func TestRegistryComplete(t *testing.T) {
 	if len(all) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(all), len(want))
 	}
+	// All promises paper order; brexp -run all and brserve's "all"
+	// render in it.
+	for i, e := range all {
+		if e.ID != want[i] {
+			t.Fatalf("All()[%d] = %s, want %s (paper order %v)", i, e.ID, want[i], want)
+		}
+	}
 }
 
 func TestFind(t *testing.T) {

@@ -9,24 +9,6 @@ import (
 	"btr/internal/sim"
 )
 
-func init() {
-	register(Experiment{ID: "F1", Paper: "Figure 1: percent of dynamic branches per taken rate class", Run: runFig1})
-	register(Experiment{ID: "F2", Paper: "Figure 2: percent of dynamic branches per transition rate class", Run: runFig2})
-	register(Experiment{ID: "F3", Paper: "Figure 3: miss rates by taken rate class (optimal history per class)", Run: runFig3})
-	register(Experiment{ID: "F4", Paper: "Figure 4: miss rates by transition rate class (optimal history per class)", Run: runFig4})
-	register(Experiment{ID: "F5", Paper: "Figure 5: PAs miss rates by taken rate class and history length", Run: heatmapFig(sim.KindPAs, true, "Figure 5 — PAs miss rates, taken rate class x history length")})
-	register(Experiment{ID: "F6", Paper: "Figure 6: PAs miss rates by transition rate class and history length", Run: heatmapFig(sim.KindPAs, false, "Figure 6 — PAs miss rates, transition rate class x history length")})
-	register(Experiment{ID: "F7", Paper: "Figure 7: GAs miss rates by taken rate class and history length", Run: heatmapFig(sim.KindGAs, true, "Figure 7 — GAs miss rates, taken rate class x history length")})
-	register(Experiment{ID: "F8", Paper: "Figure 8: GAs miss rates by transition rate class and history length", Run: heatmapFig(sim.KindGAs, false, "Figure 8 — GAs miss rates, transition rate class x history length")})
-	register(Experiment{ID: "F9", Paper: "Figure 9: PAs miss rates by history length for taken classes 0,1,9,10", Run: lineFig(sim.KindPAs, true, "Figure 9 — PAs by history length, taken classes 0,1,9,10", "tac")})
-	register(Experiment{ID: "F10", Paper: "Figure 10: PAs miss rates by history length for transition classes 0,1,9,10", Run: lineFig(sim.KindPAs, false, "Figure 10 — PAs by history length, transition classes 0,1,9,10", "trc")})
-	register(Experiment{ID: "F11", Paper: "Figure 11: GAs miss rates by history length for taken classes 0,1,9,10", Run: lineFig(sim.KindGAs, true, "Figure 11 — GAs by history length, taken classes 0,1,9,10", "tac")})
-	register(Experiment{ID: "F12", Paper: "Figure 12: GAs miss rates by history length for transition classes 0,1,9,10", Run: lineFig(sim.KindGAs, false, "Figure 12 — GAs by history length, transition classes 0,1,9,10", "trc")})
-	register(Experiment{ID: "F13", Paper: "Figure 13: PAs miss rates for each joint class (optimal history per class)", Run: jointFig(sim.KindPAs, "Figure 13 — PAs joint-class miss rates (optimal history per cell)")})
-	register(Experiment{ID: "F14", Paper: "Figure 14: GAs miss rates for each joint class (optimal history per class)", Run: jointFig(sim.KindGAs, "Figure 14 — GAs joint-class miss rates (optimal history per cell)")})
-	register(Experiment{ID: "F15", Paper: "Figure 15: relative distance distribution of class 5/5 branches", Run: runFig15})
-}
-
 func classNames() []string {
 	names := make([]string, core.NumClasses)
 	for i := range names {

@@ -7,17 +7,10 @@ import (
 	"btr/internal/bpred"
 	"btr/internal/core"
 	"btr/internal/report"
+	"btr/internal/sim"
 	"btr/internal/stats"
 	"btr/internal/trace"
 )
-
-func init() {
-	register(Experiment{
-		ID:    "A4",
-		Paper: "Ablation (§2/§5.1): PHT interference with and without classification-based filtering",
-		Run:   runInterferenceAblation,
-	})
-}
 
 // runInterferenceAblation measures gshare PHT aliasing twice per input:
 // once fed the whole branch stream (the monolithic predictor's life), and
@@ -26,16 +19,14 @@ func init() {
 // The filtered configuration shows both less aliasing and a lower miss
 // rate on the very same hard branches — the §5.1 resource argument.
 func runInterferenceAblation(c *Context, w io.Writer) error {
-	suite := c.Suite()
-
 	type accum struct {
 		alias      bpred.AliasStats
 		hardMisses int64
 		hardEvents int64
 	}
-	var full, filtered accum
-
-	for _, in := range suite.Inputs {
+	// Row 0 feeds the whole stream, row 1 filters the easy branches out.
+	parts, err := runGrid(c, 2, func(row int, in *sim.InputResult) accum {
+		filterEasy := row == 1
 		// Which branches stay in the shared table under classification?
 		stays := make(map[uint64]bool, len(in.Classes))
 		for pc, jc := range in.Classes {
@@ -46,31 +37,38 @@ func runInterferenceAblation(c *Context, w io.Writer) error {
 		// Both cases score the SAME population — the hard branches that
 		// remain in the shared table — so the miss-rate column isolates
 		// what the easy branches' presence costs them.
-		runCase := func(filterEasy bool, acc *accum) {
-			g := bpred.NewGShare(bpred.GAsPHTBits, 12)
-			tr := bpred.NewAliasTracker(bpred.GAsPHTBits)
-			sink := trace.SinkFunc(func(pc uint64, taken bool) {
-				if filterEasy && !stays[pc] {
-					return
+		var acc accum
+		g := bpred.NewGShare(bpred.GAsPHTBits, 12)
+		tr := bpred.NewAliasTracker(bpred.GAsPHTBits)
+		sink := trace.SinkFunc(func(pc uint64, taken bool) {
+			if filterEasy && !stays[pc] {
+				return
+			}
+			if stays[pc] {
+				if g.Predict(pc) != taken {
+					acc.hardMisses++
 				}
-				if stays[pc] {
-					if g.Predict(pc) != taken {
-						acc.hardMisses++
-					}
-					acc.hardEvents++
-				}
-				tr.Observe(g.Index(pc), pc, taken)
-				g.Update(pc, taken)
-			})
-			in.Replay(sink, c.Cfg.Scale)
-			s := tr.Stats()
-			acc.alias.Updates += s.Updates
-			acc.alias.Aliased += s.Aliased
-			acc.alias.Destructive += s.Destructive
-		}
-		runCase(false, &full)
-		runCase(true, &filtered)
+				acc.hardEvents++
+			}
+			tr.Observe(g.Index(pc), pc, taken)
+			g.Update(pc, taken)
+		})
+		in.Replay(sink, c.Cfg.Scale)
+		acc.alias = tr.Stats()
+		return acc
+	})
+	if err != nil {
+		return err
 	}
+	var sums [2]accum
+	for row, part := range parts {
+		for _, p := range part {
+			sums[row].alias.Add(p.alias)
+			sums[row].hardMisses += p.hardMisses
+			sums[row].hardEvents += p.hardEvents
+		}
+	}
+	full, filtered := sums[0], sums[1]
 
 	tbl := report.Table{
 		Title:   "A4 — gshare(17,k=12) PHT interference, all branches vs classification-filtered",
@@ -89,7 +87,7 @@ func runInterferenceAblation(c *Context, w io.Writer) error {
 	if err := tbl.Render(w); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w,
+	_, err = fmt.Fprintf(w,
 		"\nboth rows score the same hard-branch population (%d dynamic branches);\n"+
 			"the difference is what the easy branches' table pressure costs them.\n",
 		full.hardEvents)

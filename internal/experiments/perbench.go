@@ -10,14 +10,6 @@ import (
 	"btr/internal/stats"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "X1",
-		Paper: "Supplemental: per-benchmark coverage and miss rates (the paper reports suite aggregates only)",
-		Run:   runPerBenchmark,
-	})
-}
-
 // runPerBenchmark breaks the suite-level headline numbers down per
 // benchmark: easy-branch coverage under both classification schemes, the
 // misclassified mass, and PAs/GAs miss rates at a representative history

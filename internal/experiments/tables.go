@@ -8,24 +8,6 @@ import (
 	"btr/internal/report"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "T1",
-		Paper: "Table 1: benchmarks, input sets and number of dynamic conditional branches analyzed",
-		Run:   runTable1,
-	})
-	register(Experiment{
-		ID:    "T2",
-		Paper: "Table 2: percentage of dynamic branches in each taken/transition joint class (misclassified cells marked *)",
-		Run:   runTable2,
-	})
-	register(Experiment{
-		ID:    "S1",
-		Paper: "§4.2 coverage arithmetic: taken {0,10} vs transition {0,1} (GAs) and {0,1,9,10} (PAs)",
-		Run:   runCoverage,
-	})
-}
-
 func runTable1(c *Context, w io.Writer) error {
 	suite := c.Suite()
 	tbl := report.Table{

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"btr/internal/experiments"
+	"btr/internal/sched"
 	"btr/internal/sim"
 	"btr/internal/workload"
 )
@@ -59,6 +60,58 @@ func TestStreamCanceledGroupEmitsCanceledRecord(t *testing.T) {
 		if ty == "experiment" || ty == "summary" {
 			t.Fatalf("canceled stream carried a %q record: %v", ty, types)
 		}
+	}
+	m := s.Metrics().Requests
+	if m.Canceled != 1 || m.Completed != 0 || m.Failed != 0 {
+		t.Fatalf("tallies %+v, want 1 canceled / 0 completed / 0 failed", m)
+	}
+}
+
+// cancelOnExperiment is a response writer that cancels g as soon as the
+// stream writes its first experiment record, so a cancellation lands
+// deterministically between two experiments.
+type cancelOnExperiment struct {
+	*httptest.ResponseRecorder
+	g *sched.Group
+}
+
+func (w cancelOnExperiment) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte(`"type":"experiment"`)) {
+		w.g.Cancel()
+	}
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestStreamCanceledAblationEmitsCanceledRecord: a cancellation that
+// arrives after the suite run ends the stream at the next ablation with
+// the typed "canceled" record — the ablation grid skips its replays and
+// returns sim.ErrCanceled — not an "error" record.
+func TestStreamCanceledAblationEmitsCanceledRecord(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+
+	g := s.sched.NewGroup()
+	rec := httptest.NewRecorder()
+	s.stream(cancelOnExperiment{rec, g}, g, []string{"T1", "A1", "T2"}, testContext(t, s))
+
+	var recs []Record
+	sc := bufio.NewScanner(rec.Body)
+	for sc.Scan() {
+		var r Record
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		recs = append(recs, r)
+	}
+	var types []string
+	for _, r := range recs {
+		types = append(types, r.Type)
+	}
+	want := []string{"start", "experiment", "canceled"}
+	if strings.Join(types, ",") != strings.Join(want, ",") {
+		t.Fatalf("record types %v, want %v", types, want)
+	}
+	if recs[1].ID != "T1" {
+		t.Fatalf("first experiment %q, want T1", recs[1].ID)
 	}
 	m := s.Metrics().Requests
 	if m.Canceled != 1 || m.Completed != 0 || m.Failed != 0 {

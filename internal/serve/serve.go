@@ -20,6 +20,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -432,7 +433,8 @@ func (s *Server) deadlineFor(req *Request) time.Duration {
 // dropped record per failed input, and a closing summary. A panic out
 // of the suite run — one tenant's bug — becomes an error record on
 // this stream only. A canceled group (disconnect, deadline) ends the
-// stream with a terminal "canceled" record instead of experiments; the
+// stream with a terminal "canceled" record — before any experiment if
+// the suite run saw it, or in place of the first ablation that did; the
 // write is best-effort, since the usual cause is a client that is no
 // longer there.
 func (s *Server) stream(w http.ResponseWriter, g *sched.Group, ids []string, ctx *experiments.Context) {
@@ -464,13 +466,16 @@ func (s *Server) stream(w http.ResponseWriter, g *sched.Group, ids []string, ctx
 		emit(Record{Type: "error", Error: err.Error()})
 		return
 	}
-	if g.Canceled() {
+	canceled := func() {
 		s.canceled.Add(1)
 		emit(Record{
 			Type:      "canceled",
 			Dropped:   len(suite.Dropped),
 			ElapsedMS: time.Since(start).Milliseconds(),
 		})
+	}
+	if g.Canceled() {
+		canceled()
 		return
 	}
 
@@ -482,6 +487,11 @@ func (s *Server) stream(w http.ResponseWriter, g *sched.Group, ids []string, ctx
 		}
 		var buf strings.Builder
 		if runErr := e.Run(ctx, &buf); runErr != nil {
+			// An ablation grid observed the canceled group.
+			if errors.Is(runErr, sim.ErrCanceled) {
+				canceled()
+				return
+			}
 			emit(Record{Type: "error", ID: id, Error: runErr.Error()})
 			continue
 		}
