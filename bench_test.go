@@ -140,40 +140,22 @@ func BenchmarkSuiteSweepLegacyPool(b *testing.B) {
 // BenchmarkSuiteSweepStreaming is the out-of-core pipeline on the same
 // input: pass 1 streams the recording to a spill file keeping at most
 // ~4 KiB of chunk columns resident (the recording is ~30 KiB, so the
-// run genuinely pages), and the sweep's decoded pool is capped below
+// run genuinely pages), and the sweep's chunk window is capped below
 // the decoded trace. The gap to BenchmarkSuiteSweepScheduled is the
-// price of bounded memory — spill I/O plus re-decodes — on a trace
-// that would comfortably fit; paper-scale traces have no retained
-// alternative to compare against.
+// price of bounded memory — a second page-in and decode per chunk,
+// since the attribution pre-pass cannot hand its decodes to a bounded
+// window — on a trace that would comfortably fit; paper-scale traces
+// have no retained alternative to compare against.
 func BenchmarkSuiteSweepStreaming(b *testing.B) {
 	benchSweepSuite(b, SimConfig{Scale: 1.0, MemBudget: 4 << 10, DecodedBudget: 128 << 10})
-}
-
-// BenchmarkSuiteSweepStreamingReadAhead is BenchmarkSuiteSweepStreaming
-// with the read-ahead pipeline on: every sweep chain hints 4 chunks
-// ahead, so spill page-ins and BTR1 decode run on the prefetch workers
-// (coalesced into run-sized reads) instead of stalling the chains. The
-// delta to BenchmarkSuiteSweepStreaming is the recovered streaming tax;
-// the residual gap to BenchmarkSuiteSweepScheduled is what bounded
-// memory still costs.
-func BenchmarkSuiteSweepStreamingReadAhead(b *testing.B) {
-	benchSweepSuite(b, SimConfig{Scale: 1.0, MemBudget: 4 << 10, DecodedBudget: 128 << 10, ReadAhead: 4})
 }
 
 // BenchmarkSingleInputStreaming is the streaming counterpart of
 // BenchmarkSingleInputSaturation: the same ~650k-event input with the
 // recording bounded to ~64 KiB resident (vs ~850 KiB encoded) and a
-// 1 MiB decoded pool (~8 of its ~40 decoded chunks).
+// 1 MiB decoded budget (a window of ~7 of its ~40 decoded chunks).
 func BenchmarkSingleInputStreaming(b *testing.B) {
 	benchSingleInput(b, SimConfig{Scale: singleInputScale, MemBudget: 64 << 10, DecodedBudget: 1 << 20})
-}
-
-// BenchmarkSingleInputStreamingReadAhead is BenchmarkSingleInputStreaming
-// with 4 chunks of read-ahead per sweep chain: the saturation input's
-// ~40-chunk spill pages in through the prefetch workers ahead of the
-// cursors instead of one demand pread at a time.
-func BenchmarkSingleInputStreamingReadAhead(b *testing.B) {
-	benchSingleInput(b, SimConfig{Scale: singleInputScale, MemBudget: 64 << 10, DecodedBudget: 1 << 20, ReadAhead: 4})
 }
 
 // singleInputScale sizes the saturation benchmarks' one input at ~650k

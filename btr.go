@@ -95,7 +95,7 @@ type (
 	// InputError records one dropped suite input with its recovered cause.
 	InputError = sim.InputError
 	// MemStats reports how trace data moved through the bounded-memory
-	// pipeline (recording footprint, spill page-ins, decoded-pool
+	// pipeline (recording footprint, spill page-ins, chunk-window
 	// traffic); see SimConfig.MemBudget and SimConfig.DecodedBudget.
 	MemStats = sim.MemStats
 	// PredictorKind selects PAs or GAs in sweep queries.

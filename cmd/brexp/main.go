@@ -5,7 +5,7 @@
 //	brexp [-scale 1.0] [-workers N] [-out results] [-run all|T1,F13,...]
 //	      [-sched=false] [-chunktasks N] [-cachedir dir]
 //	      [-membudget bytes] [-decodedbudget bytes]
-//	      [-snapshotranges N] [-mmap] [-readahead N]
+//	      [-snapshotranges N] [-mmap]
 //
 // Each experiment is written to <out>/<id>.txt; -list shows the catalog.
 package main
@@ -32,9 +32,8 @@ func main() {
 	noRecord := flag.Bool("norecord", false, "regenerate workloads per pass instead of record/replay (slower, lower memory)")
 	sched := flag.Bool("sched", true, "global work-stealing scheduler over (input, bank-batch) tasks; false = legacy nested pools")
 	memBudget := flag.Int64("membudget", 0, "stream each recording to a BTR1 spill file during pass 1, keeping at most about this many resident bytes per input; replays page the rest back in (0 = retain recordings whole)")
-	decodedBudget := flag.Int64("decodedbudget", 0, "byte budget for each input's decoded-chunk pool during the bank sweep; LRU columns past it are re-decoded on the next visit (0 = retain all decoded columns, negative = retain none)")
+	decodedBudget := flag.Int64("decodedbudget", 0, "byte budget for each input's decode-once chunk window during the bank sweep: every chunk is decoded once and dropped when the last sweep chain passes it, and at most max(2, budget/decoded-chunk bytes) chunks are admitted ahead of the slowest chain (0 = admit the whole recording, negative = one chunk at a time)")
 	snapshotRanges := flag.Int("snapshotranges", 0, "split every bank slot's sweep into this many checkpointed chunk ranges that run concurrently from restored predictor snapshots; breaks the 34-slot parallelism ceiling when cores outnumber slots (0 = chained sweep, the default; results are bit-identical either way)")
-	readAhead := flag.Int("readahead", 0, "prefetch this many chunks ahead of every sweep cursor: spill paging and BTR1 decode overlap with predictor compute, with prefetched columns charged against -decodedbudget (0 = no read-ahead; results are bit-identical either way)")
 	mmapSpill := flag.Bool("mmap", false, "mmap spill-backed recordings and decode paged chunks from the mapping instead of pread (needs -membudget or -cachedir to produce spill files; falls back silently where unsupported)")
 	cachedir := flag.String("cachedir", "", "spill recorded traces to BTR1 files here and reuse them across runs (filenames carry the workload-registry fingerprint, so a dir written by older workloads self-invalidates)")
 	out := flag.String("out", "results", "output directory")
@@ -78,7 +77,6 @@ func main() {
 		DecodedBudget:  *decodedBudget,
 		SnapshotRanges: *snapshotRanges,
 		MmapSpill:      *mmapSpill,
-		ReadAhead:      *readAhead,
 	}
 	if *cachedir != "" {
 		// Under a memory budget the cache's resident columns are bounded
@@ -100,24 +98,27 @@ func main() {
 	}
 	ctx := btr.NewExperimentContext(cfg)
 	start := time.Now()
-	// Run the shared sweep up front on a cancelable group: SIGINT/SIGTERM
-	// during the long suite run cancels it cooperatively (the grids
-	// unwind at task boundaries) instead of leaving a killed process and
-	// half-written artifacts. Once the sweep is done the handler is
-	// released, so a later interrupt behaves normally.
+	// Run the shared sweep and the experiments on a cancelable group:
+	// SIGINT/SIGTERM cancels it cooperatively (the suite and ablation
+	// grids unwind at task boundaries) instead of leaving a killed
+	// process and half-written artifacts. The handler stays installed
+	// for the whole run, experiments included.
+	var group *btr.TaskGroup
 	if pool != nil {
-		group := pool.NewGroup()
+		group = pool.NewGroup()
 		sigc := make(chan os.Signal, 1)
 		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+		defer func() {
+			signal.Stop(sigc)
+			close(sigc)
+		}()
 		go func() {
 			if _, ok := <-sigc; ok {
-				fmt.Fprintln(os.Stderr, "brexp: interrupted — canceling suite run")
+				fmt.Fprintln(os.Stderr, "brexp: interrupted — canceling the run")
 				group.Cancel()
 			}
 		}()
 		suite := ctx.SuiteGroup(group)
-		signal.Stop(sigc)
-		close(sigc)
 		if group.Canceled() {
 			for _, d := range suite.Dropped {
 				fmt.Fprintf(os.Stderr, "brexp: dropped input %v\n", d)
@@ -125,38 +126,16 @@ func main() {
 			fatal(fmt.Errorf("suite run canceled (%d inputs dropped); no artifacts written", len(suite.Dropped)))
 		}
 	}
-	for _, id := range ids {
-		path := filepath.Join(*out, id+".txt")
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		expStart := time.Now()
-		err = btr.RunExperiment(ctx, id, f)
-		cerr := f.Close()
-		if err != nil {
-			fatal(fmt.Errorf("experiment %s: %w", id, err))
-		}
-		if cerr != nil {
-			fatal(cerr)
-		}
-		fmt.Printf("%-4s -> %s (%.1fs)\n", id, path, time.Since(expStart).Seconds())
-		if *stdout {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println(string(data))
-		}
+	if err := writeArtifacts(ctx, group, ids, *out, *stdout); err != nil {
+		fatal(err)
 	}
 	suite := ctx.Suite()
 	for _, d := range suite.Dropped {
 		fmt.Fprintf(os.Stderr, "brexp: dropped input %v\n", d)
 	}
 	if m := suite.Mem; m.RecordedBytes > 0 {
-		fmt.Printf("mem: recorded_bytes=%d resident_peak=%d page_ins=%d pool_hits=%d redecodes=%d pool_evicted=%d decoded_peak=%d prefetch_hits=%d prefetch_wasted=%d prefetch_inflight_peak=%d\n",
-			m.RecordedBytes, m.ResidentPeak, m.PageIns, m.DecodedHits, m.DecodedRedecodes, m.DecodedEvicted, m.DecodedPeak,
-			m.PrefetchHits, m.PrefetchWasted, m.PrefetchInFlightPeak)
+		fmt.Printf("mem: recorded_bytes=%d resident_peak=%d page_ins=%d window_hits=%d redecodes=%d window_released=%d decoded_peak=%d\n",
+			m.RecordedBytes, m.ResidentPeak, m.PageIns, m.DecodedHits, m.DecodedRedecodes, m.DecodedEvicted, m.DecodedPeak)
 		if m.SnapshotCount > 0 {
 			fmt.Printf("snapshots: count=%d bytes=%d peak=%d\n",
 				m.SnapshotCount, m.SnapshotBytes, m.SnapshotPeak)
@@ -182,6 +161,42 @@ func main() {
 	}
 	fmt.Printf("done: %d experiments, %d dynamic branches, %d dropped inputs, %.1fs total\n",
 		len(ids), suite.TotalEvents(), len(suite.Dropped), time.Since(start).Seconds())
+}
+
+// writeArtifacts renders each experiment to <out>/<id>.txt in order and
+// stops at the first failure. Once group (nil = not cancelable) has
+// been canceled, the artifact being written is removed — it may be
+// partial — and the run stops with a "canceled" error.
+func writeArtifacts(ctx *btr.ExperimentContext, group *btr.TaskGroup, ids []string, out string, echo bool) error {
+	for _, id := range ids {
+		path := filepath.Join(out, id+".txt")
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		expStart := time.Now()
+		err = btr.RunExperiment(ctx, id, f)
+		cerr := f.Close()
+		if group != nil && group.Canceled() {
+			os.Remove(path)
+			return fmt.Errorf("run canceled during %s; its artifact was removed", id)
+		}
+		if err != nil {
+			return fmt.Errorf("experiment %s: %w", id, err)
+		}
+		if cerr != nil {
+			return cerr
+		}
+		fmt.Printf("%-4s -> %s (%.1fs)\n", id, path, time.Since(expStart).Seconds())
+		if echo {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			fmt.Println(string(data))
+		}
+	}
+	return nil
 }
 
 func fatal(err error) {

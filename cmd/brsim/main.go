@@ -5,7 +5,6 @@
 //
 //	brsim -bench vortex -input vortex.lit -pred pas -k 8 [-scale 0.1]
 //	      [-membudget bytes] [-memstats] [-snapshotranges N] [-workers N]
-//	      [-readahead N]
 //	brsim -trace foo.btr -pred gshare -k 12
 //
 // Predictors: pas, gas, gag, pag, gshare, bimodal, lasttime, taken,
@@ -38,7 +37,6 @@ func main() {
 	memStats := flag.Bool("memstats", false, "report the recording's memory shape (encoded bytes, resident peak, page-ins) after the run")
 	snapshotRanges := flag.Int("snapshotranges", 0, "replay the recording as this many checkpointed chunk ranges in parallel (pas and gas only; 0 or 1 = chained replay, the default; results are bit-identical either way)")
 	workers := flag.Int("workers", 0, "concurrent range workers for -snapshotranges (0 = GOMAXPROCS)")
-	readAhead := flag.Int("readahead", 0, "replay the recording through a prefetching decoded pool that decodes this many chunks ahead of the cursor, overlapping spill paging with the predictor (chained replay only; 0 = demand paging; results are bit-identical either way)")
 	flag.Parse()
 
 	// Workloads are recorded once: the profile-guided hybrids replay the
@@ -112,7 +110,6 @@ func main() {
 	var p btr.Predictor
 	var res bpred.Result
 	var snapStats *sim.SnapshotRunStats
-	var poolStats *trace.DecodedPoolStats
 	attempt := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -127,7 +124,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		snapStats, poolStats = nil, nil
+		snapStats = nil
 		switch {
 		case *tracePath != "":
 			f, err := os.Open(*tracePath)
@@ -151,23 +148,7 @@ func main() {
 				}
 				fmt.Fprintf(os.Stderr, "brsim: warning: -snapshotranges supports pas and gas only; replaying %s chained\n", *pred)
 			}
-			src := recorded.Source()
-			var pool *trace.DecodedPool
-			if *readAhead > 0 {
-				// A sequential replay visits each chunk once, so the pool only
-				// needs to hold the read-ahead window: bound it to a few chunks
-				// past the requested depth and let LRU eviction do the rest.
-				budget := int64(*readAhead+2) * int64(recorded.ChunkEvents()) * 9
-				pool = trace.NewDecodedPool(recorded, budget)
-				pool.EnablePrefetch(0, 0)
-				src = pool.Source(*readAhead)
-			}
-			res, err = bpred.Run(p, src)
-			if pool != nil {
-				pool.ClosePrefetch()
-				ps := pool.Stats()
-				poolStats = &ps
-			}
+			res, err = bpred.Run(p, recorded.Source())
 			return err
 		default:
 			return fmt.Errorf("need either -trace or -bench/-input")
@@ -197,10 +178,6 @@ func main() {
 	if *memStats && recorded != nil {
 		fmt.Printf("mem: encoded_bytes=%d resident_peak=%d page_ins=%d spilled=%v\n",
 			recorded.EncodedBytes(), recorded.ResidentPeak(), recorded.PageIns(), recorded.Spilled())
-	}
-	if poolStats != nil {
-		fmt.Printf("readahead: prefetch_hits=%d prefetch_wasted=%d inflight_peak=%d decoded_high_water=%d\n",
-			poolStats.PrefetchHits, poolStats.PrefetchWasted, poolStats.InFlightPeak, poolStats.HighWater)
 	}
 }
 

@@ -15,8 +15,7 @@
 // codec, for quick trace audits. With -membudget the recording goes
 // through the out-of-core streaming recorder instead and the report
 // shows the memory shape a bounded-budget run has: peak resident chunk
-// bytes, spill page-ins, and the decoded pool's high-water mark from an
-// audit replay.
+// bytes, and the spill page-ins of a sequential audit replay.
 //
 // -verify audits spill files — one file, or every *.btr under a
 // directory (a trace-cache dir): header, frame structure, event counts,
@@ -44,7 +43,6 @@ func main() {
 	scale := flag.Float64("scale", 0.1, "workload scale")
 	out := flag.String("o", "", "output trace file (BTR1 binary)")
 	memBudget := flag.Int64("membudget", 0, "record through the streaming recorder with at most about this many resident bytes, then audit-replay the spill (0 = buffer in memory as before)")
-	readAhead := flag.Int("readahead", 0, "during the -membudget audit replay, prefetch this many chunks ahead of the cursor so spill paging overlaps the replay (0 = demand paging)")
 	info := flag.String("info", "", "summarise an existing trace file")
 	text := flag.String("text", "", "dump an existing trace file as text")
 	verify := flag.String("verify", "", "audit a spill file, or every *.btr under a directory; exits nonzero if any file fails")
@@ -99,8 +97,9 @@ func main() {
 	case *bench != "" && *input != "" && *out != "" && *memBudget > 0:
 		// Streamed recording: events go straight to the BTR1 file with a
 		// bounded resident prefix — the memory shape a paper-scale run
-		// has — then an audit replay pages every chunk back in through a
-		// budgeted decoded pool and reports the memory-shape counters.
+		// has — then an audit replay pages every chunk back in, one
+		// chunk's columns at a time, and reports the memory-shape
+		// counters.
 		spec, err := btr.FindWorkload(*bench, *input)
 		if err != nil {
 			fatal(err)
@@ -117,28 +116,15 @@ func main() {
 		fmt.Printf("wrote %d events to %s (streamed)\n", n, *out)
 		fmt.Printf("stream: chunks=%d encoded_bytes=%d resident_peak=%d\n",
 			h.Chunks(), h.EncodedBytes(), h.ResidentPeak())
-		pool := trace.NewDecodedPool(h, *memBudget)
-		if *readAhead > 0 {
-			pool.EnablePrefetch(0, 0)
-		}
-		pf := 1
-		for k := 0; k < h.Chunks(); k++ {
-			if *readAhead > 0 {
-				hi := k + 1 + *readAhead
-				if hi > h.Chunks() {
-					hi = h.Chunks()
-				}
-				for ; pf < hi; pf++ {
-					pool.Prefetch(pf)
-				}
+		var events int64
+		for r := h.ChunkReader(); ; {
+			_, _, n, ok := r.NextChunk()
+			if !ok {
+				break
 			}
-			pool.Checkout(k)
-			pool.Release(k)
+			events += int64(n)
 		}
-		pool.ClosePrefetch()
-		ps := pool.Stats()
-		fmt.Printf("replay: page_ins=%d decodes=%d decoded_high_water=%d prefetch_hits=%d prefetch_wasted=%d\n",
-			h.PageIns(), ps.Decodes, ps.HighWater, ps.PrefetchHits, ps.PrefetchWasted)
+		fmt.Printf("replay: events=%d page_ins=%d\n", events, h.PageIns())
 	case *bench != "" && *input != "" && *out != "":
 		spec, err := btr.FindWorkload(*bench, *input)
 		if err != nil {

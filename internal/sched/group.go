@@ -65,7 +65,7 @@ func (g *Group) Submit(t Task) {
 // wrap registers one task with the group before it is published (so
 // Wait can never observe a queued-but-uncounted member) and returns the
 // closure that maintains the worker's group pointer, captures panics,
-// and signals the barrier on the last completion.
+// and hands the group to the worker so exec signals its completion.
 func (g *Group) wrap(t Task) Task {
 	g.pending.Add(1)
 	return func(w *Worker) {
@@ -79,16 +79,23 @@ func (g *Group) wrap(t Task) Task {
 				g.panicked = append(g.panicked, r)
 				g.mu.Unlock()
 			}
-			// The decrement comes after any fan-out the task performed
-			// (Worker.Submit runs inside t), so the count can only reach
-			// zero when the group's whole task tree has finished.
-			if g.pending.Add(-1) == 0 {
-				g.mu.Lock()
-				g.cond.Broadcast()
-				g.mu.Unlock()
-			}
+			w.finished = g
 		}()
 		t(w)
+	}
+}
+
+// done counts one member task finished and signals the barrier on the
+// last. exec calls it after the scheduler has counted the task done
+// too, so a returned Wait never sees the group's tasks still pending
+// in Stats. The decrement comes after any fan-out the task performed
+// (Worker.Submit runs inside the task), so the count can only reach
+// zero when the group's whole task tree has finished.
+func (g *Group) done() {
+	if g.pending.Add(-1) == 0 {
+		g.mu.Lock()
+		g.cond.Broadcast()
+		g.mu.Unlock()
 	}
 }
 

@@ -188,7 +188,11 @@ func TestGroupCancelDrains(t *testing.T) {
 	var did, skipped atomic.Int64
 	gate := make(chan struct{})
 	g := s.NewGroup()
-	g.Submit(func(*Worker) { <-gate }) // hold the group open
+	// Hold every worker (the injector is FIFO, so each takes one gate
+	// first): no member can run before Cancel lands.
+	for i := 0; i < s.Workers(); i++ {
+		g.Submit(func(*Worker) { <-gate })
+	}
 	for i := 0; i < 128; i++ {
 		g.Submit(func(w *Worker) {
 			if w.Canceled() {

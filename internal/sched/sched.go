@@ -103,10 +103,11 @@ func (s *Scheduler) Stats() Stats {
 // be called from the task currently running on this worker (the deque
 // bottom is single-owner).
 type Worker struct {
-	s   *Scheduler
-	id  int
-	g   *Group // group of the task currently executing, nil outside one
-	rnd uint64 // xorshift state for victim selection
+	s        *Scheduler
+	id       int
+	g        *Group // group of the task currently executing, nil outside one
+	finished *Group // group of the task exec just ran, to signal after it
+	rnd      uint64 // xorshift state for victim selection
 }
 
 // Canceled reports whether the group of the currently-running task has
@@ -161,26 +162,6 @@ func (w *Worker) Submit(t Task) {
 	s := w.s
 	s.pending.Add(1)
 	s.deques[w.id].pushBottom(t)
-	s.notify()
-}
-
-// SubmitFair enqueues a follow-up task into the shared injector FIFO
-// instead of the worker's own deque, keeping the submitter's group.
-// Where Submit makes the continuation the worker's very next task
-// (depth-first: a chain of self-resubmitting tasks runs to completion
-// before its siblings start), SubmitFair runs it after everything
-// already queued, so sibling chains advance breadth-first, in rough
-// lockstep. Task chains that share cached state — sweep chains over
-// one decoded-chunk pool — use this to convoy: the chunk one chain
-// just paid to decode is still resident when its siblings arrive.
-func (w *Worker) SubmitFair(t Task) {
-	if w.g != nil {
-		t = w.g.wrap(t)
-	}
-	s := w.s
-	s.pending.Add(1)
-	s.statSubmits.Add(1)
-	s.injector.push(t)
 	s.notify()
 }
 
@@ -302,6 +283,10 @@ func (s *Scheduler) exec(w *Worker, t Task) {
 			s.mu.Lock()
 			s.cond.Broadcast()
 			s.mu.Unlock()
+		}
+		if g := w.finished; g != nil {
+			w.finished = nil
+			g.done()
 		}
 	}()
 	t(w)

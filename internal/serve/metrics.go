@@ -17,7 +17,7 @@ type Metrics struct {
 	TraceCache   TraceCacheMetrics   `json:"trace_cache"`
 	ProfileCache ProfileCacheMetrics `json:"profile_cache"`
 	// Mem sums each completed request's suite-level MemStats: recording
-	// footprints, spill page-ins, decoded-pool hits/redecodes, snapshot
+	// footprints, spill page-ins, chunk-window hits/redecodes, snapshot
 	// traffic.
 	Mem MemMetrics `json:"mem"`
 }
@@ -66,9 +66,6 @@ type MemMetrics struct {
 	DecodedRedecodes int64 `json:"decoded_redecodes"`
 	DecodedEvicted   int64 `json:"decoded_evicted"`
 	DecodedPeak      int64 `json:"decoded_peak"`
-	PrefetchHits     int64 `json:"prefetch_hits"`
-	PrefetchWasted   int64 `json:"prefetch_wasted"`
-	PrefetchInFlight int64 `json:"prefetch_in_flight_peak"`
 	SnapshotCount    int64 `json:"snapshot_count"`
 	SnapshotBytes    int64 `json:"snapshot_bytes"`
 	SnapshotPeak     int64 `json:"snapshot_peak"`
@@ -107,9 +104,6 @@ func memMetrics(m sim.MemStats) MemMetrics {
 		DecodedRedecodes: m.DecodedRedecodes,
 		DecodedEvicted:   m.DecodedEvicted,
 		DecodedPeak:      m.DecodedPeak,
-		PrefetchHits:     m.PrefetchHits,
-		PrefetchWasted:   m.PrefetchWasted,
-		PrefetchInFlight: m.PrefetchInFlightPeak,
 		SnapshotCount:    m.SnapshotCount,
 		SnapshotBytes:    m.SnapshotBytes,
 		SnapshotPeak:     m.SnapshotPeak,

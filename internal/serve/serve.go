@@ -13,7 +13,7 @@
 // as are requests whose scale or byte budgets exceed the server's
 // per-request caps. /metrics exposes the shared substrate's counters
 // (scheduler steals/parks/queue depth, trace- and profile-cache
-// traffic, decoded-pool hits/redecodes summed across requests) plus
+// traffic, chunk-window hits/redecodes summed across requests) plus
 // the admission tallies; /healthz flips to 503 once a drain begins.
 package serve
 
@@ -124,12 +124,11 @@ type Request struct {
 	// (sim.Config.MemBudget / DecodedBudget).
 	MemBudget     int64 `json:"membudget,omitempty"`
 	DecodedBudget int64 `json:"decodedbudget,omitempty"`
-	// ChunkTasks / SnapshotRanges / ReadAhead / Window tune the sweep
+	// ChunkTasks / SnapshotRanges / Window tune the sweep
 	// exactly like the brexp flags of the same names; all
 	// result-invisible.
 	ChunkTasks     int `json:"chunktasks,omitempty"`
 	SnapshotRanges int `json:"snapshotranges,omitempty"`
-	ReadAhead      int `json:"readahead,omitempty"`
 	Window         int `json:"window,omitempty"`
 	// DeadlineMS bounds this request's wall-clock time in milliseconds;
 	// past it the run is canceled and the stream ends with a "canceled"
@@ -339,7 +338,6 @@ func (s *Server) resolve(req *Request) (ids []string, specs []workload.Spec, cfg
 		MemBudget:          req.MemBudget,
 		DecodedBudget:      req.DecodedBudget,
 		SnapshotRanges:     req.SnapshotRanges,
-		ReadAhead:          req.ReadAhead,
 		Sched:              s.sched,
 	}
 	return ids, specs, cfg, nil

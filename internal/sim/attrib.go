@@ -1,20 +1,23 @@
 package sim
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"btr/internal/core"
 	"btr/internal/sched"
 	"btr/internal/stats"
-	"btr/internal/trace"
 	"btr/internal/workload"
 )
 
 // attribGrid is the scheduled engine's parallel attribution pre-pass:
 // the per-event class column, Exec counts and Figure 15 hard distances
 // that attributeSequential derives in one replay are instead computed
-// per chunk range, in parallel, through the same decoded-chunk pool the
-// bank sweep will use (warming it in the process). Class resolution and
+// per chunk range, in parallel. With a zero decoded budget every chunk
+// it decodes is adopted by the chunk window the bank sweep reads, so the
+// sweep decodes nothing; under a budget the window cannot hold the
+// whole recording ahead of the sweep, so the pre-pass decodes into
+// per-task scratch and the window decodes again. Class resolution and
 // Exec attribution are embarrassingly parallel — each range writes a
 // disjoint classIdx segment and its own counters — while the hard
 // distances, whose chain crosses range boundaries, are stitched
@@ -25,15 +28,16 @@ import (
 // r−1), so the result is bit-identical (TestScheduledMatchesLegacy).
 //
 // The last range to finish performs the stitch, publishes the profile
-// cache entry, and launches the bank sweep on the shared pool.
+// cache entry, and launches the bank sweep on the window.
 type attribGrid struct {
 	cfg      Config
 	spec     workload.Spec
 	res      *InputResult
 	classIdx []uint8
 	lookup   classLookup
-	pool     *trace.DecodedPool
-	stride   int // chunks per range
+	win      *chunkWindow
+	retain   bool // adopt decodes into win (zero decoded budget)
+	stride   int  // chunks per range
 	parts    []attribPart
 
 	remaining atomic.Int32
@@ -70,7 +74,8 @@ func newAttribGrid(cfg Config, spec workload.Spec, res *InputResult, workers int
 		res:      res,
 		classIdx: make([]uint8, res.Recorded.Events()),
 		lookup:   denseClasses(res.Classes),
-		pool:     cfg.newDecodedPool(res.Recorded),
+		win:      cfg.sweepWindow(res.Recorded),
+		retain:   cfg.DecodedBudget == 0,
 		stride:   stride,
 		parts:    make([]attribPart, ranges),
 		out:      out,
@@ -93,59 +98,44 @@ func (g *attribGrid) launch(w *sched.Worker) {
 	}
 }
 
-// runPart attributes one chunk range. A panic (a paging failure, or a
-// corrupt spill) poisons the grid: the cause is recorded once, the
+// runPart attributes one chunk range. A paging failure (a corrupt
+// spill, say) or a panic poisons the grid: the cause is recorded once, the
 // remaining counter never reaches zero, the sweep never launches, and
 // the input is reported via SuiteResult.Dropped. Group cancellation
 // poisons the same way with ErrCanceled.
 func (g *attribGrid) runPart(w *sched.Worker, r int) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			if g.failed.CompareAndSwap(false, true) {
-				*g.errOut = recoveredErr("attribution failed", rec)
-				// The sweep never launches, so finalizeMem never stops the
-				// prefetcher; the poisoning task does it here.
-				g.pool.CancelPrefetch()
-				g.pool.ClosePrefetch()
-			}
+			g.poison(recoveredErr("attribution failed", rec))
 		}
 	}()
 	if g.failed.Load() {
 		return
 	}
 	if w.Canceled() {
-		if g.failed.CompareAndSwap(false, true) {
-			*g.errOut = ErrCanceled
-			g.pool.CancelPrefetch()
-			g.pool.ClosePrefetch()
-		}
+		g.poison(ErrCanceled)
 		return
 	}
 	p := &g.parts[r]
 	p.hist = stats.NewHistogram(len(g.res.HardDistances.Bins))
 	p.firstHard, p.lastHard = -1, -1
-	nchunks := g.res.Recorded.Chunks()
+	h := g.res.Recorded
 	end := (r + 1) * g.stride
-	if end > nchunks || end < 0 {
-		end = nchunks
+	if end > h.Chunks() || end < 0 {
+		end = h.Chunks()
 	}
-	pf := r*g.stride + 1
+	// Scratch columns for the non-retaining case. dirs is never replaced
+	// by a returned bitmap: a resident chunk's Dirs alias the recording.
+	var pcs, dirs []uint64
+	if !g.retain {
+		dirs = make([]uint64, (h.ChunkEvents()+63)/64)
+	}
 	for k := r * g.stride; k < end; k++ {
-		if g.cfg.ReadAhead > 0 {
-			// Hint the range's upcoming window; ranges are disjoint, so
-			// hints stop at the range boundary.
-			hi := k + 1 + g.cfg.ReadAhead
-			if hi > end {
-				hi = end
-			}
-			if pf <= k {
-				pf = k + 1
-			}
-			for ; pf < hi; pf++ {
-				g.pool.Prefetch(pf)
-			}
+		d, err := h.DecodeChunkInto(k, pcs, dirs)
+		if err != nil {
+			g.poison(fmt.Errorf("attribution failed: trace: decoding chunk %d: %w", k, err))
+			return
 		}
-		d := g.pool.Checkout(k)
 		for i := 0; i < d.N; i++ {
 			ci := g.lookup.classOf(d.PCs[i], g.res.Classes)
 			pos := d.Base + int64(i)
@@ -160,16 +150,29 @@ func (g *attribGrid) runPart(w *sched.Worker, r int) {
 				p.lastHard = pos
 			}
 		}
-		g.pool.Release(k)
+		if g.retain {
+			g.win.Adopt(k, d)
+		} else {
+			pcs = d.PCs
+		}
 	}
 	if g.remaining.Add(-1) == 0 {
 		g.finish(w)
 	}
 }
 
+// poison records the grid's first failure cause and fails the window,
+// freeing any adopted columns: the sweep never launches.
+func (g *attribGrid) poison(err error) {
+	if g.failed.CompareAndSwap(false, true) {
+		*g.errOut = err
+		g.win.Fail(err)
+	}
+}
+
 // finish stitches the ranges in order (boundary hard distances, Exec
 // sums, histogram merge), publishes the profile-cache entry, and hands
-// the shared pool to the bank sweep.
+// the window to the bank sweep.
 func (g *attribGrid) finish(w *sched.Worker) {
 	prevLast := int64(-1)
 	for r := range g.parts {
@@ -188,5 +191,5 @@ func (g *attribGrid) finish(w *sched.Worker) {
 	if g.cfg.Profiles != nil {
 		g.cfg.Profiles.put(g.cfg.cacheKey(g.spec), g.cfg.window(), g.res, g.classIdx)
 	}
-	startSweep(w, g.cfg, g.res, g.classIdx, g.pool, g.out, g.errOut)
+	startSweep(w, g.cfg, g.res, g.classIdx, g.win, g.out, g.errOut)
 }

@@ -88,6 +88,46 @@ func TestSuiteRecoversFromCorruptSpill(t *testing.T) {
 	}
 }
 
+// TestSuiteRecoversFromCorruptWindowPageIn damages the spill files
+// under a warm profile cache, so the rerun skips attribution and the
+// damage surfaces in a chunk-window page-in during the sweep: the
+// window's ErrCorruptSpill must reach RunSuiteGroup's quarantine and
+// retry, and the retried run must match the clean one bit for bit.
+func TestSuiteRecoversFromCorruptWindowPageIn(t *testing.T) {
+	dir := t.TempDir()
+	specs := []workload.Spec{
+		testSpec(t, "perl", "primes.pl"),
+		testSpec(t, "li", "ref.lsp"),
+	}
+	cfg := Config{
+		Scale:         testScale,
+		ChunkEvents:   256,
+		MemBudget:     4096,
+		DecodedBudget: 6000,
+		Cache:         trace.NewCache(4096, dir, workload.RegistryFingerprint()),
+		Profiles:      NewProfileCache(),
+	}
+	baseline := RunSuite(specs, cfg)
+	if len(baseline.Dropped) != 0 {
+		t.Fatalf("clean baseline dropped inputs: %v", baseline.Dropped)
+	}
+	for _, spec := range specs {
+		corruptFile(t, cfg.Cache.SpillPathFor(cfg.cacheKey(spec)))
+	}
+	hits := cfg.Profiles.Stats().Hits
+	got := RunSuite(specs, cfg)
+	if len(got.Dropped) != 0 {
+		t.Fatalf("recovery run dropped inputs: %v", got.Dropped)
+	}
+	if cfg.Profiles.Stats().Hits == hits {
+		t.Fatal("rerun missed the profile cache; the damage was not left to the window")
+	}
+	if q := cfg.Cache.Stats().Quarantined; q == 0 {
+		t.Fatalf("Quarantined = %d, want >= 1 (stats: %+v)", q, cfg.Cache.Stats())
+	}
+	assertSuitesEqual(t, "corrupt-window-page-in-recovery", baseline, got)
+}
+
 // TestSuiteGroupPreCanceled: a group canceled before submission drops
 // every input with ErrCanceled, and the shared scheduler stays healthy
 // for the next tenant.

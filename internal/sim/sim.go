@@ -153,38 +153,56 @@ type Config struct {
 	// favour of its worker count. Honoured by the scheduled engine
 	// only; NoSched and NoRecord fall back to private pools as before.
 	Sched *sched.Scheduler
-	// DecodedBudget bounds the decoded-chunk pool the scheduled sweep
-	// checks chunks out of: 0 retains every decoded column for the
-	// duration of the input's sweep (the pre-streaming behaviour), > 0
-	// is a byte budget — checked-out chunks are pinned, LRU columns
-	// beyond the budget are dropped and re-decoded on the next visit —
-	// and < 0 caches nothing beyond the chunks currently checked out.
-	// Like MemBudget, the value is result-invisible.
+	// DecodedBudget bounds the decode-once chunk window the scheduled
+	// sweep reads through (trace.ChunkWindow): every chunk is decoded
+	// once, shared by all the input's sweep chains, and dropped when the
+	// last chain passes it. 0 admits the whole recording and reuses the
+	// attribution pre-pass's decodes (the pre-streaming behaviour); > 0
+	// admits max(2, DecodedBudget / decoded-chunk bytes) chunks ahead of
+	// the slowest chain; < 0 admits one chunk at a time. Like MemBudget,
+	// the value is result-invisible.
 	DecodedBudget int64
-	// ReadAhead, when > 0, overlaps spill I/O and BTR1 decode with
-	// predictor compute: every sweep chain (chained, checkpointed, and
-	// the attribution pre-pass) hints its next ReadAhead chunks to the
-	// decoded pool's background prefetcher, which decodes them —
-	// coalescing adjacent spill reads into one ReadAt — before the
-	// chain's cursor arrives. Prefetched columns are charged against
-	// DecodedBudget and evicted LRU like any other, so peak decoded
-	// memory stays O(budget). The value is result-invisible
-	// (TestStreamedMatrixMatchesRetained); honoured by the scheduled
-	// chunked engines only — NoSched, NoRecord, ChunkTasks < 0 and
-	// cache-nothing pools (DecodedBudget < 0) ignore it.
-	ReadAhead int
 }
 
-// newDecodedPool builds a sweep's decoded-chunk pool over h, attaching
-// the background prefetcher when ReadAhead asks for one. Pools built
-// here are shut down by finalizeMem on publish, or by the owning grid's
-// poison path on failure.
-func (c Config) newDecodedPool(h *trace.Handle) *trace.DecodedPool {
-	p := trace.NewDecodedPool(h, c.DecodedBudget)
-	if c.ReadAhead > 0 {
-		p.EnablePrefetch(0, 0)
+// chunkWindow is the sweep's decode-once window; its parked
+// continuations are scheduler tasks.
+type chunkWindow = trace.ChunkWindow[sched.Task]
+
+// sweepWindow builds the chunk window an input's bank sweep reads
+// through, declaring one consumer per chain of the engine startSweep
+// picks: the 34 slot chains over the whole recording and, under the
+// checkpointed engine, 34 warmup chains over every range but the last.
+func (c Config) sweepWindow(h *trace.Handle) *chunkWindow {
+	n := h.Chunks()
+	spans := []trace.Span{{From: 0, To: n, N: numBankSlots}}
+	if r := c.snapshotRanges(n); r > 1 {
+		b := snapshotBounds(n, r)
+		spans = append(spans, trace.Span{From: 0, To: b[len(b)-2], N: numBankSlots})
 	}
-	return p
+	return trace.NewChunkWindow[sched.Task](h, c.DecodedBudget, spans...)
+}
+
+// checkout serves chunk k to a window consumer, resubmitting any
+// continuations the window hands back onto w's own deque (LIFO), so a
+// woken chain runs next on the worker that just made its chunk ready.
+// ok is false when the consumer parked: cont now waits on the window,
+// and the task that unblocks it resubmits it.
+func checkout(w *sched.Worker, win *chunkWindow, k int, cont sched.Task) (d trace.DecodedChunk, ok bool, err error) {
+	d, ok, woken, err := win.Checkout(k, cont)
+	resume(w, woken)
+	return d, ok, err
+}
+
+// release records that a consumer has passed chunk k, resubmitting
+// the continuations the sliding frontier wakes.
+func release(w *sched.Worker, win *chunkWindow, k int) {
+	resume(w, win.Release(k))
+}
+
+func resume(w *sched.Worker, ts []sched.Task) {
+	for _, t := range ts {
+		w.Submit(t)
+	}
 }
 
 // cacheKey is the recording's identity for Config.Cache and
@@ -320,7 +338,7 @@ type InputResult struct {
 	Recorded *trace.Handle
 
 	// Mem reports the input's memory-shape counters (recording
-	// footprint, page-ins, decoded-pool traffic). Zero under NoRecord.
+	// footprint, page-ins, chunk-window traffic). Zero under NoRecord.
 	Mem MemStats
 }
 
@@ -337,21 +355,20 @@ type MemStats struct {
 	// PageIns counts chunks re-read from the spill file.
 	PageIns int64
 	// DecodedHits / DecodedRedecodes / DecodedEvicted / DecodedPeak are
-	// the sweep's decoded-chunk pool counters (see
-	// trace.DecodedPoolStats); zero when the sweep ran without a pool
-	// (slot-only and pool engines).
+	// the sweep's chunk-window counters (see trace.WindowStats):
+	// checkouts served by a resident chunk, decodes beyond one per chunk
+	// (0 by construction of the window), chunks dropped after their last
+	// chain passed them, and the resident decoded high-water mark. Zero
+	// when the sweep ran without a window (slot-only and pool engines).
 	DecodedHits      int64
 	DecodedRedecodes int64
 	DecodedEvicted   int64
 	DecodedPeak      int64
-	// PrefetchHits / PrefetchWasted / PrefetchInFlightPeak describe the
-	// read-ahead pipeline (Config.ReadAhead): checkouts served by a
-	// prefetched column, prefetched columns evicted before any checkout
-	// touched them, and the high-water mark of concurrent decodes —
-	// the overlap depth actually achieved. Zero without read-ahead.
-	PrefetchHits         int64
-	PrefetchWasted       int64
-	PrefetchInFlightPeak int64
+	// PrefetchHits and PrefetchWasted are always 0. They described the
+	// read-ahead prefetcher the decode-once window replaced, and stay so
+	// reports that read them keep working.
+	PrefetchHits   int64
+	PrefetchWasted int64
 	// SnapshotCount / SnapshotBytes / SnapshotPeak describe the
 	// checkpointed sweep's predictor snapshots (Config.SnapshotRanges):
 	// how many were taken, their cumulative size, and the high-water
@@ -370,13 +387,8 @@ func (m *MemStats) Add(other *MemStats) {
 	m.DecodedHits += other.DecodedHits
 	m.DecodedRedecodes += other.DecodedRedecodes
 	m.DecodedEvicted += other.DecodedEvicted
-	m.PrefetchHits += other.PrefetchHits
-	m.PrefetchWasted += other.PrefetchWasted
 	m.SnapshotCount += other.SnapshotCount
 	m.SnapshotBytes += other.SnapshotBytes
-	if other.PrefetchInFlightPeak > m.PrefetchInFlightPeak {
-		m.PrefetchInFlightPeak = other.PrefetchInFlightPeak
-	}
 	if other.ResidentPeak > m.ResidentPeak {
 		m.ResidentPeak = other.ResidentPeak
 	}
@@ -443,29 +455,21 @@ func RunInput(spec workload.Spec, cfg Config) *InputResult {
 }
 
 // finalizeMem snapshots the input's memory-shape counters off its
-// recording handle and (when the sweep used one) decoded pool. It also
-// shuts the pool's prefetcher down — the sweep is over — so every
-// prefetch install is accounted before the stats are read.
-func finalizeMem(res *InputResult, pool *trace.DecodedPool) {
+// recording handle and (when the sweep used one) chunk window.
+func finalizeMem(res *InputResult, win *chunkWindow) {
 	h := res.Recorded
 	if h == nil {
 		return
 	}
-	if pool != nil {
-		pool.ClosePrefetch()
-	}
 	res.Mem.RecordedBytes = h.EncodedBytes()
 	res.Mem.ResidentPeak = h.ResidentPeak()
 	res.Mem.PageIns = h.PageIns()
-	if pool != nil {
-		s := pool.Stats()
+	if win != nil {
+		s := win.Stats()
 		res.Mem.DecodedHits = s.Hits
-		res.Mem.DecodedRedecodes = s.Redecodes
-		res.Mem.DecodedEvicted = s.Evicted
-		res.Mem.DecodedPeak = s.HighWater
-		res.Mem.PrefetchHits = s.PrefetchHits
-		res.Mem.PrefetchWasted = s.PrefetchWasted
-		res.Mem.PrefetchInFlightPeak = s.InFlightPeak
+		res.Mem.DecodedRedecodes = max(0, s.Decodes-int64(h.Chunks()))
+		res.Mem.DecodedEvicted = s.Released
+		res.Mem.DecodedPeak = s.Peak
 	}
 }
 

@@ -61,13 +61,14 @@ func snapshotBounds(nchunks, ranges int) []int {
 // sweep. pending counts sweep tasks only (numBankSlots × ranges, preset
 // before any submission); warmup tasks gate sweep submission, so a
 // poisoned warmup leaves pending above zero and the input unpublished —
-// the same drop-via-Dropped semantics as the chained engine.
+// the same drop-via-Dropped semantics as the chained engine. Warmup and
+// sweep chains read one chunk window, whose consumer spans cover the
+// ranges (see Config.sweepWindow): a range's chunks are decoded once for
+// its warmups and its sweeps alike.
 type snapshotSweep struct {
 	res      *InputResult
 	classIdx []uint8
-	pool     *trace.DecodedPool
-	nchunks  int
-	ra       int // read-ahead depth (Config.ReadAhead); 0 = no hints
+	win      *chunkWindow
 	bounds   []int
 	slots    []snapSlot
 	pending  atomic.Int32
@@ -85,24 +86,31 @@ type snapshotSweep struct {
 	errOut *error
 }
 
-// snapSlot is one bank slot's share of the grid. warm is only touched
-// by the slot's warmup chain (tasks ordered by resubmission); snaps[r]
-// is written by the warmup before the range-r sweep is submitted and
-// consumed (restored, then dropped) by that sweep; partials[r] is
-// written only by the range-r sweep.
+// snapSlot is one bank slot's share of the grid. warm and warmNext are
+// only touched by the slot's warmup chain (tasks ordered by
+// resubmission); snaps[r] is written by the warmup before the range-r
+// sweep is submitted and consumed (restored, then dropped) by that
+// sweep; ranges[r] is touched only by the range-r sweep.
 type snapSlot struct {
 	warm     snapshotSweeper
+	warmNext int // the warmup chain's next chunk
 	snaps    [][]byte
-	partials []missCell
+	ranges   []snapRange
 }
 
-func startSnapshotSweep(w *sched.Worker, cfg Config, ranges int, res *InputResult, classIdx []uint8, pool *trace.DecodedPool, out **InputResult, errOut *error) {
+// snapRange is one (slot, range) sweep's resumable state: the task may
+// park on the chunk window mid-range and resume where it stopped.
+type snapRange struct {
+	p    snapshotSweeper // nil until the range starts, and again once done
+	next int
+	miss missCell
+}
+
+func startSnapshotSweep(w *sched.Worker, ranges int, res *InputResult, classIdx []uint8, win *chunkWindow, out **InputResult, errOut *error) {
 	ss := &snapshotSweep{
 		res:      res,
 		classIdx: classIdx,
-		pool:     pool,
-		nchunks:  res.Recorded.Chunks(),
-		ra:       cfg.ReadAhead,
+		win:      win,
 		bounds:   snapshotBounds(res.Recorded.Chunks(), ranges),
 		out:      out,
 		errOut:   errOut,
@@ -111,9 +119,12 @@ func startSnapshotSweep(w *sched.Worker, cfg Config, ranges int, res *InputResul
 	ss.slots = make([]snapSlot, numBankSlots)
 	for i := range ss.slots {
 		ss.slots[i] = snapSlot{
-			warm:     bankSlotPredictor(i).(snapshotSweeper),
-			snaps:    make([][]byte, ranges),
-			partials: make([]missCell, ranges),
+			warm:   bankSlotPredictor(i).(snapshotSweeper),
+			snaps:  make([][]byte, ranges),
+			ranges: make([]snapRange, ranges),
+		}
+		for r := range ss.slots[i].ranges {
+			ss.slots[i].ranges[r].next = ss.bounds[r]
 		}
 	}
 	ss.pending.Store(int32(numBankSlots * ranges))
@@ -124,34 +135,32 @@ func startSnapshotSweep(w *sched.Worker, cfg Config, ranges int, res *InputResul
 	// (they are the critical path), while thieves peel the range-0 sweeps
 	// FIFO.
 	for i := range ss.slots {
-		i := i
 		w.Submit(func(w *sched.Worker) { ss.sweepRange(w, i, 0) })
 	}
 	if ranges > 1 {
 		for i := range ss.slots {
-			i := i
 			w.Submit(func(w *sched.Worker) { ss.warmup(w, i, 0) })
 		}
 	}
 }
 
-// guard converts a task panic (a spill paging failure) into the grid's
-// poison: the cause is recorded once, sibling tasks bail out on their
-// next look at failed, pending never reaches zero, and the input is
-// reported via SuiteResult.Dropped.
+// guard converts a task panic into the grid's poison, as a paging
+// failure does: the cause is recorded once, sibling tasks bail out on
+// their next look at failed, pending never reaches zero, and the input
+// is reported via SuiteResult.Dropped.
 func (ss *snapshotSweep) guard() {
 	if r := recover(); r != nil {
 		ss.poison(recoveredErr("snapshot sweep failed", r))
 	}
 }
 
-// poison records the grid's first failure cause and stops the prefetch
-// workers (the grid never publishes, so finalizeMem never runs).
+// poison records the grid's first failure cause and fails the window,
+// dropping parked chains and freeing its decoded columns (the grid never
+// publishes, so nothing else would).
 func (ss *snapshotSweep) poison(err error) {
 	if ss.failed.CompareAndSwap(false, true) {
 		*ss.errOut = err
-		ss.pool.CancelPrefetch()
-		ss.pool.ClosePrefetch()
+		ss.win.Fail(err)
 	}
 }
 
@@ -169,25 +178,6 @@ func (ss *snapshotSweep) bail(w *sched.Worker) bool {
 	return false
 }
 
-// prefetchWindow hints the chunks (k, min(k+1+ra, end)) that have not
-// been hinted yet, advancing *pf. Each chain keeps a private cursor, so
-// every chunk is hinted at most once per chain.
-func (ss *snapshotSweep) prefetchWindow(pf *int, k, end int) {
-	if ss.ra <= 0 {
-		return
-	}
-	hi := k + 1 + ss.ra
-	if hi > end {
-		hi = end
-	}
-	if *pf <= k {
-		*pf = k + 1
-	}
-	for ; *pf < hi; *pf++ {
-		ss.pool.Prefetch(*pf)
-	}
-}
-
 // warmup advances slot's warmup predictor over range r update-only,
 // checkpoints the state — which is exactly the chained sweep's state at
 // the start of range r+1 — and releases that range's sweep to run.
@@ -199,12 +189,16 @@ func (ss *snapshotSweep) warmup(w *sched.Worker, slot, r int) {
 		return
 	}
 	s := &ss.slots[slot]
-	pf := ss.bounds[r] + 1
-	for k := ss.bounds[r]; k < ss.bounds[r+1]; k++ {
-		ss.prefetchWindow(&pf, k, ss.bounds[r+1])
-		d := ss.pool.Checkout(k)
+	for ; s.warmNext < ss.bounds[r+1]; s.warmNext++ {
+		d, ok, err := checkout(w, ss.win, s.warmNext, func(w *sched.Worker) { ss.warmup(w, slot, r) })
+		if err != nil {
+			ss.poison(fmt.Errorf("snapshot sweep failed: %w", err))
+		}
+		if !ok {
+			return
+		}
 		s.warm.UpdateChunk(d.PCs, d.Dirs, d.N)
-		ss.pool.Release(k)
+		release(w, ss.win, s.warmNext)
 	}
 	snap := make([]byte, s.warm.SnapshotBytes())
 	s.warm.SnapshotTo(snap)
@@ -239,30 +233,36 @@ func (ss *snapshotSweep) sweepRange(w *sched.Worker, slot, r int) {
 		return
 	}
 	s := &ss.slots[slot]
-	p := bankSlotPredictor(slot).(snapshotSweeper)
-	if r > 0 {
-		snap := s.snaps[r]
-		p.RestoreFrom(snap)
-		s.snaps[r] = nil // the snapshot is dead once restored
-		ss.snapLive.Add(-int64(len(snap)))
+	sr := &s.ranges[r]
+	if sr.p == nil {
+		sr.p = bankSlotPredictor(slot).(snapshotSweeper)
+		if r > 0 {
+			snap := s.snaps[r]
+			sr.p.RestoreFrom(snap)
+			s.snaps[r] = nil // the snapshot is dead once restored
+			ss.snapLive.Add(-int64(len(snap)))
+		}
 	}
-	var cell missCell
 	var wrong [(trace.DefaultChunkEvents + 63) / 64]uint64
 	scratch := wrong[:]
-	pf := ss.bounds[r] + 1
-	for k := ss.bounds[r]; k < ss.bounds[r+1]; k++ {
-		ss.prefetchWindow(&pf, k, ss.bounds[r+1])
-		d := ss.pool.Checkout(k)
+	for ; sr.next < ss.bounds[r+1]; sr.next++ {
+		d, ok, err := checkout(w, ss.win, sr.next, func(w *sched.Worker) { ss.sweepRange(w, slot, r) })
+		if err != nil {
+			ss.poison(fmt.Errorf("snapshot sweep failed: %w", err))
+		}
+		if !ok {
+			return
+		}
 		if words := (d.N + 63) / 64; words > len(scratch) {
 			scratch = make([]uint64, words)
 		}
-		sweepDecodedChunk(p, d, ss.classIdx[d.Base:d.Base+int64(d.N)], &cell, scratch)
-		ss.pool.Release(k)
+		sweepDecodedChunk(sr.p, &d, ss.classIdx[d.Base:d.Base+int64(d.N)], &sr.miss, scratch)
+		release(w, ss.win, sr.next)
 	}
-	s.partials[r] = cell
+	sr.p = nil
 	if ss.pending.Add(-1) == 0 {
 		ss.fold()
-		finalizeMem(ss.res, ss.pool)
+		finalizeMem(ss.res, ss.win)
 		ss.res.Mem.SnapshotCount = ss.snapCount.Load()
 		ss.res.Mem.SnapshotBytes = ss.snapTotal.Load()
 		ss.res.Mem.SnapshotPeak = ss.snapPeak.Load()
@@ -276,8 +276,8 @@ func (ss *snapshotSweep) sweepRange(w *sched.Worker, slot, r int) {
 func (ss *snapshotSweep) fold() {
 	flat := make([]missCell, numBankSlots)
 	for i := range ss.slots {
-		for r := range ss.slots[i].partials {
-			addCell(&flat[i], &ss.slots[i].partials[r])
+		for r := range ss.slots[i].ranges {
+			addCell(&flat[i], &ss.slots[i].ranges[r].miss)
 		}
 	}
 	foldMisses(ss.res, flat)
@@ -286,13 +286,14 @@ func (ss *snapshotSweep) fold() {
 // startSweep launches an input's bank sweep on the engine Config
 // selects: the checkpointed (slot × range) grid when SnapshotRanges
 // asks for more than one range and the recording has chunks to split,
-// otherwise the chained (slot × chunk-range) grid.
-func startSweep(w *sched.Worker, cfg Config, res *InputResult, classIdx []uint8, pool *trace.DecodedPool, out **InputResult, errOut *error) {
+// otherwise the chained (slot × chunk-range) grid. win must come from
+// cfg.sweepWindow, which declares the same engine's consumers.
+func startSweep(w *sched.Worker, cfg Config, res *InputResult, classIdx []uint8, win *chunkWindow, out **InputResult, errOut *error) {
 	if ranges := cfg.snapshotRanges(res.Recorded.Chunks()); ranges > 1 {
-		startSnapshotSweep(w, cfg, ranges, res, classIdx, pool, out, errOut)
+		startSnapshotSweep(w, ranges, res, classIdx, win, out, errOut)
 		return
 	}
-	startChunkSweep(w, cfg, res, classIdx, pool, out, errOut)
+	startChunkSweep(w, cfg, res, classIdx, win, out, errOut)
 }
 
 // SnapshotPredictor is the contract RunPredictorSnapshot needs from a

@@ -11,12 +11,13 @@ import (
 
 // TestStreamedMatrixMatchesRetained is the golden equivalence matrix
 // for the out-of-core streaming pipeline: {retained, spill-backed with
-// small budgets, cache-nothing decoded pool} × workers {1, 4,
-// GOMAXPROCS} must all produce bit-identical SuiteResults. A small
-// ChunkEvents forces many chunks at test scale so the budgets genuinely
-// evict, page and re-decode; the memory-shape counters are asserted to
-// prove the streamed runs actually ran out of core rather than
-// trivially passing because everything fit.
+// small budgets, one-chunk window, checkpointed, mmapped} × workers
+// {1, 4, GOMAXPROCS} must all produce bit-identical SuiteResults. A
+// small ChunkEvents forces many chunks at test scale so the budgets
+// genuinely page and slide the chunk window; the memory-shape counters
+// are asserted to prove the streamed runs actually ran out of core
+// rather than trivially passing because everything fit, and that the
+// window decoded every chunk exactly once within its budget.
 func TestStreamedMatrixMatchesRetained(t *testing.T) {
 	specs := []workload.Spec{
 		testSpec(t, "compress", "bigtest.in"),
@@ -33,6 +34,7 @@ func TestStreamedMatrixMatchesRetained(t *testing.T) {
 			t.Fatalf("%s: retained recording not fully resident: %+v", r.Spec.Name(), r.Mem)
 		}
 	}
+	assertWindowDecodedOnce(t, "retained", retained, 0)
 
 	budgets := []struct {
 		name    string
@@ -40,20 +42,14 @@ func TestStreamedMatrixMatchesRetained(t *testing.T) {
 		decoded int64 // Config.DecodedBudget
 		ranges  int   // Config.SnapshotRanges
 		mmap    bool  // Config.MmapSpill
-		ra      int   // Config.ReadAhead
 	}{
-		{"spill+pool", 4096, 6000, 0, false, 0},
-		{"spill+cache-nothing", 4096, -1, 0, false, 0},
-		{"resident+pool", 0, 6000, 0, false, 0},
-		{"spill+pool+snapshot", 4096, 6000, 3, false, 0},
-		{"spill+pool+mmap", 4096, 6000, 0, true, 0},
-		// Read-ahead legs get a pool that can hold the windows (still
-		// well under the decoded whole, so eviction stays exercised):
-		// prefetching into a pool drowning in demand churn is all waste.
-		{"spill+pool+ra2", 4096, 20000, 0, false, 2},
-		{"spill+pool+ra8", 4096, 20000, 0, false, 8},
-		{"spill+pool+snapshot+ra", 4096, 20000, 3, false, 4},
-		{"resident+pool+ra", 0, 20000, 0, false, 2},
+		{"spill+window", 4096, 6000, 0, false},
+		{"spill+one-chunk", 4096, -1, 0, false},
+		{"resident+window", 0, 6000, 0, false},
+		{"spill+window+snapshot", 4096, 6000, 3, false},
+		{"spill+window+mmap", 4096, 6000, 0, true},
+		{"spill+wide-window", 4096, 20000, 0, false},
+		{"spill+wide-window+snapshot", 4096, 20000, 3, false},
 	}
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		for _, b := range budgets {
@@ -63,7 +59,6 @@ func TestStreamedMatrixMatchesRetained(t *testing.T) {
 			cfg.DecodedBudget = b.decoded
 			cfg.SnapshotRanges = b.ranges
 			cfg.MmapSpill = b.mmap
-			cfg.ReadAhead = b.ra
 			label := fmt.Sprintf("%s/workers=%d", b.name, workers)
 			got := RunSuite(specs, cfg)
 			assertSuitesEqual(t, label, retained, got)
@@ -74,14 +69,18 @@ func TestStreamedMatrixMatchesRetained(t *testing.T) {
 						t.Fatalf("%s/%s: streaming kept everything resident (peak %d, recorded %d)",
 							label, r.Spec.Name(), r.Mem.ResidentPeak, r.Mem.RecordedBytes)
 					}
+					// One page-in per spilled chunk for the attribution
+					// pre-pass and one for the window, never more.
+					if limit := 2 * int64(r.Recorded.Chunks()); r.Mem.PageIns > limit {
+						t.Fatalf("%s/%s: %d page-ins for %d chunks (limit %d)",
+							label, r.Spec.Name(), r.Mem.PageIns, r.Recorded.Chunks(), limit)
+					}
 				}
 				if m.PageIns == 0 {
 					t.Fatalf("%s: streamed run never paged from its spill", label)
 				}
 			}
-			if b.decoded != 0 && m.DecodedEvicted == 0 {
-				t.Fatalf("%s: bounded decoded pool never evicted (mem %+v)", label, m)
-			}
+			assertWindowDecodedOnce(t, label, got, b.decoded)
 			if b.ranges > 1 {
 				if m.SnapshotCount == 0 || m.SnapshotBytes == 0 || m.SnapshotPeak == 0 {
 					t.Fatalf("%s: checkpointed streamed run took no snapshots (mem %+v)", label, m)
@@ -96,22 +95,6 @@ func TestStreamedMatrixMatchesRetained(t *testing.T) {
 					}
 				}
 			}
-			if b.ra > 0 {
-				if m.PrefetchInFlightPeak == 0 {
-					t.Fatalf("%s: read-ahead run recorded no in-flight decodes (mem %+v)", label, m)
-				}
-				// Spill-backed legs must actually have prefetched: warm
-				// installs (and waits on in-flight prefetch decodes) count
-				// as prefetch hits. Demand page-ins block in ReadAt, which
-				// hands the prefetch workers the CPU even at GOMAXPROCS=1;
-				// fully-resident legs give no such guarantee on one core,
-				// so only bit-identity is asserted for them.
-				if b.mem > 0 && m.PrefetchHits == 0 {
-					t.Fatalf("%s: read-ahead run recorded no prefetch hits (mem %+v)", label, m)
-				}
-			} else if m.PrefetchHits != 0 || m.PrefetchWasted != 0 {
-				t.Fatalf("%s: non-read-ahead run recorded prefetch traffic (mem %+v)", label, m)
-			}
 		}
 	}
 
@@ -124,6 +107,29 @@ func TestStreamedMatrixMatchesRetained(t *testing.T) {
 	assertSuitesEqual(t, "nosched-streamed", retained, got)
 	if got.Mem.PageIns == 0 {
 		t.Fatal("nosched-streamed: never paged from its spill")
+	}
+}
+
+// assertWindowDecodedOnce checks every input's chunk-window counters:
+// no chunk decoded twice, every chunk released once its last chain
+// passed it (so none is left in the window), and — under a decoded
+// budget — the resident peak within max(budget, two decoded chunks).
+func assertWindowDecodedOnce(t *testing.T, label string, s *SuiteResult, budget int64) {
+	t.Helper()
+	for _, r := range s.Inputs {
+		m, chunks := r.Mem, int64(r.Recorded.Chunks())
+		if m.DecodedRedecodes != 0 {
+			t.Fatalf("%s/%s: %d re-decodes (mem %+v)", label, r.Spec.Name(), m.DecodedRedecodes, m)
+		}
+		if m.DecodedEvicted != chunks {
+			t.Fatalf("%s/%s: window released %d of %d chunks (mem %+v)", label, r.Spec.Name(), m.DecodedEvicted, chunks, m)
+		}
+		if m.DecodedHits == 0 {
+			t.Fatalf("%s/%s: no chain was served a resident chunk (mem %+v)", label, r.Spec.Name(), m)
+		}
+		if limit := max(budget, 2*trace.DecodedChunkBytes(r.Recorded.ChunkEvents())); budget != 0 && m.DecodedPeak > limit {
+			t.Fatalf("%s/%s: decoded peak %d above %d (mem %+v)", label, r.Spec.Name(), m.DecodedPeak, limit, m)
+		}
 	}
 }
 

@@ -77,7 +77,7 @@ type SuiteResult struct {
 	HardByBench map[string]*stats.Histogram
 
 	// Mem folds the per-input memory-shape counters (recording
-	// footprint, spill page-ins, decoded-pool traffic): counters sum
+	// footprint, spill page-ins, chunk-window traffic): counters sum
 	// across inputs, the peaks are the largest single input's (inputs
 	// run concurrently, so suite-wide peaks are not additive).
 	Mem MemStats
@@ -199,8 +199,8 @@ func RunSuiteGroup(g *sched.Group, specs []workload.Spec, cfg Config) *SuiteResu
 // (slot × chunk-range) task grid (or whole-trace slot batches under
 // cfg.ChunkTasks < 0). In the chunked engine the attribution pre-pass
 // is itself a parallel task grid (attribGrid) between pass 1 and the
-// sweep, and the sweep checks chunks out of a byte-budgeted decoded
-// pool instead of a fully retained column array. A panicking workload
+// sweep, and the sweep reads chunks through a decode-once window
+// instead of a fully retained column array. A panicking workload
 // is converted to a per-input error (the result stays nil and is
 // reported via SuiteResult.Dropped); the suite run continues. The last
 // sweep task to finish folds the counters and publishes the result —
@@ -230,8 +230,7 @@ func profileTask(w *sched.Worker, spec workload.Spec, cfg Config, workers int, o
 	}
 	if res, classIdx, ok := profileCached(spec, cfg); ok {
 		// Cached profile: no generator, no attribution — straight to sweep.
-		pool := cfg.newDecodedPool(res.Recorded)
-		startSweep(w, cfg, res, classIdx, pool, out, errOut)
+		startSweep(w, cfg, res, classIdx, cfg.sweepWindow(res.Recorded), out, errOut)
 		return
 	}
 	var res *InputResult
@@ -250,21 +249,20 @@ func profileTask(w *sched.Worker, spec workload.Spec, cfg Config, workers int, o
 }
 
 // startChunkSweep fans an input's bank sweep out as numBankSlots chains
-// over the decoded-chunk pool. Chain heads go out oldest-first: the
+// over the chunk window. Chain heads go out oldest-first: the
 // submitting worker pops the last chain LIFO and rides it range by
 // range (hot predictor tables), while thieves peel whole un-started
 // chains FIFO.
-func startChunkSweep(w *sched.Worker, cfg Config, res *InputResult, classIdx []uint8, pool *trace.DecodedPool, out **InputResult, errOut *error) {
-	cs := newChunkSweep(cfg, res, classIdx, pool, out, errOut)
+func startChunkSweep(w *sched.Worker, cfg Config, res *InputResult, classIdx []uint8, win *chunkWindow, out **InputResult, errOut *error) {
+	cs := newChunkSweep(cfg, res, classIdx, win, out, errOut)
 	if cs.live.Load() == 0 {
 		// Empty recording: nothing to sweep, publish immediately.
-		finalizeMem(res, pool)
+		finalizeMem(res, win)
 		*out = res
 		return
 	}
 	for i := range cs.chains {
-		i := i
-		w.Submit(func(w *sched.Worker) { cs.advance(w, i) })
+		w.Submit(cs.chains[i].cont)
 	}
 }
 
@@ -308,22 +306,20 @@ func slotOnlySweep(w *sched.Worker, cfg Config, workers int, res *InputResult, c
 }
 
 // chunkSweep is one input's in-flight (slot × chunk-range) sweep grid.
-// Every bank slot is its own chain over the shared decoded-chunk pool
-// (Checkout decodes — or pages from the spill file — on miss, the
-// budget bounds what stays resident between visits); a chain's ranges
-// run strictly in order (the predictor state hands off from range to
-// range by living in the chain), so results are bit-identical to a
-// serial sweep, while distinct chains are independent and steal-
-// balanced across every core. Each range accumulates into its own
-// partial missCell; fold reduces the partials in (slot, range) order
-// once the last chain finishes.
+// Every bank slot is its own chain over the shared chunk window (the
+// first chain to reach a chunk decodes it — paging from the spill file
+// if need be — and the last to pass it drops it); a chain's ranges run
+// strictly in order (the predictor state hands off from range to range
+// by living in the chain), so results are bit-identical to a serial
+// sweep, while distinct chains are independent and steal-balanced
+// across every core. A chain that runs ahead of the window parks its
+// continuation there instead of holding a worker.
 type chunkSweep struct {
 	res      *InputResult
 	classIdx []uint8
-	pool     *trace.DecodedPool
+	win      *chunkWindow
 	nchunks  int
 	stride   int // chunks per range task
-	ra       int // read-ahead depth (Config.ReadAhead); 0 = no hints
 	chains   []sweepChain
 	live     atomic.Int32 // chains not yet exhausted
 	failed   atomic.Bool  // poison: a chain hit a paging failure
@@ -332,48 +328,45 @@ type chunkSweep struct {
 }
 
 // sweepChain is one bank slot's sequential march over the chunk axis.
-// next, pf and partials are only touched by the chain's current task,
-// and the scheduler orders task (slot, r) before (slot, r+1) by
-// construction, so the chain needs no locking.
+// Its fields are only touched by the chain's current task, and the
+// chain has one task queued, running or parked at a time, so it needs
+// no locking.
 type sweepChain struct {
-	slot     int
-	p        chunkSweeper
-	next     int        // next chunk index to sweep
-	pf       int        // first chunk index not yet hinted to the prefetcher
-	partials []missCell // one per completed range, in range order
+	p    chunkSweeper
+	next int        // next chunk index to sweep
+	miss missCell   // the slot's class-attributed misses so far
+	cont sched.Task // the chain's continuation: advance from next
 }
 
-func newChunkSweep(cfg Config, res *InputResult, classIdx []uint8, pool *trace.DecodedPool, out **InputResult, errOut *error) *chunkSweep {
+func newChunkSweep(cfg Config, res *InputResult, classIdx []uint8, win *chunkWindow, out **InputResult, errOut *error) *chunkSweep {
 	nchunks := res.Recorded.Chunks()
 	cs := &chunkSweep{
 		res:      res,
 		classIdx: classIdx,
-		pool:     pool,
+		win:      win,
 		nchunks:  nchunks,
 		stride:   cfg.chunkTasks(),
-		ra:       cfg.ReadAhead,
 		chains:   make([]sweepChain, numBankSlots),
 		out:      out,
 		errOut:   errOut,
 	}
-	// Capacity hint only; over-wide strides still append exactly one
-	// partial per completed range.
-	ranges := nchunks/cs.stride + 1
 	if nchunks > 0 {
 		cs.live.Store(int32(numBankSlots))
 	}
 	for i := range cs.chains {
-		cs.chains[i] = sweepChain{slot: i, p: bankSlotPredictor(i), partials: make([]missCell, 0, ranges)}
+		cs.chains[i] = sweepChain{p: bankSlotPredictor(i), cont: func(w *sched.Worker) { cs.advance(w, i) }}
 	}
 	return cs
 }
 
-// advance runs one (slot, chunk-range) task: check the chain's next
-// stride chunks out of the pool, sweep them, bank the range's partial,
-// and either re-queue the chain's continuation or — as the last chain
-// to exhaust the trace — fold and publish the input's result. A panic
-// (a spill paging failure) poisons the grid: the cause is recorded
-// once, sibling chains bail out at their next range, live never
+// advance runs one (slot, chunk-range) task: sweep the chain's next
+// stride chunks through the window, then either re-queue the chain's
+// continuation or — as the last chain to exhaust the trace — fold and
+// publish the input's result. A chain that reaches a chunk the window
+// cannot serve yet stops there; its continuation is resubmitted by the
+// task that unblocks it. A spill paging failure (or a panic) poisons
+// the grid and the window: the cause is recorded once, parked chains
+// are dropped, sibling chains bail out at their next range, live never
 // reaches zero, and the unpublished input is reported via
 // SuiteResult.Dropped. Group cancellation poisons the same way with
 // ErrCanceled, so a canceled request's chains stop at their next range
@@ -381,24 +374,14 @@ func newChunkSweep(cfg Config, res *InputResult, classIdx []uint8, pool *trace.D
 func (cs *chunkSweep) advance(w *sched.Worker, ci int) {
 	defer func() {
 		if r := recover(); r != nil {
-			if cs.failed.CompareAndSwap(false, true) {
-				*cs.errOut = recoveredErr("bank sweep failed", r)
-				// The grid never publishes (finalizeMem never runs), so
-				// the poisoning task stops the prefetch workers itself.
-				cs.pool.CancelPrefetch()
-				cs.pool.ClosePrefetch()
-			}
+			cs.poison(recoveredErr("bank sweep failed", r))
 		}
 	}()
 	if cs.failed.Load() {
 		return
 	}
 	if w.Canceled() {
-		if cs.failed.CompareAndSwap(false, true) {
-			*cs.errOut = ErrCanceled
-			cs.pool.CancelPrefetch()
-			cs.pool.ClosePrefetch()
-		}
+		cs.poison(ErrCanceled)
 		return
 	}
 	ch := &cs.chains[ci]
@@ -406,67 +389,45 @@ func (cs *chunkSweep) advance(w *sched.Worker, ci int) {
 	if end > cs.nchunks || end < 0 { // < 0: stride overflow near MaxInt
 		end = cs.nchunks
 	}
-	var cell missCell
 	var wrong [(trace.DefaultChunkEvents + 63) / 64]uint64
 	scratch := wrong[:]
-	for k := ch.next; k < end; k++ {
-		if cs.ra > 0 {
-			// Hint the chain's upcoming window (across range boundaries —
-			// the chain marches the whole chunk axis) so paging and decode
-			// run ahead of the cursor.
-			hi := k + 1 + cs.ra
-			if hi > cs.nchunks {
-				hi = cs.nchunks
-			}
-			if ch.pf <= k {
-				ch.pf = k + 1
-			}
-			for ; ch.pf < hi; ch.pf++ {
-				cs.pool.Prefetch(ch.pf)
-			}
+	for ; ch.next < end; ch.next++ {
+		d, ok, err := checkout(w, cs.win, ch.next, ch.cont)
+		if err != nil {
+			cs.poison(fmt.Errorf("bank sweep failed: %w", err))
 		}
-		d := cs.pool.Checkout(k)
+		if !ok {
+			return
+		}
 		if words := (d.N + 63) / 64; words > len(scratch) {
 			scratch = make([]uint64, words)
 		}
-		sweepDecodedChunk(ch.p, d, cs.classIdx[d.Base:d.Base+int64(d.N)], &cell, scratch)
-		cs.pool.Release(k)
+		sweepDecodedChunk(ch.p, &d, cs.classIdx[d.Base:d.Base+int64(d.N)], &ch.miss, scratch)
+		release(w, cs.win, ch.next)
 	}
-	ch.partials = append(ch.partials, cell)
-	ch.next = end
-	if end < cs.nchunks {
-		if cs.ra > 0 {
-			// Read-ahead mode convoys the chains: breadth-first
-			// continuations keep all the slots' cursors clustered, so a
-			// transit chunk decoded (or prefetched) for one chain is
-			// still resident when the other 33 arrive, instead of every
-			// chain re-paying the decode on its own depth-first march.
-			w.SubmitFair(func(w *sched.Worker) { cs.advance(w, ci) })
-		} else {
-			w.Submit(func(w *sched.Worker) { cs.advance(w, ci) })
-		}
+	if ch.next < cs.nchunks {
+		w.Submit(ch.cont)
 		return
 	}
 	if cs.live.Add(-1) == 0 {
-		cs.fold()
-		finalizeMem(cs.res, cs.pool)
+		flat := make([]missCell, numBankSlots)
+		for i := range cs.chains {
+			flat[i] = cs.chains[i].miss
+		}
+		foldMisses(cs.res, flat)
+		finalizeMem(cs.res, cs.win)
 		*cs.out = cs.res
 	}
 }
 
-// fold is the chunk-axis reduction: per-range partials sum into flat
-// per-slot cells in deterministic (slot, range) order — int64 addition,
-// so any order would be bit-identical anyway — and land in res.Miss via
-// foldMisses.
-func (cs *chunkSweep) fold() {
-	flat := make([]missCell, numBankSlots)
-	for i := range cs.chains {
-		ch := &cs.chains[i]
-		for r := range ch.partials {
-			addCell(&flat[ch.slot], &ch.partials[r])
-		}
+// poison records the grid's first failure cause and fails the window,
+// dropping parked chains and freeing its decoded columns (the grid never
+// publishes, so nothing else would).
+func (cs *chunkSweep) poison(err error) {
+	if cs.failed.CompareAndSwap(false, true) {
+		*cs.errOut = err
+		cs.win.Fail(err)
 	}
-	foldMisses(cs.res, flat)
 }
 
 // runSuitePool is the legacy nested-pool engine: exactly

@@ -43,7 +43,7 @@ type DecodedChunk struct {
 	Base int64
 }
 
-// SizeBytes is the decoded footprint charged against pool budgets.
+// SizeBytes is the decoded footprint charged against window budgets.
 func (d *DecodedChunk) SizeBytes() int64 {
 	return int64(len(d.PCs))*8 + int64(len(d.Dirs))*8
 }
@@ -410,94 +410,6 @@ func (h *Handle) DecodeChunkInto(k int, pcs, dirs []uint64) (DecodedChunk, error
 	d.Base = base
 	h.pageIns.Add(1)
 	return d, nil
-}
-
-// DecodeChunkRun decodes the n consecutive chunks starting at k0 into
-// fresh columns. Chunks paged via pread coalesce into a single ReadAt
-// covering the run's whole byte span; resident and mmapped chunks
-// decode per-chunk exactly as DecodeChunk does. It exists for the
-// decoded pool's prefetcher, which batches adjacent read-ahead hints.
-func (h *Handle) DecodeChunkRun(k0, n int) ([]DecodedChunk, error) {
-	if n <= 0 || k0 < 0 || k0+n > h.nchunks {
-		return nil, fmt.Errorf("trace: chunk run [%d,%d) out of range [0,%d)", k0, k0+n, h.nchunks)
-	}
-	out := make([]DecodedChunk, n)
-
-	// The resident prefix (if it covers the head of the run) decodes
-	// from memory chunk by chunk.
-	h.mu.Lock()
-	resident := 0
-	if h.res != nil && k0 < len(h.res.chunks) {
-		resident = len(h.res.chunks) - k0
-		if resident > n {
-			resident = n
-		}
-	}
-	h.mu.Unlock()
-	for i := 0; i < resident; i++ {
-		d, err := h.DecodeChunk(k0 + i)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = d
-	}
-	if resident == n {
-		return out, nil
-	}
-	rest := out[resident:]
-	k0 += resident
-	n = len(rest)
-
-	h.mu.Lock()
-	f, err := h.fileLocked()
-	if err != nil {
-		h.mu.Unlock()
-		return nil, err
-	}
-	idx, err := h.indexLocked()
-	if err != nil {
-		h.mu.Unlock()
-		return nil, err
-	}
-	fileSize := h.fileSize
-	mm := h.mm
-	h.mu.Unlock()
-
-	if mm != nil || n == 1 {
-		// The mapping already makes every span a plain memory read;
-		// nothing to coalesce.
-		for i := range rest {
-			d, err := h.DecodeChunk(k0 + i)
-			if err != nil {
-				return nil, err
-			}
-			rest[i] = d
-		}
-		return out, nil
-	}
-
-	start, _ := chunkSpan(idx, fileSize, k0)
-	_, end := chunkSpan(idx, fileSize, k0+n-1)
-	bp := getPageBuf(int(end - start))
-	defer putPageBuf(bp)
-	buf := *bp
-	if err := h.readFull(f, buf, start); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, &CorruptError{Chunk: k0, Reason: "spill file shorter than its chunk index (truncated?)"}
-		}
-		return nil, fmt.Errorf("trace: paging spill chunks [%d,%d): %w", k0, k0+n, err)
-	}
-	for i := range rest {
-		k := k0 + i
-		d, err := decodeChunk(buf[idx[k].off-start:], idx[k], k, h.chunkLen(k), h.chunkEvents, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		d.Base = int64(k) * int64(h.chunkEvents)
-		rest[i] = d
-	}
-	h.pageIns.Add(int64(n))
-	return out, nil
 }
 
 // Materialise returns the recording as a fully resident ChunkedTrace,
