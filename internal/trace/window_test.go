@@ -180,58 +180,71 @@ func TestChunkWindowRetainsAll(t *testing.T) {
 	}
 }
 
-// TestChunkWindowSlidesWithoutRedecode pins a bounded window under
-// round-robin consumers with one greedy leader: the leader parks at the
-// frontier, the laggards' releases wake it, every chunk pages in exactly
-// once, and the resident peak never exceeds the depth.
-func TestChunkWindowSlidesWithoutRedecode(t *testing.T) {
-	for _, tc := range []struct {
-		budget int64
-		depth  int
-	}{{3 * DecodedChunkBytes(256), 3}, {1, 2}, {-1, 1}} {
-		h := spillHandle(t, 4000, 256)
-		const consumers = 4
-		w := NewChunkWindow[int](h, tc.budget, Span{0, h.Chunks(), consumers})
-		if w.Depth() != tc.depth {
-			t.Fatalf("budget %d: Depth = %d, want %d", tc.budget, w.Depth(), tc.depth)
-		}
-		next := make([]int, consumers)
-		wake := map[int]bool{}
-		for done := 0; done < consumers; {
-			progressed := false
-			for c := 0; c < consumers; c++ {
-				for steps := 0; next[c] < h.Chunks() && (c == 0 || steps < 1); steps++ {
-					_, ok, _, _ := w.Checkout(next[c], c)
-					if !ok {
-						break
-					}
-					for _, woken := range w.Release(next[c]) {
-						wake[woken] = true
-					}
-					if next[c]++; next[c] == h.Chunks() {
-						done++
-					}
-					progressed = true
+// slideWindow drives a window of the given budget under round-robin
+// consumers with one greedy leader: the leader parks at the frontier,
+// the laggards' releases wake it, every chunk pages in exactly once, and
+// the resident peak never exceeds the depth.
+func slideWindow(t *testing.T, budget int64, depth int) {
+	t.Helper()
+	h := spillHandle(t, 4000, 256)
+	const consumers = 4
+	w := NewChunkWindow[int](h, budget, Span{0, h.Chunks(), consumers})
+	if w.Depth() != depth {
+		t.Fatalf("budget %d: Depth = %d, want %d", budget, w.Depth(), depth)
+	}
+	next := make([]int, consumers)
+	wake := map[int]bool{}
+	for done := 0; done < consumers; {
+		progressed := false
+		for c := 0; c < consumers; c++ {
+			for steps := 0; next[c] < h.Chunks() && (c == 0 || steps < 1); steps++ {
+				_, ok, _, _ := w.Checkout(next[c], c)
+				if !ok {
+					break
 				}
+				for _, woken := range w.Release(next[c]) {
+					wake[woken] = true
+				}
+				if next[c]++; next[c] == h.Chunks() {
+					done++
+				}
+				progressed = true
 			}
-			if !progressed {
-				t.Fatalf("budget %d: every consumer parked at %v (stats %+v)", tc.budget, next, w.Stats())
-			}
 		}
-		s := w.Stats()
-		if s.Decodes != int64(h.Chunks()) || h.PageIns() != int64(h.Chunks()) {
-			t.Fatalf("budget %d: %d decodes, %d page-ins for %d chunks", tc.budget, s.Decodes, h.PageIns(), h.Chunks())
-		}
-		if s.Peak > int64(tc.depth)*DecodedChunkBytes(256) {
-			t.Fatalf("budget %d: peak %d above %d chunks", tc.budget, s.Peak, tc.depth)
-		}
-		if s.Released != int64(h.Chunks()) || s.Resident != 0 {
-			t.Fatalf("budget %d: stats %+v: chunks must leave the window", tc.budget, s)
-		}
-		if tc.depth < h.Chunks() && (s.Parks == 0 || len(wake) == 0) {
-			t.Fatalf("budget %d: stats %+v: the leader never parked at the frontier", tc.budget, s)
+		if !progressed {
+			t.Fatalf("budget %d: every consumer parked at %v (stats %+v)", budget, next, w.Stats())
 		}
 	}
+	s := w.Stats()
+	if s.Decodes != int64(h.Chunks()) || h.PageIns() != int64(h.Chunks()) {
+		t.Fatalf("budget %d: %d decodes, %d page-ins for %d chunks", budget, s.Decodes, h.PageIns(), h.Chunks())
+	}
+	if s.Peak > int64(depth)*DecodedChunkBytes(256) {
+		t.Fatalf("budget %d: peak %d above %d chunks", budget, s.Peak, depth)
+	}
+	if s.Released != int64(h.Chunks()) || s.Resident != 0 {
+		t.Fatalf("budget %d: stats %+v: chunks must leave the window", budget, s)
+	}
+	if depth < h.Chunks() && (s.Parks == 0 || len(wake) == 0) {
+		t.Fatalf("budget %d: stats %+v: the leader never parked at the frontier", budget, s)
+	}
+}
+
+// TestChunkWindowSlidesWithoutRedecode pins a budget of several chunks:
+// the window holds that many and slides without re-decoding.
+func TestChunkWindowSlidesWithoutRedecode(t *testing.T) {
+	slideWindow(t, 3*DecodedChunkBytes(256), 3)
+}
+
+// TestChunkWindowTwoChunkFloor pins a budget below one chunk: the window
+// still holds two, so the leader always makes progress.
+func TestChunkWindowTwoChunkFloor(t *testing.T) {
+	slideWindow(t, 1, 2)
+}
+
+// TestChunkWindowOneChunk pins a negative budget: a one-chunk window.
+func TestChunkWindowOneChunk(t *testing.T) {
+	slideWindow(t, -1, 1)
 }
 
 // windowConsumer is a scheduler-driven reader of one span, shaped like
