@@ -74,10 +74,10 @@ func BenchmarkImplicitSchemes(b *testing.B) { benchExperiment(b, "A5") }
 
 // BenchmarkAblations measures the §5 predictor ablations A1 and A5 over
 // the full suite at scale 0.05 on a GOMAXPROCS scheduler. Each
-// iteration renders both on a fresh context, so it times one (row ×
-// input) replay grid per ablation, with A5 replaying only the four
-// constructors A1 has not already run; the suite sweep itself is paid
-// outside the timer.
+// iteration renders both on a fresh context, so it times one grid per
+// ablation — every input read once, each chunk swept by every row's
+// kernel — with A5 running only the four constructors A1 has not
+// already run; the suite sweep itself is paid outside the timer.
 func BenchmarkAblations(b *testing.B) {
 	s := NewScheduler(0)
 	defer s.Close()

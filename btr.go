@@ -320,7 +320,8 @@ func NewTakenHybrid(classes ClassMap, profiles map[uint64]*Profile) Predictor {
 // and taken rates measured by runtime counters over a per-branch window
 // (no profiling pass), steering each branch to the component its dynamic
 // class deserves. tableBits sizes the monitor table; window is executions
-// per classification decision (0 means 64).
+// per classification decision: 0 means 64, and any other window must be
+// at least 2 (a transition rate needs two executions), so 1 panics.
 func NewDynamicClassHybrid(tableBits int, window uint16) Predictor {
 	return bpred.NewDynamicClassHybrid(tableBits, window, bpred.HybridComponents{})
 }

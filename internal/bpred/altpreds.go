@@ -74,6 +74,33 @@ func (b *BiMode) Update(pc uint64, taken bool) {
 	}
 }
 
+// PredictUpdate implements PredictUpdater: the bank choice and the bank
+// index are computed once, and the bank counter is loaded once.
+func (b *BiMode) PredictUpdate(pc uint64, taken bool) bool {
+	ci := pcIndex(pc)
+	bank := b.bank(pc)
+	predicted := b.banks[bank].PredictUpdate(b.index(pc), taken)
+	choiceAgrees := (bank == 1) == taken
+	if !(predicted == taken && !choiceAgrees) {
+		b.choice.Update(ci, taken)
+	}
+	b.ghr <<= 1
+	if taken {
+		b.ghr |= 1
+	}
+	return predicted
+}
+
+// SweepChunk implements ChunkSweeper.
+func (b *BiMode) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
+	for i := 0; i < n; i++ {
+		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
+		if b.PredictUpdate(pcs[i], taken) != taken {
+			wrong[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+}
+
 // SizeBits implements Predictor.
 func (b *BiMode) SizeBits() int64 {
 	return b.choice.SizeBits() + b.banks[0].SizeBits() + b.banks[1].SizeBits() + int64(b.k)
@@ -184,6 +211,47 @@ func (y *YAGS) Update(pc uint64, taken bool) {
 	}
 }
 
+// PredictUpdate implements PredictUpdater: the bias, cache slot and tag
+// are computed once for the prediction and the training.
+func (y *YAGS) PredictUpdate(pc uint64, taken bool) bool {
+	ci := pcIndex(pc)
+	bias := y.choice.Predict(ci)
+	cache := &y.caches[0]
+	if !bias {
+		cache = &y.caches[1]
+	}
+	i := y.cacheIndex(pc) & cache.mask
+	tag := y.tag(pc)
+	hit := cache.valid[i] && cache.tags[i] == tag
+	predicted := bias
+	if hit {
+		predicted = cache.counters[i].Predict()
+		cache.counters[i] = cache.counters[i].Update(taken)
+	} else if taken != bias {
+		cache.valid[i] = true
+		cache.tags[i] = tag
+		cache.counters[i] = Counter2(1).Update(taken)
+	}
+	if !(hit && cache.counters[i].Predict() == taken && bias != taken) {
+		y.choice.Update(ci, taken)
+	}
+	y.ghr <<= 1
+	if taken {
+		y.ghr |= 1
+	}
+	return predicted
+}
+
+// SweepChunk implements ChunkSweeper.
+func (y *YAGS) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
+	for i := 0; i < n; i++ {
+		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
+		if y.PredictUpdate(pcs[i], taken) != taken {
+			wrong[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+}
+
 // SizeBits implements Predictor.
 func (y *YAGS) SizeBits() int64 {
 	perCache := int64(len(y.caches[0].tags)) * (int64(y.tagBits) + 2 + 1)
@@ -202,7 +270,7 @@ type Filter struct {
 	counts    []uint8
 	dirs      []bool
 	mask      uint64
-	dynamic   Predictor
+	dynamic   part
 }
 
 // NewFilter wraps a dynamic predictor with a 2^tableBits-entry filter and
@@ -214,12 +282,14 @@ func NewFilter(tableBits int, threshold uint8, dynamic Predictor) *Filter {
 		counts:    make([]uint8, n),
 		dirs:      make([]bool, n),
 		mask:      uint64(n - 1),
-		dynamic:   dynamic,
+		dynamic:   newPart(dynamic),
 	}
 }
 
 // Name implements Predictor.
-func (f *Filter) Name() string { return fmt.Sprintf("Filter(t=%d)+%s", f.threshold, f.dynamic.Name()) }
+func (f *Filter) Name() string {
+	return fmt.Sprintf("Filter(t=%d)+%s", f.threshold, f.dynamic.p.Name())
+}
 
 func (f *Filter) slot(pc uint64) uint64 { return pcIndex(pc) & f.mask }
 
@@ -232,7 +302,7 @@ func (f *Filter) Predict(pc uint64) bool {
 	if f.counts[i] >= f.threshold {
 		return f.dirs[i]
 	}
-	return f.dynamic.Predict(pc)
+	return f.dynamic.p.Predict(pc)
 }
 
 // Update implements Predictor. The dynamic predictor only trains on
@@ -240,10 +310,37 @@ func (f *Filter) Predict(pc uint64) bool {
 // of the shared tables.
 func (f *Filter) Update(pc uint64, taken bool) {
 	i := f.slot(pc)
-	filtered := f.counts[i] >= f.threshold
-	if !filtered {
-		f.dynamic.Update(pc, taken)
+	if f.counts[i] < f.threshold {
+		f.dynamic.p.Update(pc, taken)
 	}
+	f.run(i, taken)
+}
+
+// PredictUpdate implements PredictUpdater: a filtered branch predicts
+// its run direction; any other steps the dynamic predictor once.
+func (f *Filter) PredictUpdate(pc uint64, taken bool) bool {
+	i := f.slot(pc)
+	predicted := f.dirs[i]
+	if f.counts[i] < f.threshold {
+		predicted = f.dynamic.step(pc, taken)
+	}
+	f.run(i, taken)
+	return predicted
+}
+
+// SweepChunk implements ChunkSweeper.
+func (f *Filter) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
+	for i := 0; i < n; i++ {
+		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
+		if f.PredictUpdate(pcs[i], taken) != taken {
+			wrong[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+}
+
+// run extends slot i's run of identical outcomes, or restarts it on a
+// transition.
+func (f *Filter) run(i uint64, taken bool) {
 	if f.dirs[i] == taken {
 		if f.counts[i] < 255 {
 			f.counts[i]++
@@ -257,7 +354,7 @@ func (f *Filter) Update(pc uint64, taken bool) {
 
 // SizeBits implements Predictor.
 func (f *Filter) SizeBits() int64 {
-	return f.dynamic.SizeBits() + int64(len(f.counts))*9 // 8-bit count + direction
+	return f.dynamic.p.SizeBits() + int64(len(f.counts))*9 // 8-bit count + direction
 }
 
 // GSkew (Michaud, Seznec & Uhlig) reads three counter banks through three
@@ -288,41 +385,65 @@ func NewGSkew(bankBits, k int) *GSkew {
 // Name implements Predictor.
 func (g *GSkew) Name() string { return fmt.Sprintf("gskew(%d,k=%d)", g.bankBits, g.k) }
 
-// skew mixes pc and history with three distinct odd multipliers, one per
-// bank (a simple stand-in for the paper's H/H^-1 skewing functions with
-// the same pairwise-decorrelation goal).
-func (g *GSkew) skew(pc uint64, bank int) uint64 {
+// skewMul holds the three banks' odd multipliers: a simple stand-in for
+// the paper's H/H^-1 skewing functions with the same
+// pairwise-decorrelation goal.
+var skewMul = [3]uint64{0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9}
+
+// skews mixes pc and history into the three banks' indices.
+func (g *GSkew) skews(pc uint64) (i0, i1, i2 uint64) {
 	x := pcIndex(pc) ^ (g.ghr & g.histMask)
-	switch bank {
-	case 0:
-		x *= 0x9E3779B97F4A7C15
-	case 1:
-		x *= 0xC2B2AE3D27D4EB4F
-	default:
-		x *= 0x165667B19E3779F9
+	shift := 64 - uint(g.bankBits)
+	return x * skewMul[0] >> shift, x * skewMul[1] >> shift, x * skewMul[2] >> shift
+}
+
+// majority returns the majority of three votes.
+func majority(a, b, c bool) bool {
+	if a == b {
+		return a
 	}
-	return x >> (64 - uint(g.bankBits))
+	return c
 }
 
 // Predict implements Predictor: majority vote of the three banks.
 func (g *GSkew) Predict(pc uint64) bool {
-	votes := 0
-	for bank := 0; bank < 3; bank++ {
-		if g.banks[bank].Predict(g.skew(pc, bank)) {
-			votes++
-		}
-	}
-	return votes >= 2
+	i0, i1, i2 := g.skews(pc)
+	return majority(g.banks[0].Predict(i0), g.banks[1].Predict(i1), g.banks[2].Predict(i2))
 }
 
 // Update implements Predictor: total update policy (all banks train).
 func (g *GSkew) Update(pc uint64, taken bool) {
-	for bank := 0; bank < 3; bank++ {
-		g.banks[bank].Update(g.skew(pc, bank), taken)
-	}
+	i0, i1, i2 := g.skews(pc)
+	g.banks[0].Update(i0, taken)
+	g.banks[1].Update(i1, taken)
+	g.banks[2].Update(i2, taken)
 	g.ghr <<= 1
 	if taken {
 		g.ghr |= 1
+	}
+}
+
+// PredictUpdate implements PredictUpdater: each bank's counter is read
+// for the vote and trained in one step.
+func (g *GSkew) PredictUpdate(pc uint64, taken bool) bool {
+	i0, i1, i2 := g.skews(pc)
+	v0 := g.banks[0].PredictUpdate(i0, taken)
+	v1 := g.banks[1].PredictUpdate(i1, taken)
+	v2 := g.banks[2].PredictUpdate(i2, taken)
+	g.ghr <<= 1
+	if taken {
+		g.ghr |= 1
+	}
+	return majority(v0, v1, v2)
+}
+
+// SweepChunk implements ChunkSweeper.
+func (g *GSkew) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
+	for i := 0; i < n; i++ {
+		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
+		if g.PredictUpdate(pcs[i], taken) != taken {
+			wrong[i>>6] |= 1 << (uint(i) & 63)
+		}
 	}
 }
 
@@ -401,14 +522,14 @@ func (y *YAGS) RestoreFrom(src []byte) int {
 // must be a Snapshotter.
 func (f *Filter) SnapshotBytes() int64 {
 	return int64(len(f.counts)) + int64(len(f.dirs)) +
-		asSnapshotter(f.dynamic, "Filter").SnapshotBytes()
+		asSnapshotter(f.dynamic.p, "Filter").SnapshotBytes()
 }
 
 // SnapshotTo implements Snapshotter.
 func (f *Filter) SnapshotTo(dst []byte) int {
 	n := copy(dst, f.counts)
 	n += putBools(dst[n:], f.dirs)
-	n += asSnapshotter(f.dynamic, "Filter").SnapshotTo(dst[n:])
+	n += asSnapshotter(f.dynamic.p, "Filter").SnapshotTo(dst[n:])
 	return n
 }
 
@@ -416,7 +537,7 @@ func (f *Filter) SnapshotTo(dst []byte) int {
 func (f *Filter) RestoreFrom(src []byte) int {
 	n := copy(f.counts, src[:len(f.counts)])
 	n += getBools(f.dirs, src[n:])
-	n += asSnapshotter(f.dynamic, "Filter").RestoreFrom(src[n:])
+	n += asSnapshotter(f.dynamic.p, "Filter").RestoreFrom(src[n:])
 	return n
 }
 

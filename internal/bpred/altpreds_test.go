@@ -123,7 +123,7 @@ func TestGSkewBanksDisagree(t *testing.T) {
 	// bank indices, otherwise the vote degenerates.
 	same := 0
 	for pc := uint64(0x400000); pc < 0x400000+4096; pc += 4 {
-		i0, i1, i2 := g.skew(pc, 0), g.skew(pc, 1), g.skew(pc, 2)
+		i0, i1, i2 := g.skews(pc)
 		if i0 == i1 && i1 == i2 {
 			same++
 		}

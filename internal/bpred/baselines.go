@@ -1,6 +1,10 @@
 package bpred
 
-import "fmt"
+import (
+	"fmt"
+
+	"btr/internal/core"
+)
 
 // AlwaysTaken predicts taken for every branch (the classic static
 // baseline; backward-taken/forward-not-taken needs target addresses, which
@@ -27,15 +31,41 @@ func (AlwaysTaken) SizeBits() int64 { return 0 }
 
 // StaticBias predicts each branch's profiled majority direction — the
 // static component Chang et al. assign to heavily biased branches.
-// Branches absent from the bias map fall back to taken.
+// Branches without a profiled direction fall back to taken.
 type StaticBias struct {
-	bias map[uint64]bool
+	sites core.Sites
+	dirs  []bool // per site slot
 }
 
 // NewStaticBias returns a profile-guided static predictor. The map gives
 // each branch PC its majority direction.
 func NewStaticBias(bias map[uint64]bool) *StaticBias {
-	return &StaticBias{bias: bias}
+	s := newStaticBias(core.NewSites(bias))
+	for pc, dir := range bias {
+		s.dirs[s.sites.Slot(pc)] = dir
+	}
+	return s
+}
+
+// NewProfiledStaticBias returns the static predictor of each profiled
+// branch's majority direction, laid out over a class table's sites
+// (shared read-only). Profiled branches outside the table predict taken.
+func NewProfiledStaticBias(tbl *core.ClassTable, profiles map[uint64]*core.Profile) *StaticBias {
+	s := newStaticBias(tbl.Sites)
+	for pc, p := range profiles {
+		if slot := tbl.Slot(pc); slot >= 0 {
+			s.dirs[slot] = p.TakenRate() >= 0.5
+		}
+	}
+	return s
+}
+
+func newStaticBias(sites core.Sites) *StaticBias {
+	s := &StaticBias{sites: sites, dirs: make([]bool, sites.Len())}
+	for i := range s.dirs {
+		s.dirs[i] = true
+	}
+	return s
 }
 
 // Name implements Predictor.
@@ -43,8 +73,8 @@ func (s *StaticBias) Name() string { return "StaticBias" }
 
 // Predict implements Predictor.
 func (s *StaticBias) Predict(pc uint64) bool {
-	if dir, ok := s.bias[pc]; ok {
-		return dir
+	if slot := s.sites.Slot(pc); slot >= 0 {
+		return s.dirs[slot]
 	}
 	return true
 }
@@ -54,6 +84,16 @@ func (s *StaticBias) Update(pc uint64, taken bool) {}
 
 // PredictUpdate implements PredictUpdater.
 func (s *StaticBias) PredictUpdate(pc uint64, taken bool) bool { return s.Predict(pc) }
+
+// SweepChunk implements ChunkSweeper.
+func (s *StaticBias) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
+	for i := 0; i < n; i++ {
+		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
+		if s.Predict(pcs[i]) != taken {
+			wrong[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+}
 
 // SizeBits implements Predictor. Profiled hints live in the binary, not
 // predictor hardware, so the cost is zero table bits.
@@ -90,6 +130,16 @@ func (l *LastTime) PredictUpdate(pc uint64, taken bool) bool {
 	return predicted
 }
 
+// SweepChunk implements ChunkSweeper.
+func (l *LastTime) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
+	for i := 0; i < n; i++ {
+		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
+		if l.PredictUpdate(pcs[i], taken) != taken {
+			wrong[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+}
+
 // SizeBits implements Predictor.
 func (l *LastTime) SizeBits() int64 { return int64(len(l.bits)) }
 
@@ -117,6 +167,16 @@ func (b *Bimodal) Update(pc uint64, taken bool) { b.pht.Update(pcIndex(pc), take
 // PredictUpdate implements PredictUpdater.
 func (b *Bimodal) PredictUpdate(pc uint64, taken bool) bool {
 	return b.pht.PredictUpdate(pcIndex(pc), taken)
+}
+
+// SweepChunk implements ChunkSweeper.
+func (b *Bimodal) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
+	for i := 0; i < n; i++ {
+		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
+		if b.PredictUpdate(pcs[i], taken) != taken {
+			wrong[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
 }
 
 // SizeBits implements Predictor.
@@ -171,6 +231,16 @@ func (g *GShare) PredictUpdate(pc uint64, taken bool) bool {
 		g.ghr |= 1
 	}
 	return predicted
+}
+
+// SweepChunk implements ChunkSweeper.
+func (g *GShare) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
+	for i := 0; i < n; i++ {
+		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
+		if g.PredictUpdate(pcs[i], taken) != taken {
+			wrong[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
 }
 
 // SizeBits implements Predictor.
@@ -228,25 +298,36 @@ func (a *Agree) Update(pc uint64, taken bool) {
 }
 
 // PredictUpdate implements PredictUpdater. The prediction uses the
-// pre-update bias/seen state, exactly as a Predict-then-Update pair does.
+// pre-update bias/seen state, exactly as a Predict-then-Update pair does;
+// the agreement counter is loaded and stored once.
 func (a *Agree) PredictUpdate(pc uint64, taken bool) bool {
 	i := pcIndex(pc) & a.biasMask
-	bias := true
+	// An unseen branch predicts against a taken bias and trains against
+	// its first outcome, which becomes its bias.
+	predBias, trainBias := true, taken
 	if a.seen[i] {
-		bias = a.bias[i]
-	}
-	idx := a.inner.index(pc)
-	predicted := a.inner.pht.Predict(idx) == bias
-	if !a.seen[i] {
+		predBias = a.bias[i]
+		trainBias = predBias
+	} else {
 		a.seen[i] = true
 		a.bias[i] = taken
 	}
-	a.inner.pht.Update(idx, taken == a.bias[i])
+	agree := a.inner.pht.PredictUpdate(a.inner.index(pc), taken == trainBias)
 	a.inner.ghr <<= 1
 	if taken {
 		a.inner.ghr |= 1
 	}
-	return predicted
+	return agree == predBias
+}
+
+// SweepChunk implements ChunkSweeper.
+func (a *Agree) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
+	for i := 0; i < n; i++ {
+		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
+		if a.PredictUpdate(pcs[i], taken) != taken {
+			wrong[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
 }
 
 // SizeBits implements Predictor.
@@ -256,14 +337,21 @@ func (a *Agree) SizeBits() int64 { return a.inner.SizeBits() + int64(len(a.bias)
 // indexed by branch address (McFarling's combining predictor).
 type Tournament struct {
 	name    string
-	a, b    Predictor
+	a, b    part
 	chooser *CounterTable
+	// fused is set when a and b are distinct default-type components:
+	// each then predicts and trains in one step, which is the same as
+	// predicting both before training either. Other components keep
+	// separate Predict and Update calls.
+	fused bool
 }
 
 // NewTournament combines a and b; the chooser has 2^chooserBits counters.
 // Chooser counter >= 2 selects component a.
 func NewTournament(name string, a, b Predictor, chooserBits int) *Tournament {
-	return &Tournament{name: name, a: a, b: b, chooser: NewCounterTable(chooserBits)}
+	t := &Tournament{name: name, a: newPart(a), b: newPart(b), chooser: NewCounterTable(chooserBits)}
+	t.fused = t.a.concrete() && t.b.concrete() && a != b
+	return t
 }
 
 // Name implements Predictor.
@@ -272,44 +360,63 @@ func (t *Tournament) Name() string { return t.name }
 // Predict implements Predictor.
 func (t *Tournament) Predict(pc uint64) bool {
 	if t.chooser.Predict(pcIndex(pc)) {
-		return t.a.Predict(pc)
+		return t.a.p.Predict(pc)
 	}
-	return t.b.Predict(pc)
+	return t.b.p.Predict(pc)
 }
 
 // Update implements Predictor.
 func (t *Tournament) Update(pc uint64, taken bool) {
-	aRight := t.a.Predict(pc) == taken
-	bRight := t.b.Predict(pc) == taken
+	aRight := t.a.p.Predict(pc) == taken
+	bRight := t.b.p.Predict(pc) == taken
 	// Train the chooser only when the components disagree.
 	if aRight != bRight {
 		t.chooser.Update(pcIndex(pc), aRight)
 	}
-	t.a.Update(pc, taken)
-	t.b.Update(pc, taken)
+	t.a.p.Update(pc, taken)
+	t.b.p.Update(pc, taken)
 }
 
 // PredictUpdate implements PredictUpdater: each component predicts once,
 // serving both the output selection and the chooser training that separate
 // Predict/Update calls would recompute.
 func (t *Tournament) PredictUpdate(pc uint64, taken bool) bool {
-	aPred := t.a.Predict(pc)
-	bPred := t.b.Predict(pc)
+	var aPred, bPred bool
+	if t.fused {
+		aPred = t.a.step(pc, taken)
+		bPred = t.b.step(pc, taken)
+	} else {
+		aPred = t.a.p.Predict(pc)
+		bPred = t.b.p.Predict(pc)
+	}
+	i := pcIndex(pc)
 	predicted := bPred
-	if t.chooser.Predict(pcIndex(pc)) {
+	if t.chooser.Predict(i) {
 		predicted = aPred
 	}
 	if (aPred == taken) != (bPred == taken) {
-		t.chooser.Update(pcIndex(pc), aPred == taken)
+		t.chooser.Update(i, aPred == taken)
 	}
-	t.a.Update(pc, taken)
-	t.b.Update(pc, taken)
+	if !t.fused {
+		t.a.p.Update(pc, taken)
+		t.b.p.Update(pc, taken)
+	}
 	return predicted
+}
+
+// SweepChunk implements ChunkSweeper.
+func (t *Tournament) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
+	for i := 0; i < n; i++ {
+		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
+		if t.PredictUpdate(pcs[i], taken) != taken {
+			wrong[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
 }
 
 // SizeBits implements Predictor.
 func (t *Tournament) SizeBits() int64 {
-	return t.a.SizeBits() + t.b.SizeBits() + t.chooser.SizeBits()
+	return t.a.p.SizeBits() + t.b.p.SizeBits() + t.chooser.SizeBits()
 }
 
 // --- Snapshotter implementations ---
@@ -327,8 +434,8 @@ func (AlwaysTaken) SnapshotTo(dst []byte) int { return 0 }
 // RestoreFrom implements Snapshotter.
 func (AlwaysTaken) RestoreFrom(src []byte) int { return 0 }
 
-// SnapshotBytes implements Snapshotter: the profiled bias map is set at
-// construction and never mutated, so there is no state to checkpoint.
+// SnapshotBytes implements Snapshotter: the profiled directions are set
+// at construction and never mutated, so there is no state to checkpoint.
 func (s *StaticBias) SnapshotBytes() int64 { return 0 }
 
 // SnapshotTo implements Snapshotter.
@@ -397,22 +504,22 @@ func (a *Agree) RestoreFrom(src []byte) int {
 // Snapshotters.
 func (t *Tournament) SnapshotBytes() int64 {
 	return t.chooser.SnapshotBytes() +
-		asSnapshotter(t.a, "Tournament").SnapshotBytes() +
-		asSnapshotter(t.b, "Tournament").SnapshotBytes()
+		asSnapshotter(t.a.p, "Tournament").SnapshotBytes() +
+		asSnapshotter(t.b.p, "Tournament").SnapshotBytes()
 }
 
 // SnapshotTo implements Snapshotter.
 func (t *Tournament) SnapshotTo(dst []byte) int {
 	n := t.chooser.SnapshotTo(dst)
-	n += asSnapshotter(t.a, "Tournament").SnapshotTo(dst[n:])
-	n += asSnapshotter(t.b, "Tournament").SnapshotTo(dst[n:])
+	n += asSnapshotter(t.a.p, "Tournament").SnapshotTo(dst[n:])
+	n += asSnapshotter(t.b.p, "Tournament").SnapshotTo(dst[n:])
 	return n
 }
 
 // RestoreFrom implements Snapshotter.
 func (t *Tournament) RestoreFrom(src []byte) int {
 	n := t.chooser.RestoreFrom(src)
-	n += asSnapshotter(t.a, "Tournament").RestoreFrom(src[n:])
-	n += asSnapshotter(t.b, "Tournament").RestoreFrom(src[n:])
+	n += asSnapshotter(t.a.p, "Tournament").RestoreFrom(src[n:])
+	n += asSnapshotter(t.b.p, "Tournament").RestoreFrom(src[n:])
 	return n
 }

@@ -305,14 +305,12 @@ func TestRunAndSink(t *testing.T) {
 		t.Fatal("empty result miss rate")
 	}
 
-	var observed int
 	sink := NewSink(NewBimodal(10))
-	sink.Observe = func(pc uint64, predicted, taken bool) { observed++ }
 	for _, ev := range events {
 		sink.Branch(ev.PC, ev.Taken)
 	}
-	if sink.Res.Events != 4 || observed != 4 {
-		t.Fatalf("sink events=%d observed=%d", sink.Res.Events, observed)
+	if sink.Res != res {
+		t.Fatalf("sink result %+v, Run result %+v", sink.Res, res)
 	}
 }
 

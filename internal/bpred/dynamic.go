@@ -20,9 +20,7 @@ type DynamicClassHybrid struct {
 	window  uint16
 	entries []dynEntry
 	mask    uint64
-	biasTbl Predictor
-	short   Predictor
-	long    Predictor
+	parts   [3]part // indexed by the entry's route
 }
 
 type dynEntry struct {
@@ -33,26 +31,54 @@ type dynEntry struct {
 	primed bool
 
 	classified bool
-	advice     core.Advice
+	advice     uint8 // a core.Advice, in a byte to keep entries small
+}
+
+// Routes of a DynamicClassHybrid entry: where its advice sends it.
+const (
+	dynLong = iota
+	dynBias
+	dynShort
+)
+
+// route returns the component index for the entry's current advice;
+// unclassified branches go to the long-history component.
+func (e *dynEntry) route() int {
+	if !e.classified {
+		return dynLong
+	}
+	switch core.Advice(e.advice) {
+	case core.AdviseStatic:
+		return dynBias
+	case core.AdviseShortLocal:
+		return dynShort
+	default:
+		return dynLong
+	}
 }
 
 // NewDynamicClassHybrid builds the dynamic hybrid with 2^tableBits monitor
 // entries and the given classification window (executions per decision;
-// 64 is a good default). Nil components get the same defaults as
-// ClassHybrid.
+// 0 selects the default of 64). A window must cover at least two
+// executions, since the transition rate counts changes between
+// consecutive ones. Nil components get the same defaults as ClassHybrid.
 func NewDynamicClassHybrid(tableBits int, window uint16, comp HybridComponents) *DynamicClassHybrid {
 	if window == 0 {
 		window = 64
 	}
+	if window < 2 {
+		panic("bpred: DynamicClassHybrid window must be 0 (default) or at least 2")
+	}
 	comp = comp.withDefaults()
-	return &DynamicClassHybrid{
+	d := &DynamicClassHybrid{
 		window:  window,
 		entries: make([]dynEntry, 1<<uint(tableBits)),
 		mask:    (1 << uint(tableBits)) - 1,
-		biasTbl: comp.BiasTable,
-		short:   comp.Short,
-		long:    comp.Long,
 	}
+	d.parts[dynBias] = newPart(comp.BiasTable)
+	d.parts[dynShort] = newPart(comp.Short)
+	d.parts[dynLong] = newPart(comp.Long)
+	return d
 }
 
 // Name implements Predictor.
@@ -62,31 +88,41 @@ func (d *DynamicClassHybrid) entry(pc uint64) *dynEntry {
 	return &d.entries[pcIndex(pc)&d.mask]
 }
 
-func (d *DynamicClassHybrid) component(e *dynEntry) Predictor {
-	if !e.classified {
-		return d.long
-	}
-	switch e.advice {
-	case core.AdviseStatic:
-		return d.biasTbl
-	case core.AdviseShortLocal:
-		return d.short
-	default:
-		return d.long
-	}
-}
-
 // Predict implements Predictor.
 func (d *DynamicClassHybrid) Predict(pc uint64) bool {
-	return d.component(d.entry(pc)).Predict(pc)
+	return d.parts[d.entry(pc).route()].p.Predict(pc)
 }
 
 // Update implements Predictor: trains the owning component, accumulates
 // the monitor counters, and (re)classifies at window boundaries.
 func (d *DynamicClassHybrid) Update(pc uint64, taken bool) {
 	e := d.entry(pc)
-	d.component(e).Update(pc, taken)
+	d.parts[e.route()].p.Update(pc, taken)
+	d.monitor(e, taken)
+}
 
+// PredictUpdate implements PredictUpdater: one monitor-entry lookup
+// serves the routing, the component's fused step and the monitor update.
+func (d *DynamicClassHybrid) PredictUpdate(pc uint64, taken bool) bool {
+	e := d.entry(pc)
+	predicted := d.parts[e.route()].step(pc, taken)
+	d.monitor(e, taken)
+	return predicted
+}
+
+// SweepChunk implements ChunkSweeper.
+func (d *DynamicClassHybrid) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
+	for i := 0; i < n; i++ {
+		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
+		if d.PredictUpdate(pcs[i], taken) != taken {
+			wrong[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+}
+
+// monitor accumulates one execution into the entry's window counters and
+// reclassifies the branch when the window fills.
+func (d *DynamicClassHybrid) monitor(e *dynEntry, taken bool) {
 	e.execs++
 	if taken {
 		e.taken++
@@ -104,11 +140,16 @@ func (d *DynamicClassHybrid) Update(pc uint64, taken bool) {
 			Taken:      core.ClassOf(takenRate),
 			Transition: core.ClassOf(transRate),
 		}
-		e.advice = core.Advise(jc)
+		e.advice = uint8(core.Advise(jc))
 		e.classified = true
 		e.execs, e.taken, e.trans = 0, 0, 0
 		e.primed = false
 	}
+}
+
+// dynamic returns the three dynamic components in snapshot order.
+func (d *DynamicClassHybrid) dynamic() [3]Predictor {
+	return [3]Predictor{d.parts[dynBias].p, d.parts[dynShort].p, d.parts[dynLong].p}
 }
 
 // SizeBits implements Predictor: component state plus the monitor table
@@ -116,8 +157,11 @@ func (d *DynamicClassHybrid) Update(pc uint64, taken bool) {
 // entry).
 func (d *DynamicClassHybrid) SizeBits() int64 {
 	perEntry := int64(3*16 + 3 + 2)
-	return d.biasTbl.SizeBits() + d.short.SizeBits() + d.long.SizeBits() +
-		int64(len(d.entries))*perEntry
+	n := int64(len(d.entries)) * perEntry
+	for _, p := range d.dynamic() {
+		n += p.SizeBits()
+	}
+	return n
 }
 
 // dynEntrySnapshotBytes is the encoded size of one monitor entry:
@@ -127,10 +171,11 @@ const dynEntrySnapshotBytes = 10
 // SnapshotBytes implements Snapshotter: the monitor table plus the
 // three dynamic components (all must be Snapshotters).
 func (d *DynamicClassHybrid) SnapshotBytes() int64 {
-	return int64(len(d.entries))*dynEntrySnapshotBytes +
-		asSnapshotter(d.biasTbl, "DynamicClassHybrid").SnapshotBytes() +
-		asSnapshotter(d.short, "DynamicClassHybrid").SnapshotBytes() +
-		asSnapshotter(d.long, "DynamicClassHybrid").SnapshotBytes()
+	n := int64(len(d.entries)) * dynEntrySnapshotBytes
+	for _, p := range d.dynamic() {
+		n += asSnapshotter(p, "DynamicClassHybrid").SnapshotBytes()
+	}
+	return n
 }
 
 // SnapshotTo implements Snapshotter.
@@ -151,9 +196,9 @@ func (d *DynamicClassHybrid) SnapshotTo(dst []byte) int {
 		dst[n] = byte(e.advice)
 		n++
 	}
-	n += asSnapshotter(d.biasTbl, "DynamicClassHybrid").SnapshotTo(dst[n:])
-	n += asSnapshotter(d.short, "DynamicClassHybrid").SnapshotTo(dst[n:])
-	n += asSnapshotter(d.long, "DynamicClassHybrid").SnapshotTo(dst[n:])
+	for _, p := range d.dynamic() {
+		n += asSnapshotter(p, "DynamicClassHybrid").SnapshotTo(dst[n:])
+	}
 	return n
 }
 
@@ -169,12 +214,12 @@ func (d *DynamicClassHybrid) RestoreFrom(src []byte) int {
 		n += getBool(src[n:], &e.last)
 		n += getBool(src[n:], &e.primed)
 		n += getBool(src[n:], &e.classified)
-		e.advice = core.Advice(src[n])
+		e.advice = src[n]
 		n++
 	}
-	n += asSnapshotter(d.biasTbl, "DynamicClassHybrid").RestoreFrom(src[n:])
-	n += asSnapshotter(d.short, "DynamicClassHybrid").RestoreFrom(src[n:])
-	n += asSnapshotter(d.long, "DynamicClassHybrid").RestoreFrom(src[n:])
+	for _, p := range d.dynamic() {
+		n += asSnapshotter(p, "DynamicClassHybrid").RestoreFrom(src[n:])
+	}
 	return n
 }
 
@@ -185,5 +230,5 @@ func (d *DynamicClassHybrid) AdviceFor(pc uint64) string {
 	if !e.classified {
 		return "unclassified"
 	}
-	return e.advice.String()
+	return core.Advice(e.advice).String()
 }

@@ -95,3 +95,37 @@ func TestDynamicHybridWindowDefault(t *testing.T) {
 		t.Fatal("size accounting")
 	}
 }
+
+// TestDynamicHybridWindow: a window must span two executions for the
+// transition rate to mean anything. Window 1 would divide by zero and
+// advise a strict alternator "static", so it is rejected; window 0 is
+// the default 64; window 2 classifies an alternator correctly.
+func TestDynamicHybridWindow(t *testing.T) {
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("NewDynamicClassHybrid accepted a window of 1")
+			}
+		}()
+		NewDynamicClassHybrid(8, 1, HybridComponents{})
+	}()
+
+	def, explicit := NewDynamicClassHybrid(8, 0, HybridComponents{}), NewDynamicClassHybrid(8, 64, HybridComponents{})
+	r := newTestRand(7)
+	for i := 0; i < 5000; i++ {
+		pc := uint64(0x400000 + (r.next()%32)*4)
+		taken := r.next()%3 != 0
+		if def.PredictUpdate(pc, taken) != explicit.PredictUpdate(pc, taken) {
+			t.Fatalf("window 0 and window 64 diverge at event %d", i)
+		}
+	}
+
+	d := NewDynamicClassHybrid(8, 2, HybridComponents{})
+	pc := uint64(0x400100)
+	for i := 0; i < 10; i++ {
+		d.Update(pc, i%2 == 0)
+	}
+	if got := d.AdviceFor(pc); got != "short-local" {
+		t.Fatalf("strict alternator under window 2 advised %q, want short-local", got)
+	}
+}

@@ -22,17 +22,25 @@ import (
 // removes interference. Branches never seen during profiling fall back to
 // the long-history component.
 type ClassHybrid struct {
-	name    string
-	classes core.ClassMap
-	static  *StaticBias
-	biasTbl Predictor
-	short   Predictor
-	long    Predictor
-	// takenOnly restricts classification to taken rate (the Chang et al.
-	// baseline): only taken classes 0/10 are diverted, everything else is
-	// long-history.
-	takenOnly bool
+	name  string
+	sites core.Sites
+	// steer holds each site's component (a comp* id) and, for static
+	// sites, the profiled direction in steerTaken. Sites outside the
+	// classification steer to the long-history component (id 0).
+	steer []uint8
+	parts [4]part // indexed by component id; parts[compStatic] is unused
 }
+
+// Component ids of a ClassHybrid steering byte.
+const (
+	compLong uint8 = iota
+	compStatic
+	compBias
+	compShort
+
+	compMask   = 3
+	steerTaken = 1 << 2
+)
 
 // HybridComponents selects the dynamic components of a ClassHybrid.
 // Nil fields get sensible defaults.
@@ -65,113 +73,175 @@ func (c HybridComponents) withDefaults() HybridComponents {
 // pass: steering derives from the joint (taken, transition) class, and
 // each statically-predicted branch uses its profiled majority direction.
 func NewTransitionHybrid(classes core.ClassMap, profiles map[uint64]*core.Profile, comp HybridComponents) *ClassHybrid {
-	return newClassHybrid("TransitionHybrid", classes, profiles, comp, false)
+	return NewTransitionHybridTable(core.NewClassTable(classes), profiles, comp)
+}
+
+// NewTransitionHybridTable is NewTransitionHybrid over a class table
+// already built for the input, which the hybrid shares read-only.
+func NewTransitionHybridTable(tbl *core.ClassTable, profiles map[uint64]*core.Profile, comp HybridComponents) *ClassHybrid {
+	return newClassHybrid("TransitionHybrid", tbl, profiles, comp, false)
 }
 
 // NewTakenHybrid builds the Chang-style hybrid that classifies by taken
 // rate only: taken classes 0 and 10 go static, everything else goes to the
 // long-history component. It is the baseline §4.2 compares against.
 func NewTakenHybrid(classes core.ClassMap, profiles map[uint64]*core.Profile, comp HybridComponents) *ClassHybrid {
-	return newClassHybrid("TakenHybrid", classes, profiles, comp, true)
+	return NewTakenHybridTable(core.NewClassTable(classes), profiles, comp)
 }
 
-func newClassHybrid(name string, classes core.ClassMap, profiles map[uint64]*core.Profile, comp HybridComponents, takenOnly bool) *ClassHybrid {
-	bias := make(map[uint64]bool, len(classes))
-	for pc := range classes {
-		if p := profiles[pc]; p != nil {
-			bias[pc] = p.TakenRate() >= 0.5
+// NewTakenHybridTable is NewTakenHybrid over a prebuilt class table.
+func NewTakenHybridTable(tbl *core.ClassTable, profiles map[uint64]*core.Profile, comp HybridComponents) *ClassHybrid {
+	return newClassHybrid("TakenHybrid", tbl, profiles, comp, true)
+}
+
+func newClassHybrid(name string, tbl *core.ClassTable, profiles map[uint64]*core.Profile, comp HybridComponents, takenOnly bool) *ClassHybrid {
+	comp = comp.withDefaults()
+	h := &ClassHybrid{name: name, sites: tbl.Sites, steer: make([]uint8, tbl.Len())}
+	h.parts[compBias] = newPart(comp.BiasTable)
+	h.parts[compShort] = newPart(comp.Short)
+	h.parts[compLong] = newPart(comp.Long)
+	for s := range h.steer {
+		if f := tbl.At(s); f != core.Unclassified {
+			h.steer[s] = route(f, takenOnly)
 		}
 	}
-	comp = comp.withDefaults()
-	return &ClassHybrid{
-		name:      name,
-		classes:   classes,
-		static:    NewStaticBias(bias),
-		biasTbl:   comp.BiasTable,
-		short:     comp.Short,
-		long:      comp.Long,
-		takenOnly: takenOnly,
+	// A static site predicts its profiled majority direction, taken when
+	// it has no profile.
+	for pc, p := range profiles {
+		if s := tbl.Slot(pc); s >= 0 && h.steer[s] == compStatic|steerTaken && p.TakenRate() < 0.5 {
+			h.steer[s] = compStatic
+		}
+	}
+	return h
+}
+
+// route returns the steering byte for a flat joint class: a static
+// route starts out predicting taken.
+func route(f uint8, takenOnly bool) uint8 {
+	taken, trans := f/core.NumClasses, f%core.NumClasses
+	extremeBias := taken == 0 || taken == 10
+	if takenOnly {
+		if extremeBias {
+			return compStatic | steerTaken
+		}
+		return compLong
+	}
+	switch {
+	case extremeBias && trans <= 1:
+		return compStatic | steerTaken
+	case trans <= 1:
+		return compBias
+	case trans >= 9:
+		return compShort
+	default:
+		return compLong
 	}
 }
 
 // Name implements Predictor.
 func (h *ClassHybrid) Name() string { return h.name }
 
-func (h *ClassHybrid) component(pc uint64) Predictor {
-	jc, ok := h.classes[pc]
-	if !ok {
-		return h.long // unprofiled branch: no classification to act on
+// steerOf returns pc's steering byte; unprofiled branches have no
+// classification to act on and go to the long-history component.
+func (h *ClassHybrid) steerOf(pc uint64) uint8 {
+	if s := h.sites.Slot(pc); s >= 0 {
+		return h.steer[s]
 	}
-	extremeBias := jc.Taken == 0 || jc.Taken == 10
-	if h.takenOnly {
-		if extremeBias {
-			return h.static
-		}
-		return h.long
-	}
-	switch {
-	case extremeBias && jc.Transition <= 1:
-		return h.static
-	case jc.Transition <= 1:
-		return h.biasTbl
-	case jc.Transition >= 9:
-		return h.short
-	default:
-		return h.long
-	}
+	return compLong
 }
 
 // Predict implements Predictor.
-func (h *ClassHybrid) Predict(pc uint64) bool { return h.component(pc).Predict(pc) }
+func (h *ClassHybrid) Predict(pc uint64) bool {
+	s := h.steerOf(pc)
+	if c := s & compMask; c != compStatic {
+		return h.parts[c].p.Predict(pc)
+	}
+	return s&steerTaken != 0
+}
 
 // Update implements Predictor. Only the owning component trains on the
 // branch: the point of the classification is to keep easy branches out of
 // the pattern history tables, freeing those resources (and removing their
 // interference) for the hard branches.
 func (h *ClassHybrid) Update(pc uint64, taken bool) {
-	h.component(pc).Update(pc, taken)
+	if c := h.steerOf(pc) & compMask; c != compStatic {
+		h.parts[c].p.Update(pc, taken)
+	}
+}
+
+// PredictUpdate implements PredictUpdater: one steering lookup serves
+// the prediction and the owning component's training.
+func (h *ClassHybrid) PredictUpdate(pc uint64, taken bool) bool {
+	s := h.steerOf(pc)
+	if c := s & compMask; c != compStatic {
+		return h.parts[c].step(pc, taken)
+	}
+	return s&steerTaken != 0
+}
+
+// SweepChunk implements ChunkSweeper.
+func (h *ClassHybrid) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
+	for i := 0; i < n; i++ {
+		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
+		if h.PredictUpdate(pcs[i], taken) != taken {
+			wrong[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+}
+
+// dynamic returns the three dynamic components in snapshot order.
+func (h *ClassHybrid) dynamic() [3]Predictor {
+	return [3]Predictor{h.parts[compBias].p, h.parts[compShort].p, h.parts[compLong].p}
 }
 
 // SizeBits implements Predictor. Static bias hints are profile outputs
 // carried in the binary, not predictor state.
 func (h *ClassHybrid) SizeBits() int64 {
-	return h.biasTbl.SizeBits() + h.short.SizeBits() + h.long.SizeBits()
+	var n int64
+	for _, p := range h.dynamic() {
+		n += p.SizeBits()
+	}
+	return n
 }
 
 // SnapshotBytes implements Snapshotter: the three dynamic components
-// (class map and profiled bias are fixed at construction); all must be
+// (the steering table is fixed at construction); all must be
 // Snapshotters.
 func (h *ClassHybrid) SnapshotBytes() int64 {
-	return asSnapshotter(h.biasTbl, "ClassHybrid").SnapshotBytes() +
-		asSnapshotter(h.short, "ClassHybrid").SnapshotBytes() +
-		asSnapshotter(h.long, "ClassHybrid").SnapshotBytes()
+	var n int64
+	for _, p := range h.dynamic() {
+		n += asSnapshotter(p, "ClassHybrid").SnapshotBytes()
+	}
+	return n
 }
 
 // SnapshotTo implements Snapshotter.
 func (h *ClassHybrid) SnapshotTo(dst []byte) int {
-	n := asSnapshotter(h.biasTbl, "ClassHybrid").SnapshotTo(dst)
-	n += asSnapshotter(h.short, "ClassHybrid").SnapshotTo(dst[n:])
-	n += asSnapshotter(h.long, "ClassHybrid").SnapshotTo(dst[n:])
+	n := 0
+	for _, p := range h.dynamic() {
+		n += asSnapshotter(p, "ClassHybrid").SnapshotTo(dst[n:])
+	}
 	return n
 }
 
 // RestoreFrom implements Snapshotter.
 func (h *ClassHybrid) RestoreFrom(src []byte) int {
-	n := asSnapshotter(h.biasTbl, "ClassHybrid").RestoreFrom(src)
-	n += asSnapshotter(h.short, "ClassHybrid").RestoreFrom(src[n:])
-	n += asSnapshotter(h.long, "ClassHybrid").RestoreFrom(src[n:])
+	n := 0
+	for _, p := range h.dynamic() {
+		n += asSnapshotter(p, "ClassHybrid").RestoreFrom(src[n:])
+	}
 	return n
 }
 
 // ComponentFor exposes which component a branch is steered to ("static",
 // "bias-table", "short-local", "long-history"), for reporting.
 func (h *ClassHybrid) ComponentFor(pc uint64) string {
-	switch h.component(pc) {
-	case Predictor(h.static):
+	switch h.steerOf(pc) & compMask {
+	case compStatic:
 		return "static"
-	case h.biasTbl:
+	case compBias:
 		return "bias-table"
-	case h.short:
+	case compShort:
 		return "short-local"
 	default:
 		return "long-history"

@@ -78,13 +78,11 @@ func Run(p Predictor, src trace.Source) (Result, error) {
 	}
 }
 
-// Sink adapts a Predictor to trace.Sink, accumulating a Result and
-// optionally reporting each (pc, predicted, taken) to observe. It is the
-// building block for class-attributed simulation and confidence studies.
+// Sink adapts a Predictor to trace.Sink, accumulating a Result: the
+// event-at-a-time way to drive a predictor from a workload generator.
 type Sink struct {
-	P       Predictor
-	Res     Result
-	Observe func(pc uint64, predicted, taken bool)
+	P   Predictor
+	Res Result
 }
 
 // NewSink wraps p.
@@ -96,12 +94,62 @@ var _ trace.Sink = (*Sink)(nil)
 
 // Branch performs one predict-update step.
 func (s *Sink) Branch(pc uint64, taken bool) {
-	predicted := Step(s.P, pc, taken)
-	if predicted != taken {
+	if Step(s.P, pc, taken) != taken {
 		s.Res.Misses++
 	}
 	s.Res.Events++
-	if s.Observe != nil {
-		s.Observe(pc, predicted, taken)
+}
+
+// ChunkSweeper is the batch form of PredictUpdate, the column kernel
+// the simulator's sweeps and the ablation grids drive; every predictor
+// the §5 ablations build has one. SweepChunk runs
+// the fused step over one decoded chunk — pcs and the direction bitmap
+// dirs (event i's outcome is bit i&63 of word i>>6) hold n events — and
+// sets bit i of wrong for every misprediction, leaving the other bits
+// alone: callers clear wrong between chunks and count misses by
+// popcount. Sweeping a stream's chunks in order is identical to calling
+// PredictUpdate on each event, and every predictor's kernel loops over
+// that same step.
+type ChunkSweeper interface {
+	SweepChunk(pcs, dirs []uint64, n int, wrong []uint64)
+}
+
+// part is one component of a composite predictor. The component types
+// the defaults use are resolved to concrete pointers once, at
+// construction, so a composite's step reaches them with a direct call;
+// any other Predictor steps through the interface.
+type part struct {
+	p       Predictor
+	bimodal *Bimodal
+	pas     *PAs
+	gshare  *GShare
+}
+
+func newPart(p Predictor) part {
+	c := part{p: p}
+	switch q := p.(type) {
+	case *Bimodal:
+		c.bimodal = q
+	case *PAs:
+		c.pas = q
+	case *GShare:
+		c.gshare = q
 	}
+	return c
+}
+
+// concrete reports whether the part steps without an interface call.
+func (c *part) concrete() bool { return c.bimodal != nil || c.pas != nil || c.gshare != nil }
+
+// step is the component's fused predict-then-update step.
+func (c *part) step(pc uint64, taken bool) bool {
+	switch {
+	case c.gshare != nil:
+		return c.gshare.PredictUpdate(pc, taken)
+	case c.pas != nil:
+		return c.pas.PredictUpdate(pc, taken)
+	case c.bimodal != nil:
+		return c.bimodal.PredictUpdate(pc, taken)
+	}
+	return Step(c.p, pc, taken)
 }

@@ -72,6 +72,18 @@ func (o *OneLevel) Update(pc uint64, correct bool) {
 	o.counters[i] = o.counters[i].Update(correct, o.max)
 }
 
+// ObserveChunk implements ChunkObserver; the counter is indexed once per
+// event for the confidence read and the training.
+func (o *OneLevel) ObserveChunk(pcs, wrong []uint64, n int, q *Quadrants) {
+	for i := 0; i < n; i++ {
+		correct := wrong[i>>6]&(1<<(uint(i)&63)) == 0
+		j := (pcs[i] >> 2) & o.mask
+		c := o.counters[j]
+		q.Observe(c >= o.threshold, correct)
+		o.counters[j] = c.Update(correct, o.max)
+	}
+}
+
 // TwoLevel is the two-level dynamic estimator: a per-branch register of
 // recent correct/incorrect outcomes indexes a shared table of resetting
 // counters, so confidence keys on the *pattern* of recent accuracy.
@@ -123,36 +135,75 @@ func (t *TwoLevel) Update(pc uint64, correct bool) {
 	t.history[h] &= uint16(t.tableMask)
 }
 
+// ObserveChunk implements ChunkObserver.
+func (t *TwoLevel) ObserveChunk(pcs, wrong []uint64, n int, q *Quadrants) {
+	for i := 0; i < n; i++ {
+		correct := wrong[i>>6]&(1<<(uint(i)&63)) == 0
+		q.Observe(t.HighConfidence(pcs[i]), correct)
+		t.Update(pcs[i], correct)
+	}
+}
+
 // ClassStatic assigns confidence from the branch's joint class using a
 // per-class expected miss-rate table (e.g. the measured Figures 13/14
 // matrix): confidence is high when the class's expected miss rate is at or
 // below the threshold. It needs no runtime accuracy measurement at all.
 type ClassStatic struct {
-	classes   core.ClassMap
-	missRate  [core.NumClasses][core.NumClasses]float64
-	threshold float64
+	table *core.ClassTable
+	// high[f] is the verdict for flat joint class f; unprofiled branches
+	// (core.Unclassified) are low confidence.
+	high [256]bool
 }
 
 // NewClassStatic builds the estimator from a profiling classification and
 // a per-joint-class expected miss rate matrix.
 func NewClassStatic(classes core.ClassMap, missRate [core.NumClasses][core.NumClasses]float64, threshold float64) *ClassStatic {
-	return &ClassStatic{classes: classes, missRate: missRate, threshold: threshold}
+	return NewClassStaticTable(core.NewClassTable(classes), missRate, threshold)
+}
+
+// NewClassStaticTable is NewClassStatic over a class table already built
+// for the input, which the estimator shares read-only.
+func NewClassStaticTable(tbl *core.ClassTable, missRate [core.NumClasses][core.NumClasses]float64, threshold float64) *ClassStatic {
+	c := &ClassStatic{table: tbl}
+	for t := range missRate {
+		for tr, rate := range missRate[t] {
+			c.high[core.JointClass{Taken: core.Class(t), Transition: core.Class(tr)}.Flat()] = rate <= threshold
+		}
+	}
+	return c
 }
 
 // Name implements Estimator.
 func (c *ClassStatic) Name() string { return "class-static" }
 
 // HighConfidence implements Estimator.
-func (c *ClassStatic) HighConfidence(pc uint64) bool {
-	jc, ok := c.classes[pc]
-	if !ok {
-		return false // unprofiled branches are low confidence
-	}
-	return c.missRate[jc.Taken][jc.Transition] <= c.threshold
-}
+func (c *ClassStatic) HighConfidence(pc uint64) bool { return c.high[c.table.Index(pc)] }
 
 // Update implements Estimator. The class estimator is static.
 func (c *ClassStatic) Update(pc uint64, correct bool) {}
+
+// ObserveChunk implements ChunkObserver.
+func (c *ClassStatic) ObserveChunk(pcs, wrong []uint64, n int, q *Quadrants) {
+	for i := 0; i < n; i++ {
+		q.Observe(c.HighConfidence(pcs[i]), wrong[i>>6]&(1<<(uint(i)&63)) == 0)
+	}
+}
+
+// ChunkObserver is the batch form of the estimator protocol: for each of
+// n events of a decoded chunk, in order, ask the estimator, record the
+// verdict against the prediction's correctness in q, then train. Event
+// i's prediction was wrong when bit i&63 of wrong[i>>6] is set — the
+// miss bitmap a predictor's chunk kernel leaves. Every estimator in this
+// package implements it.
+type ChunkObserver interface {
+	ObserveChunk(pcs, wrong []uint64, n int, q *Quadrants)
+}
+
+var (
+	_ ChunkObserver = (*OneLevel)(nil)
+	_ ChunkObserver = (*TwoLevel)(nil)
+	_ ChunkObserver = (*ClassStatic)(nil)
+)
 
 // Quadrants accumulates the confusion matrix of confidence against
 // prediction correctness, from which the standard confidence metrics

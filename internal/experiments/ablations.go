@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math/bits"
 
 	"btr/internal/bpred"
 	"btr/internal/conf"
@@ -10,16 +11,21 @@ import (
 	"btr/internal/report"
 	"btr/internal/sim"
 	"btr/internal/stats"
-	"btr/internal/trace"
 )
 
 // predictorSpec is one predictor constructor. key names the
 // constructor and its parameters: rows built from the same spec build
-// identical predictors, so a context replays the suite through them
-// once (see runPredictorRows) however many tables show them.
+// identical predictors, so a context runs the suite through them once
+// (see runPredictorRows) however many tables show them.
 type predictorSpec struct {
 	key   string
-	build func(in *sim.InputResult) bpred.Predictor
+	build func(in *sim.InputResult) ablationPredictor
+}
+
+// ablationPredictor is a predictor with its own chunk kernel.
+type ablationPredictor interface {
+	bpred.Predictor
+	bpred.ChunkSweeper
 }
 
 // predictorRow is one table row: a display name over a constructor.
@@ -30,10 +36,10 @@ type predictorRow struct {
 
 // The constructors A1 and A5 share.
 var (
-	transitionHybridSpec = predictorSpec{"TransitionHybrid", func(in *sim.InputResult) bpred.Predictor {
-		return bpred.NewTransitionHybrid(in.Classes, in.Profiles, bpred.HybridComponents{})
+	transitionHybridSpec = predictorSpec{"TransitionHybrid", func(in *sim.InputResult) ablationPredictor {
+		return bpred.NewTransitionHybridTable(in.Table, in.Profiles, bpred.HybridComponents{})
 	}}
-	gshare17k12Spec = predictorSpec{"gshare(17,k=12)", func(in *sim.InputResult) bpred.Predictor {
+	gshare17k12Spec = predictorSpec{"gshare(17,k=12)", func(in *sim.InputResult) ablationPredictor {
 		return bpred.NewGShare(bpred.GAsPHTBits, 12)
 	}}
 )
@@ -48,11 +54,11 @@ type predictorTally struct {
 	sizeBits int64
 }
 
-// runPredictorRows replays every suite input through a freshly built
+// runPredictorRows runs every suite input through a freshly built
 // predictor per row (built per input from its profile and classes) and
 // returns each row's suite-wide tally. The constructors the context
-// has not seen yet run as one (constructor × input) grid; results are
-// memoised on the context by constructor key.
+// has not seen yet run as one grid, each input read once for all of
+// them; results are memoised on the context by constructor key.
 func runPredictorRows(c *Context, rows []predictorRow) ([]predictorTally, error) {
 	c.predMu.Lock()
 	var todo []predictorSpec
@@ -66,12 +72,9 @@ func runPredictorRows(c *Context, rows []predictorRow) ([]predictorTally, error)
 	var parts [][]predictorTally
 	if len(todo) > 0 {
 		var err error
-		parts, err = runGrid(c, len(todo), func(row int, in *sim.InputResult) predictorTally {
+		parts, err = runGrid(c, len(todo), func(row int, in *sim.InputResult) gridRow[predictorTally] {
 			p := todo[row].build(in)
-			size := p.SizeBits()
-			sink := bpred.NewSink(p)
-			in.Replay(sink, c.Cfg.Scale)
-			return predictorTally{misses: sink.Res.Misses, events: sink.Res.Events, sizeBits: size}
+			return &predictorRun{p: p, tally: predictorTally{sizeBits: p.SizeBits()}}
 		})
 		if err != nil {
 			return nil, err
@@ -97,6 +100,38 @@ func runPredictorRows(c *Context, rows []predictorRow) ([]predictorTally, error)
 		out[i] = c.predMemo[r.pred.key]
 	}
 	return out, nil
+}
+
+// predictorRun is one predictor's kernel over one input: each chunk goes
+// through the predictor's SweepChunk, and the popcount of the miss
+// bitmap adds to the tally.
+type predictorRun struct {
+	p     ablationPredictor
+	wrong []uint64
+	tally predictorTally
+}
+
+func (r *predictorRun) chunk(pcs, dirs []uint64, n int) {
+	r.wrong = missBitmap(r.wrong, n)
+	r.p.SweepChunk(pcs, dirs, n, r.wrong)
+	for _, w := range r.wrong {
+		r.tally.misses += int64(bits.OnesCount64(w))
+	}
+	r.tally.events += int64(n)
+}
+
+func (r *predictorRun) result() predictorTally { return r.tally }
+
+// missBitmap returns a zeroed bitmap of one bit per event of an n-event
+// chunk, reusing buf's storage when it is large enough.
+func missBitmap(buf []uint64, n int) []uint64 {
+	words := (n + 63) / 64
+	if cap(buf) < words {
+		return make([]uint64, words)
+	}
+	buf = buf[:words]
+	clear(buf)
+	return buf
 }
 
 // renderPredictorTable renders one miss-rate row per predictor, then
@@ -127,16 +162,16 @@ func renderPredictorTable(c *Context, w io.Writer, title string, rows []predicto
 func runImplicitClassificationAblation(c *Context, w io.Writer) error {
 	rows := []predictorRow{
 		{"TransitionHybrid (explicit)", transitionHybridSpec},
-		{"BiMode(16,k=12)", predictorSpec{"BiMode(16,15,k=12)", func(in *sim.InputResult) bpred.Predictor {
+		{"BiMode(16,k=12)", predictorSpec{"BiMode(16,15,k=12)", func(in *sim.InputResult) ablationPredictor {
 			return bpred.NewBiMode(16, 15, 12)
 		}}},
-		{"YAGS(16,k=12)", predictorSpec{"YAGS(16,14,8,k=12)", func(in *sim.InputResult) bpred.Predictor {
+		{"YAGS(16,k=12)", predictorSpec{"YAGS(16,14,8,k=12)", func(in *sim.InputResult) ablationPredictor {
 			return bpred.NewYAGS(16, 14, 8, 12)
 		}}},
-		{"Filter(32)+gshare(16,k=12)", predictorSpec{"Filter(14,32)+gshare(16,k=12)", func(in *sim.InputResult) bpred.Predictor {
+		{"Filter(32)+gshare(16,k=12)", predictorSpec{"Filter(14,32)+gshare(16,k=12)", func(in *sim.InputResult) ablationPredictor {
 			return bpred.NewFilter(14, 32, bpred.NewGShare(16, 12))
 		}}},
-		{"gskew(16,k=12)", predictorSpec{"gskew(16,k=12)", func(in *sim.InputResult) bpred.Predictor {
+		{"gskew(16,k=12)", predictorSpec{"gskew(16,k=12)", func(in *sim.InputResult) ablationPredictor {
 			return bpred.NewGSkew(16, 12)
 		}}},
 		{"gshare(17,k=12) (no scheme)", gshare17k12Spec},
@@ -149,37 +184,33 @@ func runImplicitClassificationAblation(c *Context, w io.Writer) error {
 func runHybridAblation(c *Context, w io.Writer) error {
 	rows := []predictorRow{
 		{"TransitionHybrid (§5.4)", transitionHybridSpec},
-		{"TakenHybrid (Chang)", predictorSpec{"TakenHybrid", func(in *sim.InputResult) bpred.Predictor {
-			return bpred.NewTakenHybrid(in.Classes, in.Profiles, bpred.HybridComponents{})
+		{"TakenHybrid (Chang)", predictorSpec{"TakenHybrid", func(in *sim.InputResult) ablationPredictor {
+			return bpred.NewTakenHybridTable(in.Table, in.Profiles, bpred.HybridComponents{})
 		}}},
-		{"DynamicClassHybrid (§6)", predictorSpec{"DynamicClassHybrid(13,64)", func(in *sim.InputResult) bpred.Predictor {
+		{"DynamicClassHybrid (§6)", predictorSpec{"DynamicClassHybrid(13,64)", func(in *sim.InputResult) ablationPredictor {
 			return bpred.NewDynamicClassHybrid(13, 64, bpred.HybridComponents{})
 		}}},
 		{"gshare(17,k=12)", gshare17k12Spec},
-		{"PAs(k=8)", predictorSpec{"PAs(k=8)", func(in *sim.InputResult) bpred.Predictor {
+		{"PAs(k=8)", predictorSpec{"PAs(k=8)", func(in *sim.InputResult) ablationPredictor {
 			return bpred.NewPAs(8)
 		}}},
-		{"GAs(k=10)", predictorSpec{"GAs(k=10)", func(in *sim.InputResult) bpred.Predictor {
+		{"GAs(k=10)", predictorSpec{"GAs(k=10)", func(in *sim.InputResult) ablationPredictor {
 			return bpred.NewGAs(10)
 		}}},
-		{"Bimodal(17)", predictorSpec{"Bimodal(17)", func(in *sim.InputResult) bpred.Predictor {
+		{"Bimodal(17)", predictorSpec{"Bimodal(17)", func(in *sim.InputResult) ablationPredictor {
 			return bpred.NewBimodal(bpred.GAsPHTBits)
 		}}},
-		{"Agree(17,k=10)", predictorSpec{"Agree(17,k=10,14)", func(in *sim.InputResult) bpred.Predictor {
+		{"Agree(17,k=10)", predictorSpec{"Agree(17,k=10,14)", func(in *sim.InputResult) ablationPredictor {
 			return bpred.NewAgree(bpred.GAsPHTBits, 10, 14)
 		}}},
-		{"Tournament(PAs8,gshare10)", predictorSpec{"Tournament(PAs(k=8),gshare(16,k=10),12)", func(in *sim.InputResult) bpred.Predictor {
+		{"Tournament(PAs8,gshare10)", predictorSpec{"Tournament(PAs(k=8),gshare(16,k=10),12)", func(in *sim.InputResult) ablationPredictor {
 			return bpred.NewTournament("Tournament(PAs8,gshare10)",
 				bpred.NewPAs(8), bpred.NewGShare(16, 10), 12)
 		}}},
-		{"StaticBias(profile)", predictorSpec{"StaticBias(profile)", func(in *sim.InputResult) bpred.Predictor {
-			bias := make(map[uint64]bool, len(in.Profiles))
-			for pc, p := range in.Profiles {
-				bias[pc] = p.TakenRate() >= 0.5
-			}
-			return bpred.NewStaticBias(bias)
+		{"StaticBias(profile)", predictorSpec{"StaticBias(profile)", func(in *sim.InputResult) ablationPredictor {
+			return bpred.NewProfiledStaticBias(in.Table, in.Profiles)
 		}}},
-		{"LastTime(17)", predictorSpec{"LastTime(17)", func(in *sim.InputResult) bpred.Predictor {
+		{"LastTime(17)", predictorSpec{"LastTime(17)", func(in *sim.InputResult) ablationPredictor {
 			return bpred.NewLastTime(bpred.GAsPHTBits)
 		}}},
 	}
@@ -196,38 +227,31 @@ func runConfidenceAblation(c *Context, w io.Writer) error {
 
 	type entry struct {
 		name  string
-		make  func(in *sim.InputResult) conf.Estimator
+		make  func(in *sim.InputResult) conf.ChunkObserver
 		quads conf.Quadrants
 	}
 	entries := []*entry{
-		{name: "class-static(0.08)", make: func(in *sim.InputResult) conf.Estimator {
-			return conf.NewClassStatic(in.Classes, pasJoint, 0.08)
+		{name: "class-static(0.08)", make: func(in *sim.InputResult) conf.ChunkObserver {
+			return conf.NewClassStaticTable(in.Table, pasJoint, 0.08)
 		}},
-		{name: "jacobsen-1level", make: func(in *sim.InputResult) conf.Estimator {
+		{name: "jacobsen-1level", make: func(in *sim.InputResult) conf.ChunkObserver {
 			return conf.NewOneLevel(12, 15, 8)
 		}},
-		{name: "jacobsen-2level", make: func(in *sim.InputResult) conf.Estimator {
+		{name: "jacobsen-2level", make: func(in *sim.InputResult) conf.ChunkObserver {
 			return conf.NewTwoLevel(12, 10, 15, 8)
 		}},
 	}
-	// One row: every estimator rides the same PAs replay of an input.
-	parts, err := runGrid(c, 1, func(_ int, in *sim.InputResult) []conf.Quadrants {
-		predictor := bpred.NewPAs(8)
-		ests := make([]conf.Estimator, len(entries))
-		for i, e := range entries {
-			ests[i] = e.make(in)
+	// One row: every estimator rides the same PAs pass over an input.
+	parts, err := runGrid(c, 1, func(_ int, in *sim.InputResult) gridRow[[]conf.Quadrants] {
+		r := &confidenceRun{
+			pas:   bpred.NewPAs(8),
+			ests:  make([]conf.ChunkObserver, len(entries)),
+			quads: make([]conf.Quadrants, len(entries)),
 		}
-		quads := make([]conf.Quadrants, len(entries))
-		sink := trace.SinkFunc(func(pc uint64, taken bool) {
-			correct := predictor.Predict(pc) == taken
-			predictor.Update(pc, taken)
-			for i, est := range ests {
-				quads[i].Observe(est.HighConfidence(pc), correct)
-				est.Update(pc, correct)
-			}
-		})
-		in.Replay(sink, c.Cfg.Scale)
-		return quads
+		for i, e := range entries {
+			r.ests[i] = e.make(in)
+		}
+		return r
 	})
 	if err != nil {
 		return err
@@ -253,6 +277,28 @@ func runConfidenceAblation(c *Context, w io.Writer) error {
 	_, err = fmt.Fprintln(w, "\nthe class-static estimator needs no accuracy measurement hardware at all (§5.3).")
 	return err
 }
+
+// confidenceRun is A2's kernel over one input: the predictor's chunk
+// kernel leaves each chunk's miss bitmap, which every estimator then
+// observes in turn. The estimators never affect the predictor or one
+// another, so estimator-major order within a chunk sees exactly what
+// event-major order would.
+type confidenceRun struct {
+	pas   *bpred.PAs
+	ests  []conf.ChunkObserver
+	quads []conf.Quadrants
+	wrong []uint64
+}
+
+func (r *confidenceRun) chunk(pcs, dirs []uint64, n int) {
+	r.wrong = missBitmap(r.wrong, n)
+	r.pas.SweepChunk(pcs, dirs, n, r.wrong)
+	for i, est := range r.ests {
+		est.ObserveChunk(pcs, r.wrong, n, &r.quads[i])
+	}
+}
+
+func (r *confidenceRun) result() []conf.Quadrants { return r.quads }
 
 func runOptimalHistoryAblation(c *Context, w io.Writer) error {
 	suite := c.Suite()

@@ -2,8 +2,9 @@
 // paper (T1, T2, F1-F15), the §4.2 coverage arithmetic (S1), the §5
 // ablations (A1-A5) and a per-benchmark supplement (X1). Each driver
 // renders its artifact from a shared SuiteResult so the expensive sweep
-// runs once per process; the ablations that replay the suite through
-// extra predictors run as (row × input) task grids (see runGrid).
+// runs once per process; the ablations that run the suite through extra
+// predictors run as grids of per-row column kernels, one task per input
+// (see runGrid).
 package experiments
 
 import (
@@ -32,7 +33,7 @@ type Context struct {
 	group atomic.Pointer[sched.Group]
 
 	// predMu guards predMemo: suite-wide predictor results keyed by
-	// constructor, so rows A1 and A5 share are replayed once.
+	// constructor, so rows A1 and A5 share run once.
 	predMu   sync.Mutex
 	predMemo map[string]predictorTally
 }
@@ -152,7 +153,7 @@ func (c *Context) Suite() *sim.SuiteResult {
 // the suite outside g, as sim.RunSuiteGroup does.
 //
 // Either way the context remembers g: once it is canceled, the
-// ablations (A1, A2, A4, A5) skip their replays and return
+// ablations (A1, A2, A4, A5) skip their remaining work and return
 // sim.ErrCanceled.
 func (c *Context) SuiteGroup(g *sched.Group) *sim.SuiteResult {
 	c.group.Store(g)

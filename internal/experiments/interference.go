@@ -9,7 +9,6 @@ import (
 	"btr/internal/report"
 	"btr/internal/sim"
 	"btr/internal/stats"
-	"btr/internal/trace"
 )
 
 // runInterferenceAblation measures gshare PHT aliasing twice per input:
@@ -19,48 +18,29 @@ import (
 // The filtered configuration shows both less aliasing and a lower miss
 // rate on the very same hard branches — the §5.1 resource argument.
 func runInterferenceAblation(c *Context, w io.Writer) error {
-	type accum struct {
-		alias      bpred.AliasStats
-		hardMisses int64
-		hardEvents int64
+	// Which joint classes stay in the shared table under classification?
+	var stays [256]bool
+	for t := core.Class(0); t < core.NumClasses; t++ {
+		for tr := core.Class(0); tr < core.NumClasses; tr++ {
+			jc := core.JointClass{Taken: t, Transition: tr}
+			adv := core.Advise(jc)
+			stays[jc.Flat()] = adv == core.AdviseLongHistory || adv == core.AdviseNonPredictive
+		}
 	}
 	// Row 0 feeds the whole stream, row 1 filters the easy branches out.
-	parts, err := runGrid(c, 2, func(row int, in *sim.InputResult) accum {
-		filterEasy := row == 1
-		// Which branches stay in the shared table under classification?
-		stays := make(map[uint64]bool, len(in.Classes))
-		for pc, jc := range in.Classes {
-			adv := core.Advise(jc)
-			stays[pc] = adv == core.AdviseLongHistory || adv == core.AdviseNonPredictive
+	parts, err := runGrid(c, 2, func(row int, in *sim.InputResult) gridRow[interferenceAccum] {
+		return &interferenceRun{
+			filterEasy: row == 1,
+			stays:      &stays,
+			table:      in.Table,
+			g:          bpred.NewGShare(bpred.GAsPHTBits, 12),
+			tr:         bpred.NewAliasTracker(bpred.GAsPHTBits),
 		}
-
-		// Both cases score the SAME population — the hard branches that
-		// remain in the shared table — so the miss-rate column isolates
-		// what the easy branches' presence costs them.
-		var acc accum
-		g := bpred.NewGShare(bpred.GAsPHTBits, 12)
-		tr := bpred.NewAliasTracker(bpred.GAsPHTBits)
-		sink := trace.SinkFunc(func(pc uint64, taken bool) {
-			if filterEasy && !stays[pc] {
-				return
-			}
-			if stays[pc] {
-				if g.Predict(pc) != taken {
-					acc.hardMisses++
-				}
-				acc.hardEvents++
-			}
-			tr.Observe(g.Index(pc), pc, taken)
-			g.Update(pc, taken)
-		})
-		in.Replay(sink, c.Cfg.Scale)
-		acc.alias = tr.Stats()
-		return acc
 	})
 	if err != nil {
 		return err
 	}
-	var sums [2]accum
+	var sums [2]interferenceAccum
 	for row, part := range parts {
 		for _, p := range part {
 			sums[row].alias.Add(p.alias)
@@ -92,4 +72,46 @@ func runInterferenceAblation(c *Context, w io.Writer) error {
 			"the difference is what the easy branches' table pressure costs them.\n",
 		full.hardEvents)
 	return err
+}
+
+// interferenceAccum is one A4 row's tally over one input.
+type interferenceAccum struct {
+	alias      bpred.AliasStats
+	hardMisses int64
+	hardEvents int64
+}
+
+// interferenceRun is one A4 row's kernel over one input. Both rows score
+// the SAME population — the hard branches that remain in the shared
+// table — so the miss-rate column isolates what the easy branches'
+// presence costs them.
+type interferenceRun struct {
+	filterEasy bool
+	stays      *[256]bool // by flat joint class; Unclassified stays out
+	table      *core.ClassTable
+	g          *bpred.GShare
+	tr         *bpred.AliasTracker
+	acc        interferenceAccum
+}
+
+func (r *interferenceRun) chunk(pcs, dirs []uint64, n int) {
+	for i := 0; i < n; i++ {
+		pc, taken := pcs[i], dirs[i>>6]&(1<<(uint(i)&63)) != 0
+		stays := r.stays[r.table.Index(pc)]
+		if r.filterEasy && !stays {
+			continue
+		}
+		r.tr.Observe(r.g.Index(pc), pc, taken)
+		if r.g.PredictUpdate(pc, taken) != taken && stays {
+			r.acc.hardMisses++
+		}
+		if stays {
+			r.acc.hardEvents++
+		}
+	}
+}
+
+func (r *interferenceRun) result() interferenceAccum {
+	r.acc.alias = r.tr.Stats()
+	return r.acc
 }

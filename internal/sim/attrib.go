@@ -34,7 +34,6 @@ type attribGrid struct {
 	spec     workload.Spec
 	res      *InputResult
 	classIdx []uint8
-	lookup   classLookup
 	win      *chunkWindow
 	retain   bool // adopt decodes into win (zero decoded budget)
 	stride   int  // chunks per range
@@ -73,7 +72,6 @@ func newAttribGrid(cfg Config, spec workload.Spec, res *InputResult, workers int
 		spec:     spec,
 		res:      res,
 		classIdx: make([]uint8, res.Recorded.Events()),
-		lookup:   denseClasses(res.Classes),
 		win:      cfg.sweepWindow(res.Recorded),
 		retain:   cfg.DecodedBudget == 0,
 		stride:   stride,
@@ -137,7 +135,7 @@ func (g *attribGrid) runPart(w *sched.Worker, r int) {
 			return
 		}
 		for i := 0; i < d.N; i++ {
-			ci := g.lookup.classOf(d.PCs[i], g.res.Classes)
+			ci := classOf(g.res.Table, d.PCs[i])
 			pos := d.Base + int64(i)
 			g.classIdx[pos] = ci
 			p.exec[ci/core.NumClasses][ci%core.NumClasses]++

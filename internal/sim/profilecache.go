@@ -105,6 +105,9 @@ func entrySize(e *profileEntry) int64 {
 	}
 	size += int64(len(e.tmpl.Profiles)) * 96
 	size += int64(len(e.tmpl.Classes)) * 24
+	if e.tmpl.Table != nil {
+		size += e.tmpl.Table.SizeBytes()
+	}
 	return size
 }
 

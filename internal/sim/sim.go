@@ -318,6 +318,10 @@ type InputResult struct {
 	Profiles map[uint64]*core.Profile
 	// Classes is the joint classification derived from Profiles.
 	Classes core.ClassMap
+	// Table is Classes laid out over the input's branch sites, built once
+	// per input: attribution and the ablations' steering tables read it
+	// instead of the map. Shared read-only.
+	Table *core.ClassTable
 
 	// Exec attributes every dynamic execution to its branch's joint class.
 	Exec JointCounts
@@ -553,26 +557,25 @@ const hardIdx = 5*core.NumClasses + 5
 // scheduler's parallel attribution grid).
 func passOne(spec workload.Spec, cfg Config) *InputResult {
 	profiler, recorded := profileRecorded(spec, cfg)
+	classes := core.Classify(profiler.Profiles())
 	return &InputResult{
 		Spec:          spec,
 		Events:        profiler.Events(),
 		Sites:         profiler.Sites(),
 		Profiles:      profiler.Profiles(),
-		Classes:       core.Classify(profiler.Profiles()),
+		Classes:       classes,
+		Table:         core.NewClassTable(classes),
 		HardDistances: stats.NewHistogram(cfg.window() + 1),
 		Recorded:      recorded,
 	}
 }
 
 // attributeSequential is the attribution pre-pass: one replay resolves
-// each event's joint class, filling Exec and the Figure 15 distances
-// and the per-event class column so the bank workers index an array
-// instead of hitting the class map once per slot per event. Workload
-// PCs are base + site<<2 with dense site IDs, so when the PC range is
-// compact the class map itself collapses into a direct-indexed table.
-// classIdx must hold res.Recorded.Events() entries.
+// each event's joint class through the input's class table, filling
+// Exec and the Figure 15 distances and the per-event class column so the
+// bank workers index an array instead of resolving the class once per
+// slot per event. classIdx must hold res.Recorded.Events() entries.
 func attributeSequential(res *InputResult, classIdx []uint8) {
-	lookup := denseClasses(res.Classes)
 	var pos, lastHard int64
 	sawHard := false
 	rep := res.Recorded.ChunkReader()
@@ -583,7 +586,7 @@ func attributeSequential(res *InputResult, classIdx []uint8) {
 		}
 		_ = dirs
 		for i := 0; i < n; i++ {
-			ci := lookup.classOf(pcs[i], res.Classes)
+			ci := classOf(res.Table, pcs[i])
 			res.Exec[ci/core.NumClasses][ci%core.NumClasses]++
 			classIdx[pos] = ci
 			pos++
@@ -673,7 +676,7 @@ const numBankSlots = int(NumKinds) * NumHistories
 // bankSlotPredictor builds the predictor for flat bank slot i — the one
 // place the slot-index ↔ (kind, k) mapping is realised, shared by the
 // batch engine (bankGroups) and the chunk-chain engine (newChunkSweep).
-func bankSlotPredictor(i int) chunkSweeper {
+func bankSlotPredictor(i int) bpred.ChunkSweeper {
 	kind, k := Kind(i/NumHistories), i%NumHistories
 	switch kind {
 	case KindPAs:
@@ -714,71 +717,20 @@ func foldMisses(res *InputResult, misses []missCell) {
 	}
 }
 
-// classLookup resolves branch PCs to flattened joint-class indices,
-// either through a direct-indexed table (dense != nil) or the class map.
-type classLookup struct {
-	dense []uint8
-	minPC uint64
-}
-
-// classOf resolves one PC, falling back to the class map when the
-// dense table was not built.
-func (l *classLookup) classOf(pc uint64, classes core.ClassMap) uint8 {
-	if l.dense != nil {
-		return l.dense[(pc-l.minPC)>>2]
+// classOf resolves pc's flattened joint class for attribution. Every
+// recorded PC was profiled, so an unclassified one cannot occur; were it
+// to, it counts as class 0/0, the class map's zero value.
+func classOf(t *core.ClassTable, pc uint64) uint8 {
+	if ci := t.Index(pc); ci != core.Unclassified {
+		return ci
 	}
-	jc := classes[pc]
-	return uint8(int(jc.Taken)*core.NumClasses + int(jc.Transition))
-}
-
-// denseClasses flattens a class map into a direct-indexed table when its
-// PC range is compact (instrumented workloads always are: PCs are
-// base + site<<2 with small site IDs). A sparse map — e.g. a stored
-// trace with arbitrary addresses — keeps map lookups.
-func denseClasses(classes core.ClassMap) classLookup {
-	if len(classes) == 0 {
-		return classLookup{}
-	}
-	minPC, maxPC := ^uint64(0), uint64(0)
-	aligned := true
-	for pc := range classes {
-		if pc < minPC {
-			minPC = pc
-		}
-		if pc > maxPC {
-			maxPC = pc
-		}
-		aligned = aligned && pc&3 == 0
-	}
-	// Unaligned PCs would alias under the >>2 index; only word-aligned
-	// streams (everything workload.T emits) take the dense path.
-	if !aligned {
-		return classLookup{}
-	}
-	span := (maxPC-minPC)>>2 + 1
-	// Cap the table at 4 MiB of entries; beyond that the map wins.
-	if span > 1<<22 {
-		return classLookup{}
-	}
-	dense := make([]uint8, span)
-	for pc, jc := range classes {
-		dense[(pc-minPC)>>2] = uint8(int(jc.Taken)*core.NumClasses + int(jc.Transition))
-	}
-	return classLookup{dense: dense, minPC: minPC}
-}
-
-// chunkSweeper is the batch protocol the bank's predictors provide: one
-// call advances the predictor over a whole decoded chunk and reports
-// mispredictions as a bitmap, keeping the per-event loop concrete inside
-// the predictor (see bpred.PAs.SweepChunk).
-type chunkSweeper interface {
-	SweepChunk(pcs, dirs []uint64, n int, wrong []uint64)
+	return 0
 }
 
 // bankSlot is one predictor configuration of the bank plus its flat
 // class-attributed miss counters.
 type bankSlot struct {
-	p    chunkSweeper
+	p    bpred.ChunkSweeper
 	miss *[core.NumClasses * core.NumClasses]int64
 }
 
@@ -818,7 +770,7 @@ func sweepSlots(slots []bankSlot, recorded *trace.Handle, classIdx []uint8) {
 // skips attribution entirely, and otherwise the running count stops the
 // word walk as soon as the last miss has been attributed, bulk-skipping
 // the zero tail.
-func sweepDecodedChunk(p chunkSweeper, d *trace.DecodedChunk, cls []uint8, cell *missCell, wrong []uint64) {
+func sweepDecodedChunk(p bpred.ChunkSweeper, d *trace.DecodedChunk, cls []uint8, cell *missCell, wrong []uint64) {
 	words := (d.N + 63) / 64
 	for w := range wrong[:words] {
 		wrong[w] = 0
@@ -856,6 +808,7 @@ func runInputRegenerate(spec workload.Spec, cfg Config) *InputResult {
 		Sites:         profiler.Sites(),
 		Profiles:      profiler.Profiles(),
 		Classes:       classes,
+		Table:         core.NewClassTable(classes),
 		HardDistances: stats.NewHistogram(cfg.window() + 1),
 	}
 

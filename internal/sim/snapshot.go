@@ -35,7 +35,7 @@ import (
 // update for warmup chains, and bpred's checkpoint protocol. PAs and
 // GAs satisfy it.
 type snapshotSweeper interface {
-	chunkSweeper
+	bpred.ChunkSweeper
 	UpdateChunk(pcs, dirs []uint64, n int)
 	bpred.Snapshotter
 }
@@ -302,7 +302,7 @@ func startSweep(w *sched.Worker, cfg Config, res *InputResult, classIdx []uint8,
 type SnapshotPredictor interface {
 	bpred.Predictor
 	bpred.Snapshotter
-	SweepChunk(pcs, dirs []uint64, n int, wrong []uint64)
+	bpred.ChunkSweeper
 	UpdateChunk(pcs, dirs []uint64, n int)
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"btr/internal/bpred"
 	"btr/internal/core"
 	"btr/internal/sched"
 	"btr/internal/stats"
@@ -332,7 +333,7 @@ type chunkSweep struct {
 // chain has one task queued, running or parked at a time, so it needs
 // no locking.
 type sweepChain struct {
-	p    chunkSweeper
+	p    bpred.ChunkSweeper
 	next int        // next chunk index to sweep
 	miss missCell   // the slot's class-attributed misses so far
 	cont sched.Task // the chain's continuation: advance from next
