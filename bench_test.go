@@ -96,45 +96,23 @@ func BenchmarkAblations(b *testing.B) {
 	}
 }
 
-// BenchmarkSuiteSweep measures the full two-pass pipeline itself (events
-// per op reported via custom metric): the record-once/replay-many engine
-// with the predictor bank sharded across goroutines. Scale 1.0 is the
-// registry-default input sizing, so the measurement reflects the
-// pipeline as experiments actually run it.
-func BenchmarkSuiteSweep(b *testing.B) {
-	benchSweep(b, SimConfig{Scale: 1.0})
-}
-
 // BenchmarkSuiteSweepRegenerate measures the original pipeline — the
 // generator re-runs for pass 2 and the bank is driven serially — as the
-// baseline the replay engine is compared against.
+// baseline the replay engine is compared against. Scale 1.0 is the
+// registry-default input sizing, so the measurement reflects the
+// pipeline as experiments actually run it.
 func BenchmarkSuiteSweepRegenerate(b *testing.B) {
 	benchSweep(b, SimConfig{Scale: 1.0, NoRecord: true})
 }
 
-// BenchmarkSuiteSweepScheduled measures the same pipeline driven by the
-// global work-stealing scheduler (the RunSuite default): the profile
-// task fans its 34-slot bank sweep out as per-slot chains of chunk-range
+// BenchmarkSuiteSweepScheduled measures the recorded pipeline on the
+// same input (RunSuite, and RunInput, run nothing else): the profile
+// task fans its 34-slot bank sweep out as per-slot chains of one-chunk
 // tasks over shared pre-decoded columns, so even this single-input suite
 // fills every core and never decodes the trace twice. It must beat
-// BenchmarkSuiteSweepRegenerate wall-clock at GOMAXPROCS > 1 and stay
-// ahead of the legacy pool at GOMAXPROCS = 1 (the sweep reuses the
-// attribution pass's decode instead of paying its own).
+// BenchmarkSuiteSweepRegenerate wall-clock.
 func BenchmarkSuiteSweepScheduled(b *testing.B) {
 	benchSweepSuite(b, SimConfig{Scale: 1.0})
-}
-
-// BenchmarkSuiteSweepSlotOnly is the PR-2 scheduler shape — whole-trace
-// slot-batch tasks, one decode per batch — kept for isolating the
-// chunk-axis contribution on the same suite sweep.
-func BenchmarkSuiteSweepSlotOnly(b *testing.B) {
-	benchSweepSuite(b, SimConfig{Scale: 1.0, ChunkTasks: -1})
-}
-
-// BenchmarkSuiteSweepLegacyPool is the PR-1 nested-pool suite engine
-// over the same input, for isolating the scheduler's contribution.
-func BenchmarkSuiteSweepLegacyPool(b *testing.B) {
-	benchSweepSuite(b, SimConfig{Scale: 1.0, NoSched: true})
 }
 
 // BenchmarkSuiteSweepStreaming is the out-of-core pipeline on the same
@@ -165,50 +143,10 @@ const singleInputScale = 50.0
 
 // BenchmarkSingleInputSaturation is the chunk-axis headline: ONE large
 // input (gcc/genoutput.i at 50× registry scale) on GOMAXPROCS workers
-// under the (slot × chunk-range) grid. Every core gets chunk-range
-// tasks stolen off the 34 slot chains, and no task re-decodes the trace.
-// Compare against BenchmarkSingleInputSlotOnly, the PR-2 decomposition
-// of exactly the same run: on a multi-core runner the grid's finer tail
-// and shared decode are the difference; at GOMAXPROCS = 1 the shared
-// decode alone keeps it ahead.
+// under the (slot × chunk) grid. Every core gets chunk tasks stolen off
+// the 34 slot chains, and no task re-decodes the trace.
 func BenchmarkSingleInputSaturation(b *testing.B) {
 	benchSingleInput(b, SimConfig{Scale: singleInputScale})
-}
-
-// BenchmarkSingleInputSlotOnly is the slot-only baseline for
-// BenchmarkSingleInputSaturation: same input, same workers, whole-trace
-// slot-batch tasks clamped to the worker count.
-func BenchmarkSingleInputSlotOnly(b *testing.B) {
-	benchSingleInput(b, SimConfig{Scale: singleInputScale, ChunkTasks: -1})
-}
-
-// BenchmarkSingleInputSnapshot is the checkpointed intra-slot engine on
-// the saturation input: every one of the 34 bank slots splits into 4
-// checkpointed chunk ranges, so the sweep runs as 136 independent tasks
-// (reported as sweeptasks/op — well past the 34-chain ceiling) on
-// GOMAXPROCS workers. Against BenchmarkSingleInputSaturation the delta
-// is the checkpointing overhead (the update-only warmup replays all but
-// the last range twice, plus snapshot copies); the engine wins
-// wall-clock only when cores outnumber the 34 slots, which is why it is
-// off by default.
-func BenchmarkSingleInputSnapshot(b *testing.B) {
-	const ranges = 4
-	spec, err := FindWorkload("gcc", "genoutput.i")
-	if err != nil {
-		b.Fatal(err)
-	}
-	specs := []WorkloadSpec{spec}
-	cfg := SimConfig{Scale: singleInputScale, SnapshotRanges: ranges}
-	b.ResetTimer()
-	var events, snaps int64
-	for i := 0; i < b.N; i++ {
-		suite := RunSuite(specs, cfg)
-		events += suite.TotalEvents()
-		snaps += suite.Mem.SnapshotCount
-	}
-	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-	// snapshots/op = slots × (ranges-1), so tasks/op = snapshots × R/(R-1).
-	b.ReportMetric(float64(snaps)/float64(b.N)*ranges/(ranges-1), "sweeptasks/op")
 }
 
 // BenchmarkSingleInputStreamingMmap is BenchmarkSingleInputStreaming

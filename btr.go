@@ -207,15 +207,17 @@ func ProfileWorkload(spec WorkloadSpec, scale float64) *Profiler {
 }
 
 // RunInput runs the full two-pass pipeline (profile, then the PAs/GAs
-// history sweep) for one workload.
+// history sweep) for one workload, as a one-input RunSuite on a private
+// scheduler.
 func RunInput(spec WorkloadSpec, cfg SimConfig) *InputResult {
 	return sim.RunInput(spec, cfg)
 }
 
 // RunSuite runs the two-pass pipeline over the given specs and aggregates
-// (dynamic-occurrence weighted) exactly as the paper reports. The default
-// engine is a global work-stealing scheduler over (input, bank-batch)
-// tasks; cfg.NoSched selects the legacy nested pools, bit-identically.
+// (dynamic-occurrence weighted) exactly as the paper reports. Every input
+// runs as tasks on one work-stealing scheduler — the recorded 34-slot
+// sweep as per-slot chains of one-chunk tasks, or under cfg.NoRecord
+// the regenerating pipeline as one task — bit-identically either way.
 func RunSuite(specs []WorkloadSpec, cfg SimConfig) *SuiteResult {
 	return sim.RunSuite(specs, cfg)
 }

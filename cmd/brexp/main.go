@@ -3,9 +3,8 @@
 // Usage:
 //
 //	brexp [-scale 1.0] [-workers N] [-out results] [-run all|T1,F13,...]
-//	      [-sched=false] [-chunktasks N] [-cachedir dir]
-//	      [-membudget bytes] [-decodedbudget bytes]
-//	      [-snapshotranges N] [-mmap]
+//	      [-chunk N] [-norecord] [-cachedir dir]
+//	      [-membudget bytes] [-decodedbudget bytes] [-mmap]
 //
 // Each experiment is written to <out>/<id>.txt; -list shows the catalog.
 package main
@@ -26,14 +25,10 @@ import (
 func main() {
 	scale := flag.Float64("scale", 1.0, "workload scale; 1.0 = Table 1 counts /1000")
 	workers := flag.Int("workers", 0, "scheduler workers (0 = GOMAXPROCS)")
-	bankWorkers := flag.Int("bankworkers", 0, "sweep batches per input's predictor bank in the non-chunked engines (0 = GOMAXPROCS)")
 	chunk := flag.Int("chunk", 0, "recorded-trace chunk size in events (0 = default)")
-	chunkTasks := flag.Int("chunktasks", 0, "chunks per (slot, chunk-range) sweep task (0 = default; negative = whole-trace slot batches, the pre-chunk-axis shape)")
 	noRecord := flag.Bool("norecord", false, "regenerate workloads per pass instead of record/replay (slower, lower memory)")
-	sched := flag.Bool("sched", true, "global work-stealing scheduler over (input, bank-batch) tasks; false = legacy nested pools")
 	memBudget := flag.Int64("membudget", 0, "stream each recording to a BTR1 spill file during pass 1, keeping at most about this many resident bytes per input; replays page the rest back in (0 = retain recordings whole)")
 	decodedBudget := flag.Int64("decodedbudget", 0, "byte budget for each input's decode-once chunk window during the bank sweep: every chunk is decoded once and dropped when the last sweep chain passes it, and at most max(2, budget/decoded-chunk bytes) chunks are admitted ahead of the slowest chain (0 = admit the whole recording, negative = one chunk at a time)")
-	snapshotRanges := flag.Int("snapshotranges", 0, "split every bank slot's sweep into this many checkpointed chunk ranges that run concurrently from restored predictor snapshots; breaks the 34-slot parallelism ceiling when cores outnumber slots (0 = chained sweep, the default; results are bit-identical either way)")
 	mmapSpill := flag.Bool("mmap", false, "mmap spill-backed recordings and decode paged chunks from the mapping instead of pread (needs -membudget or -cachedir to produce spill files; falls back silently where unsupported)")
 	cachedir := flag.String("cachedir", "", "spill recorded traces to BTR1 files here and reuse them across runs (filenames carry the workload-registry fingerprint, so a dir written by older workloads self-invalidates)")
 	out := flag.String("out", "results", "output directory")
@@ -66,17 +61,13 @@ func main() {
 	}
 
 	cfg := btr.SimConfig{
-		Scale:          *scale,
-		Workers:        *workers,
-		BankWorkers:    *bankWorkers,
-		ChunkEvents:    *chunk,
-		ChunkTasks:     *chunkTasks,
-		NoRecord:       *noRecord,
-		NoSched:        !*sched,
-		MemBudget:      *memBudget,
-		DecodedBudget:  *decodedBudget,
-		SnapshotRanges: *snapshotRanges,
-		MmapSpill:      *mmapSpill,
+		Scale:         *scale,
+		Workers:       *workers,
+		ChunkEvents:   *chunk,
+		NoRecord:      *noRecord,
+		MemBudget:     *memBudget,
+		DecodedBudget: *decodedBudget,
+		MmapSpill:     *mmapSpill,
 	}
 	if *cachedir != "" {
 		// Under a memory budget the cache's resident columns are bounded
@@ -89,13 +80,10 @@ func main() {
 	}
 	// Build the scheduler explicitly (rather than letting the suite run
 	// spin up a private one) so its counters survive the run and can be
-	// reported below. Only the scheduled engine uses it.
-	var pool *btr.Scheduler
-	if !cfg.NoSched && !cfg.NoRecord {
-		pool = btr.NewScheduler(*workers)
-		defer pool.Close()
-		cfg.Sched = pool
-	}
+	// reported below.
+	pool := btr.NewScheduler(*workers)
+	defer pool.Close()
+	cfg.Sched = pool
 	ctx := btr.NewExperimentContext(cfg)
 	start := time.Now()
 	// Run the shared sweep and the experiments on a cancelable group:
@@ -103,28 +91,24 @@ func main() {
 	// grids unwind at task boundaries) instead of leaving a killed
 	// process and half-written artifacts. The handler stays installed
 	// for the whole run, experiments included.
-	var group *btr.TaskGroup
-	if pool != nil {
-		group = pool.NewGroup()
-		sigc := make(chan os.Signal, 1)
-		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-		defer func() {
-			signal.Stop(sigc)
-			close(sigc)
-		}()
-		go func() {
-			if _, ok := <-sigc; ok {
-				fmt.Fprintln(os.Stderr, "brexp: interrupted — canceling the run")
-				group.Cancel()
-			}
-		}()
-		suite := ctx.SuiteGroup(group)
-		if group.Canceled() {
-			for _, d := range suite.Dropped {
-				fmt.Fprintf(os.Stderr, "brexp: dropped input %v\n", d)
-			}
-			fatal(fmt.Errorf("suite run canceled (%d inputs dropped); no artifacts written", len(suite.Dropped)))
+	group := pool.NewGroup()
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer func() {
+		signal.Stop(sigc)
+		close(sigc)
+	}()
+	go func() {
+		if _, ok := <-sigc; ok {
+			fmt.Fprintln(os.Stderr, "brexp: interrupted — canceling the run")
+			group.Cancel()
 		}
+	}()
+	if suite := ctx.SuiteGroup(group); group.Canceled() {
+		for _, d := range suite.Dropped {
+			fmt.Fprintf(os.Stderr, "brexp: dropped input %v\n", d)
+		}
+		fatal(fmt.Errorf("suite run canceled (%d inputs dropped); no artifacts written", len(suite.Dropped)))
 	}
 	if err := writeArtifacts(ctx, group, ids, *out, *stdout); err != nil {
 		fatal(err)
@@ -136,16 +120,10 @@ func main() {
 	if m := suite.Mem; m.RecordedBytes > 0 {
 		fmt.Printf("mem: recorded_bytes=%d resident_peak=%d page_ins=%d window_hits=%d redecodes=%d window_released=%d decoded_peak=%d\n",
 			m.RecordedBytes, m.ResidentPeak, m.PageIns, m.DecodedHits, m.DecodedRedecodes, m.DecodedEvicted, m.DecodedPeak)
-		if m.SnapshotCount > 0 {
-			fmt.Printf("snapshots: count=%d bytes=%d peak=%d\n",
-				m.SnapshotCount, m.SnapshotBytes, m.SnapshotPeak)
-		}
 	}
-	if pool != nil {
-		s := pool.Stats()
-		fmt.Printf("sched: executed=%d steals=%d submits=%d parks=%d workers=%d\n",
-			s.Executed, s.Steals, s.InjectorSubmits, s.Parks, s.Workers)
-	}
+	s := pool.Stats()
+	fmt.Printf("sched: executed=%d steals=%d submits=%d parks=%d workers=%d\n",
+		s.Executed, s.Steals, s.InjectorSubmits, s.Parks, s.Workers)
 	if cfg.Cache != nil {
 		s := cfg.Cache.Stats()
 		fmt.Printf("trace cache: hits=%d misses=%d loads=%d spills=%d evicted=%d quarantined=%d resident=%d/%dB\n",
@@ -164,8 +142,7 @@ func main() {
 }
 
 // writeArtifacts renders each experiment to <out>/<id>.txt in order and
-// stops at the first failure. Once group (nil = not cancelable) has
-// been canceled, the artifact being written is removed — it may be
+// stops at the first failure. Once group has been canceled, the artifact being written is removed — it may be
 // partial — and the run stops with a "canceled" error.
 func writeArtifacts(ctx *btr.ExperimentContext, group *btr.TaskGroup, ids []string, out string, echo bool) error {
 	for _, id := range ids {
@@ -177,7 +154,7 @@ func writeArtifacts(ctx *btr.ExperimentContext, group *btr.TaskGroup, ids []stri
 		expStart := time.Now()
 		err = btr.RunExperiment(ctx, id, f)
 		cerr := f.Close()
-		if group != nil && group.Canceled() {
+		if group.Canceled() {
 			os.Remove(path)
 			return fmt.Errorf("run canceled during %s; its artifact was removed", id)
 		}

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	brsim -bench vortex -input vortex.lit -pred pas -k 8 [-scale 0.1]
-//	      [-membudget bytes] [-memstats] [-snapshotranges N] [-workers N]
+//	      [-membudget bytes] [-cachedir dir] [-memstats]
 //	brsim -trace foo.btr -pred gshare -k 12
 //
 // Predictors: pas, gas, gag, pag, gshare, bimodal, lasttime, taken,
@@ -16,12 +16,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math/bits"
 	"os"
 
 	"btr"
 	"btr/internal/bpred"
 	"btr/internal/core"
-	"btr/internal/sim"
 	"btr/internal/trace"
 )
 
@@ -35,8 +35,6 @@ func main() {
 	memBudget := flag.Int64("membudget", 0, "stream the recording to a BTR1 spill file, keeping at most about this many resident bytes; replays page the rest back in (0 = retain the recording whole)")
 	cachedir := flag.String("cachedir", "", "reuse recorded workload traces as BTR1 files in this directory across invocations (filenames carry the workload-registry fingerprint, so a dir written by older workloads self-invalidates)")
 	memStats := flag.Bool("memstats", false, "report the recording's memory shape (encoded bytes, resident peak, page-ins) after the run")
-	snapshotRanges := flag.Int("snapshotranges", 0, "replay the recording as this many checkpointed chunk ranges in parallel (pas and gas only; 0 or 1 = chained replay, the default; results are bit-identical either way)")
-	workers := flag.Int("workers", 0, "concurrent range workers for -snapshotranges (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	// Workloads are recorded once: the profile-guided hybrids replay the
@@ -109,7 +107,6 @@ func main() {
 	// retry logic below can classify.
 	var p btr.Predictor
 	var res bpred.Result
-	var snapStats *sim.SnapshotRunStats
 	attempt := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -124,7 +121,6 @@ func main() {
 		if err != nil {
 			return err
 		}
-		snapStats = nil
 		switch {
 		case *tracePath != "":
 			f, err := os.Open(*tracePath)
@@ -139,14 +135,9 @@ func main() {
 			res, err = bpred.Run(p, r)
 			return err
 		case recorded != nil:
-			if *snapshotRanges > 1 {
-				if mk := snapshotFactory(*pred, *k); mk != nil {
-					var stats sim.SnapshotRunStats
-					res, stats = sim.RunPredictorSnapshot(recorded, mk, *snapshotRanges, *workers)
-					snapStats = &stats
-					return nil
-				}
-				fmt.Fprintf(os.Stderr, "brsim: warning: -snapshotranges supports pas and gas only; replaying %s chained\n", *pred)
+			if cs, ok := p.(bpred.ChunkSweeper); ok {
+				res = sweepRecorded(p.Name(), cs, recorded)
+				return nil
 			}
 			res, err = bpred.Run(p, recorded.Source())
 			return err
@@ -171,27 +162,35 @@ func main() {
 
 	fmt.Printf("predictor=%s events=%d misses=%d missrate=%.4f accuracy=%.2f%% state=%d bits\n",
 		p.Name(), res.Events, res.Misses, res.MissRate(), 100*(1-res.MissRate()), p.SizeBits())
-	if snapStats != nil {
-		fmt.Printf("snapshots: ranges=%d count=%d bytes=%d\n",
-			snapStats.Ranges, snapStats.Snapshots, snapStats.SnapshotBytes)
-	}
 	if *memStats && recorded != nil {
 		fmt.Printf("mem: encoded_bytes=%d resident_peak=%d page_ins=%d spilled=%v\n",
 			recorded.EncodedBytes(), recorded.ResidentPeak(), recorded.PageIns(), recorded.Spilled())
 	}
 }
 
-// snapshotFactory returns a builder for the predictors that implement
-// the checkpointed replay contract (batch sweep + update-only warmup +
-// flat snapshots); nil for everything else.
-func snapshotFactory(kind string, k int) func() sim.SnapshotPredictor {
-	switch kind {
-	case "pas":
-		return func() sim.SnapshotPredictor { return bpred.NewPAs(k) }
-	case "gas":
-		return func() sim.SnapshotPredictor { return bpred.NewGAs(k) }
-	default:
-		return nil
+// sweepRecorded replays a recording chunk by chunk through p's column
+// kernel and counts the misses by popcount: the same result as
+// bpred.Run over the recording, without an interface call per event.
+// Paging errors panic, as they do in every Handle replay.
+func sweepRecorded(name string, p bpred.ChunkSweeper, h *trace.Handle) bpred.Result {
+	res := bpred.Result{Name: name}
+	r := h.ChunkReader()
+	var wrong []uint64
+	for {
+		pcs, dirs, n, ok := r.NextChunk()
+		if !ok {
+			return res
+		}
+		words := (n + 63) / 64
+		if len(wrong) < words {
+			wrong = make([]uint64, words)
+		}
+		clear(wrong[:words])
+		p.SweepChunk(pcs, dirs, n, wrong[:words])
+		for _, w := range wrong[:words] {
+			res.Misses += int64(bits.OnesCount64(w))
+		}
+		res.Events += int64(n)
 	}
 }
 

@@ -451,117 +451,3 @@ func (g *GSkew) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
 func (g *GSkew) SizeBits() int64 {
 	return g.banks[0].SizeBits()*3 + int64(g.k)
 }
-
-// --- Snapshotter implementations ---
-
-// SnapshotBytes implements Snapshotter.
-func (b *BiMode) SnapshotBytes() int64 {
-	return b.choice.SnapshotBytes() + b.banks[0].SnapshotBytes() + b.banks[1].SnapshotBytes() + 8
-}
-
-// SnapshotTo implements Snapshotter.
-func (b *BiMode) SnapshotTo(dst []byte) int {
-	n := b.choice.SnapshotTo(dst)
-	n += b.banks[0].SnapshotTo(dst[n:])
-	n += b.banks[1].SnapshotTo(dst[n:])
-	n += putU64(dst[n:], b.ghr)
-	return n
-}
-
-// RestoreFrom implements Snapshotter.
-func (b *BiMode) RestoreFrom(src []byte) int {
-	n := b.choice.RestoreFrom(src)
-	n += b.banks[0].RestoreFrom(src[n:])
-	n += b.banks[1].RestoreFrom(src[n:])
-	n += getU64(src[n:], &b.ghr)
-	return n
-}
-
-func (c *yagsCache) snapshotBytes() int64 {
-	return int64(len(c.tags))*2 + int64(len(c.counters)) + int64(len(c.valid))
-}
-
-func (c *yagsCache) snapshotTo(dst []byte) int {
-	n := putU16s(dst, c.tags)
-	n += putCounters(dst[n:], c.counters)
-	n += putBools(dst[n:], c.valid)
-	return n
-}
-
-func (c *yagsCache) restoreFrom(src []byte) int {
-	n := getU16s(c.tags, src)
-	n += getCounters(c.counters, src[n:])
-	n += getBools(c.valid, src[n:])
-	return n
-}
-
-// SnapshotBytes implements Snapshotter.
-func (y *YAGS) SnapshotBytes() int64 {
-	return y.choice.SnapshotBytes() + y.caches[0].snapshotBytes() + y.caches[1].snapshotBytes() + 8
-}
-
-// SnapshotTo implements Snapshotter.
-func (y *YAGS) SnapshotTo(dst []byte) int {
-	n := y.choice.SnapshotTo(dst)
-	n += y.caches[0].snapshotTo(dst[n:])
-	n += y.caches[1].snapshotTo(dst[n:])
-	n += putU64(dst[n:], y.ghr)
-	return n
-}
-
-// RestoreFrom implements Snapshotter.
-func (y *YAGS) RestoreFrom(src []byte) int {
-	n := y.choice.RestoreFrom(src)
-	n += y.caches[0].restoreFrom(src[n:])
-	n += y.caches[1].restoreFrom(src[n:])
-	n += getU64(src[n:], &y.ghr)
-	return n
-}
-
-// SnapshotBytes implements Snapshotter; the wrapped dynamic predictor
-// must be a Snapshotter.
-func (f *Filter) SnapshotBytes() int64 {
-	return int64(len(f.counts)) + int64(len(f.dirs)) +
-		asSnapshotter(f.dynamic.p, "Filter").SnapshotBytes()
-}
-
-// SnapshotTo implements Snapshotter.
-func (f *Filter) SnapshotTo(dst []byte) int {
-	n := copy(dst, f.counts)
-	n += putBools(dst[n:], f.dirs)
-	n += asSnapshotter(f.dynamic.p, "Filter").SnapshotTo(dst[n:])
-	return n
-}
-
-// RestoreFrom implements Snapshotter.
-func (f *Filter) RestoreFrom(src []byte) int {
-	n := copy(f.counts, src[:len(f.counts)])
-	n += getBools(f.dirs, src[n:])
-	n += asSnapshotter(f.dynamic.p, "Filter").RestoreFrom(src[n:])
-	return n
-}
-
-// SnapshotBytes implements Snapshotter.
-func (g *GSkew) SnapshotBytes() int64 {
-	return g.banks[0].SnapshotBytes() + g.banks[1].SnapshotBytes() + g.banks[2].SnapshotBytes() + 8
-}
-
-// SnapshotTo implements Snapshotter.
-func (g *GSkew) SnapshotTo(dst []byte) int {
-	n := 0
-	for _, bank := range g.banks {
-		n += bank.SnapshotTo(dst[n:])
-	}
-	n += putU64(dst[n:], g.ghr)
-	return n
-}
-
-// RestoreFrom implements Snapshotter.
-func (g *GSkew) RestoreFrom(src []byte) int {
-	n := 0
-	for _, bank := range g.banks {
-		n += bank.RestoreFrom(src[n:])
-	}
-	n += getU64(src[n:], &g.ghr)
-	return n
-}

@@ -418,108 +418,3 @@ func (t *Tournament) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
 func (t *Tournament) SizeBits() int64 {
 	return t.a.p.SizeBits() + t.b.p.SizeBits() + t.chooser.SizeBits()
 }
-
-// --- Snapshotter implementations ---
-//
-// The stateless predictors snapshot to zero bytes; the rest serialise
-// exactly their mutable tables and registers (profiled bias maps are
-// fixed at construction and excluded).
-
-// SnapshotBytes implements Snapshotter (no mutable state).
-func (AlwaysTaken) SnapshotBytes() int64 { return 0 }
-
-// SnapshotTo implements Snapshotter.
-func (AlwaysTaken) SnapshotTo(dst []byte) int { return 0 }
-
-// RestoreFrom implements Snapshotter.
-func (AlwaysTaken) RestoreFrom(src []byte) int { return 0 }
-
-// SnapshotBytes implements Snapshotter: the profiled directions are set
-// at construction and never mutated, so there is no state to checkpoint.
-func (s *StaticBias) SnapshotBytes() int64 { return 0 }
-
-// SnapshotTo implements Snapshotter.
-func (s *StaticBias) SnapshotTo(dst []byte) int { return 0 }
-
-// RestoreFrom implements Snapshotter.
-func (s *StaticBias) RestoreFrom(src []byte) int { return 0 }
-
-// SnapshotBytes implements Snapshotter.
-func (l *LastTime) SnapshotBytes() int64 { return int64(len(l.bits)) }
-
-// SnapshotTo implements Snapshotter.
-func (l *LastTime) SnapshotTo(dst []byte) int { return putBools(dst, l.bits) }
-
-// RestoreFrom implements Snapshotter.
-func (l *LastTime) RestoreFrom(src []byte) int { return getBools(l.bits, src) }
-
-// SnapshotBytes implements Snapshotter.
-func (b *Bimodal) SnapshotBytes() int64 { return b.pht.SnapshotBytes() }
-
-// SnapshotTo implements Snapshotter.
-func (b *Bimodal) SnapshotTo(dst []byte) int { return b.pht.SnapshotTo(dst) }
-
-// RestoreFrom implements Snapshotter.
-func (b *Bimodal) RestoreFrom(src []byte) int { return b.pht.RestoreFrom(src) }
-
-// SnapshotBytes implements Snapshotter.
-func (g *GShare) SnapshotBytes() int64 { return g.pht.SnapshotBytes() + 8 }
-
-// SnapshotTo implements Snapshotter.
-func (g *GShare) SnapshotTo(dst []byte) int {
-	n := g.pht.SnapshotTo(dst)
-	n += putU64(dst[n:], g.ghr)
-	return n
-}
-
-// RestoreFrom implements Snapshotter.
-func (g *GShare) RestoreFrom(src []byte) int {
-	n := g.pht.RestoreFrom(src)
-	n += getU64(src[n:], &g.ghr)
-	return n
-}
-
-// SnapshotBytes implements Snapshotter.
-func (a *Agree) SnapshotBytes() int64 {
-	return a.inner.SnapshotBytes() + int64(len(a.bias)) + int64(len(a.seen))
-}
-
-// SnapshotTo implements Snapshotter.
-func (a *Agree) SnapshotTo(dst []byte) int {
-	n := a.inner.SnapshotTo(dst)
-	n += putBools(dst[n:], a.bias)
-	n += putBools(dst[n:], a.seen)
-	return n
-}
-
-// RestoreFrom implements Snapshotter.
-func (a *Agree) RestoreFrom(src []byte) int {
-	n := a.inner.RestoreFrom(src)
-	n += getBools(a.bias, src[n:])
-	n += getBools(a.seen, src[n:])
-	return n
-}
-
-// SnapshotBytes implements Snapshotter; both components must be
-// Snapshotters.
-func (t *Tournament) SnapshotBytes() int64 {
-	return t.chooser.SnapshotBytes() +
-		asSnapshotter(t.a.p, "Tournament").SnapshotBytes() +
-		asSnapshotter(t.b.p, "Tournament").SnapshotBytes()
-}
-
-// SnapshotTo implements Snapshotter.
-func (t *Tournament) SnapshotTo(dst []byte) int {
-	n := t.chooser.SnapshotTo(dst)
-	n += asSnapshotter(t.a.p, "Tournament").SnapshotTo(dst[n:])
-	n += asSnapshotter(t.b.p, "Tournament").SnapshotTo(dst[n:])
-	return n
-}
-
-// RestoreFrom implements Snapshotter.
-func (t *Tournament) RestoreFrom(src []byte) int {
-	n := t.chooser.RestoreFrom(src)
-	n += asSnapshotter(t.a.p, "Tournament").RestoreFrom(src[n:])
-	n += asSnapshotter(t.b.p, "Tournament").RestoreFrom(src[n:])
-	return n
-}

@@ -89,23 +89,3 @@ func (t *CounterTable) PredictUpdate(index uint64, taken bool) bool {
 func (t *CounterTable) Counter(index uint64) Counter2 {
 	return t.counters[index&t.mask]
 }
-
-// SnapshotBytes implements Snapshotter: one byte per 2-bit counter, so a
-// snapshot is a plain byte copy of the table.
-func (t *CounterTable) SnapshotBytes() int64 { return int64(len(t.counters)) }
-
-// SnapshotTo implements Snapshotter.
-func (t *CounterTable) SnapshotTo(dst []byte) int {
-	for i, c := range t.counters {
-		dst[i] = byte(c)
-	}
-	return len(t.counters)
-}
-
-// RestoreFrom implements Snapshotter.
-func (t *CounterTable) RestoreFrom(src []byte) int {
-	for i := range t.counters {
-		t.counters[i] = Counter2(src[i])
-	}
-	return len(t.counters)
-}

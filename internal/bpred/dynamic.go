@@ -147,7 +147,7 @@ func (d *DynamicClassHybrid) monitor(e *dynEntry, taken bool) {
 	}
 }
 
-// dynamic returns the three dynamic components in snapshot order.
+// dynamic returns the three dynamic components.
 func (d *DynamicClassHybrid) dynamic() [3]Predictor {
 	return [3]Predictor{d.parts[dynBias].p, d.parts[dynShort].p, d.parts[dynLong].p}
 }
@@ -160,65 +160,6 @@ func (d *DynamicClassHybrid) SizeBits() int64 {
 	n := int64(len(d.entries)) * perEntry
 	for _, p := range d.dynamic() {
 		n += p.SizeBits()
-	}
-	return n
-}
-
-// dynEntrySnapshotBytes is the encoded size of one monitor entry:
-// three uint16 window counters plus four single-byte flags/advice.
-const dynEntrySnapshotBytes = 10
-
-// SnapshotBytes implements Snapshotter: the monitor table plus the
-// three dynamic components (all must be Snapshotters).
-func (d *DynamicClassHybrid) SnapshotBytes() int64 {
-	n := int64(len(d.entries)) * dynEntrySnapshotBytes
-	for _, p := range d.dynamic() {
-		n += asSnapshotter(p, "DynamicClassHybrid").SnapshotBytes()
-	}
-	return n
-}
-
-// SnapshotTo implements Snapshotter.
-func (d *DynamicClassHybrid) SnapshotTo(dst []byte) int {
-	n := 0
-	for i := range d.entries {
-		e := &d.entries[i]
-		dst[n] = byte(e.execs)
-		dst[n+1] = byte(e.execs >> 8)
-		dst[n+2] = byte(e.taken)
-		dst[n+3] = byte(e.taken >> 8)
-		dst[n+4] = byte(e.trans)
-		dst[n+5] = byte(e.trans >> 8)
-		n += 6
-		n += putBool(dst[n:], e.last)
-		n += putBool(dst[n:], e.primed)
-		n += putBool(dst[n:], e.classified)
-		dst[n] = byte(e.advice)
-		n++
-	}
-	for _, p := range d.dynamic() {
-		n += asSnapshotter(p, "DynamicClassHybrid").SnapshotTo(dst[n:])
-	}
-	return n
-}
-
-// RestoreFrom implements Snapshotter.
-func (d *DynamicClassHybrid) RestoreFrom(src []byte) int {
-	n := 0
-	for i := range d.entries {
-		e := &d.entries[i]
-		e.execs = uint16(src[n]) | uint16(src[n+1])<<8
-		e.taken = uint16(src[n+2]) | uint16(src[n+3])<<8
-		e.trans = uint16(src[n+4]) | uint16(src[n+5])<<8
-		n += 6
-		n += getBool(src[n:], &e.last)
-		n += getBool(src[n:], &e.primed)
-		n += getBool(src[n:], &e.classified)
-		e.advice = src[n]
-		n++
-	}
-	for _, p := range d.dynamic() {
-		n += asSnapshotter(p, "DynamicClassHybrid").RestoreFrom(src[n:])
 	}
 	return n
 }

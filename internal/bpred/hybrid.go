@@ -189,7 +189,7 @@ func (h *ClassHybrid) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
 	}
 }
 
-// dynamic returns the three dynamic components in snapshot order.
+// dynamic returns the three dynamic components.
 func (h *ClassHybrid) dynamic() [3]Predictor {
 	return [3]Predictor{h.parts[compBias].p, h.parts[compShort].p, h.parts[compLong].p}
 }
@@ -200,35 +200,6 @@ func (h *ClassHybrid) SizeBits() int64 {
 	var n int64
 	for _, p := range h.dynamic() {
 		n += p.SizeBits()
-	}
-	return n
-}
-
-// SnapshotBytes implements Snapshotter: the three dynamic components
-// (the steering table is fixed at construction); all must be
-// Snapshotters.
-func (h *ClassHybrid) SnapshotBytes() int64 {
-	var n int64
-	for _, p := range h.dynamic() {
-		n += asSnapshotter(p, "ClassHybrid").SnapshotBytes()
-	}
-	return n
-}
-
-// SnapshotTo implements Snapshotter.
-func (h *ClassHybrid) SnapshotTo(dst []byte) int {
-	n := 0
-	for _, p := range h.dynamic() {
-		n += asSnapshotter(p, "ClassHybrid").SnapshotTo(dst[n:])
-	}
-	return n
-}
-
-// RestoreFrom implements Snapshotter.
-func (h *ClassHybrid) RestoreFrom(src []byte) int {
-	n := 0
-	for _, p := range h.dynamic() {
-		n += asSnapshotter(p, "ClassHybrid").RestoreFrom(src[n:])
 	}
 	return n
 }

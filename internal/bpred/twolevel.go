@@ -127,42 +127,6 @@ func (g *GAs) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
 	g.ghr = ghr
 }
 
-// UpdateChunk advances the predictor over one decoded chunk without
-// collecting predictions — the warmup pass of the snapshot engine.
-// Predict has no side effects, so the post-chunk state is bit-identical
-// to SweepChunk's over the same events.
-func (g *GAs) UpdateChunk(pcs, dirs []uint64, n int) {
-	ghr := g.ghr
-	for i := 0; i < n; i++ {
-		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
-		idx := (pcIndex(pcs[i])&g.addrMask)<<uint(g.k) | (ghr & g.histMask)
-		g.pht.Update(idx, taken)
-		ghr <<= 1
-		if taken {
-			ghr |= 1
-		}
-	}
-	g.ghr = ghr
-}
-
-// SnapshotBytes implements Snapshotter: the PHT plus the global history
-// register.
-func (g *GAs) SnapshotBytes() int64 { return g.pht.SnapshotBytes() + 8 }
-
-// SnapshotTo implements Snapshotter.
-func (g *GAs) SnapshotTo(dst []byte) int {
-	n := g.pht.SnapshotTo(dst)
-	n += putU64(dst[n:], g.ghr)
-	return n
-}
-
-// RestoreFrom implements Snapshotter.
-func (g *GAs) RestoreFrom(src []byte) int {
-	n := g.pht.RestoreFrom(src)
-	n += getU64(src[n:], &g.ghr)
-	return n
-}
-
 // PAs is the per-address-history two-level adaptive predictor of §3.
 type PAs struct {
 	k        int
@@ -282,50 +246,6 @@ func (p *PAs) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
 	}
 }
 
-// UpdateChunk advances the predictor over one decoded chunk without
-// collecting predictions; see GAs.UpdateChunk.
-func (p *PAs) UpdateChunk(pcs, dirs []uint64, n int) {
-	if p.k == 0 {
-		for i := 0; i < n; i++ {
-			taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
-			p.pht.Update(pcIndex(pcs[i])&p.addrMask, taken)
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
-		bi := pcIndex(pcs[i]) & p.bhtMask
-		hist := p.bht[bi]
-		idx := (pcIndex(pcs[i])&p.addrMask)<<uint(p.k) | (hist & p.histMask)
-		p.pht.Update(idx, taken)
-		hist <<= 1
-		if taken {
-			hist |= 1
-		}
-		p.bht[bi] = hist
-	}
-}
-
-// SnapshotBytes implements Snapshotter: the PHT plus the per-address
-// history registers (absent when k == 0).
-func (p *PAs) SnapshotBytes() int64 {
-	return p.pht.SnapshotBytes() + int64(len(p.bht))*8
-}
-
-// SnapshotTo implements Snapshotter.
-func (p *PAs) SnapshotTo(dst []byte) int {
-	n := p.pht.SnapshotTo(dst)
-	n += putU64s(dst[n:], p.bht)
-	return n
-}
-
-// RestoreFrom implements Snapshotter.
-func (p *PAs) RestoreFrom(src []byte) int {
-	n := p.pht.RestoreFrom(src)
-	n += getU64s(p.bht, src[n:])
-	return n
-}
-
 // GAg is the degenerate global predictor whose PHT is indexed purely by k
 // bits of global history (Yeh & Patt's GAg), provided as a baseline.
 type GAg struct {
@@ -370,23 +290,6 @@ func (g *GAg) PredictUpdate(pc uint64, taken bool) bool {
 
 // SizeBits implements Predictor.
 func (g *GAg) SizeBits() int64 { return g.pht.SizeBits() + int64(g.k) }
-
-// SnapshotBytes implements Snapshotter.
-func (g *GAg) SnapshotBytes() int64 { return g.pht.SnapshotBytes() + 8 }
-
-// SnapshotTo implements Snapshotter.
-func (g *GAg) SnapshotTo(dst []byte) int {
-	n := g.pht.SnapshotTo(dst)
-	n += putU64(dst[n:], g.ghr)
-	return n
-}
-
-// RestoreFrom implements Snapshotter.
-func (g *GAg) RestoreFrom(src []byte) int {
-	n := g.pht.RestoreFrom(src)
-	n += getU64(src[n:], &g.ghr)
-	return n
-}
 
 // PAg keeps per-address history registers but shares a single
 // history-indexed PHT (Yeh & Patt's PAg), provided as a baseline.
@@ -450,23 +353,4 @@ func (p *PAg) PredictUpdate(pc uint64, taken bool) bool {
 // SizeBits implements Predictor.
 func (p *PAg) SizeBits() int64 {
 	return p.pht.SizeBits() + int64(len(p.bht))*int64(p.k)
-}
-
-// SnapshotBytes implements Snapshotter.
-func (p *PAg) SnapshotBytes() int64 {
-	return p.pht.SnapshotBytes() + int64(len(p.bht))*8
-}
-
-// SnapshotTo implements Snapshotter.
-func (p *PAg) SnapshotTo(dst []byte) int {
-	n := p.pht.SnapshotTo(dst)
-	n += putU64s(dst[n:], p.bht)
-	return n
-}
-
-// RestoreFrom implements Snapshotter.
-func (p *PAg) RestoreFrom(src []byte) int {
-	n := p.pht.RestoreFrom(src)
-	n += getU64s(p.bht, src[n:])
-	return n
 }

@@ -149,8 +149,7 @@ func (c *Context) Suite() *sim.SuiteResult {
 // dropped by the cancellation carry sim.ErrCanceled in
 // SuiteResult.Dropped. If the suite was already computed (by Suite or
 // an earlier SuiteGroup), the cached result is returned and no task
-// joins g. Configs that select a pool engine (NoSched, NoRecord) run
-// the suite outside g, as sim.RunSuiteGroup does.
+// joins g. NoRecord configs join g too: each input is one task.
 //
 // Either way the context remembers g: once it is canceled, the
 // ablations (A1, A2, A4, A5) skip their remaining work and return

@@ -3,12 +3,11 @@
 // tasks, where a running task may fan out follow-up tasks into the same
 // queue.
 //
-// The shape it replaces — a per-suite pool of input goroutines, each
+// The shape it replaced — a per-suite pool of input goroutines, each
 // spawning a private pool for its predictor-bank sweep — either
-// oversubscribes (Workers × BankWorkers goroutines) or idles: once the
-// small inputs drain, one large input's sweep is stuck on its private
-// pool while every other core sits empty. Here there is exactly one
-// pool. Each worker owns a lock-free Chase-Lev deque; tasks it spawns
+// oversubscribed (inputs × bank goroutines) or idled: once the small
+// inputs drained, one large input's sweep was stuck on its private pool
+// while every other core sat empty. Here there is exactly one pool. Each worker owns a lock-free Chase-Lev deque; tasks it spawns
 // push onto the bottom of its own deque and are popped LIFO (the next
 // chunk range of the sweep chain it just advanced is the hottest work it
 // has — the predictor tables are still in cache), while idle workers

@@ -66,9 +66,6 @@ type MemMetrics struct {
 	DecodedRedecodes int64 `json:"decoded_redecodes"`
 	DecodedEvicted   int64 `json:"decoded_evicted"`
 	DecodedPeak      int64 `json:"decoded_peak"`
-	SnapshotCount    int64 `json:"snapshot_count"`
-	SnapshotBytes    int64 `json:"snapshot_bytes"`
-	SnapshotPeak     int64 `json:"snapshot_peak"`
 }
 
 func traceCacheMetrics(s trace.CacheStats) TraceCacheMetrics {
@@ -104,9 +101,6 @@ func memMetrics(m sim.MemStats) MemMetrics {
 		DecodedRedecodes: m.DecodedRedecodes,
 		DecodedEvicted:   m.DecodedEvicted,
 		DecodedPeak:      m.DecodedPeak,
-		SnapshotCount:    m.SnapshotCount,
-		SnapshotBytes:    m.SnapshotBytes,
-		SnapshotPeak:     m.SnapshotPeak,
 	}
 }
 

@@ -109,6 +109,11 @@ func (c Config) maxDecodedBudget() int64 {
 	return c.MaxDecodedBudget
 }
 
+// MaxWindow caps Request.Window. Every input allocates a histogram of
+// Window+1 bins, so the cap keeps one request from exhausting memory;
+// Figure 15 uses 8.
+const MaxWindow = 1024
+
 // Request is one experiment request. Every field is optional: the zero
 // request renders every experiment over the full Table 1 suite at
 // scale 1 with default budgets.
@@ -124,12 +129,9 @@ type Request struct {
 	// (sim.Config.MemBudget / DecodedBudget).
 	MemBudget     int64 `json:"membudget,omitempty"`
 	DecodedBudget int64 `json:"decodedbudget,omitempty"`
-	// ChunkTasks / SnapshotRanges / Window tune the sweep
-	// exactly like the brexp flags of the same names; all
-	// result-invisible.
-	ChunkTasks     int `json:"chunktasks,omitempty"`
-	SnapshotRanges int `json:"snapshotranges,omitempty"`
-	Window         int `json:"window,omitempty"`
+	// Window is the number of Figure 15 distance bins
+	// (sim.Config.HardDistanceWindow; 0 = 8), at most MaxWindow.
+	Window int `json:"window,omitempty"`
 	// DeadlineMS bounds this request's wall-clock time in milliseconds;
 	// past it the run is canceled and the stream ends with a "canceled"
 	// record. 0 inherits the server's default deadline (which may be
@@ -327,6 +329,10 @@ func (s *Server) resolve(req *Request) (ids []string, specs []workload.Spec, cfg
 		return nil, nil, cfg, &rejection{http.StatusTooManyRequests,
 			ErrorResponse{Error: fmt.Sprintf("decodedbudget %d exceeds the per-request limit %d", req.DecodedBudget, s.cfg.maxDecodedBudget())}}
 	}
+	if req.Window < 0 || req.Window > MaxWindow {
+		return nil, nil, cfg, &rejection{http.StatusBadRequest,
+			ErrorResponse{Error: fmt.Sprintf("window %d is outside 0..%d", req.Window, MaxWindow)}}
+	}
 	if req.DeadlineMS < 0 {
 		return nil, nil, cfg, &rejection{http.StatusBadRequest,
 			ErrorResponse{Error: fmt.Sprintf("deadline_ms %d is negative", req.DeadlineMS)}}
@@ -334,10 +340,8 @@ func (s *Server) resolve(req *Request) (ids []string, specs []workload.Spec, cfg
 	cfg = sim.Config{
 		Scale:              scale,
 		HardDistanceWindow: req.Window,
-		ChunkTasks:         req.ChunkTasks,
 		MemBudget:          req.MemBudget,
 		DecodedBudget:      req.DecodedBudget,
-		SnapshotRanges:     req.SnapshotRanges,
 		Sched:              s.sched,
 	}
 	return ids, specs, cfg, nil

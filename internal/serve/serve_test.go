@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -218,7 +219,8 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 // TestPerRequestLimits: over-cap scale and budgets are refused with
-// 429; malformed specs and unknown ids with structured 400s.
+// 429; malformed specs, unknown ids and a negative or over-cap Figure 15
+// window with structured 400s.
 func TestPerRequestLimits(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxScale: 2, MaxMemBudget: 1 << 20, MaxDecodedBudget: 1 << 20})
 
@@ -251,6 +253,40 @@ func TestPerRequestLimits(t *testing.T) {
 	}
 	if code, e := do(Request{Experiments: []string{"Z9"}}); code != http.StatusBadRequest || e.ID != "Z9" {
 		t.Fatalf("unknown experiment: status %d body %+v, want structured 400", code, e)
+	}
+	// Every input allocates window+1 histogram bins: an unbounded window
+	// would let one request exhaust the server's memory.
+	for _, window := range []int{-1, MaxWindow + 1, math.MaxInt} {
+		if code, e := do(Request{Window: window}); code != http.StatusBadRequest || !strings.Contains(e.Error, "window") {
+			t.Fatalf("window %d: status %d body %+v, want structured 400", window, code, e)
+		}
+	}
+}
+
+// TestRemovedKnobsIgnored: requests from clients that still send the
+// retired sweep knobs are decoded as if the fields were absent and
+// served normally.
+func TestRemovedKnobsIgnored(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := `{"experiments":["T1"],"specs":["perl/primes.pl"],"scale":0.02,"chunktasks":3,"snapshotranges":4}`
+	resp, err := http.Post(ts.URL+"/v1/experiments", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	var last Record
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	for sc.Scan() {
+		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if last.Type != "summary" {
+		t.Fatalf("stream ended with %+v, want a summary", last)
 	}
 }
 

@@ -189,5 +189,5 @@ func (g *attribGrid) finish(w *sched.Worker) {
 	if g.cfg.Profiles != nil {
 		g.cfg.Profiles.put(g.cfg.cacheKey(g.spec), g.cfg.window(), g.res, g.classIdx)
 	}
-	startSweep(w, g.cfg, g.res, g.classIdx, g.win, g.out, g.errOut)
+	startChunkSweep(w, g.res, g.classIdx, g.win, g.out, g.errOut)
 }

@@ -62,15 +62,16 @@ func TestReplayMatchesRegenerate(t *testing.T) {
 	}
 }
 
-// TestReplayBankWorkerCountIrrelevant pins the sharding determinism claim:
-// any worker count produces identical miss counts.
+// TestReplayBankWorkerCountIrrelevant pins the sharding determinism
+// claim: however many workers sweep RunInput's bank, the miss counts
+// are identical.
 func TestReplayBankWorkerCountIrrelevant(t *testing.T) {
 	spec := testSpec(t, "m88ksim", "ctl.lit")
-	base := RunInput(spec, Config{Scale: testScale, BankWorkers: 1})
+	base := RunInput(spec, Config{Scale: testScale, Workers: 1})
 	for _, workers := range []int{2, 7, int(NumKinds) * NumHistories} {
-		got := RunInput(spec, Config{Scale: testScale, BankWorkers: workers})
+		got := RunInput(spec, Config{Scale: testScale, Workers: workers})
 		if got.Miss != base.Miss || got.Exec != base.Exec {
-			t.Fatalf("BankWorkers=%d changed results", workers)
+			t.Fatalf("Workers=%d changed results", workers)
 		}
 	}
 }
@@ -93,17 +94,15 @@ func TestReplayChunkSizeIrrelevant(t *testing.T) {
 
 // TestRunSuitePanickingWorkloadDropped pins suite resilience: a workload
 // whose generator panics is dropped and reported — spec and recovered
-// panic value included — and the rest of the suite completes. All three
-// engines (chunked scheduler, slot-only scheduler, legacy pool) must
-// behave identically.
+// panic value included — and the rest of the suite completes. The
+// recorded sweep and the NoRecord pipeline must behave identically.
 func TestRunSuitePanickingWorkloadDropped(t *testing.T) {
 	cases := []struct {
 		label string
 		cfg   Config
 	}{
 		{"chunked", Config{Scale: testScale, Workers: 2}},
-		{"slot-only", Config{Scale: testScale, Workers: 2, ChunkTasks: -1}},
-		{"legacy-pool", Config{Scale: testScale, Workers: 2, NoSched: true}},
+		{"norecord", Config{Scale: testScale, Workers: 2, NoRecord: true}},
 	}
 	for _, tc := range cases {
 		bad := workload.NewSpec("synthetic", "panics", 100, 1,

@@ -10,10 +10,12 @@ import (
 )
 
 // TestScheduledMatchesLegacy is the golden equivalence test for the
-// global work-stealing scheduler: over several real workloads and
-// worker counts {1, 4, GOMAXPROCS}, the scheduled engine must reproduce
-// the legacy nested-pool engine — and the NoRecord regenerating engine
-// — bit-for-bit, per input and in aggregate.
+// scheduled sweep: over several real workloads and worker counts
+// {1, 4, GOMAXPROCS}, the scheduled engine must reproduce the NoRecord
+// regenerating pipeline — the independent oracle — bit-for-bit, per
+// input and in aggregate. One more config shrinks ChunkEvents to 256 so
+// the inputs record many chunks and every slot chain genuinely runs as
+// a chain of tasks over the chunk window.
 func TestScheduledMatchesLegacy(t *testing.T) {
 	specs := []workload.Spec{
 		testSpec(t, "compress", "bigtest.in"),
@@ -24,56 +26,18 @@ func TestScheduledMatchesLegacy(t *testing.T) {
 	}
 	base := Config{Scale: testScale}
 
-	legacyCfg := base
-	legacyCfg.NoSched = true
-	legacy := RunSuite(specs, legacyCfg)
-
 	norecCfg := base
 	norecCfg.NoRecord = true
 	norec := RunSuite(specs, norecCfg)
-	assertSuitesEqual(t, "norecord-vs-legacy", legacy, norec)
 
-	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
-	for _, workers := range workerCounts {
+	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		cfg := base
 		cfg.Workers = workers
-		sched := RunSuite(specs, cfg)
-		assertSuitesEqual(t, "scheduled-vs-legacy", legacy, sched)
+		assertSuitesEqual(t, fmt.Sprintf("scheduled/workers=%d", workers), norec, RunSuite(specs, cfg))
 	}
-}
-
-// TestChunkedMatrixMatchesLegacy is the chunk-axis equivalence matrix:
-// {legacy pool, slot-only scheduler, slot×chunk scheduler} × workers
-// {1, 4, GOMAXPROCS} × chunk-task sizes {1, 7, all} must all produce
-// bit-identical SuiteResults. A small ChunkEvents forces many chunks at
-// test scale so the chunk axis genuinely has ranges to split.
-func TestChunkedMatrixMatchesLegacy(t *testing.T) {
-	specs := []workload.Spec{
-		testSpec(t, "compress", "bigtest.in"),
-		testSpec(t, "gcc", "genoutput.i"),
-		testSpec(t, "li", "ref.lsp"),
-	}
-	base := Config{Scale: testScale, ChunkEvents: 256}
-
-	legacyCfg := base
-	legacyCfg.NoSched = true
-	legacy := RunSuite(specs, legacyCfg)
-
-	const allChunks = 1 << 30
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		slotCfg := base
-		slotCfg.Workers = workers
-		slotCfg.ChunkTasks = -1
-		assertSuitesEqual(t, fmt.Sprintf("slot-only/workers=%d", workers),
-			legacy, RunSuite(specs, slotCfg))
-		for _, stride := range []int{1, 7, allChunks} {
-			cfg := base
-			cfg.Workers = workers
-			cfg.ChunkTasks = stride
-			assertSuitesEqual(t, fmt.Sprintf("chunked/workers=%d/stride=%d", workers, stride),
-				legacy, RunSuite(specs, cfg))
-		}
-	}
+	chunked := base
+	chunked.ChunkEvents = 256
+	assertSuitesEqual(t, "scheduled/chunk=256", norec, RunSuite(specs, chunked))
 }
 
 func assertSuitesEqual(t *testing.T, label string, want, got *SuiteResult) {
@@ -124,19 +88,5 @@ func TestScheduledSingleInputManyWorkers(t *testing.T) {
 	got := suite.Inputs[0]
 	if got.Exec != direct.Exec || got.Miss != direct.Miss {
 		t.Fatal("single-input scheduled run diverged from RunInput")
-	}
-}
-
-// TestScheduledBatchCountIrrelevant pins that the per-input sweep batch
-// count (BankWorkers) is invisible in scheduled results.
-func TestScheduledBatchCountIrrelevant(t *testing.T) {
-	spec := testSpec(t, "ijpeg", "vigo.ppm")
-	specs := []workload.Spec{spec}
-	base := RunSuite(specs, Config{Scale: testScale, BankWorkers: 1})
-	for _, bw := range []int{2, 5, numBankSlots} {
-		got := RunSuite(specs, Config{Scale: testScale, BankWorkers: bw})
-		if got.Exec != base.Exec || got.Miss != base.Miss {
-			t.Fatalf("BankWorkers=%d changed scheduled results", bw)
-		}
 	}
 }

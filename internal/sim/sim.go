@@ -12,16 +12,15 @@
 // run's rates, exactly as the paper's profiling does.
 //
 // Because every predictor is a pure function of the event stream
-// (bpred's contract), the bank sweep shards its (kind, k) slots across
-// goroutines, each replaying the recorded trace independently; the
-// result is bit-for-bit identical to driving the bank serially.
+// (bpred's contract), the bank sweep runs each (kind, k) slot as its own
+// chain of one-chunk tasks on a work-stealing scheduler; the result is
+// bit-for-bit identical to driving the bank serially, which the
+// regenerating NoRecord pipeline still does as the oracle.
 package sim
 
 import (
 	"fmt"
 	mathbits "math/bits"
-	"runtime"
-	"sync"
 
 	"btr/internal/bpred"
 	"btr/internal/core"
@@ -58,46 +57,29 @@ func (k Kind) String() string {
 // NumHistories is the number of history lengths swept (0..MaxHistory).
 const NumHistories = bpred.MaxHistory + 1
 
-// Config controls a run.
+// Config controls a run. Only Scale and HardDistanceWindow, with the
+// specs, decide the results: every other field chooses where bytes live
+// or how the work is spread, and leaves every count bit-for-bit
+// identical.
 type Config struct {
 	// Scale multiplies every input's dynamic branch target; 1.0 is the
 	// registry default (the paper's Table 1 counts divided by 1000).
 	Scale float64
-	// Workers bounds concurrent inputs; 0 means GOMAXPROCS.
+	// Workers sizes the private scheduler a run builds when Sched is
+	// nil; 0 means GOMAXPROCS.
 	Workers int
 	// HardDistanceWindow is the number of Figure 15 distance bins; the
 	// last bin is open ("8+"). 0 means 8.
 	HardDistanceWindow int
-	// BankWorkers bounds the goroutines sharding one input's PAs/GAs
-	// predictor-bank sweep over its recorded trace; 0 means GOMAXPROCS.
-	// It is capped at the number of bank slots (NumKinds*NumHistories).
-	BankWorkers int
 	// ChunkEvents sets the recorded trace's chunk granularity in events;
 	// 0 means trace.DefaultChunkEvents.
 	ChunkEvents int
 	// NoRecord disables the record-once/replay-many engine: every pass
-	// regenerates the workload and the bank runs serially, as the original
-	// pipeline did. It exists as the equivalence baseline and for
-	// memory-constrained runs; results are bit-for-bit identical.
+	// regenerates the workload and the bank runs serially in one task
+	// per input, as the original pipeline did. It is the independent
+	// oracle the recorded sweep is tested against, and it needs no
+	// memory for recordings; results are bit-for-bit identical.
 	NoRecord bool
-	// NoSched disables RunSuite's global work-stealing scheduler and
-	// falls back to the nested pools (a bounded pool of whole inputs,
-	// each sharding its bank across a private pool). It exists as the
-	// equivalence baseline; results are bit-for-bit identical. NoRecord
-	// implies NoSched, since the scheduler's sweep tasks replay the
-	// recorded trace.
-	NoSched bool
-	// ChunkTasks sets the chunk-axis granularity of the scheduled sweep:
-	// each (slot, chunk-range) task advances one predictor slot over this
-	// many recorded chunks before re-queueing its chain's continuation,
-	// so one input's sweep decomposes into numBankSlots chains of
-	// tens-of-microseconds tasks instead of BankWorkers whole-trace
-	// batches. 0 means DefaultChunkTasks. Negative restores the PR-2
-	// slot-only shape (whole-trace slot-batch tasks, one decode per
-	// batch), kept as the equivalence and benchmark baseline. The value
-	// is result-invisible: every granularity is bit-for-bit identical
-	// (TestChunkedMatrixMatchesLegacy).
-	ChunkTasks int
 	// Profiles, when non-nil, caches each input's classified pass-1
 	// result (profiles, classes, Exec, hard distances, attribution
 	// column — everything except Miss) keyed like Cache. A hit skips the
@@ -122,21 +104,6 @@ type Config struct {
 	// 0 keeps recordings fully resident, the default. Ignored under
 	// NoRecord.
 	MemBudget int64
-	// SnapshotRanges selects the checkpointed intra-slot sweep engine:
-	// every bank slot's chunk axis splits into this many ranges, a
-	// predict-free warmup chain per slot checkpoints the predictor's
-	// state at each range boundary (flat byte-slice snapshots, accounted
-	// in MemStats), and the ranges sweep concurrently from restored
-	// snapshots — numBankSlots × SnapshotRanges independent tasks, so a
-	// single input can saturate more than 34 cores. 0 or 1 keeps the
-	// chained engine, the default: the warmup replays all but the last
-	// range twice, so checkpointing only wins when cores outnumber
-	// slots. The value is result-invisible — every setting is
-	// bit-for-bit identical to the chained sweep
-	// (TestSnapshotMatrixMatchesChained). Honoured by the scheduled
-	// chunked engine only; NoSched, NoRecord and ChunkTasks < 0 ignore
-	// it.
-	SnapshotRanges int
 	// MmapSpill, when true, maps spill-backed recordings into memory and
 	// decodes paged chunks straight from the mapping instead of issuing
 	// pread calls — replays of paper-scale spill files ride the page
@@ -150,8 +117,8 @@ type Config struct {
 	// calls — brserve sessions — interleave their task grids over one
 	// worker pool, steal-balancing across requests. The scheduler is
 	// left running for the next caller, and Workers is ignored in
-	// favour of its worker count. Honoured by the scheduled engine
-	// only; NoSched and NoRecord fall back to private pools as before.
+	// favour of its worker count. NoRecord inputs run on it too, one
+	// task each.
 	Sched *sched.Scheduler
 	// DecodedBudget bounds the decode-once chunk window the scheduled
 	// sweep reads through (trace.ChunkWindow): every chunk is decoded
@@ -169,17 +136,9 @@ type Config struct {
 type chunkWindow = trace.ChunkWindow[sched.Task]
 
 // sweepWindow builds the chunk window an input's bank sweep reads
-// through, declaring one consumer per chain of the engine startSweep
-// picks: the 34 slot chains over the whole recording and, under the
-// checkpointed engine, 34 warmup chains over every range but the last.
+// through, one consumer per slot chain.
 func (c Config) sweepWindow(h *trace.Handle) *chunkWindow {
-	n := h.Chunks()
-	spans := []trace.Span{{From: 0, To: n, N: numBankSlots}}
-	if r := c.snapshotRanges(n); r > 1 {
-		b := snapshotBounds(n, r)
-		spans = append(spans, trace.Span{From: 0, To: b[len(b)-2], N: numBankSlots})
-	}
-	return trace.NewChunkWindow[sched.Task](h, c.DecodedBudget, spans...)
+	return trace.NewChunkWindow[sched.Task](h, c.DecodedBudget, numBankSlots)
 }
 
 // checkout serves chunk k to a window consumer, resubmitting any
@@ -225,42 +184,6 @@ func (c Config) window() int {
 		return 8
 	}
 	return c.HardDistanceWindow
-}
-
-// DefaultChunkTasks is the chunk-range width of one scheduled sweep
-// task: one recorded chunk (DefaultChunkEvents events) per slot per task
-// lands in the tens-of-microseconds range — coarse enough that the
-// lock-free deque overhead is noise, fine enough that work stealing can
-// level the tail of a single huge input across every core.
-const DefaultChunkTasks = 1
-
-func (c Config) chunkTasks() int {
-	if c.ChunkTasks == 0 {
-		return DefaultChunkTasks
-	}
-	return c.ChunkTasks
-}
-
-// snapshotRanges resolves Config.SnapshotRanges against a recording's
-// chunk count: the checkpointed engine only engages when more than one
-// non-empty range is possible.
-func (c Config) snapshotRanges(nchunks int) int {
-	r := c.SnapshotRanges
-	if r > nchunks {
-		r = nchunks
-	}
-	return r
-}
-
-func (c Config) bankWorkers() int {
-	n := c.BankWorkers
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if max := int(NumKinds) * NumHistories; n > max {
-		n = max
-	}
-	return n
 }
 
 // JointCounts is an 11x11 matrix of per-joint-class event counts.
@@ -362,8 +285,7 @@ type MemStats struct {
 	// the sweep's chunk-window counters (see trace.WindowStats):
 	// checkouts served by a resident chunk, decodes beyond one per chunk
 	// (0 by construction of the window), chunks dropped after their last
-	// chain passed them, and the resident decoded high-water mark. Zero
-	// when the sweep ran without a window (slot-only and pool engines).
+	// chain passed them, and the resident decoded high-water mark.
 	DecodedHits      int64
 	DecodedRedecodes int64
 	DecodedEvicted   int64
@@ -373,14 +295,6 @@ type MemStats struct {
 	// reports that read them keep working.
 	PrefetchHits   int64
 	PrefetchWasted int64
-	// SnapshotCount / SnapshotBytes / SnapshotPeak describe the
-	// checkpointed sweep's predictor snapshots (Config.SnapshotRanges):
-	// how many were taken, their cumulative size, and the high-water
-	// mark of snapshot bytes live at once (each snapshot dies when its
-	// range restores it). Zero under the chained engine.
-	SnapshotCount int64
-	SnapshotBytes int64
-	SnapshotPeak  int64
 }
 
 // Add accumulates other into m: counters sum, peaks take the max (the
@@ -391,16 +305,11 @@ func (m *MemStats) Add(other *MemStats) {
 	m.DecodedHits += other.DecodedHits
 	m.DecodedRedecodes += other.DecodedRedecodes
 	m.DecodedEvicted += other.DecodedEvicted
-	m.SnapshotCount += other.SnapshotCount
-	m.SnapshotBytes += other.SnapshotBytes
 	if other.ResidentPeak > m.ResidentPeak {
 		m.ResidentPeak = other.ResidentPeak
 	}
 	if other.DecodedPeak > m.DecodedPeak {
 		m.DecodedPeak = other.DecodedPeak
-	}
-	if other.SnapshotPeak > m.SnapshotPeak {
-		m.SnapshotPeak = other.SnapshotPeak
 	}
 }
 
@@ -423,57 +332,38 @@ func ProfileInput(spec workload.Spec, scale float64) (*core.Profiler, core.Class
 
 // RunInput runs the full two-pass pipeline for one input.
 //
-// The default engine records the stream once during the profiling pass
-// and drives pass 2 by replaying the recorded chunks, sharding the
-// predictor bank across cfg.BankWorkers goroutines. Set cfg.NoRecord to
-// regenerate the workload per pass with a serial bank instead; both paths
-// produce identical results.
+// By default it is RunSuite over a one-input suite, on a private
+// scheduler of cfg.Workers workers (cfg.Sched is not used): pass 1
+// records the stream once, and pass 2 sweeps the recorded chunks
+// through the predictor bank. A panicking workload generator panics the
+// caller, with the cause the suite run recorded. Set cfg.NoRecord to
+// regenerate the workload per pass with a serial bank in the calling
+// goroutine instead; both paths produce identical results.
 func RunInput(spec workload.Spec, cfg Config) *InputResult {
 	if cfg.NoRecord {
 		return runInputRegenerate(spec, cfg)
 	}
-	res, classIdx := profileStage(spec, cfg)
-
-	// Pass 2: shard the (kind, k) bank slots round-robin across workers.
-	// Each worker replays the trace chunk-major — one decode per chunk,
-	// shared by all of its slots — so decode cost scales with workers, not
-	// with the 34 bank slots, and a single-core run decodes the trace
-	// exactly once. Each slot's miss counts are a pure function of the
-	// recorded stream and land in a distinct cell of res.Miss, so no
-	// synchronisation beyond the WaitGroup is needed and the sharding
-	// cannot change results.
-	misses := make([]missCell, numBankSlots)
-	groups := bankGroups(cfg.bankWorkers(), misses)
-	var wg sync.WaitGroup
-	for _, group := range groups {
-		wg.Add(1)
-		go func(group []bankSlot) {
-			defer wg.Done()
-			sweepSlots(group, res.Recorded, classIdx)
-		}(group)
+	cfg.Sched = nil
+	suite := RunSuite([]workload.Spec{spec}, cfg)
+	if len(suite.Dropped) > 0 {
+		panic(suite.Dropped[0].Err)
 	}
-	wg.Wait()
-	foldMisses(res, misses)
-	finalizeMem(res, nil)
-	return res
+	return suite.Inputs[0]
 }
 
 // finalizeMem snapshots the input's memory-shape counters off its
-// recording handle and (when the sweep used one) chunk window.
+// recording handle and the sweep's chunk window.
 func finalizeMem(res *InputResult, win *chunkWindow) {
 	h := res.Recorded
-	if h == nil {
-		return
-	}
-	res.Mem.RecordedBytes = h.EncodedBytes()
-	res.Mem.ResidentPeak = h.ResidentPeak()
-	res.Mem.PageIns = h.PageIns()
-	if win != nil {
-		s := win.Stats()
-		res.Mem.DecodedHits = s.Hits
-		res.Mem.DecodedRedecodes = max(0, s.Decodes-int64(h.Chunks()))
-		res.Mem.DecodedEvicted = s.Released
-		res.Mem.DecodedPeak = s.Peak
+	s := win.Stats()
+	res.Mem = MemStats{
+		RecordedBytes:    h.EncodedBytes(),
+		ResidentPeak:     h.ResidentPeak(),
+		PageIns:          h.PageIns(),
+		DecodedHits:      s.Hits,
+		DecodedRedecodes: max(0, s.Decodes-int64(h.Chunks())),
+		DecodedEvicted:   s.Released,
+		DecodedPeak:      s.Peak,
 	}
 }
 
@@ -553,8 +443,7 @@ const hardIdx = 5*core.NumClasses + 5
 
 // passOne profiles, records and classifies one input: the result shell
 // with Exec, distances and the attribution column still empty — those
-// belong to the attribution pass (attributeSequential, or the
-// scheduler's parallel attribution grid).
+// belong to the attribution grid (attribGrid).
 func passOne(spec workload.Spec, cfg Config) *InputResult {
 	profiler, recorded := profileRecorded(spec, cfg)
 	classes := core.Classify(profiler.Profiles())
@@ -570,70 +459,18 @@ func passOne(spec workload.Spec, cfg Config) *InputResult {
 	}
 }
 
-// attributeSequential is the attribution pre-pass: one replay resolves
-// each event's joint class through the input's class table, filling
-// Exec and the Figure 15 distances and the per-event class column so the
-// bank workers index an array instead of resolving the class once per
-// slot per event. classIdx must hold res.Recorded.Events() entries.
-func attributeSequential(res *InputResult, classIdx []uint8) {
-	var pos, lastHard int64
-	sawHard := false
-	rep := res.Recorded.ChunkReader()
-	for {
-		pcs, dirs, n, ok := rep.NextChunk()
-		if !ok {
-			break
-		}
-		_ = dirs
-		for i := 0; i < n; i++ {
-			ci := classOf(res.Table, pcs[i])
-			res.Exec[ci/core.NumClasses][ci%core.NumClasses]++
-			classIdx[pos] = ci
-			pos++
-			if ci == hardIdx {
-				if sawHard {
-					res.HardDistances.Add(int(pos - lastHard))
-				}
-				sawHard = true
-				lastHard = pos
-			}
-		}
-	}
-}
-
-// profileStage is the non-scheduled first half of RunInput: pass 1
-// plus the sequential attribution pre-pass (the scheduler's
-// profileTask parallelises attribution along the chunk axis instead).
-// It returns the result shell (Exec, classes, distances and the
-// recording handle filled in; Miss still zero) and the per-event class
-// column the bank sweep attributes against.
+// profileCached serves the profile-cache fast path: a cached pass-1
+// shell plus the recording handle re-fetched from the trace cache.
 //
-// cfg.Profiles is consulted first: on a hit the cached shell is copied
-// (Miss starts zero in the template, so the copy is sweep-ready), the
-// recording it was derived from comes back from cfg.Cache — the
-// recording's lifetime stays under the trace cache's LRU budget, not
-// pinned by profile entries — and no generator, profiler or attribution
-// work runs at all. If the recording was evicted without a spill path
-// the hit is unusable (the sweep needs the stream) and the stage falls
-// through to a full recompute.
-func profileStage(spec workload.Spec, cfg Config) (*InputResult, []uint8) {
-	if res, classIdx, ok := profileCached(spec, cfg); ok {
-		return res, classIdx
-	}
-	res := passOne(spec, cfg)
-	classIdx := make([]uint8, res.Recorded.Events())
-	attributeSequential(res, classIdx)
-	if cfg.Profiles != nil && !cfg.NoRecord {
-		cfg.Profiles.put(cfg.cacheKey(spec), cfg.window(), res, classIdx)
-	}
-	return res, classIdx
-}
-
-// profileCached serves the profile-cache fast path shared by both
-// engines: a cached pass-1 shell plus the recording handle re-fetched
-// from the trace cache.
+// On a hit the cached shell is copied (Miss starts zero in the
+// template, so the copy is sweep-ready), the recording it was derived
+// from comes back from cfg.Cache — the recording's lifetime stays under
+// the trace cache's LRU budget, not pinned by profile entries — and no
+// generator, profiler or attribution work runs at all. If the recording
+// was evicted without a spill path the hit is unusable (the sweep needs
+// the stream) and the input falls through to a full recompute.
 func profileCached(spec workload.Spec, cfg Config) (*InputResult, []uint8, bool) {
-	if cfg.Profiles == nil || cfg.Cache == nil || cfg.NoRecord {
+	if cfg.Profiles == nil || cfg.Cache == nil {
 		return nil, nil, false
 	}
 	res, classIdx, ok := cfg.Profiles.get(cfg.cacheKey(spec), cfg.window())
@@ -662,20 +499,11 @@ func (c Config) mmapHandle(h *trace.Handle) {
 // missCell is one bank slot's flat class-attributed miss counters.
 type missCell = [core.NumClasses * core.NumClasses]int64
 
-// addCell accumulates src into dst; int64 sums make every reduction
-// order bit-identical.
-func addCell(dst, src *missCell) {
-	for i := range dst {
-		dst[i] += src[i]
-	}
-}
-
 // numBankSlots counts the (kind, k) configurations of the paper's sweep.
 const numBankSlots = int(NumKinds) * NumHistories
 
 // bankSlotPredictor builds the predictor for flat bank slot i — the one
-// place the slot-index ↔ (kind, k) mapping is realised, shared by the
-// batch engine (bankGroups) and the chunk-chain engine (newChunkSweep).
+// place the slot-index ↔ (kind, k) mapping is realised.
 func bankSlotPredictor(i int) bpred.ChunkSweeper {
 	kind, k := Kind(i/NumHistories), i%NumHistories
 	switch kind {
@@ -688,30 +516,13 @@ func bankSlotPredictor(i int) bpred.ChunkSweeper {
 	}
 }
 
-// bankGroups builds the predictor bank — PAs(k) and GAs(k) for every
-// history length — and splits its slots round-robin into at most
-// `groups` batches. Each batch shares one chunk decode per replayed
-// chunk (see sweepSlots), so decode cost scales with the batch count,
-// not the 34 slots, and a single batch decodes the trace exactly once.
-// misses must hold numBankSlots cells; slot i writes only cell i.
-func bankGroups(groups int, misses []missCell) [][]bankSlot {
-	if groups > numBankSlots {
-		groups = numBankSlots
-	}
-	out := make([][]bankSlot, groups)
-	for i := 0; i < numBankSlots; i++ {
-		out[i%groups] = append(out[i%groups], bankSlot{p: bankSlotPredictor(i), miss: &misses[i]})
-	}
-	return out
-}
-
-// foldMisses copies the flat per-slot counters into res.Miss.
-func foldMisses(res *InputResult, misses []missCell) {
-	for i := 0; i < numBankSlots; i++ {
+// foldMisses copies each slot chain's flat counters into res.Miss.
+func foldMisses(res *InputResult, chains []sweepChain) {
+	for i := range chains {
 		kind, k := Kind(i/NumHistories), i%NumHistories
 		for t := 0; t < core.NumClasses; t++ {
 			for tr := 0; tr < core.NumClasses; tr++ {
-				res.Miss[kind][k][t][tr] = misses[i][t*core.NumClasses+tr]
+				res.Miss[kind][k][t][tr] = chains[i].miss[t*core.NumClasses+tr]
 			}
 		}
 	}
@@ -727,43 +538,9 @@ func classOf(t *core.ClassTable, pc uint64) uint8 {
 	return 0
 }
 
-// bankSlot is one predictor configuration of the bank plus its flat
-// class-attributed miss counters.
-type bankSlot struct {
-	p    bpred.ChunkSweeper
-	miss *[core.NumClasses * core.NumClasses]int64
-}
-
-// sweepSlots replays the recorded trace through a group of bank slots,
-// chunk-major: each chunk is decoded (or paged in) once, every slot's
-// predictor batch-processes the decoded columns via sweepDecodedChunk,
-// attributing set bits to the per-event joint classes in classIdx.
-func sweepSlots(slots []bankSlot, recorded *trace.Handle, classIdx []uint8) {
-	rep := recorded.ChunkReader()
-	var wrong []uint64
-	var base int64
-	for {
-		pcs, dirs, n, ok := rep.NextChunk()
-		if !ok {
-			return
-		}
-		if words := (n + 63) / 64; len(wrong) < words {
-			wrong = make([]uint64, words)
-		}
-		d := trace.DecodedChunk{PCs: pcs, Dirs: dirs, N: n, Base: base}
-		cls := classIdx[base : base+int64(n)]
-		for _, s := range slots {
-			sweepDecodedChunk(s.p, &d, cls, s.miss, wrong)
-		}
-		base += int64(n)
-	}
-}
-
 // sweepDecodedChunk advances one bank slot over one decoded chunk,
-// attributing mispredictions into cell — the shared inner loop of both
-// sweep shapes (per-batch-decoded sweepSlots and the chunk-range tasks'
-// pre-decoded columns). wrong is the caller's scratch bitmap, at least
-// (n+63)/64 words.
+// attributing mispredictions into cell: the inner loop of every sweep
+// task. wrong is the caller's scratch bitmap, at least (n+63)/64 words.
 //
 // The popcount pre-scan totals the chunk's mispredictions first: an
 // all-correct chunk — the common case for easy classes at high k —
@@ -797,8 +574,8 @@ func sweepDecodedChunk(p bpred.ChunkSweeper, d *trace.DecodedChunk, cls []uint8,
 
 // runInputRegenerate is the original regenerate-twice pipeline: pass 2
 // re-runs the workload generator and drives the whole predictor bank
-// serially from one sink. RunInput's replay engine must match it
-// bit-for-bit (see TestReplayMatchesRegenerate).
+// serially from one sink. The recorded sweep must match it bit-for-bit
+// (see TestReplayMatchesRegenerate and TestScheduledMatchesLegacy).
 func runInputRegenerate(spec workload.Spec, cfg Config) *InputResult {
 	profiler, classes := ProfileInput(spec, cfg.Scale)
 

@@ -11,7 +11,7 @@ import (
 
 // TestStreamedMatrixMatchesRetained is the golden equivalence matrix
 // for the out-of-core streaming pipeline: {retained, spill-backed with
-// small budgets, one-chunk window, checkpointed, mmapped} × workers
+// small budgets, one-chunk window, mmapped} × workers
 // {1, 4, GOMAXPROCS} must all produce bit-identical SuiteResults. A
 // small ChunkEvents forces many chunks at test scale so the budgets
 // genuinely page and slide the chunk window; the memory-shape counters
@@ -40,16 +40,13 @@ func TestStreamedMatrixMatchesRetained(t *testing.T) {
 		name    string
 		mem     int64 // Config.MemBudget
 		decoded int64 // Config.DecodedBudget
-		ranges  int   // Config.SnapshotRanges
 		mmap    bool  // Config.MmapSpill
 	}{
-		{"spill+window", 4096, 6000, 0, false},
-		{"spill+one-chunk", 4096, -1, 0, false},
-		{"resident+window", 0, 6000, 0, false},
-		{"spill+window+snapshot", 4096, 6000, 3, false},
-		{"spill+window+mmap", 4096, 6000, 0, true},
-		{"spill+wide-window", 4096, 20000, 0, false},
-		{"spill+wide-window+snapshot", 4096, 20000, 3, false},
+		{"spill+window", 4096, 6000, false},
+		{"spill+one-chunk", 4096, -1, false},
+		{"resident+window", 0, 6000, false},
+		{"spill+window+mmap", 4096, 6000, true},
+		{"spill+wide-window", 4096, 20000, false},
 	}
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		for _, b := range budgets {
@@ -57,7 +54,6 @@ func TestStreamedMatrixMatchesRetained(t *testing.T) {
 			cfg.Workers = workers
 			cfg.MemBudget = b.mem
 			cfg.DecodedBudget = b.decoded
-			cfg.SnapshotRanges = b.ranges
 			cfg.MmapSpill = b.mmap
 			label := fmt.Sprintf("%s/workers=%d", b.name, workers)
 			got := RunSuite(specs, cfg)
@@ -81,13 +77,6 @@ func TestStreamedMatrixMatchesRetained(t *testing.T) {
 				}
 			}
 			assertWindowDecodedOnce(t, label, got, b.decoded)
-			if b.ranges > 1 {
-				if m.SnapshotCount == 0 || m.SnapshotBytes == 0 || m.SnapshotPeak == 0 {
-					t.Fatalf("%s: checkpointed streamed run took no snapshots (mem %+v)", label, m)
-				}
-			} else if m.SnapshotCount != 0 {
-				t.Fatalf("%s: chained run took snapshots (mem %+v)", label, m)
-			}
 			if b.mmap {
 				for _, r := range got.Inputs {
 					if !r.Recorded.Mmapped() {
@@ -96,17 +85,6 @@ func TestStreamedMatrixMatchesRetained(t *testing.T) {
 				}
 			}
 		}
-	}
-
-	// The legacy engines stream too: NoSched routes through RunInput's
-	// WaitGroup sweep, whose replays page straight off the handle.
-	noSched := base
-	noSched.NoSched = true
-	noSched.MemBudget = 4096
-	got := RunSuite(specs, noSched)
-	assertSuitesEqual(t, "nosched-streamed", retained, got)
-	if got.Mem.PageIns == 0 {
-		t.Fatal("nosched-streamed: never paged from its spill")
 	}
 }
 

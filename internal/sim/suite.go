@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"btr/internal/bpred"
@@ -91,37 +90,20 @@ type SuiteResult struct {
 
 // RunSuite runs every spec through the two-pass pipeline and aggregates.
 //
-// The default engine is one global work-stealing scheduler over
-// (input, bank-batch) tasks: each input starts as a profile+record
-// task, and each completed recording fans out its 34-slot PAs/GAs sweep
-// as worker-sized batches into the same queue, so late-arriving fan-out
-// from a heavy input backfills cores freed by small ones instead of
-// queueing behind a private per-input pool. Every sweep batch is a pure
-// function of its input's recorded stream, so scheduling order cannot
-// change results (bit-for-bit identical to the nested-pool and
-// NoRecord engines; see TestScheduledMatchesLegacy).
+// The engine is one work-stealing scheduler over per-input task grids:
+// each input starts as a profile+record task, whose recording fans out
+// as a parallel attribution grid and then as the 34-slot PAs/GAs sweep,
+// one chain of one-chunk tasks per slot, into the same queue — so
+// late-arriving fan-out from a heavy input backfills cores freed by
+// small ones. Every sweep task is a pure function of its input's
+// recorded stream, so scheduling order cannot change results
+// (bit-for-bit identical to the NoRecord pipeline; see
+// TestScheduledMatchesLegacy). Under cfg.NoRecord each input is instead
+// one task running the regenerating pipeline.
 //
-// cfg.NoSched (or cfg.NoRecord, whose regenerating pipeline has no
-// schedulable sweep stage) selects the legacy shape instead: a bounded
-// pool of whole-input workers, each sharding its own bank.
+// The run rides cfg.Sched when set; otherwise a private scheduler of
+// cfg.Workers workers is built and stopped around it.
 func RunSuite(specs []workload.Spec, cfg Config) *SuiteResult {
-	if cfg.NoSched || cfg.NoRecord {
-		return runSuitePool(specs, cfg)
-	}
-	return runSuiteScheduled(specs, cfg)
-}
-
-func (c Config) suiteWorkers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// runSuiteScheduled is the global-scheduler engine. With cfg.Sched set
-// the suite rides that shared scheduler; otherwise a private one is
-// built and stopped around the run.
-func runSuiteScheduled(specs []workload.Spec, cfg Config) *SuiteResult {
 	s := cfg.Sched
 	if s == nil {
 		// Workers are NOT clamped to len(specs): the sweep fan-out gives
@@ -132,29 +114,30 @@ func runSuiteScheduled(specs []workload.Spec, cfg Config) *SuiteResult {
 	return RunSuiteOn(s, specs, cfg)
 }
 
-// RunSuiteOn runs the scheduled engine's task grid for specs as one
-// completion-tracked group on s, which may be shared by any number of
-// concurrent suite runs: each call gets a private barrier (and private
-// panic propagation) while every call's profile, attribution and sweep
-// tasks steal-balance over the same workers. The scheduler is left
-// running. Configs selecting the pool engines (NoSched, NoRecord) have
-// no schedulable task grid and run their private pools instead, s
-// untouched. Results are bit-identical to RunSuite for every engine and
+func (c Config) suiteWorkers() int {
+	if c.Workers > 0 {
+		return c.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// RunSuiteOn runs the suite's task grid as one completion-tracked group
+// on s, which may be shared by any number of concurrent suite runs:
+// each call gets a private barrier (and private panic propagation)
+// while every call's tasks steal-balance over the same workers. The
+// scheduler is left running. Results are bit-identical to RunSuite for
 // any number of concurrent callers — scheduling order is
 // result-invisible by construction.
 func RunSuiteOn(s *sched.Scheduler, specs []workload.Spec, cfg Config) *SuiteResult {
-	if cfg.NoSched || cfg.NoRecord {
-		return runSuitePool(specs, cfg)
-	}
 	return RunSuiteGroup(s.NewGroup(), specs, cfg)
 }
 
 // RunSuiteGroup is RunSuiteOn with a caller-owned group: the suite's
-// whole task grid joins g, so the caller can Cancel it mid-run (a
-// disconnected client, a deadline) — canceled inputs land in
-// SuiteResult.Dropped with ErrCanceled and the call returns once the
-// queued tasks drain, in bounded time because every grid checks the
-// flag at task boundaries.
+// whole task grid — NoRecord inputs included — joins g, so the caller
+// can Cancel it mid-run (a disconnected client, a deadline). Canceled
+// inputs land in SuiteResult.Dropped with ErrCanceled and the call
+// returns once the queued tasks drain, in bounded time because every
+// grid checks the flag at task boundaries.
 //
 // It is also where spill corruption is recovered: an input that failed
 // because its cached recording no longer decodes (errors.Is
@@ -164,14 +147,20 @@ func RunSuiteOn(s *sched.Scheduler, specs []workload.Spec, cfg Config) *SuiteRes
 // its result is bit-identical to an uncorrupted run; a second failure
 // stays in Dropped with its cause.
 func RunSuiteGroup(g *sched.Group, specs []workload.Spec, cfg Config) *SuiteResult {
-	if cfg.NoSched || cfg.NoRecord {
-		return runSuitePool(specs, cfg)
-	}
 	workers := g.Scheduler().Workers()
 	results := make([]*InputResult, len(specs))
 	errs := make([]error, len(specs))
 	submit := func(i int) {
 		g.Submit(func(w *sched.Worker) {
+			if w.Canceled() {
+				errs[i] = ErrCanceled
+				return
+			}
+			if cfg.NoRecord {
+				defer recoverInput(&errs[i])
+				results[i] = runInputRegenerate(specs[i], cfg)
+				return
+			}
 			profileTask(w, specs[i], cfg, workers, &results[i], &errs[i])
 		})
 	}
@@ -196,51 +185,30 @@ func RunSuiteGroup(g *sched.Group, specs []workload.Spec, cfg Config) *SuiteResu
 	return aggregate(results, specs, errs, cfg)
 }
 
-// profileTask runs one input's pass 1 and fans out its bank sweep as a
-// (slot × chunk-range) task grid (or whole-trace slot batches under
-// cfg.ChunkTasks < 0). In the chunked engine the attribution pre-pass
-// is itself a parallel task grid (attribGrid) between pass 1 and the
-// sweep, and the sweep reads chunks through a decode-once window
-// instead of a fully retained column array. A panicking workload
-// is converted to a per-input error (the result stays nil and is
-// reported via SuiteResult.Dropped); the suite run continues. The last
-// sweep task to finish folds the counters and publishes the result —
-// Scheduler.Wait's barrier makes the write visible to the aggregation.
+// recoverInput is deferred around an input's generator run: a
+// panicking workload becomes the input's recorded cause (the result
+// stays nil and is reported via SuiteResult.Dropped) and the suite run
+// continues.
+func recoverInput(errOut *error) {
+	if r := recover(); r != nil {
+		*errOut = recoveredErr("workload panicked", r)
+	}
+}
+
+// profileTask runs one input's pass 1 and fans out its attribution
+// grid (attribGrid), which in turn launches the bank sweep over a
+// decode-once chunk window. A profile-cache hit skips both pass 1 and
+// attribution and goes straight to the sweep. The last sweep task to
+// finish folds the counters and publishes the result — Group.Wait's
+// barrier makes the write visible to the aggregation.
 func profileTask(w *sched.Worker, spec workload.Spec, cfg Config, workers int, out **InputResult, errOut *error) {
-	if w.Canceled() {
-		*errOut = ErrCanceled
-		return
-	}
-	if cfg.ChunkTasks < 0 {
-		// Slot-only baseline: sequential attribution, whole-trace batches.
-		var res *InputResult
-		var classIdx []uint8
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					*errOut = recoveredErr("workload panicked", r)
-				}
-			}()
-			res, classIdx = profileStage(spec, cfg)
-		}()
-		if res == nil {
-			return
-		}
-		slotOnlySweep(w, cfg, workers, res, classIdx, out, errOut)
-		return
-	}
 	if res, classIdx, ok := profileCached(spec, cfg); ok {
-		// Cached profile: no generator, no attribution — straight to sweep.
-		startSweep(w, cfg, res, classIdx, cfg.sweepWindow(res.Recorded), out, errOut)
+		startChunkSweep(w, res, classIdx, cfg.sweepWindow(res.Recorded), out, errOut)
 		return
 	}
 	var res *InputResult
 	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				*errOut = recoveredErr("workload panicked", r)
-			}
-		}()
+		defer recoverInput(errOut)
 		res = passOne(spec, cfg)
 	}()
 	if res == nil {
@@ -251,11 +219,11 @@ func profileTask(w *sched.Worker, spec workload.Spec, cfg Config, workers int, o
 
 // startChunkSweep fans an input's bank sweep out as numBankSlots chains
 // over the chunk window. Chain heads go out oldest-first: the
-// submitting worker pops the last chain LIFO and rides it range by
-// range (hot predictor tables), while thieves peel whole un-started
+// submitting worker pops the last chain LIFO and rides it chunk by
+// chunk (hot predictor tables), while thieves peel whole un-started
 // chains FIFO.
-func startChunkSweep(w *sched.Worker, cfg Config, res *InputResult, classIdx []uint8, win *chunkWindow, out **InputResult, errOut *error) {
-	cs := newChunkSweep(cfg, res, classIdx, win, out, errOut)
+func startChunkSweep(w *sched.Worker, res *InputResult, classIdx []uint8, win *chunkWindow, out **InputResult, errOut *error) {
+	cs := newChunkSweep(res, classIdx, win, out, errOut)
 	if cs.live.Load() == 0 {
 		// Empty recording: nothing to sweep, publish immediately.
 		finalizeMem(res, win)
@@ -267,60 +235,23 @@ func startChunkSweep(w *sched.Worker, cfg Config, res *InputResult, classIdx []u
 	}
 }
 
-// slotOnlySweep is the PR-2 sweep shape, kept bit-identical as the
-// chunk-axis baseline (cfg.ChunkTasks < 0): BankWorkers whole-trace
-// batches, clamped to the worker count because each batch decodes the
-// trace itself — exactly the redundancy the chunk-range grid removes.
-// Cancellation is checked per batch (the coarsest boundary this shape
-// has): a canceled batch poisons the sweep with ErrCanceled and the
-// input lands in Dropped unpublished.
-func slotOnlySweep(w *sched.Worker, cfg Config, workers int, res *InputResult, classIdx []uint8, out **InputResult, errOut *error) {
-	batches := cfg.bankWorkers()
-	if batches > workers {
-		batches = workers
-	}
-	misses := make([]missCell, numBankSlots)
-	groups := bankGroups(batches, misses)
-	var remaining atomic.Int32
-	var failed atomic.Bool
-	remaining.Store(int32(len(groups)))
-	for _, group := range groups {
-		group := group
-		w.Submit(func(w *sched.Worker) {
-			if failed.Load() {
-				return
-			}
-			if w.Canceled() {
-				if failed.CompareAndSwap(false, true) {
-					*errOut = ErrCanceled
-				}
-				return
-			}
-			sweepSlots(group, res.Recorded, classIdx)
-			if remaining.Add(-1) == 0 {
-				foldMisses(res, misses)
-				finalizeMem(res, nil)
-				*out = res
-			}
-		})
-	}
-}
-
-// chunkSweep is one input's in-flight (slot × chunk-range) sweep grid.
-// Every bank slot is its own chain over the shared chunk window (the
-// first chain to reach a chunk decodes it — paging from the spill file
-// if need be — and the last to pass it drops it); a chain's ranges run
-// strictly in order (the predictor state hands off from range to range
+// chunkSweep is one input's in-flight (slot × chunk) sweep grid. Every
+// bank slot is its own chain over the shared chunk window (the first
+// chain to reach a chunk decodes it — paging from the spill file if
+// need be — and the last to pass it drops it); a chain's chunks run
+// strictly in order (the predictor state hands off from chunk to chunk
 // by living in the chain), so results are bit-identical to a serial
 // sweep, while distinct chains are independent and steal-balanced
-// across every core. A chain that runs ahead of the window parks its
-// continuation there instead of holding a worker.
+// across every core. Each task sweeps one chunk: at DefaultChunkEvents
+// events that lands in the tens of microseconds, coarse enough that the
+// deque overhead is noise and fine enough that stealing levels the tail
+// of a single huge input. A chain that runs ahead of the window parks
+// its continuation there instead of holding a worker.
 type chunkSweep struct {
 	res      *InputResult
 	classIdx []uint8
 	win      *chunkWindow
 	nchunks  int
-	stride   int // chunks per range task
 	chains   []sweepChain
 	live     atomic.Int32 // chains not yet exhausted
 	failed   atomic.Bool  // poison: a chain hit a paging failure
@@ -339,14 +270,13 @@ type sweepChain struct {
 	cont sched.Task // the chain's continuation: advance from next
 }
 
-func newChunkSweep(cfg Config, res *InputResult, classIdx []uint8, win *chunkWindow, out **InputResult, errOut *error) *chunkSweep {
+func newChunkSweep(res *InputResult, classIdx []uint8, win *chunkWindow, out **InputResult, errOut *error) *chunkSweep {
 	nchunks := res.Recorded.Chunks()
 	cs := &chunkSweep{
 		res:      res,
 		classIdx: classIdx,
 		win:      win,
 		nchunks:  nchunks,
-		stride:   cfg.chunkTasks(),
 		chains:   make([]sweepChain, numBankSlots),
 		out:      out,
 		errOut:   errOut,
@@ -360,18 +290,18 @@ func newChunkSweep(cfg Config, res *InputResult, classIdx []uint8, win *chunkWin
 	return cs
 }
 
-// advance runs one (slot, chunk-range) task: sweep the chain's next
-// stride chunks through the window, then either re-queue the chain's
-// continuation or — as the last chain to exhaust the trace — fold and
-// publish the input's result. A chain that reaches a chunk the window
-// cannot serve yet stops there; its continuation is resubmitted by the
-// task that unblocks it. A spill paging failure (or a panic) poisons
-// the grid and the window: the cause is recorded once, parked chains
-// are dropped, sibling chains bail out at their next range, live never
-// reaches zero, and the unpublished input is reported via
-// SuiteResult.Dropped. Group cancellation poisons the same way with
-// ErrCanceled, so a canceled request's chains stop at their next range
-// instead of sweeping the rest of the trace.
+// advance runs one (slot, chunk) task: sweep the chain's next chunk
+// through the window, then either re-queue the chain's continuation or
+// — as the last chain to exhaust the trace — fold and publish the
+// input's result. A chain that reaches a chunk the window cannot serve
+// yet stops there; its continuation is resubmitted by the task that
+// unblocks it. A spill paging failure (or a panic) poisons the grid and
+// the window: the cause is recorded once, parked chains are dropped,
+// sibling chains bail out at their next task, live never reaches zero,
+// and the unpublished input is reported via SuiteResult.Dropped. Group
+// cancellation poisons the same way with ErrCanceled, so a canceled
+// request's chains stop at their next chunk instead of sweeping the
+// rest of the trace.
 func (cs *chunkSweep) advance(w *sched.Worker, ci int) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -386,36 +316,26 @@ func (cs *chunkSweep) advance(w *sched.Worker, ci int) {
 		return
 	}
 	ch := &cs.chains[ci]
-	end := ch.next + cs.stride
-	if end > cs.nchunks || end < 0 { // < 0: stride overflow near MaxInt
-		end = cs.nchunks
+	d, ok, err := checkout(w, cs.win, ch.next, ch.cont)
+	if err != nil {
+		cs.poison(fmt.Errorf("bank sweep failed: %w", err))
+	}
+	if !ok {
+		return
 	}
 	var wrong [(trace.DefaultChunkEvents + 63) / 64]uint64
 	scratch := wrong[:]
-	for ; ch.next < end; ch.next++ {
-		d, ok, err := checkout(w, cs.win, ch.next, ch.cont)
-		if err != nil {
-			cs.poison(fmt.Errorf("bank sweep failed: %w", err))
-		}
-		if !ok {
-			return
-		}
-		if words := (d.N + 63) / 64; words > len(scratch) {
-			scratch = make([]uint64, words)
-		}
-		sweepDecodedChunk(ch.p, &d, cs.classIdx[d.Base:d.Base+int64(d.N)], &ch.miss, scratch)
-		release(w, cs.win, ch.next)
+	if words := (d.N + 63) / 64; words > len(scratch) {
+		scratch = make([]uint64, words)
 	}
-	if ch.next < cs.nchunks {
+	sweepDecodedChunk(ch.p, &d, cs.classIdx[d.Base:d.Base+int64(d.N)], &ch.miss, scratch)
+	release(w, cs.win, ch.next)
+	if ch.next++; ch.next < cs.nchunks {
 		w.Submit(ch.cont)
 		return
 	}
 	if cs.live.Add(-1) == 0 {
-		flat := make([]missCell, numBankSlots)
-		for i := range cs.chains {
-			flat[i] = cs.chains[i].miss
-		}
-		foldMisses(cs.res, flat)
+		foldMisses(cs.res, cs.chains)
 		finalizeMem(cs.res, cs.win)
 		*cs.out = cs.res
 	}
@@ -429,50 +349,6 @@ func (cs *chunkSweep) poison(err error) {
 		*cs.errOut = err
 		cs.win.Fail(err)
 	}
-}
-
-// runSuitePool is the legacy nested-pool engine: exactly
-// min(Workers, len(specs)) goroutines pull input indices from a shared
-// queue and run whole inputs (each sharding its own bank via RunInput),
-// so worker count — not just concurrency — stays fixed no matter how
-// large the suite is.
-func runSuitePool(specs []workload.Spec, cfg Config) *SuiteResult {
-	workers := cfg.suiteWorkers()
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	results := make([]*InputResult, len(specs))
-	errs := make([]error, len(specs))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				runOne(specs[i], cfg, &results[i], &errs[i])
-			}
-		}()
-	}
-	for i := range specs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return aggregate(results, specs, errs, cfg)
-}
-
-// runOne runs a single input, converting a panicking workload into a nil
-// result with a recorded cause (reported via SuiteResult.Dropped) so one
-// bad generator cannot take down a whole suite run.
-func runOne(spec workload.Spec, cfg Config, out **InputResult, errOut *error) {
-	defer func() {
-		if r := recover(); r != nil {
-			*out = nil
-			*errOut = fmt.Errorf("workload panicked: %v", r)
-		}
-	}()
-	*out = RunInput(spec, cfg)
 }
 
 // Aggregate folds per-input results into a SuiteResult. Nil entries —

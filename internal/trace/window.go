@@ -6,12 +6,12 @@ import (
 )
 
 // ChunkWindow is a refcounted run of decoded chunks over one Handle,
-// read by a fixed set of sequential consumers — a bank sweep's 34 slot
-// chains, or the checkpointed engine's sweep and warmup chains. Every
-// consumer walks its own contiguous chunk span in order, so the window
-// needs no replacement policy: a chunk is decoded (paging from the
-// spill file if need be) exactly once, by the first consumer to reach
-// it, and dropped when the last consumer covering it has passed it.
+// read by a fixed number of sequential consumers — a bank sweep's 34
+// slot chains. Every consumer walks the whole recording, chunks [0, n),
+// in order, so the window needs no replacement policy: a chunk is
+// decoded (paging from the spill file if need be) exactly once, by the
+// first consumer to reach it, and dropped when the last consumer has
+// passed it.
 //
 // Admission is bounded by depth: chunk k is decoded only while
 // k < lo+depth, lo being the oldest chunk still held, so at most depth
@@ -36,8 +36,8 @@ import (
 // are dropped, decoded columns are freed, and every later Checkout
 // returns the cause. A ChunkWindow is safe for concurrent use.
 type ChunkWindow[C any] struct {
-	h     *Handle
-	spans []Span
+	h         *Handle
+	consumers int // every chunk's reference count
 
 	mu       sync.Mutex
 	ring     []windowSlot[C] // chunk k lives in ring[k%len(ring)] while lo <= k < lo+len(ring)
@@ -46,13 +46,6 @@ type ChunkWindow[C any] struct {
 	err      error
 	bytes    int64
 	stats    WindowStats
-}
-
-// Span declares N consumers that each read chunks [From, To) in order.
-// A chunk's reference count is the number of consumers whose span
-// covers it.
-type Span struct {
-	From, To, N int
 }
 
 // WindowStats counts window traffic. Decodes counts chunks decoded or
@@ -111,27 +104,17 @@ func windowDepth(budget int64, nchunks, chunkEvents int) int {
 }
 
 // NewChunkWindow builds a window over h sized by the decoded budget,
-// read by the consumers spans declares.
-func NewChunkWindow[C any](h *Handle, budget int64, spans ...Span) *ChunkWindow[C] {
+// read by the given number of consumers.
+func NewChunkWindow[C any](h *Handle, budget int64, consumers int) *ChunkWindow[C] {
 	return &ChunkWindow[C]{
-		h:     h,
-		spans: spans,
-		ring:  make([]windowSlot[C], windowDepth(budget, h.Chunks(), h.ChunkEvents())),
+		h:         h,
+		consumers: consumers,
+		ring:      make([]windowSlot[C], windowDepth(budget, h.Chunks(), h.ChunkEvents())),
 	}
 }
 
 // Depth returns the window's admission depth in chunks.
 func (w *ChunkWindow[C]) Depth() int { return len(w.ring) }
-
-func (w *ChunkWindow[C]) refsAt(k int) int {
-	n := 0
-	for _, s := range w.spans {
-		if s.From <= k && k < s.To {
-			n += s.N
-		}
-	}
-	return n
-}
 
 func (w *ChunkWindow[C]) slot(k int) *windowSlot[C] { return &w.ring[k%len(w.ring)] }
 
@@ -158,7 +141,7 @@ func (w *ChunkWindow[C]) Adopt(k int, d DecodedChunk) {
 	if k < w.lo || k >= w.lo+len(w.ring) || s.state != slotEmpty {
 		panic(fmt.Sprintf("trace: adopting chunk %d outside the window's free frontier", k))
 	}
-	s.refs = w.refsAt(k)
+	s.refs = w.consumers
 	w.installLocked(s, d)
 }
 
@@ -201,7 +184,7 @@ func (w *ChunkWindow[C]) Checkout(k int, cont C) (d DecodedChunk, ok bool, woken
 		w.mu.Unlock()
 		return DecodedChunk{}, false, nil, nil
 	}
-	s.state, s.refs = slotDecoding, w.refsAt(k)
+	s.state, s.refs = slotDecoding, w.consumers
 	w.mu.Unlock()
 
 	d, err = w.h.DecodeChunk(k)

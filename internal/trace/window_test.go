@@ -44,12 +44,12 @@ func chunkSum(d *DecodedChunk) uint64 {
 	return s
 }
 
-// wantSums is the expected running fingerprint over chunks [from, to),
+// wantSum is the expected running fingerprint over every chunk,
 // computed by plain decodes straight off the handle.
-func wantSums(t *testing.T, h *Handle, from, to int) uint64 {
+func wantSum(t *testing.T, h *Handle) uint64 {
 	t.Helper()
 	var s uint64
-	for k := from; k < to; k++ {
+	for k := 0; k < h.Chunks(); k++ {
 		d, err := h.DecodeChunk(k)
 		if err != nil {
 			t.Fatal(err)
@@ -86,7 +86,7 @@ func TestWindowDepth(t *testing.T) {
 func TestCheckoutSingleFlight(t *testing.T) {
 	h := spillHandle(t, 4000, 256)
 	const goroutines = 16
-	w := NewChunkWindow[int](h, 0, Span{0, h.Chunks(), goroutines})
+	w := NewChunkWindow[int](h, 0, goroutines)
 	for k := 0; k < h.Chunks(); k++ {
 		start := make(chan struct{})
 		var mu sync.Mutex
@@ -151,7 +151,7 @@ func TestCheckoutSingleFlight(t *testing.T) {
 func TestChunkWindowRetainsAll(t *testing.T) {
 	h := spillHandle(t, 4000, 256)
 	const consumers = 3
-	w := NewChunkWindow[int](h, 0, Span{0, h.Chunks(), consumers})
+	w := NewChunkWindow[int](h, 0, consumers)
 	if w.Depth() != h.Chunks() {
 		t.Fatalf("Depth = %d, want the whole recording (%d)", w.Depth(), h.Chunks())
 	}
@@ -188,7 +188,7 @@ func slideWindow(t *testing.T, budget int64, depth int) {
 	t.Helper()
 	h := spillHandle(t, 4000, 256)
 	const consumers = 4
-	w := NewChunkWindow[int](h, budget, Span{0, h.Chunks(), consumers})
+	w := NewChunkWindow[int](h, budget, consumers)
 	if w.Depth() != depth {
 		t.Fatalf("budget %d: Depth = %d, want %d", budget, w.Depth(), depth)
 	}
@@ -247,18 +247,18 @@ func TestChunkWindowOneChunk(t *testing.T) {
 	slideWindow(t, -1, 1)
 }
 
-// windowConsumer is a scheduler-driven reader of one span, shaped like
-// a sweep chain: each task reads a random number of chunks, parks when
-// the window says so, and resubmits itself otherwise.
+// windowConsumer is a scheduler-driven reader of the whole recording,
+// shaped like a sweep chain: each task reads a random number of chunks,
+// parks when the window says so, and resubmits itself otherwise.
 type windowConsumer struct {
-	win             *ChunkWindow[sched.Task]
-	from, next, end int
-	sum             uint64
-	rnd             *rand.Rand
-	err             error
-	done            bool
-	cancelAt        int64  // > 0: cancel once the window has released this many chunks
-	cancel          func() // cancels the consumers' group
+	win       *ChunkWindow[sched.Task]
+	next, end int
+	sum       uint64
+	rnd       *rand.Rand
+	err       error
+	done      bool
+	cancelAt  int64  // > 0: cancel once the window has released this many chunks
+	cancel    func() // cancels the consumers' group
 }
 
 var errTestCanceled = errors.New("test group canceled")
@@ -299,22 +299,20 @@ func (c *windowConsumer) step(w *sched.Worker) {
 	c.done = true
 }
 
-// runConsumers drives consumers over win on a fresh scheduler with the
-// given worker count, in a seeded random submission order; cancelAt
+// runConsumers drives n consumers over win on a fresh scheduler with
+// the given worker count, in a seeded random submission order; cancelAt
 // > 0 has the consumers cancel their group once the window has
 // released that many chunks.
-func runConsumers(t *testing.T, workers int, win *ChunkWindow[sched.Task], spans []Span, seed int64, cancelAt int64) []*windowConsumer {
+func runConsumers(t *testing.T, workers int, win *ChunkWindow[sched.Task], n int, seed int64, cancelAt int64) []*windowConsumer {
 	t.Helper()
 	s := sched.New(workers)
 	defer s.Close()
 	g := s.NewGroup()
 	rnd := rand.New(rand.NewSource(seed))
-	var cs []*windowConsumer
-	for _, sp := range spans {
-		for i := 0; i < sp.N; i++ {
-			cs = append(cs, &windowConsumer{win: win, from: sp.From, next: sp.From, end: sp.To,
-				rnd: rand.New(rand.NewSource(rnd.Int63())), cancelAt: cancelAt, cancel: g.Cancel})
-		}
+	cs := make([]*windowConsumer, n)
+	for i := range cs {
+		cs[i] = &windowConsumer{win: win, end: win.h.Chunks(),
+			rnd: rand.New(rand.NewSource(rnd.Int63())), cancelAt: cancelAt, cancel: g.Cancel}
 	}
 	for _, i := range rnd.Perm(len(cs)) {
 		g.Submit(cs[i].step)
@@ -335,32 +333,35 @@ func settleGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestChunkWindowRandomSchedules runs overlapping consumer spans over
-// bounded and unbounded windows on 1, 2 and 8 workers: every chunk is
-// decoded once, every consumer finishes with the right fingerprint
-// (parked consumers were all woken), and the window ends empty.
+// TestChunkWindowRandomSchedules runs a set of consumers over bounded
+// and unbounded windows on 1, 2 and 8 workers, each consumer reading a
+// random number of chunks per task under a seeded random submission
+// order: every chunk is decoded once, every consumer finishes with the
+// right fingerprint (parked consumers were all woken), and the window
+// ends empty.
 func TestChunkWindowRandomSchedules(t *testing.T) {
 	h := spillHandle(t, 12000, 256)
 	n := h.Chunks()
-	spans := []Span{{0, n, 5}, {0, 2 * n / 3, 3}, {n / 3, n, 2}}
+	const consumers = 10
+	want := wantSum(t, h)
 	for _, workers := range []int{1, 2, 8} {
 		for _, budget := range []int64{0, 1, 4 * DecodedChunkBytes(256), -1} {
 			for seed := int64(1); seed <= 3; seed++ {
 				label := fmt.Sprintf("workers=%d/budget=%d/seed=%d", workers, budget, seed)
 				base := runtime.NumGoroutine()
-				win := NewChunkWindow[sched.Task](h, budget, spans...)
+				win := NewChunkWindow[sched.Task](h, budget, consumers)
 				pageIns := h.PageIns()
-				cs := runConsumers(t, workers, win, spans, seed, 0)
+				cs := runConsumers(t, workers, win, consumers, seed, 0)
 				s := win.Stats()
 				if s.Decodes != int64(n) || h.PageIns()-pageIns != int64(n) {
 					t.Fatalf("%s: %d decodes, %d page-ins for %d chunks", label, s.Decodes, h.PageIns()-pageIns, n)
 				}
 				for _, c := range cs {
 					if !c.done || c.err != nil {
-						t.Fatalf("%s: consumer over [%d,%d) stopped at %d: %v", label, c.from, c.end, c.next, c.err)
+						t.Fatalf("%s: consumer stopped at %d: %v", label, c.next, c.err)
 					}
-					if c.sum != wantSums(t, h, c.from, c.end) {
-						t.Fatalf("%s: consumer over [%d,%d) saw the wrong columns", label, c.from, c.end)
+					if c.sum != want {
+						t.Fatalf("%s: a consumer saw the wrong columns", label)
 					}
 				}
 				if s.Released != int64(n) || s.Resident != 0 || s.Parked != 0 {
@@ -387,9 +388,8 @@ func TestChunkWindowCorruptPoisonsEveryConsumer(t *testing.T) {
 			base := runtime.NumGoroutine()
 			fio := NewFaultingIO(Fault{Op: OpReadAt, Nth: 4, Kind: FaultBitFlip})
 			h := recordSpill(t, filepath.Join(t.TempDir(), "flip.btr"), 8000, 256, 3, fio)
-			spans := []Span{{0, h.Chunks(), 6}}
-			win := NewChunkWindow[sched.Task](h, budget, spans...)
-			cs := runConsumers(t, workers, win, spans, 7, 0)
+			win := NewChunkWindow[sched.Task](h, budget, 6)
+			cs := runConsumers(t, workers, win, 6, 7, 0)
 			for _, c := range cs {
 				if c.done {
 					t.Fatalf("%s: a consumer finished over a corrupt chunk", label)
@@ -422,15 +422,15 @@ func TestChunkWindowCancelFreesAndDrops(t *testing.T) {
 		label := fmt.Sprintf("workers=%d", workers)
 		base := runtime.NumGoroutine()
 		h := spillHandle(t, 40000, 256)
-		spans := []Span{{0, h.Chunks(), 8}}
-		win := NewChunkWindow[sched.Task](h, 1, spans...)
+		const consumers = 8
+		win := NewChunkWindow[sched.Task](h, 1, consumers)
 		finished := 0
-		for _, c := range runConsumers(t, workers, win, spans, 11, 20) {
+		for _, c := range runConsumers(t, workers, win, consumers, 11, 20) {
 			if c.done {
 				finished++
 			}
 		}
-		if finished == len(spans)*spans[0].N {
+		if finished == consumers {
 			t.Fatalf("%s: cancel landed after every consumer finished", label)
 		}
 		if s := win.Stats(); s.Resident != 0 || s.Parked != 0 || s.Released >= int64(h.Chunks()) {
