@@ -11,6 +11,7 @@ package btr
 
 import (
 	"io"
+	"slices"
 	"sync"
 	"testing"
 
@@ -155,6 +156,48 @@ func BenchmarkSingleInputSaturation(b *testing.B) {
 // the two is the syscall + copy cost of pread-based paging.
 func BenchmarkSingleInputStreamingMmap(b *testing.B) {
 	benchSingleInput(b, SimConfig{Scale: singleInputScale, MemBudget: 64 << 10, DecodedBudget: 1 << 20, MmapSpill: true})
+}
+
+// BenchmarkBankSweep times the bpred layer alone: the paper's 34-slot
+// PAs/GAs bank, each slot swept serially through its SweepChunk kernel
+// over the decoded chunks of gcc/genoutput.i at singleInputScale.
+// Recording and decoding happen outside the timer; each iteration builds
+// the 34 predictors afresh, as the sim sweep does per input.
+func BenchmarkBankSweep(b *testing.B) {
+	spec, err := FindWorkload("gcc", "genoutput.i")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := trace.NewChunkRecorder(trace.DefaultChunkEvents)
+	spec.Run(rec, singleInputScale)
+	tr := rec.Trace()
+	var chunks []trace.DecodedChunk
+	rep := tr.NewReplayer()
+	for {
+		pcs, dirs, n, ok := rep.NextChunk()
+		if !ok {
+			break
+		}
+		chunks = append(chunks, trace.DecodedChunk{PCs: slices.Clone(pcs), Dirs: dirs, N: n})
+	}
+	const slots = 2 * (bpred.MaxHistory + 1)
+	wrong := make([]uint64, (trace.DefaultChunkEvents+63)/64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for slot := 0; slot < slots; slot++ {
+			var p bpred.ChunkSweeper
+			if k := slot % (bpred.MaxHistory + 1); slot <= bpred.MaxHistory {
+				p = bpred.NewPAs(k)
+			} else {
+				p = bpred.NewGAs(k)
+			}
+			for _, c := range chunks {
+				clear(wrong)
+				p.SweepChunk(c.PCs, c.Dirs, c.N, wrong)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(tr.Events())*slots), "ns/event/slot")
 }
 
 func benchSingleInput(b *testing.B, cfg SimConfig) {

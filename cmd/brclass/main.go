@@ -25,7 +25,7 @@ func main() {
 	bench := flag.String("bench", "", "benchmark name (see brtrace -list)")
 	input := flag.String("input", "", "input set name")
 	scale := flag.Float64("scale", 0.1, "workload scale")
-	tracePath := flag.String("trace", "", "read a BTR1 trace file instead of running a workload")
+	tracePath := flag.String("trace", "", "read a BTR1 or BTR2 trace file instead of running a workload")
 	branches := flag.Bool("branches", false, "dump per-branch profiles")
 	flag.Parse()
 

@@ -29,11 +29,11 @@ func main() {
 	bench := flag.String("bench", "", "benchmark name")
 	input := flag.String("input", "", "input set name")
 	scale := flag.Float64("scale", 0.1, "workload scale")
-	tracePath := flag.String("trace", "", "BTR1 trace file instead of a workload")
+	tracePath := flag.String("trace", "", "BTR1 or BTR2 trace file instead of a workload")
 	pred := flag.String("pred", "pas", "predictor kind")
 	k := flag.Int("k", 8, "history length")
-	memBudget := flag.Int64("membudget", 0, "stream the recording to a BTR1 spill file, keeping at most about this many resident bytes; replays page the rest back in (0 = retain the recording whole)")
-	cachedir := flag.String("cachedir", "", "reuse recorded workload traces as BTR1 files in this directory across invocations (filenames carry the workload-registry fingerprint, so a dir written by older workloads self-invalidates)")
+	memBudget := flag.Int64("membudget", 0, "stream the recording to a BTR2 spill file, keeping at most about this many resident bytes; replays page the rest back in (0 = retain the recording whole)")
+	cachedir := flag.String("cachedir", "", "reuse recorded workload traces as BTR2 files in this directory across invocations (filenames carry the workload-registry fingerprint, so a dir written by older workloads self-invalidates)")
 	memStats := flag.Bool("memstats", false, "report the recording's memory shape (encoded bytes, resident peak, page-ins) after the run")
 	flag.Parse()
 
@@ -42,7 +42,7 @@ func main() {
 	// it again, so the generator runs once no matter how many passes the
 	// predictor needs. With -membudget the recording streams to a spill
 	// file with a bounded resident prefix instead of being retained
-	// whole; with -cachedir it persists as a BTR1 spill file, so repeated
+	// whole; with -cachedir it persists as a BTR2 spill file, so repeated
 	// invocations skip the generator entirely.
 	var recorded *trace.Handle
 	var cache *trace.Cache

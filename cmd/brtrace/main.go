@@ -41,7 +41,7 @@ func main() {
 	bench := flag.String("bench", "", "benchmark name")
 	input := flag.String("input", "", "input set name")
 	scale := flag.Float64("scale", 0.1, "workload scale")
-	out := flag.String("o", "", "output trace file (BTR1 binary)")
+	out := flag.String("o", "", "output trace file (BTR2 with -membudget > 0, else BTR1)")
 	memBudget := flag.Int64("membudget", 0, "record through the streaming recorder with at most about this many resident bytes, then audit-replay the spill (0 = buffer in memory as before)")
 	info := flag.String("info", "", "summarise an existing trace file")
 	text := flag.String("text", "", "dump an existing trace file as text")
@@ -95,7 +95,7 @@ func main() {
 			fatal(err)
 		}
 	case *bench != "" && *input != "" && *out != "" && *memBudget > 0:
-		// Streamed recording: events go straight to the BTR1 file with a
+		// Streamed recording: events go straight to the BTR2 file with a
 		// bounded resident prefix — the memory shape a paper-scale run
 		// has — then an audit replay pages every chunk back in, one
 		// chunk's columns at a time, and reports the memory-shape

@@ -11,22 +11,30 @@ package bpred
 
 // Counter2 is a 2-bit saturating counter in 0..3. Values 2 and 3 predict
 // taken. The weakly-not-taken initial value 1 matches sim-bpred's default.
+// Training goes through the counterNext table rather than comparisons, so
+// neither the outcome nor saturation is a branch on the host.
 type Counter2 uint8
+
+// counterNext[c<<1|t] is counter c trained toward outcome bit t: one step
+// toward 3 when t is 1, toward 0 when t is 0, saturating at both ends.
+var counterNext = [8]Counter2{0, 1, 0, 2, 1, 3, 2, 3}
+
+// next returns c trained toward outcome bit t (0 or 1).
+func (c Counter2) next(t uint64) Counter2 {
+	return counterNext[(uint64(c)<<1|t)&7]
+}
 
 // Predict reports the counter's current direction prediction.
 func (c Counter2) Predict() bool { return c >= 2 }
 
 // Update returns the counter trained toward the outcome, saturating at 0
 // and 3.
-func (c Counter2) Update(taken bool) Counter2 {
+func (c Counter2) Update(taken bool) Counter2 { return c.next(bit(taken)) }
+
+// bit returns taken as an integer outcome bit, 1 or 0.
+func bit(taken bool) uint64 {
 	if taken {
-		if c < 3 {
-			return c + 1
-		}
-		return 3
-	}
-	if c > 0 {
-		return c - 1
+		return 1
 	}
 	return 0
 }

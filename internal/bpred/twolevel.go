@@ -85,20 +85,14 @@ func (g *GAs) Predict(pc uint64) bool { return g.pht.Predict(g.index(pc)) }
 // Update implements Predictor.
 func (g *GAs) Update(pc uint64, taken bool) {
 	g.pht.Update(g.index(pc), taken)
-	g.ghr <<= 1
-	if taken {
-		g.ghr |= 1
-	}
+	g.ghr = g.ghr<<1 | bit(taken)
 }
 
 // PredictUpdate implements PredictUpdater: the PHT index is computed once
 // for the fused predict-then-update step.
 func (g *GAs) PredictUpdate(pc uint64, taken bool) bool {
 	predicted := g.pht.PredictUpdate(g.index(pc), taken)
-	g.ghr <<= 1
-	if taken {
-		g.ghr |= 1
-	}
+	g.ghr = g.ghr<<1 | bit(taken)
 	return predicted
 }
 
@@ -107,31 +101,50 @@ func (g *GAs) SizeBits() int64 { return g.pht.SizeBits() + int64(g.k) }
 
 // SweepChunk runs the fused predict-then-update protocol over one decoded
 // trace chunk — pcs and the direction bitmap dirs (event i's outcome is
-// bit i&63 of word i>>6) hold n events — setting bit i of wrong for every
-// misprediction. It is the batch hot path of the sweep harness: the loop
-// body is fully concrete, and the history register stays in a local.
+// bit i&63 of word i>>6) hold n events — OR-ing bit i into wrong for every
+// misprediction and leaving wrong's other bits as they were. It is the
+// batch hot path of the sweep harness, and no branch in its per-event body
+// depends on the trace: each dirs word is read once and the outcome taken
+// as an integer bit t, the counter trains through counterNext, the miss
+// bit (c>>1)^t collects in a register that is OR-ed into wrong once per 64
+// events, and the history shifts as h<<1|t. So the simulated trace's
+// hard-to-predict branches do not become host mispredictions.
 // Behaviour is identical to n PredictUpdate calls.
 func (g *GAs) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
-	ghr := g.ghr
-	for i := 0; i < n; i++ {
-		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
-		idx := (pcIndex(pcs[i])&g.addrMask)<<uint(g.k) | (ghr & g.histMask)
-		if g.pht.PredictUpdate(idx, taken) != taken {
-			wrong[i>>6] |= 1 << (uint(i) & 63)
-		}
-		ghr <<= 1
-		if taken {
-			ghr |= 1
-		}
-	}
-	g.ghr = ghr
+	g.ghr = sweepGlobal((*[1 << GAsPHTBits]Counter2)(g.pht.counters),
+		g.addrMask, g.histMask, uint(g.k), g.ghr, pcs, dirs, n, wrong)
 }
 
-// PAs is the per-address-history two-level adaptive predictor of §3.
+// sweepGlobal is the kernel of GAs.SweepChunk over a 2^17-counter PHT
+// indexed by addrMask'd address bits above k bits of the global history
+// ghr; it returns the updated history. PAs(0) runs it too, with k = 0 and
+// an empty history mask. The PHT comes as an array pointer so that the
+// masked index needs no bounds check.
+func sweepGlobal(pht *[1 << GAsPHTBits]Counter2, addrMask, histMask uint64, k uint, ghr uint64, pcs, dirs []uint64, n int, wrong []uint64) uint64 {
+	for base := 0; base < n; base += 64 {
+		d := dirs[base>>6]
+		var miss uint64
+		for j, pc := range pcs[base:min(base+64, n)] {
+			t := d >> (uint(j) & 63) & 1
+			i := ((pcIndex(pc)&addrMask)<<(k&63) | ghr&histMask) & (1<<GAsPHTBits - 1)
+			c := pht[i]
+			pht[i] = c.next(t)
+			miss |= (uint64(c>>1) ^ t) << (uint(j) & 63)
+			ghr = ghr<<1 | t
+		}
+		wrong[base>>6] |= miss
+	}
+	return ghr
+}
+
+// PAs is the per-address-history two-level adaptive predictor of §3. Its
+// BHT registers are uint16: k ≤ MaxHistory = 16 and the PHT index reads
+// only the low k bits, so the 16 bank slots' tables take a quarter of the
+// memory 64-bit registers would (0.75 MiB, not 3 MiB, per input).
 type PAs struct {
 	k        int
 	pht      *CounterTable
-	bht      []uint64 // per-address history registers, low k bits live
+	bht      []uint16 // per-address history registers, low k bits live
 	bhtMask  uint64
 	histMask uint64
 	addrMask uint64
@@ -154,7 +167,7 @@ func NewPAs(k int) *PAs {
 	p.phtBits = PAsPHTBits
 	p.pht = NewCounterTable(PAsPHTBits)
 	entriesLog := BHTEntriesLog2(k)
-	p.bht = make([]uint64, 1<<uint(entriesLog))
+	p.bht = make([]uint16, 1<<uint(entriesLog))
 	p.bhtMask = uint64(len(p.bht) - 1)
 	p.histMask = (1 << uint(k)) - 1
 	p.addrMask = (1 << uint(PAsPHTBits-k)) - 1
@@ -175,7 +188,7 @@ func (p *PAs) index(pc uint64) uint64 {
 	if p.k == 0 {
 		return pcIndex(pc) & p.addrMask
 	}
-	hist := p.bht[pcIndex(pc)&p.bhtMask] & p.histMask
+	hist := uint64(p.bht[pcIndex(pc)&p.bhtMask]) & p.histMask
 	return (pcIndex(pc)&p.addrMask)<<uint(p.k) | hist
 }
 
@@ -189,10 +202,7 @@ func (p *PAs) Update(pc uint64, taken bool) {
 		return
 	}
 	i := pcIndex(pc) & p.bhtMask
-	p.bht[i] <<= 1
-	if taken {
-		p.bht[i] |= 1
-	}
+	p.bht[i] = p.bht[i]<<1 | uint16(bit(taken))
 }
 
 // PredictUpdate implements PredictUpdater: the BHT entry is loaded and the
@@ -202,14 +212,10 @@ func (p *PAs) PredictUpdate(pc uint64, taken bool) bool {
 		return p.pht.PredictUpdate(pcIndex(pc)&p.addrMask, taken)
 	}
 	i := pcIndex(pc) & p.bhtMask
-	hist := p.bht[i]
+	hist := uint64(p.bht[i])
 	idx := (pcIndex(pc)&p.addrMask)<<uint(p.k) | (hist & p.histMask)
 	predicted := p.pht.PredictUpdate(idx, taken)
-	hist <<= 1
-	if taken {
-		hist |= 1
-	}
-	p.bht[i] = hist
+	p.bht[i] = uint16(hist<<1 | bit(taken))
 	return predicted
 }
 
@@ -218,31 +224,32 @@ func (p *PAs) SizeBits() int64 {
 	return p.pht.SizeBits() + int64(len(p.bht))*int64(p.k)
 }
 
-// SweepChunk is the batch fused step over one decoded trace chunk; see
-// GAs.SweepChunk. Behaviour is identical to n PredictUpdate calls.
+// SweepChunk is the batch fused step over one decoded trace chunk, with
+// the same branch-free body and OR-into-wrong contract as GAs.SweepChunk;
+// the history it shifts is the BHT entry of the event's address. k = 0
+// runs the GAs(0) kernel. Behaviour is identical to n PredictUpdate calls.
 func (p *PAs) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
 	if p.k == 0 {
-		for i := 0; i < n; i++ {
-			taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
-			if p.pht.PredictUpdate(pcIndex(pcs[i])&p.addrMask, taken) != taken {
-				wrong[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
+		sweepGlobal((*[1 << GAsPHTBits]Counter2)(p.pht.counters), p.addrMask, 0, 0, 0, pcs, dirs, n, wrong)
 		return
 	}
-	for i := 0; i < n; i++ {
-		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
-		bi := pcIndex(pcs[i]) & p.bhtMask
-		hist := p.bht[bi]
-		idx := (pcIndex(pcs[i])&p.addrMask)<<uint(p.k) | (hist & p.histMask)
-		if p.pht.PredictUpdate(idx, taken) != taken {
-			wrong[i>>6] |= 1 << (uint(i) & 63)
+	pht := (*[1 << PAsPHTBits]Counter2)(p.pht.counters)
+	bht, bhtMask := p.bht, p.bhtMask
+	addrMask, histMask, k := p.addrMask, p.histMask, uint(p.k)&63
+	for base := 0; base < n; base += 64 {
+		d := dirs[base>>6]
+		var miss uint64
+		for j, pc := range pcs[base:min(base+64, n)] {
+			t := d >> (uint(j) & 63) & 1
+			a := pcIndex(pc)
+			h := uint64(bht[a&bhtMask])
+			i := ((a&addrMask)<<k | h&histMask) & (1<<PAsPHTBits - 1)
+			c := pht[i]
+			pht[i] = c.next(t)
+			miss |= (uint64(c>>1) ^ t) << (uint(j) & 63)
+			bht[a&bhtMask] = uint16(h<<1 | t)
 		}
-		hist <<= 1
-		if taken {
-			hist |= 1
-		}
-		p.bht[bi] = hist
+		wrong[base>>6] |= miss
 	}
 }
 
@@ -272,19 +279,13 @@ func (g *GAg) Predict(pc uint64) bool { return g.pht.Predict(g.ghr & g.mask) }
 // Update implements Predictor.
 func (g *GAg) Update(pc uint64, taken bool) {
 	g.pht.Update(g.ghr&g.mask, taken)
-	g.ghr <<= 1
-	if taken {
-		g.ghr |= 1
-	}
+	g.ghr = g.ghr<<1 | bit(taken)
 }
 
 // PredictUpdate implements PredictUpdater.
 func (g *GAg) PredictUpdate(pc uint64, taken bool) bool {
 	predicted := g.pht.PredictUpdate(g.ghr&g.mask, taken)
-	g.ghr <<= 1
-	if taken {
-		g.ghr |= 1
-	}
+	g.ghr = g.ghr<<1 | bit(taken)
 	return predicted
 }
 
@@ -331,10 +332,7 @@ func (p *PAg) Predict(pc uint64) bool {
 func (p *PAg) Update(pc uint64, taken bool) {
 	i := pcIndex(pc) & p.bhtMask
 	p.pht.Update(p.bht[i]&p.mask, taken)
-	p.bht[i] <<= 1
-	if taken {
-		p.bht[i] |= 1
-	}
+	p.bht[i] = p.bht[i]<<1 | bit(taken)
 }
 
 // PredictUpdate implements PredictUpdater.
@@ -342,11 +340,7 @@ func (p *PAg) PredictUpdate(pc uint64, taken bool) bool {
 	i := pcIndex(pc) & p.bhtMask
 	hist := p.bht[i]
 	predicted := p.pht.PredictUpdate(hist&p.mask, taken)
-	hist <<= 1
-	if taken {
-		hist |= 1
-	}
-	p.bht[i] = hist
+	p.bht[i] = hist<<1 | bit(taken)
 	return predicted
 }
 
