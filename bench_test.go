@@ -109,7 +109,7 @@ func BenchmarkSuiteSweepRegenerate(b *testing.B) {
 // BenchmarkSuiteSweepScheduled measures the recorded pipeline on the
 // same input (RunSuite, and RunInput, run nothing else): the profile
 // task fans its 34-slot bank sweep out as per-slot chains of one-chunk
-// tasks over shared pre-decoded columns, so even this single-input suite
+// tasks over a decode-once chunk window, so even this single-input suite
 // fills every core and never decodes the trace twice. It must beat
 // BenchmarkSuiteSweepRegenerate wall-clock.
 func BenchmarkSuiteSweepScheduled(b *testing.B) {
@@ -121,10 +121,10 @@ func BenchmarkSuiteSweepScheduled(b *testing.B) {
 // ~4 KiB of chunk columns resident (the recording is ~30 KiB, so the
 // run genuinely pages), and the sweep's chunk window is capped below
 // the decoded trace. The gap to BenchmarkSuiteSweepScheduled is the
-// price of bounded memory — a second page-in and decode per chunk,
-// since the attribution pre-pass cannot hand its decodes to a bounded
-// window — on a trace that would comfortably fit; paper-scale traces
-// have no retained alternative to compare against.
+// price of bounded memory — a page-in per chunk, and chains held within
+// the window's depth of the slowest — on a trace that would comfortably
+// fit; paper-scale traces have no retained alternative to compare
+// against.
 func BenchmarkSuiteSweepStreaming(b *testing.B) {
 	benchSweepSuite(b, SimConfig{Scale: 1.0, MemBudget: 4 << 10, DecodedBudget: 128 << 10})
 }

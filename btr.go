@@ -103,7 +103,7 @@ type (
 
 	// TraceCache shares recorded workload traces across runs and
 	// experiment contexts, keyed by (workload name, spec fingerprint,
-	// scale, chunk size), optionally spilling to BTR1 files. Assign one
+	// scale, chunk size), optionally spilling to BTR2 files. Assign one
 	// to SimConfig.Cache.
 	TraceCache = trace.Cache
 	// TraceCacheKey identifies one recording in a TraceCache.
@@ -263,7 +263,7 @@ const DefaultTraceCacheBytes = trace.DefaultCacheBytes
 
 // NewTraceCache builds a recorded-trace cache bounded to maxBytes of
 // resident columns (<= 0 means unbounded). A non-empty spillDir makes it
-// persistent: traces are written through as BTR1 files and reloaded on
+// persistent: traces are written through as BTR2 files and reloaded on
 // demand, including by later processes pointed at the same directory.
 // Spill filenames embed the workload registry's fingerprint (a hash of
 // every spec's name, target and seed), so a directory written by a

@@ -108,9 +108,9 @@ func NewContext(cfg sim.Config) *Context {
 // except under a memory budget (cfg.MemBudget > 0), where a cache-less
 // config gets a private trace cache bounded to that budget instead: the
 // shared cache's default 1 GiB of resident columns would defeat the
-// bound the caller just asked for, and the profile cache (whose
-// attribution columns are O(trace) too) is tightened to the same
-// number. An explicit bundle is used as given — its owner (a server
+// bound the caller just asked for, and the profile cache is tightened
+// to the same number, so the private bundle as a whole stays within
+// it. An explicit bundle is used as given — its owner (a server
 // applying per-request budgets over one substrate) has already chosen
 // the sizes. cfg.NoRecord disables caching entirely.
 func NewContextShared(cfg sim.Config, sh *Shared) *Context {

@@ -6,16 +6,16 @@ import (
 	"btr/internal/trace"
 )
 
-// DefaultProfileCacheBytes is NewProfileCache's budget: large enough
-// that a whole suite's attribution columns stay resident at the default
-// scale, small enough that a paper-scale run (where one column alone is
-// tens of gigabytes) keeps only the most recently used inputs.
+// DefaultProfileCacheBytes is NewProfileCache's budget. Entries are
+// O(sites) — a few kilobytes for each registry input at any scale — so
+// the budget holds many suites' worth; it bounds a process that
+// profiles an unbounded stream of distinct inputs.
 const DefaultProfileCacheBytes = 1 << 28 // 256 MiB
 
 // ProfileCache caches the classified pass-1 result of an input — the
-// InputResult shell sans Miss (profiles, classes, Exec, hard-distance
-// histogram) plus the per-event attribution column — so a later run
-// with a matching key skips the profiling replay entirely, not just the
+// InputResult shell sans Miss (profiles, classes, class table, Exec,
+// hard-distance histogram) — so a later run with a matching key skips
+// the profiling replay and the hard-distance walk, not just the
 // generator run a trace.Cache hit saves. Keys are the (name,
 // fingerprint, scale, chunk) quadruple of trace.CacheKey — which pins a
 // recording (and therefore its derived classification) bit for bit —
@@ -28,15 +28,14 @@ const DefaultProfileCacheBytes = 1 << 28 // 256 MiB
 // profile entry pinning it would defeat that bound. profileCached re-
 // fetches the recording on a hit and recomputes from scratch in the
 // rare case it was evicted without a spill path. What an entry does
-// retain — the attribution column (~1 byte/event) and the per-branch
-// profile maps — is an order of magnitude lighter than the recordings,
-// but still O(trace), so the cache carries its own LRU byte budget:
-// entries past it are evicted least-recently-used and simply recomputed
-// on the next run, the same degrade-to-recompute contract the trace
-// cache has.
+// retain — the per-branch profile and class maps, the class table and
+// the histogram — is O(sites), independent of the trace's length; the
+// cache still carries its own LRU byte budget, so entries past it are
+// evicted least-recently-used and simply recomputed on the next run,
+// the same degrade-to-recompute contract the trace cache has.
 //
 // Served results share the immutable pass-1 artifacts (Profiles map,
-// ClassMap, histogram, class column) with every other run of the same
+// ClassMap, class table, histogram) with every other run of the same
 // key; only the returned InputResult struct itself is a fresh copy,
 // whose zero Miss the caller's own sweep fills in. Callers must treat
 // the shared artifacts as read-only — the pipeline does. Eviction never
@@ -61,10 +60,9 @@ type profileKey struct {
 }
 
 type profileEntry struct {
-	tmpl     InputResult // Miss all-zero, Recorded nil; the rest filled
-	classIdx []uint8
-	size     int64 // estimated footprint, charged against the budget
-	used     int64 // LRU clock tick of the last touch
+	tmpl InputResult // Miss all-zero, Recorded nil; the rest filled
+	size int64       // estimated footprint, charged against the budget
+	used int64       // LRU clock tick of the last touch
 }
 
 // ProfileCacheStats counts cache traffic. ResidentBytes is the
@@ -94,12 +92,12 @@ func NewProfileCacheBytes(maxBytes int64) *ProfileCache {
 	return &ProfileCache{entries: make(map[profileKey]*profileEntry), maxBytes: maxBytes}
 }
 
-// entrySize estimates an entry's heap footprint: the attribution column
-// dominates; the profile and class maps are charged at rough per-entry
-// costs (bucket + key + value struct), the histogram at its bins, plus
-// a fixed overhead for the shell itself.
+// entrySize estimates an entry's heap footprint: the profile and class
+// maps are charged at rough per-entry costs (bucket + key + value
+// struct), the class table and histogram at their size, plus a fixed
+// overhead for the shell itself.
 func entrySize(e *profileEntry) int64 {
-	size := int64(len(e.classIdx)) + 256
+	size := int64(256)
 	if e.tmpl.HardDistances != nil {
 		size += int64(len(e.tmpl.HardDistances.Bins)) * 8
 	}
@@ -113,35 +111,35 @@ func entrySize(e *profileEntry) int64 {
 
 // get returns a sweep-ready copy of the cached shell for key, with
 // Recorded still nil — the caller supplies the recording.
-func (c *ProfileCache) get(key trace.CacheKey, window int) (*InputResult, []uint8, bool) {
+func (c *ProfileCache) get(key trace.CacheKey, window int) (*InputResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[profileKey{key, window}]
 	if e == nil {
 		c.stats.Misses++
-		return nil, nil, false
+		return nil, false
 	}
 	c.stats.Hits++
 	c.tick++
 	e.used = c.tick
 	res := e.tmpl // struct copy: private Miss, shared pass-1 artifacts
-	return &res, e.classIdx, true
+	return &res, true
 }
 
-// put snapshots res (which must not have Miss filled yet — the attribution
-// grid calls it before any sweep runs) under key, dropping the recording
-// reference so the trace.Cache stays the recording's only owner, then
-// evicts least-recently-used entries past the byte budget. First writer
-// wins; a concurrent duplicate of the same deterministic result is
-// dropped.
-func (c *ProfileCache) put(key trace.CacheKey, window int, res *InputResult, classIdx []uint8) {
+// put snapshots res (which must not have Miss filled yet — the sweep
+// calls it just before its final fold) under key, dropping the
+// recording reference so the trace.Cache stays the recording's only
+// owner, then evicts least-recently-used entries past the byte budget.
+// First writer wins; a concurrent duplicate of the same deterministic
+// result is dropped.
+func (c *ProfileCache) put(key trace.CacheKey, window int, res *InputResult) {
 	pk := profileKey{key, window}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[pk]; ok {
 		return
 	}
-	e := &profileEntry{tmpl: *res, classIdx: classIdx}
+	e := &profileEntry{tmpl: *res}
 	e.tmpl.Recorded = nil
 	e.size = entrySize(e)
 	c.tick++

@@ -81,11 +81,10 @@ type Config struct {
 	// memory for recordings; results are bit-for-bit identical.
 	NoRecord bool
 	// Profiles, when non-nil, caches each input's classified pass-1
-	// result (profiles, classes, Exec, hard distances, attribution
-	// column — everything except Miss) keyed like Cache. A hit skips the
-	// profiling replay entirely, not just the generator run, so a second
-	// experiment context performs zero pass-1 work. Ignored under
-	// NoRecord.
+	// result (profiles, classes, Exec, hard distances — everything
+	// except Miss) keyed like Cache. A hit skips the profiling replay
+	// entirely, not just the generator run, so a second experiment
+	// context performs zero pass-1 work. Ignored under NoRecord.
 	Profiles *ProfileCache
 	// Cache, when non-nil, is consulted before pass 1: a recording with
 	// a matching (name, scale, chunk) key replays into the profiler
@@ -95,7 +94,7 @@ type Config struct {
 	Cache *trace.Cache
 	// MemBudget, when > 0, streams pass 1 through a bounded window
 	// instead of retaining the whole recording: events are written to a
-	// BTR1 spill file as they are generated (the trace cache's spill
+	// BTR2 spill file as they are generated (the trace cache's spill
 	// directory when one is configured, otherwise an anonymous temp
 	// file) and at most about MemBudget bytes of leading chunk columns
 	// stay resident; replays page the remainder back in sequentially.
@@ -123,23 +122,16 @@ type Config struct {
 	// DecodedBudget bounds the decode-once chunk window the scheduled
 	// sweep reads through (trace.ChunkWindow): every chunk is decoded
 	// once, shared by all the input's sweep chains, and dropped when the
-	// last chain passes it. 0 admits the whole recording and reuses the
-	// attribution pre-pass's decodes (the pre-streaming behaviour); > 0
-	// admits max(2, DecodedBudget / decoded-chunk bytes) chunks ahead of
-	// the slowest chain; < 0 admits one chunk at a time. Like MemBudget,
-	// the value is result-invisible.
+	// last chain passes it. 0 admits the whole recording; > 0 admits
+	// max(2, DecodedBudget / decoded-chunk bytes) chunks ahead of the
+	// slowest chain; < 0 admits one chunk at a time. Like MemBudget, the
+	// value is result-invisible.
 	DecodedBudget int64
 }
 
 // chunkWindow is the sweep's decode-once window; its parked
 // continuations are scheduler tasks.
 type chunkWindow = trace.ChunkWindow[sched.Task]
-
-// sweepWindow builds the chunk window an input's bank sweep reads
-// through, one consumer per slot chain.
-func (c Config) sweepWindow(h *trace.Handle) *chunkWindow {
-	return trace.NewChunkWindow[sched.Task](h, c.DecodedBudget, numBankSlots)
-}
 
 // checkout serves chunk k to a window consumer, resubmitting any
 // continuations the window hands back onto w's own deque (LIFO), so a
@@ -405,7 +397,7 @@ func profileRecorded(spec workload.Spec, cfg Config) (*core.Profiler, *trace.Han
 }
 
 // streamRecord is the bounded-window pass 1: the generator's stream is
-// teed into the profiler and a StreamRecorder writing BTR1 directly —
+// teed into the profiler and a StreamRecorder writing BTR2 directly —
 // to the cache's spill path when one exists (so later processes probe
 // straight into it), else an anonymous temp file. ok is false when the
 // spill backing could not be set up; the caller falls back to
@@ -438,16 +430,17 @@ func streamRecord(spec workload.Spec, cfg Config, profiler *core.Profiler) (*tra
 }
 
 // hardIdx is the 5/5 joint class ("hard" branches), flattened the way
-// classIdx stores classes.
+// core.ClassTable stores classes.
 const hardIdx = 5*core.NumClasses + 5
 
-// passOne profiles, records and classifies one input: the result shell
-// with Exec, distances and the attribution column still empty — those
-// belong to the attribution grid (attribGrid).
+// passOne profiles, records and classifies one input. Exec is each
+// site's execution count summed into its joint class, so it needs no
+// pass over the trace; the hard distances, which need event order, are
+// still empty — the sweep's hard chain fills them.
 func passOne(spec workload.Spec, cfg Config) *InputResult {
 	profiler, recorded := profileRecorded(spec, cfg)
 	classes := core.Classify(profiler.Profiles())
-	return &InputResult{
+	res := &InputResult{
 		Spec:          spec,
 		Events:        profiler.Events(),
 		Sites:         profiler.Sites(),
@@ -457,6 +450,11 @@ func passOne(spec workload.Spec, cfg Config) *InputResult {
 		HardDistances: stats.NewHistogram(cfg.window() + 1),
 		Recorded:      recorded,
 	}
+	for pc, p := range res.Profiles {
+		ci := classOf(res.Table, pc)
+		res.Exec[ci/core.NumClasses][ci%core.NumClasses] += p.Execs
+	}
+	return res
 }
 
 // profileCached serves the profile-cache fast path: a cached pass-1
@@ -466,24 +464,25 @@ func passOne(spec workload.Spec, cfg Config) *InputResult {
 // template, so the copy is sweep-ready), the recording it was derived
 // from comes back from cfg.Cache — the recording's lifetime stays under
 // the trace cache's LRU budget, not pinned by profile entries — and no
-// generator, profiler or attribution work runs at all. If the recording
-// was evicted without a spill path the hit is unusable (the sweep needs
-// the stream) and the input falls through to a full recompute.
-func profileCached(spec workload.Spec, cfg Config) (*InputResult, []uint8, bool) {
+// generator run, profiling replay or hard-distance walk happens at all.
+// If the recording was evicted without a spill path the hit is unusable
+// (the sweep needs the stream) and the input falls through to a full
+// recompute.
+func profileCached(spec workload.Spec, cfg Config) (*InputResult, bool) {
 	if cfg.Profiles == nil || cfg.Cache == nil {
-		return nil, nil, false
+		return nil, false
 	}
-	res, classIdx, ok := cfg.Profiles.get(cfg.cacheKey(spec), cfg.window())
+	res, ok := cfg.Profiles.get(cfg.cacheKey(spec), cfg.window())
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
 	h, ok := cfg.Cache.GetHandle(cfg.cacheKey(spec))
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
 	cfg.mmapHandle(h)
 	res.Recorded = h
-	return res, classIdx, true
+	return res, true
 }
 
 // mmapHandle applies Config.MmapSpill to a freshly acquired recording
@@ -516,9 +515,10 @@ func bankSlotPredictor(i int) bpred.ChunkSweeper {
 	}
 }
 
-// foldMisses copies each slot chain's flat counters into res.Miss.
+// foldMisses copies each bank slot chain's flat counters into res.Miss;
+// chains past the bank slots (the hard chain) hold no misses.
 func foldMisses(res *InputResult, chains []sweepChain) {
-	for i := range chains {
+	for i := range chains[:numBankSlots] {
 		kind, k := Kind(i/NumHistories), i%NumHistories
 		for t := 0; t < core.NumClasses; t++ {
 			for tr := 0; tr < core.NumClasses; tr++ {
@@ -542,12 +542,13 @@ func classOf(t *core.ClassTable, pc uint64) uint8 {
 // attributing mispredictions into cell: the inner loop of every sweep
 // task. wrong is the caller's scratch bitmap, at least (n+63)/64 words.
 //
-// The popcount pre-scan totals the chunk's mispredictions first: an
-// all-correct chunk — the common case for easy classes at high k —
-// skips attribution entirely, and otherwise the running count stops the
-// word walk as soon as the last miss has been attributed, bulk-skipping
-// the zero tail.
-func sweepDecodedChunk(p bpred.ChunkSweeper, d *trace.DecodedChunk, cls []uint8, cell *missCell, wrong []uint64) {
+// Classes are resolved at the miss: only the set bits of wrong look
+// their PC up in the input's class table. The popcount pre-scan totals
+// the chunk's mispredictions first: an all-correct chunk — the common
+// case for easy classes at high k — skips attribution entirely, and
+// otherwise the running count stops the word walk as soon as the last
+// miss has been attributed, bulk-skipping the zero tail.
+func sweepDecodedChunk(p bpred.ChunkSweeper, d *trace.DecodedChunk, table *core.ClassTable, cell *missCell, wrong []uint64) {
 	words := (d.N + 63) / 64
 	for w := range wrong[:words] {
 		wrong[w] = 0
@@ -560,6 +561,9 @@ func sweepDecodedChunk(p bpred.ChunkSweeper, d *trace.DecodedChunk, cls []uint8,
 	if total == 0 {
 		return
 	}
+	// A local copy of the table: cell's stores cannot alias it, so the
+	// walk need not reload the table's fields behind every increment.
+	tab, pcs := *table, d.PCs
 	for w := 0; total > 0; w++ {
 		bits := wrong[w]
 		if bits == 0 {
@@ -567,7 +571,7 @@ func sweepDecodedChunk(p bpred.ChunkSweeper, d *trace.DecodedChunk, cls []uint8,
 		}
 		total -= mathbits.OnesCount64(bits)
 		for ; bits != 0; bits &= bits - 1 {
-			cell[cls[w*64+mathbits.TrailingZeros64(bits)]]++
+			cell[classOf(&tab, pcs[w*64+mathbits.TrailingZeros64(bits)])]++
 		}
 	}
 }

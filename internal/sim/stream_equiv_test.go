@@ -65,9 +65,9 @@ func TestStreamedMatrixMatchesRetained(t *testing.T) {
 						t.Fatalf("%s/%s: streaming kept everything resident (peak %d, recorded %d)",
 							label, r.Spec.Name(), r.Mem.ResidentPeak, r.Mem.RecordedBytes)
 					}
-					// One page-in per spilled chunk for the attribution
-					// pre-pass and one for the window, never more.
-					if limit := 2 * int64(r.Recorded.Chunks()); r.Mem.PageIns > limit {
+					// The window decodes each chunk once, so a spilled
+					// chunk is paged in once, never more.
+					if limit := int64(r.Recorded.Chunks()); r.Mem.PageIns > limit {
 						t.Fatalf("%s/%s: %d page-ins for %d chunks (limit %d)",
 							label, r.Spec.Name(), r.Mem.PageIns, r.Recorded.Chunks(), limit)
 					}
@@ -179,5 +179,29 @@ func TestProfileCacheEviction(t *testing.T) {
 	RunInput(spec1, cfg2)
 	if s := roomy.Stats(); s.Hits == 0 || s.Evicted != 0 || s.Resident != 1 {
 		t.Fatalf("roomy cache stats %+v: want a hit, no evictions", s)
+	}
+}
+
+// TestProfileCacheEntryIsPerSite pins a profile-cache entry's size at
+// O(sites): one input profiled at 4x the events, each run into a fresh
+// cache, must be charged far less than 4x the bytes. An entry holding
+// anything per event would grow with the trace.
+func TestProfileCacheEntryIsPerSite(t *testing.T) {
+	spec := testSpec(t, "li", "ref.lsp")
+	charge := func(scale float64) (events, bytes int64) {
+		pc := NewProfileCacheBytes(0)
+		res := RunInput(spec, Config{Scale: scale, Profiles: pc})
+		return res.Events, pc.Stats().ResidentBytes
+	}
+	smallEvents, smallBytes := charge(testScale)
+	bigEvents, bigBytes := charge(4 * testScale)
+	eventRatio := float64(bigEvents) / float64(smallEvents)
+	byteRatio := float64(bigBytes) / float64(smallBytes)
+	if eventRatio < 3.5 {
+		t.Fatalf("events grew %.2fx (%d -> %d), want ~4x", eventRatio, smallEvents, bigEvents)
+	}
+	if byteRatio >= 1.5 {
+		t.Fatalf("entry grew %.2fx (%d -> %d bytes) while events grew %.2fx: entries must be O(sites)",
+			byteRatio, smallBytes, bigBytes, eventRatio)
 	}
 }

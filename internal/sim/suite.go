@@ -92,9 +92,9 @@ type SuiteResult struct {
 //
 // The engine is one work-stealing scheduler over per-input task grids:
 // each input starts as a profile+record task, whose recording fans out
-// as a parallel attribution grid and then as the 34-slot PAs/GAs sweep,
-// one chain of one-chunk tasks per slot, into the same queue — so
-// late-arriving fan-out from a heavy input backfills cores freed by
+// as the 34-slot PAs/GAs sweep — one chain of one-chunk tasks per slot,
+// plus the hard-distance chain on a cold input — into the same queue,
+// so late-arriving fan-out from a heavy input backfills cores freed by
 // small ones. Every sweep task is a pure function of its input's
 // recorded stream, so scheduling order cannot change results
 // (bit-for-bit identical to the NoRecord pipeline; see
@@ -147,7 +147,6 @@ func RunSuiteOn(s *sched.Scheduler, specs []workload.Spec, cfg Config) *SuiteRes
 // its result is bit-identical to an uncorrupted run; a second failure
 // stays in Dropped with its cause.
 func RunSuiteGroup(g *sched.Group, specs []workload.Spec, cfg Config) *SuiteResult {
-	workers := g.Scheduler().Workers()
 	results := make([]*InputResult, len(specs))
 	errs := make([]error, len(specs))
 	submit := func(i int) {
@@ -161,7 +160,7 @@ func RunSuiteGroup(g *sched.Group, specs []workload.Spec, cfg Config) *SuiteResu
 				results[i] = runInputRegenerate(specs[i], cfg)
 				return
 			}
-			profileTask(w, specs[i], cfg, workers, &results[i], &errs[i])
+			profileTask(w, specs[i], cfg, &results[i], &errs[i])
 		})
 	}
 	for i := range specs {
@@ -195,15 +194,14 @@ func recoverInput(errOut *error) {
 	}
 }
 
-// profileTask runs one input's pass 1 and fans out its attribution
-// grid (attribGrid), which in turn launches the bank sweep over a
-// decode-once chunk window. A profile-cache hit skips both pass 1 and
-// attribution and goes straight to the sweep. The last sweep task to
+// profileTask runs one input's pass 1 and launches its sweep over a
+// decode-once chunk window. A profile-cache hit skips pass 1 and the
+// hard-distance walk and sweeps the bank alone. The last sweep task to
 // finish folds the counters and publishes the result — Group.Wait's
 // barrier makes the write visible to the aggregation.
-func profileTask(w *sched.Worker, spec workload.Spec, cfg Config, workers int, out **InputResult, errOut *error) {
-	if res, classIdx, ok := profileCached(spec, cfg); ok {
-		startChunkSweep(w, res, classIdx, cfg.sweepWindow(res.Recorded), out, errOut)
+func profileTask(w *sched.Worker, spec workload.Spec, cfg Config, out **InputResult, errOut *error) {
+	if res, ok := profileCached(spec, cfg); ok {
+		startChunkSweep(w, res, cfg, false, out, errOut)
 		return
 	}
 	var res *InputResult
@@ -214,20 +212,20 @@ func profileTask(w *sched.Worker, spec workload.Spec, cfg Config, workers int, o
 	if res == nil {
 		return
 	}
-	newAttribGrid(cfg, spec, res, workers, out, errOut).launch(w)
+	startChunkSweep(w, res, cfg, true, out, errOut)
 }
 
-// startChunkSweep fans an input's bank sweep out as numBankSlots chains
-// over the chunk window. Chain heads go out oldest-first: the
-// submitting worker pops the last chain LIFO and rides it chunk by
+// startChunkSweep fans an input's sweep out as numBankSlots chains over
+// the chunk window, plus the hard chain when cold (res fresh from pass 1,
+// its hard distances still to walk). Chain heads go out oldest-first:
+// the submitting worker pops the last chain LIFO and rides it chunk by
 // chunk (hot predictor tables), while thieves peel whole un-started
 // chains FIFO.
-func startChunkSweep(w *sched.Worker, res *InputResult, classIdx []uint8, win *chunkWindow, out **InputResult, errOut *error) {
-	cs := newChunkSweep(res, classIdx, win, out, errOut)
+func startChunkSweep(w *sched.Worker, res *InputResult, cfg Config, cold bool, out **InputResult, errOut *error) {
+	cs := newChunkSweep(res, cfg, cold, out, errOut)
 	if cs.live.Load() == 0 {
 		// Empty recording: nothing to sweep, publish immediately.
-		finalizeMem(res, win)
-		*out = res
+		cs.finish()
 		return
 	}
 	for i := range cs.chains {
@@ -242,27 +240,32 @@ func startChunkSweep(w *sched.Worker, res *InputResult, classIdx []uint8, win *c
 // strictly in order (the predictor state hands off from chunk to chunk
 // by living in the chain), so results are bit-identical to a serial
 // sweep, while distinct chains are independent and steal-balanced
-// across every core. Each task sweeps one chunk: at DefaultChunkEvents
+// across every core. On a cold input one more chain, the hard chain,
+// walks the same chunks for the Figure 15 distances: it carries the
+// last hard position from chunk to chunk the way a slot chain carries
+// its predictor. Each task sweeps one chunk: at DefaultChunkEvents
 // events that lands in the tens of microseconds, coarse enough that the
 // deque overhead is noise and fine enough that stealing levels the tail
 // of a single huge input. A chain that runs ahead of the window parks
 // its continuation there instead of holding a worker.
 type chunkSweep struct {
 	res      *InputResult
-	classIdx []uint8
+	cfg      Config
+	cold     bool // the hard chain runs, and the fold publishes a profile-cache entry
 	win      *chunkWindow
 	nchunks  int
 	chains   []sweepChain
+	lastHard int64        // the hard chain's carry: global index of the last hard event, -1 before the first
 	live     atomic.Int32 // chains not yet exhausted
 	failed   atomic.Bool  // poison: a chain hit a paging failure
 	out      **InputResult
 	errOut   *error
 }
 
-// sweepChain is one bank slot's sequential march over the chunk axis.
-// Its fields are only touched by the chain's current task, and the
-// chain has one task queued, running or parked at a time, so it needs
-// no locking.
+// sweepChain is one bank slot's sequential march over the chunk axis,
+// or the hard chain's (nil p). Its fields are only touched by the
+// chain's current task, and the chain has one task queued, running or
+// parked at a time, so it needs no locking.
 type sweepChain struct {
 	p    bpred.ChunkSweeper
 	next int        // next chunk index to sweep
@@ -270,22 +273,31 @@ type sweepChain struct {
 	cont sched.Task // the chain's continuation: advance from next
 }
 
-func newChunkSweep(res *InputResult, classIdx []uint8, win *chunkWindow, out **InputResult, errOut *error) *chunkSweep {
-	nchunks := res.Recorded.Chunks()
+func newChunkSweep(res *InputResult, cfg Config, cold bool, out **InputResult, errOut *error) *chunkSweep {
+	nchains := numBankSlots
+	if cold {
+		nchains++
+	}
+	h := res.Recorded
 	cs := &chunkSweep{
 		res:      res,
-		classIdx: classIdx,
-		win:      win,
-		nchunks:  nchunks,
-		chains:   make([]sweepChain, numBankSlots),
+		cfg:      cfg,
+		cold:     cold,
+		win:      trace.NewChunkWindow[sched.Task](h, cfg.DecodedBudget, nchains),
+		nchunks:  h.Chunks(),
+		chains:   make([]sweepChain, nchains),
+		lastHard: -1,
 		out:      out,
 		errOut:   errOut,
 	}
-	if nchunks > 0 {
-		cs.live.Store(int32(numBankSlots))
+	if cs.nchunks > 0 {
+		cs.live.Store(int32(nchains))
 	}
 	for i := range cs.chains {
-		cs.chains[i] = sweepChain{p: bankSlotPredictor(i), cont: func(w *sched.Worker) { cs.advance(w, i) }}
+		cs.chains[i].cont = func(w *sched.Worker) { cs.advance(w, i) }
+		if i < numBankSlots {
+			cs.chains[i].p = bankSlotPredictor(i)
+		}
 	}
 	return cs
 }
@@ -323,22 +335,56 @@ func (cs *chunkSweep) advance(w *sched.Worker, ci int) {
 	if !ok {
 		return
 	}
-	var wrong [(trace.DefaultChunkEvents + 63) / 64]uint64
-	scratch := wrong[:]
-	if words := (d.N + 63) / 64; words > len(scratch) {
-		scratch = make([]uint64, words)
+	if ch.p != nil {
+		var wrong [(trace.DefaultChunkEvents + 63) / 64]uint64
+		scratch := wrong[:]
+		if words := (d.N + 63) / 64; words > len(scratch) {
+			scratch = make([]uint64, words)
+		}
+		sweepDecodedChunk(ch.p, &d, cs.res.Table, &ch.miss, scratch)
+	} else {
+		cs.walkHard(&d)
 	}
-	sweepDecodedChunk(ch.p, &d, cs.classIdx[d.Base:d.Base+int64(d.N)], &ch.miss, scratch)
 	release(w, cs.win, ch.next)
 	if ch.next++; ch.next < cs.nchunks {
 		w.Submit(ch.cont)
 		return
 	}
 	if cs.live.Add(-1) == 0 {
-		foldMisses(cs.res, cs.chains)
-		finalizeMem(cs.res, cs.win)
-		*cs.out = cs.res
+		cs.finish()
 	}
+}
+
+// walkHard is the hard chain's step over one chunk: it histograms the
+// distance between consecutive hard (5/5) events, the last hard
+// position carried over from the previous chunk.
+func (cs *chunkSweep) walkHard(d *trace.DecodedChunk) {
+	tab, last, hist := *cs.res.Table, cs.lastHard, cs.res.HardDistances
+	for i, pc := range d.PCs[:d.N] {
+		if classOf(&tab, pc) != hardIdx {
+			continue
+		}
+		pos := d.Base + int64(i)
+		if last >= 0 {
+			hist.Add(int(pos - last))
+		}
+		last = pos
+	}
+	cs.lastHard = last
+}
+
+// finish publishes the input once every chain has passed the last
+// chunk. A cold input's pass-1 result — hard distances complete, Miss
+// still zero — goes to the profile cache first; then the bank's
+// counters fold into res. A failed or canceled sweep never gets here,
+// so it publishes nothing.
+func (cs *chunkSweep) finish() {
+	if cs.cold && cs.cfg.Profiles != nil {
+		cs.cfg.Profiles.put(cs.cfg.cacheKey(cs.res.Spec), cs.cfg.window(), cs.res)
+	}
+	foldMisses(cs.res, cs.chains)
+	finalizeMem(cs.res, cs.win)
+	*cs.out = cs.res
 }
 
 // poison records the grid's first failure cause and fails the window,

@@ -17,9 +17,9 @@ import (
 // Entries are recording Handles, so the cache bounds bytes, not
 // recordings: eviction releases a spill-backed handle's resident
 // columns while the handle itself — and every replay already paging
-// through it — stays valid, re-reading chunks from its BTR1 file on
+// through it — stays valid, re-reading chunks from its BTR2 file on
 // demand. With a spill directory configured, stored traces are written
-// through as BTR1 files and transparently re-loaded on the next Get —
+// through as BTR2 files and transparently re-loaded on the next Get —
 // so a memory-constrained run degrades to disk instead of
 // regenerating, and a later process pointed at the same directory
 // starts warm. Spill filenames carry the workload-registry fingerprint
@@ -98,7 +98,7 @@ type cacheEntry struct {
 }
 
 // NewCache builds a cache bounded to maxBytes of resident trace columns
-// (<= 0 means unbounded). A non-empty spillDir enables the BTR1 spill
+// (<= 0 means unbounded). A non-empty spillDir enables the BTR2 spill
 // mode: stored traces are written through to the directory (created if
 // missing), evictions keep their file, and Get probes the directory
 // for recordings left by earlier processes.

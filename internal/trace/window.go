@@ -7,11 +7,11 @@ import (
 
 // ChunkWindow is a refcounted run of decoded chunks over one Handle,
 // read by a fixed number of sequential consumers — a bank sweep's 34
-// slot chains. Every consumer walks the whole recording, chunks [0, n),
-// in order, so the window needs no replacement policy: a chunk is
-// decoded (paging from the spill file if need be) exactly once, by the
-// first consumer to reach it, and dropped when the last consumer has
-// passed it.
+// slot chains, plus its hard-distance chain on a first run. Every
+// consumer walks the whole recording, chunks [0, n), in order, so the
+// window needs no replacement policy: a chunk is decoded (paging from
+// the spill file if need be) exactly once, by the first consumer to
+// reach it, and dropped when the last consumer has passed it.
 //
 // Admission is bounded by depth: chunk k is decoded only while
 // k < lo+depth, lo being the oldest chunk still held, so at most depth
@@ -48,9 +48,9 @@ type ChunkWindow[C any] struct {
 	stats    WindowStats
 }
 
-// WindowStats counts window traffic. Decodes counts chunks decoded or
-// adopted (each at most once), Hits checkouts served by a resident
-// chunk, Released chunks dropped after their last consumer, Parks
+// WindowStats counts window traffic. Decodes counts chunks decoded
+// (each at most once), Hits checkouts served by a resident chunk,
+// Released chunks dropped after their last consumer, Parks
 // continuations parked; Peak is the high-water mark of resident
 // decoded bytes, Resident and Parked the current values.
 type WindowStats struct {
@@ -118,33 +118,6 @@ func (w *ChunkWindow[C]) Depth() int { return len(w.ring) }
 
 func (w *ChunkWindow[C]) slot(k int) *windowSlot[C] { return &w.ring[k%len(w.ring)] }
 
-// installLocked makes d chunk k's resident columns.
-func (w *ChunkWindow[C]) installLocked(s *windowSlot[C], d DecodedChunk) {
-	s.state, s.d = slotReady, d
-	w.stats.Decodes++
-	w.bytes += d.SizeBytes()
-	w.stats.Peak = max(w.stats.Peak, w.bytes)
-}
-
-// Adopt installs columns the caller already decoded as chunk k, so a
-// pre-pass over the recording hands its decodes to the consumers
-// instead of the window paying them again. k must lie inside the
-// admission frontier and not yet be admitted — with a zero budget
-// every chunk qualifies until its consumers start.
-func (w *ChunkWindow[C]) Adopt(k int, d DecodedChunk) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return
-	}
-	s := w.slot(k)
-	if k < w.lo || k >= w.lo+len(w.ring) || s.state != slotEmpty {
-		panic(fmt.Sprintf("trace: adopting chunk %d outside the window's free frontier", k))
-	}
-	s.refs = w.consumers
-	w.installLocked(s, d)
-}
-
 // Checkout returns chunk k's decoded columns for one consumer, decoding
 // it if this is the first consumer to arrive. When the chunk cannot be
 // served yet, cont is parked and ok is false; the consumer must stop
@@ -199,7 +172,10 @@ func (w *ChunkWindow[C]) Checkout(k int, cont C) (d DecodedChunk, ok bool, woken
 		w.failLocked(err)
 		return DecodedChunk{}, false, nil, err
 	}
-	w.installLocked(s, d)
+	s.state, s.d = slotReady, d
+	w.stats.Decodes++
+	w.bytes += d.SizeBytes()
+	w.stats.Peak = max(w.stats.Peak, w.bytes)
 	woken, s.waiters = s.waiters, nil
 	return d, true, woken, nil
 }

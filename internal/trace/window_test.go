@@ -146,8 +146,9 @@ func TestCheckoutSingleFlight(t *testing.T) {
 }
 
 // TestChunkWindowRetainsAll pins budget 0: the window spans the whole
-// recording, adopted pre-pass decodes are served without paging again,
-// and chunks still drop as their last consumer passes.
+// recording, so a leading consumer runs to the end without parking;
+// each chunk is decoded — paged in — once, by that leader, and still
+// drops as its last consumer passes it.
 func TestChunkWindowRetainsAll(t *testing.T) {
 	h := spillHandle(t, 4000, 256)
 	const consumers = 3
@@ -155,27 +156,30 @@ func TestChunkWindowRetainsAll(t *testing.T) {
 	if w.Depth() != h.Chunks() {
 		t.Fatalf("Depth = %d, want the whole recording (%d)", w.Depth(), h.Chunks())
 	}
-	for k := 0; k < h.Chunks(); k++ {
-		d, err := h.DecodeChunk(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Adopt(k, d)
-	}
 	pageIns := h.PageIns()
 	for c := 0; c < consumers; c++ {
 		for k := 0; k < h.Chunks(); k++ {
-			if _, ok, _, _ := w.Checkout(k, c); !ok {
-				t.Fatalf("consumer %d parked on adopted chunk %d", c, k)
+			if _, ok, _, err := w.Checkout(k, c); !ok || err != nil {
+				t.Fatalf("consumer %d parked on chunk %d (err %v)", c, k, err)
 			}
 			w.Release(k)
+			want := int64(0)
+			if c == consumers-1 {
+				want = int64(k + 1)
+			}
+			if s := w.Stats(); s.Released != want {
+				t.Fatalf("consumer %d, chunk %d: %d released, want %d: a chunk drops when its last consumer passes it", c, k, s.Released, want)
+			}
 		}
 	}
 	s := w.Stats()
-	if h.PageIns() != pageIns || s.Decodes != int64(h.Chunks()) || s.Hits != int64(consumers*h.Chunks()) {
-		t.Fatalf("stats %+v, %d new page-ins: adopted chunks must serve every checkout", s, h.PageIns()-pageIns)
+	if got := h.PageIns() - pageIns; got != int64(h.Chunks()) || s.Decodes != int64(h.Chunks()) {
+		t.Fatalf("stats %+v, %d page-ins for %d chunks: each chunk must be decoded once", s, got, h.Chunks())
 	}
-	if s.Released != int64(h.Chunks()) || s.Resident != 0 {
+	if s.Hits != int64((consumers-1)*h.Chunks()) || s.Parks != 0 {
+		t.Fatalf("stats %+v: the leader decodes, every later checkout hits", s)
+	}
+	if s.Resident != 0 {
 		t.Fatalf("stats %+v: chunks must drop after their last consumer", s)
 	}
 }
