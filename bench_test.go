@@ -150,14 +150,6 @@ func BenchmarkSingleInputSaturation(b *testing.B) {
 	benchSingleInput(b, SimConfig{Scale: singleInputScale})
 }
 
-// BenchmarkSingleInputStreamingMmap is BenchmarkSingleInputStreaming
-// with the spill file mmapped: paged chunks decode straight from the
-// mapping instead of issuing one pread per page-in. The delta between
-// the two is the syscall + copy cost of pread-based paging.
-func BenchmarkSingleInputStreamingMmap(b *testing.B) {
-	benchSingleInput(b, SimConfig{Scale: singleInputScale, MemBudget: 64 << 10, DecodedBudget: 1 << 20, MmapSpill: true})
-}
-
 // BenchmarkBankSweep times the bpred layer alone: the paper's 34-slot
 // PAs/GAs bank, each slot swept serially through its SweepChunk kernel
 // over the decoded chunks of gcc/genoutput.i at singleInputScale.
@@ -305,11 +297,15 @@ func BenchmarkWorkloadCompress(b *testing.B) {
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
+// BenchmarkTraceEncode times BTR2 encoding as the streaming recorder
+// does it: frames cut, checksummed and written to an unlinked temp
+// file, nothing kept resident.
 func BenchmarkTraceEncode(b *testing.B) {
-	w, err := trace.NewWriter(io.Discard)
+	w, err := trace.NewStreamRecorder("", 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer w.Discard()
 	r := uint64(7)
 	b.ReportAllocs()
 	b.ResetTimer()

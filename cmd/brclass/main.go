@@ -25,23 +25,18 @@ func main() {
 	bench := flag.String("bench", "", "benchmark name (see brtrace -list)")
 	input := flag.String("input", "", "input set name")
 	scale := flag.Float64("scale", 0.1, "workload scale")
-	tracePath := flag.String("trace", "", "read a BTR1 or BTR2 trace file instead of running a workload")
+	tracePath := flag.String("trace", "", "read a BTR2 trace file instead of running a workload")
 	branches := flag.Bool("branches", false, "dump per-branch profiles")
 	flag.Parse()
 
 	profiler := btr.NewProfiler()
 	switch {
 	case *tracePath != "":
-		f, err := os.Open(*tracePath)
+		h, err := trace.OpenSpillHandle(*tracePath, 0)
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		r, err := trace.NewReader(f)
-		if err != nil {
-			fatal(err)
-		}
-		if _, err := trace.Copy(profiler, r); err != nil {
+		if _, err := trace.Copy(profiler, h.Source()); err != nil {
 			fatal(err)
 		}
 	case *bench != "" && *input != "":

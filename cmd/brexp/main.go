@@ -4,7 +4,7 @@
 //
 //	brexp [-scale 1.0] [-workers N] [-out results] [-run all|T1,F13,...]
 //	      [-chunk N] [-norecord] [-cachedir dir]
-//	      [-membudget bytes] [-decodedbudget bytes] [-mmap]
+//	      [-membudget bytes] [-decodedbudget bytes]
 //
 // Each experiment is written to <out>/<id>.txt; -list shows the catalog.
 package main
@@ -29,7 +29,6 @@ func main() {
 	noRecord := flag.Bool("norecord", false, "regenerate workloads per pass instead of record/replay (slower, lower memory)")
 	memBudget := flag.Int64("membudget", 0, "stream each recording to a BTR2 spill file during pass 1, keeping at most about this many resident bytes per input; replays page the rest back in (0 = retain recordings whole)")
 	decodedBudget := flag.Int64("decodedbudget", 0, "byte budget for each input's decode-once chunk window during the bank sweep: every chunk is decoded once and dropped when the last sweep chain passes it, and at most max(2, budget/decoded-chunk bytes) chunks are admitted ahead of the slowest chain (0 = admit the whole recording, negative = one chunk at a time)")
-	mmapSpill := flag.Bool("mmap", false, "mmap spill-backed recordings and decode paged chunks from the mapping instead of pread (needs -membudget or -cachedir to produce spill files; falls back silently where unsupported)")
 	cachedir := flag.String("cachedir", "", "spill recorded traces to BTR2 files here and reuse them across runs (filenames carry the workload-registry fingerprint, so a dir written by older workloads self-invalidates)")
 	out := flag.String("out", "results", "output directory")
 	run := flag.String("run", "all", "comma-separated experiment ids, or 'all'")
@@ -67,7 +66,6 @@ func main() {
 		NoRecord:      *noRecord,
 		MemBudget:     *memBudget,
 		DecodedBudget: *decodedBudget,
-		MmapSpill:     *mmapSpill,
 	}
 	if *cachedir != "" {
 		// Under a memory budget the cache's resident columns are bounded

@@ -29,7 +29,7 @@ func main() {
 	bench := flag.String("bench", "", "benchmark name")
 	input := flag.String("input", "", "input set name")
 	scale := flag.Float64("scale", 0.1, "workload scale")
-	tracePath := flag.String("trace", "", "BTR1 or BTR2 trace file instead of a workload")
+	tracePath := flag.String("trace", "", "replay a BTR2 trace file instead of a workload")
 	pred := flag.String("pred", "pas", "predictor kind")
 	k := flag.Int("k", 8, "history length")
 	memBudget := flag.Int64("membudget", 0, "stream the recording to a BTR2 spill file, keeping at most about this many resident bytes; replays page the rest back in (0 = retain the recording whole)")
@@ -43,13 +43,20 @@ func main() {
 	// predictor needs. With -membudget the recording streams to a spill
 	// file with a bounded resident prefix instead of being retained
 	// whole; with -cachedir it persists as a BTR2 spill file, so repeated
-	// invocations skip the generator entirely.
+	// invocations skip the generator entirely. A -trace file is opened
+	// as a recording too, and replays the same way.
 	var recorded *trace.Handle
 	var cache *trace.Cache
 	var key trace.CacheKey
 	fromCache := false
 	record := func() *trace.Handle { return nil }
-	if *tracePath == "" && *bench != "" && *input != "" {
+	if *tracePath != "" {
+		h, err := trace.OpenSpillHandle(*tracePath, 0)
+		if err != nil {
+			fatal(err)
+		}
+		recorded = h
+	} else if *bench != "" && *input != "" {
 		spec, err := btr.FindWorkload(*bench, *input)
 		if err != nil {
 			fatal(err)
@@ -117,33 +124,19 @@ func main() {
 				err = fmt.Errorf("%v", r)
 			}
 		}()
+		if recorded == nil {
+			return fmt.Errorf("need either -trace or -bench/-input")
+		}
 		p, err = buildPredictor(*pred, *k, recorded)
 		if err != nil {
 			return err
 		}
-		switch {
-		case *tracePath != "":
-			f, err := os.Open(*tracePath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			r, err := trace.NewReader(f)
-			if err != nil {
-				return err
-			}
-			res, err = bpred.Run(p, r)
-			return err
-		case recorded != nil:
-			if cs, ok := p.(bpred.ChunkSweeper); ok {
-				res = sweepRecorded(p.Name(), cs, recorded)
-				return nil
-			}
-			res, err = bpred.Run(p, recorded.Source())
-			return err
-		default:
-			return fmt.Errorf("need either -trace or -bench/-input")
+		if cs, ok := p.(bpred.ChunkSweeper); ok {
+			res = sweepRecorded(p.Name(), cs, recorded)
+			return nil
 		}
+		res, err = bpred.Run(p, recorded.Source())
+		return err
 	}
 	err := attempt()
 	if err != nil && fromCache && errors.Is(err, trace.ErrCorruptSpill) {
@@ -228,9 +221,6 @@ func buildPredictor(kind string, k int, recorded *trace.Handle) (btr.Predictor, 
 	case "dynhybrid":
 		return bpred.NewDynamicClassHybrid(13, 64, bpred.HybridComponents{}), nil
 	case "transhybrid", "takenhybrid":
-		if recorded == nil {
-			return nil, fmt.Errorf("%s needs -bench/-input (it profiles first)", kind)
-		}
 		profiler := core.NewProfiler()
 		recorded.Replay(profiler)
 		classes := core.Classify(profiler.Profiles())

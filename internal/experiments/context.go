@@ -57,7 +57,7 @@ type Shared struct {
 
 // NewShared builds an explicit bundle: a trace cache bounded to
 // cacheBytes of resident columns (<= 0 means trace.DefaultCacheBytes)
-// spilling BTR1 files to spillDir ("" = memory only), plus a
+// spilling BTR2 files to spillDir ("" = memory only), plus a
 // default-budget profile cache. Servers construct one of these and
 // hand it to every session; CLIs usually go through SharedFor.
 func NewShared(cacheBytes int64, spillDir string) *Shared {

@@ -103,13 +103,6 @@ type Config struct {
 	// 0 keeps recordings fully resident, the default. Ignored under
 	// NoRecord.
 	MemBudget int64
-	// MmapSpill, when true, maps spill-backed recordings into memory and
-	// decodes paged chunks straight from the mapping instead of issuing
-	// pread calls — replays of paper-scale spill files ride the page
-	// cache without per-chunk syscalls. Handles without spill backing
-	// (or platforms without mmap) silently keep the pread path. The
-	// value is result-invisible.
-	MmapSpill bool
 	// Sched, when non-nil, is a long-lived shared scheduler the suite
 	// run submits onto as one completion-tracked task group instead of
 	// building (and stopping) a private scheduler: concurrent RunSuite
@@ -369,14 +362,12 @@ func profileRecorded(spec workload.Spec, cfg Config) (*core.Profiler, *trace.Han
 	profiler := core.NewProfiler()
 	if cfg.Cache != nil {
 		if h, ok := cfg.Cache.GetHandle(cfg.cacheKey(spec)); ok {
-			cfg.mmapHandle(h)
 			h.Replay(profiler)
 			return profiler, h
 		}
 	}
 	if cfg.MemBudget > 0 {
 		if h, ok := streamRecord(spec, cfg, profiler); ok {
-			cfg.mmapHandle(h)
 			return profiler, h
 		}
 		// The spill file could not be created or sealed: fall back to the
@@ -480,19 +471,8 @@ func profileCached(spec workload.Spec, cfg Config) (*InputResult, bool) {
 	if !ok {
 		return nil, false
 	}
-	cfg.mmapHandle(h)
 	res.Recorded = h
 	return res, true
-}
-
-// mmapHandle applies Config.MmapSpill to a freshly acquired recording
-// handle. Failure (no spill backing, unsupported platform, map error)
-// silently keeps the pread path: the knob is a paging-strategy hint,
-// never a correctness requirement.
-func (c Config) mmapHandle(h *trace.Handle) {
-	if c.MmapSpill && h.Spilled() {
-		_ = h.EnableMmap()
-	}
 }
 
 // missCell is one bank slot's flat class-attributed miss counters.

@@ -11,7 +11,7 @@ import (
 
 // TestStreamedMatrixMatchesRetained is the golden equivalence matrix
 // for the out-of-core streaming pipeline: {retained, spill-backed with
-// small budgets, one-chunk window, mmapped} × workers
+// small budgets, one-chunk window, wide window} × workers
 // {1, 4, GOMAXPROCS} must all produce bit-identical SuiteResults. A
 // small ChunkEvents forces many chunks at test scale so the budgets
 // genuinely page and slide the chunk window; the memory-shape counters
@@ -40,13 +40,11 @@ func TestStreamedMatrixMatchesRetained(t *testing.T) {
 		name    string
 		mem     int64 // Config.MemBudget
 		decoded int64 // Config.DecodedBudget
-		mmap    bool  // Config.MmapSpill
 	}{
-		{"spill+window", 4096, 6000, false},
-		{"spill+one-chunk", 4096, -1, false},
-		{"resident+window", 0, 6000, false},
-		{"spill+window+mmap", 4096, 6000, true},
-		{"spill+wide-window", 4096, 20000, false},
+		{"spill+window", 4096, 6000},
+		{"spill+one-chunk", 4096, -1},
+		{"resident+window", 0, 6000},
+		{"spill+wide-window", 4096, 20000},
 	}
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		for _, b := range budgets {
@@ -54,7 +52,6 @@ func TestStreamedMatrixMatchesRetained(t *testing.T) {
 			cfg.Workers = workers
 			cfg.MemBudget = b.mem
 			cfg.DecodedBudget = b.decoded
-			cfg.MmapSpill = b.mmap
 			label := fmt.Sprintf("%s/workers=%d", b.name, workers)
 			got := RunSuite(specs, cfg)
 			assertSuitesEqual(t, label, retained, got)
@@ -77,13 +74,6 @@ func TestStreamedMatrixMatchesRetained(t *testing.T) {
 				}
 			}
 			assertWindowDecodedOnce(t, label, got, b.decoded)
-			if b.mmap {
-				for _, r := range got.Inputs {
-					if !r.Recorded.Mmapped() {
-						t.Fatalf("%s/%s: MmapSpill run paged via pread", label, r.Spec.Name())
-					}
-				}
-			}
 		}
 	}
 }

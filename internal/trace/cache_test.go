@@ -152,7 +152,7 @@ func TestCacheLRUOrder(t *testing.T) {
 	}
 }
 
-// TestCacheSpillRoundTrip pins the BTR1 spill mode: an evicted trace
+// TestCacheSpillRoundTrip pins the spill mode: an evicted trace
 // reloads from disk and replays bit-identically to the original.
 func TestCacheSpillRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -271,6 +271,46 @@ func TestCacheCorruptSpillIsAMiss(t *testing.T) {
 	}
 	if _, ok := c.Get(key); ok {
 		t.Fatal("entry must be forgotten after a corrupt read")
+	}
+}
+
+// TestCacheLegacyBTR1FileIsACleanMiss pins the upgrade path for a
+// cache directory written before BTR2 was the only format: a file with
+// the retired BTR1 header at the spill path is a plain miss (bad magic,
+// not damage, so nothing is quarantined), and the next Put replaces it
+// by temp-and-rename with a file a fresh cache serves.
+func TestCacheLegacyBTR1FileIsACleanMiss(t *testing.T) {
+	dir := t.TempDir()
+	key := CacheKey{Name: "li/train.lsp", Scale: 0.5}
+	c := NewCache(1, dir, 0)
+	path := c.SpillPathFor(key)
+	// "BTR1", then one group: mask 0b01, deltas +4 and +0 (zigzagged).
+	if err := os.WriteFile(path, []byte{'B', 'T', 'R', '1', 0x01, 0x08, 0x00}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.GetHandle(key); ok {
+		t.Fatal("a BTR1 file must not be served")
+	}
+	if s := c.Stats(); s.Misses != 1 || s.Hits != 0 {
+		t.Fatalf("stats %+v: want one miss", s)
+	}
+	if q, _ := filepath.Glob(filepath.Join(dir, "*.quarantined")); len(q) != 0 {
+		t.Fatalf("a BTR1 file is not damage, but %v was quarantined", q)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("the BTR1 file must stay in place until replaced: %v", err)
+	}
+
+	orig := recordSynthetic(3000, 0, 31)
+	if err := c.Put(key, orig); err != nil {
+		t.Fatal(err)
+	}
+	h, ok := NewCache(0, dir, 0).GetHandle(key)
+	if !ok {
+		t.Fatal("fresh cache must hit the file Put wrote over the BTR1 one")
+	}
+	if !reflect.DeepEqual(replayHandle(h), collect(orig)) {
+		t.Fatal("replay after replacing the BTR1 file diverged")
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 //
 // A ChunkedTrace stores a branch stream as column-oriented chunks: each
 // chunk holds a direction bitmap (one bit per event) and a byte column of
-// zigzag-varint PC deltas — the same delta idiom as the BTR1 file format,
+// zigzag-varint PC deltas — the same delta idiom as the BTR2 file format,
 // so the common event costs ~1.1 bytes plus a direction bit. Recording a
 // workload once and replaying the chunks is how the simulator drives many
 // predictor passes without re-running the generator per pass, and the
@@ -23,7 +23,7 @@ const DefaultChunkEvents = 1 << 14
 // chunk is one column-oriented run of events.
 type chunk struct {
 	// startPC is the PC preceding the chunk's first event; deltas chain
-	// from it exactly as BTR1 deltas chain across groups.
+	// from it exactly as BTR2 deltas chain within a frame.
 	startPC uint64
 	// deltas holds n zigzag-uvarint PC deltas, back to back.
 	deltas []byte
@@ -267,11 +267,16 @@ func (t *ChunkedTrace) Replay(sink Sink) {
 
 // Source returns an event-at-a-time view of the trace.
 func (t *ChunkedTrace) Source() Source {
-	return &chunkSource{r: t.NewReplayer()}
+	rep := t.NewReplayer()
+	return &chunkSource{next: func() ([]uint64, []uint64, int, bool, error) {
+		pcs, dirs, n, ok := rep.NextChunk()
+		return pcs, dirs, n, ok, nil
+	}}
 }
 
+// chunkSource is an event-at-a-time view over a chunk stream.
 type chunkSource struct {
-	r    ChunkReader
+	next func() (pcs []uint64, dirs []uint64, n int, ok bool, err error)
 	pcs  []uint64
 	dirs []uint64
 	n    int
@@ -280,9 +285,9 @@ type chunkSource struct {
 
 func (s *chunkSource) Next() (Event, bool, error) {
 	for s.i >= s.n {
-		pcs, dirs, n, ok := s.r.NextChunk()
+		pcs, dirs, n, ok, err := s.next()
 		if !ok {
-			return Event{}, false, nil
+			return Event{}, false, err
 		}
 		s.pcs, s.dirs, s.n, s.i = pcs, dirs, n, 0
 	}

@@ -2,31 +2,14 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 )
 
-// Binary trace format, version 1 ("BTR1"):
-//
-//	magic   [4]byte  "BTR1"
-//	groups  *        repeated event groups, until EOF
-//
-// Each group encodes up to 8 events:
-//
-//	mask    byte     bit i = direction (1 = taken) of the group's i-th event
-//	deltas  1..8 ×   uvarint( zigzag(pc - prevPC) )
-//
-// Deltas chain across groups, starting from PC 0. Only the final group may
-// hold fewer than 8 events (the stream simply ends after its last delta),
-// so the format is self-delimiting without a length header. Branch traces
-// revisit a small working set of PCs, so deltas are small: the common
-// event costs ~1.1 bytes versus 9 for a fixed-width encoding.
-//
-// Version 2 ("BTR2") wraps the same group encoding in checksummed chunk
-// frames so damage is detected instead of decoded:
+// Binary trace format ("BTR2"): a header, then checksummed chunk frames,
+// so damage is detected instead of decoded:
 //
 //	magic       [4]byte  "BTR2"
 //	chunkEvents uvarint  the file's chunk granularity
@@ -39,9 +22,17 @@ import (
 //	plen     uvarint  payload length in bytes
 //	startPC  uvarint  the PC preceding the chunk's first event
 //	crc      u32 LE   CRC32C (Castagnoli) of the payload
-//	payload  plen ×   BTR1-style event groups; deltas chain from
-//	                  startPC, and groups restart per frame (the final
-//	                  group of a frame may be short)
+//	payload  plen ×   event groups; deltas chain from startPC, and
+//	                  groups restart per frame
+//
+// Each group encodes up to 8 events:
+//
+//	mask    byte     bit i = direction (1 = taken) of the group's i-th event
+//	deltas  1..8 ×   uvarint( zigzag(pc - prevPC) )
+//
+// Only a frame's final group may hold fewer than 8 events. Branch traces
+// revisit a small working set of PCs, so deltas are small: the common
+// event costs ~1.1 bytes versus 9 for a fixed-width encoding.
 //
 // The stream ends with a trailer frame — events == 0 followed by
 // uvarint(total events) — so truncation at any byte, frame boundaries
@@ -49,8 +40,7 @@ import (
 // delta chaining), so any frame decodes from one bounded read and its
 // checksum is verified on every page-in.
 
-var magic = [4]byte{'B', 'T', 'R', '1'}
-var magic2 = [4]byte{'B', 'T', 'R', '2'}
+var magic = [4]byte{'B', 'T', 'R', '2'}
 
 // castagnoli is the CRC32C polynomial table used for BTR2 per-chunk
 // payload checksums (hardware-accelerated on amd64/arm64).
@@ -66,8 +56,7 @@ const maxChunkEvents = 1 << 30
 // groupSize is the number of events per direction-mask group.
 const groupSize = 8
 
-// ErrBadMagic is returned by NewReader when the stream does not begin with
-// a BTR1 or BTR2 header.
+// ErrBadMagic is returned when a file does not begin with the BTR2 header.
 var ErrBadMagic = errors.New("trace: bad magic (not a BTR trace)")
 
 // ErrCorruptSpill is the sentinel every spill-corruption error unwraps
@@ -78,8 +67,9 @@ var ErrBadMagic = errors.New("trace: bad magic (not a BTR trace)")
 var ErrCorruptSpill = errors.New("trace: corrupt spill data")
 
 // CorruptError describes detected spill damage: where (Path may be
-// empty when the reader only sees a stream; Chunk is -1 for structural
-// damage outside any one chunk) and what. It unwraps to ErrCorruptSpill.
+// empty when the damage is found below the layer that names the file;
+// Chunk is -1 for structural damage outside any one chunk) and what. It
+// unwraps to ErrCorruptSpill.
 type CorruptError struct {
 	Path   string
 	Chunk  int
@@ -99,286 +89,8 @@ func (e *CorruptError) Error() string {
 
 func (e *CorruptError) Unwrap() error { return ErrCorruptSpill }
 
-// ErrWriterClosed is returned when writing to a closed Writer.
-var ErrWriterClosed = errors.New("trace: writer is closed")
-
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// Writer streams events into an io.Writer in BTR1 format. It implements
-// Sink. Close must be called to emit the final (possibly partial) group
-// and flush buffered data; after Close the writer rejects further events.
-type Writer struct {
-	bw      *bufio.Writer
-	lastPC  uint64
-	pending [groupSize]Event
-	n       int
-	closed  bool
-	err     error
-	scratch [binary.MaxVarintLen64]byte
-}
-
-// NewWriter creates a Writer and emits the format header.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: writing header: %w", err)
-	}
-	return &Writer{bw: bw}, nil
-}
-
-// Branch buffers one event, emitting a group every eight. Encoding errors
-// are sticky and reported by Close.
-func (w *Writer) Branch(pc uint64, taken bool) {
-	if w.err != nil {
-		return
-	}
-	if w.closed {
-		w.err = ErrWriterClosed
-		return
-	}
-	w.pending[w.n] = Event{PC: pc, Taken: taken}
-	w.n++
-	if w.n == groupSize {
-		w.emitGroup()
-	}
-}
-
-func (w *Writer) emitGroup() {
-	if w.n == 0 || w.err != nil {
-		return
-	}
-	var mask byte
-	for i := 0; i < w.n; i++ {
-		if w.pending[i].Taken {
-			mask |= 1 << uint(i)
-		}
-	}
-	if err := w.bw.WriteByte(mask); err != nil {
-		w.err = fmt.Errorf("trace: writing group mask: %w", err)
-		return
-	}
-	for i := 0; i < w.n; i++ {
-		delta := int64(w.pending[i].PC - w.lastPC)
-		w.lastPC = w.pending[i].PC
-		n := binary.PutUvarint(w.scratch[:], zigzag(delta))
-		if _, err := w.bw.Write(w.scratch[:n]); err != nil {
-			w.err = fmt.Errorf("trace: writing event: %w", err)
-			return
-		}
-	}
-	w.n = 0
-}
-
-// Close emits the final partial group and flushes. It does not close the
-// underlying io.Writer. Close is idempotent.
-func (w *Writer) Close() error {
-	if !w.closed {
-		w.emitGroup()
-		w.closed = true
-	}
-	if w.err != nil {
-		return w.err
-	}
-	return w.bw.Flush()
-}
-
-// Flush writes all *complete* groups to the underlying writer. Buffered
-// events of a partial group are retained (the format only allows a short
-// group at end of stream); call Close to emit them.
-func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	return w.bw.Flush()
-}
-
-// Reader decodes a BTR1 or BTR2 stream (the header picks the format).
-// It implements Source. BTR2 frames are checksum-verified as they are
-// entered, and a missing trailer (truncation) is an error rather than a
-// silent short stream.
-type Reader struct {
-	br     *bufio.Reader
-	lastPC uint64
-	mask   byte
-	idx    int // next event index within the current group; groupSize = exhausted
-
-	// BTR2 framing state.
-	v2          bool
-	chunkEvents int
-	frame       []byte // current frame payload
-	fpos        int
-	fleft       int   // events left in the current frame
-	fidx        int   // frames consumed (chunk number for errors)
-	short       bool  // a short data frame was seen (must be the last)
-	total       int64 // events decoded so far
-	done        bool  // the end-of-stream trailer was consumed
-}
-
-// NewReader validates the header and returns a Reader positioned at the
-// first event.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	switch hdr {
-	case magic:
-		return &Reader{br: br, idx: groupSize}, nil
-	case magic2:
-		ce, err := binary.ReadUvarint(br)
-		if err != nil || ce == 0 || ce > maxChunkEvents {
-			return nil, &CorruptError{Chunk: -1, Reason: "bad chunk granularity in header"}
-		}
-		return &Reader{br: br, idx: groupSize, v2: true, chunkEvents: int(ce)}, nil
-	default:
-		return nil, ErrBadMagic
-	}
-}
-
-// ChunkEvents returns the stream's declared chunk granularity (BTR2), or
-// 0 for BTR1 streams, which have none.
-func (r *Reader) ChunkEvents() int { return r.chunkEvents }
-
-// Next returns the next event in the stream.
-func (r *Reader) Next() (Event, bool, error) {
-	if r.v2 {
-		return r.nextV2()
-	}
-	if r.idx == groupSize {
-		mask, err := r.br.ReadByte()
-		if err == io.EOF {
-			return Event{}, false, nil
-		}
-		if err != nil {
-			return Event{}, false, fmt.Errorf("trace: reading group mask: %w", err)
-		}
-		r.mask = mask
-		r.idx = 0
-	}
-	word, err := binary.ReadUvarint(r.br)
-	if err == io.EOF {
-		if r.idx == 0 {
-			// A mask byte with no events would mean a truncated stream,
-			// except that writers never emit empty groups; tolerate it as
-			// clean EOF only at idx 0 of a final group.
-			return Event{}, false, nil
-		}
-		return Event{}, false, nil // short final group: clean end
-	}
-	if err != nil {
-		return Event{}, false, fmt.Errorf("trace: reading event: %w", err)
-	}
-	r.lastPC += uint64(unzigzag(word))
-	taken := r.mask&(1<<uint(r.idx)) != 0
-	r.idx++
-	return Event{PC: r.lastPC, Taken: taken}, true, nil
-}
-
-// nextV2 is Next over BTR2 chunk frames: enter the next frame when the
-// current one is exhausted (verifying its checksum), then decode groups
-// out of the frame's payload buffer.
-func (r *Reader) nextV2() (Event, bool, error) {
-	for r.fleft == 0 {
-		if r.done {
-			return Event{}, false, nil
-		}
-		if err := r.nextFrame(); err != nil {
-			return Event{}, false, err
-		}
-	}
-	if r.idx == groupSize {
-		if r.fpos >= len(r.frame) {
-			return Event{}, false, &CorruptError{Chunk: r.fidx - 1, Reason: "chunk payload ends mid-group"}
-		}
-		r.mask = r.frame[r.fpos]
-		r.fpos++
-		r.idx = 0
-	}
-	word, w := binary.Uvarint(r.frame[r.fpos:])
-	if w <= 0 {
-		return Event{}, false, &CorruptError{Chunk: r.fidx - 1, Reason: "undecodable delta in chunk payload"}
-	}
-	r.fpos += w
-	r.lastPC += uint64(unzigzag(word))
-	taken := r.mask&(1<<uint(r.idx)) != 0
-	r.idx++
-	r.fleft--
-	r.total++
-	return Event{PC: r.lastPC, Taken: taken}, true, nil
-}
-
-// frameReadErr maps a failed frame-field read: running out of bytes is
-// truncation (corruption); anything else is a real I/O error.
-func (r *Reader) frameReadErr(err error, reason string) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return &CorruptError{Chunk: r.fidx, Reason: reason}
-	}
-	return fmt.Errorf("trace: reading chunk frame: %w", err)
-}
-
-// nextFrame consumes one BTR2 frame header + payload, or the trailer.
-func (r *Reader) nextFrame() error {
-	events, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		return r.frameReadErr(err, "stream ends without its trailer (truncated?)")
-	}
-	if events == 0 {
-		total, err := binary.ReadUvarint(r.br)
-		if err != nil {
-			return r.frameReadErr(err, "truncated end-of-stream trailer")
-		}
-		if int64(total) != r.total {
-			return &CorruptError{Chunk: -1, Reason: fmt.Sprintf("trailer counts %d events, stream holds %d", total, r.total)}
-		}
-		if _, err := r.br.ReadByte(); err != io.EOF {
-			return &CorruptError{Chunk: -1, Reason: "bytes past the end-of-stream trailer"}
-		}
-		r.done = true
-		return nil
-	}
-	if r.short {
-		return &CorruptError{Chunk: r.fidx, Reason: "short chunk frame is not the last"}
-	}
-	if int(events) > r.chunkEvents {
-		return &CorruptError{Chunk: r.fidx, Reason: fmt.Sprintf("chunk frame holds %d events, granularity is %d", events, r.chunkEvents)}
-	}
-	if int(events) < r.chunkEvents {
-		r.short = true
-	}
-	plen, err := binary.ReadUvarint(r.br)
-	if err != nil || plen == 0 || plen > maxChunkPayload {
-		if err == nil {
-			return &CorruptError{Chunk: r.fidx, Reason: "bad chunk frame length"}
-		}
-		return r.frameReadErr(err, "truncated chunk frame header")
-	}
-	startPC, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		return r.frameReadErr(err, "truncated chunk frame header")
-	}
-	var crcb [4]byte
-	if _, err := io.ReadFull(r.br, crcb[:]); err != nil {
-		return r.frameReadErr(err, "truncated chunk frame header")
-	}
-	if cap(r.frame) < int(plen) {
-		r.frame = make([]byte, plen)
-	}
-	r.frame = r.frame[:plen]
-	if _, err := io.ReadFull(r.br, r.frame); err != nil {
-		return r.frameReadErr(err, "truncated chunk payload")
-	}
-	if crc32.Checksum(r.frame, castagnoli) != binary.LittleEndian.Uint32(crcb[:]) {
-		return &CorruptError{Chunk: r.fidx, Reason: "chunk checksum mismatch"}
-	}
-	r.lastPC = startPC
-	r.fpos = 0
-	r.fleft = int(events)
-	r.idx = groupSize
-	r.fidx++
-	return nil
-}
 
 // WriteText streams events from src to w in a line-oriented text format
 // ("0x<pc> T|N"), useful for debugging and diffing. It reports the number

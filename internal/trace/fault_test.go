@@ -55,9 +55,6 @@ func TestVerifySpillClean(t *testing.T) {
 	if !rep.OK() {
 		t.Fatalf("clean file failed verify: %v", rep.Err)
 	}
-	if rep.Format != 2 {
-		t.Fatalf("Format = %d, want 2", rep.Format)
-	}
 	if rep.Events != 1000 {
 		t.Fatalf("Events = %d, want 1000", rep.Events)
 	}

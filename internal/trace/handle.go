@@ -11,7 +11,7 @@ import (
 
 // Handle is the out-of-core view of one recording: the same chunked
 // event stream a ChunkedTrace holds, but whose columns may live in
-// memory, in a BTR1 spill file, or both. A fully resident handle wraps
+// memory, in a BTR2 spill file, or both. A fully resident handle wraps
 // an existing trace with zero copying; a spill-backed handle pages
 // chunks in on demand and can drop its resident columns (Release)
 // without invalidating readers. Replay paths that used to require the
@@ -48,21 +48,15 @@ func (d *DecodedChunk) SizeBytes() int64 {
 	return int64(len(d.PCs))*8 + int64(len(d.Dirs))*8
 }
 
-// chunkPos locates one chunk inside a spill file. In a BTR2 file each
-// chunk is a self-contained frame: off is the payload offset, plen its
-// length and crc its CRC32C, verified on every page-in. In a legacy
-// BTR1 file (plen == 0) chunk boundaries need not align with the
-// format's 8-event groups, so a chunk may start mid-group: off is the
-// offset of the group containing the chunk's first event and skip
-// counts that group's leading events (and their deltas) belonging to
-// the previous chunk. Either way startPC is the PC preceding the
-// chunk's first event, from which its deltas chain.
+// chunkPos locates one chunk inside a spill file. Each chunk is a
+// self-contained frame: off is the payload offset, plen its length and
+// crc its CRC32C, verified on every page-in. startPC is the PC
+// preceding the chunk's first event, from which its deltas chain.
 type chunkPos struct {
 	off     int64
 	startPC uint64
 	plen    int64
 	crc     uint32
-	skip    uint8
 }
 
 // Handle is one recording, resident and/or spill-backed.
@@ -78,9 +72,8 @@ type Handle struct {
 	path     string        // spill file, "" for anonymous temp or memory-only
 	f        *os.File      // open spill file, lazily opened from path
 	fileSize int64
-	idx      []chunkPos  // per-chunk file positions, lazily built
-	mm       *mmapRegion // read-only mapping of the spill file; nil = pread
-	sio      SpillIO     // injectable spill file ops; nil = direct
+	idx      []chunkPos // per-chunk file positions, lazily built
+	sio      SpillIO    // injectable spill file ops; nil = direct
 
 	pageIns     atomic.Int64
 	readRetries atomic.Int64
@@ -100,15 +93,13 @@ func NewResidentHandle(tr *ChunkedTrace) *Handle {
 	}
 }
 
-// OpenSpillHandle opens a spill file (BTR2 or legacy BTR1) as a handle
-// with no resident columns: one sequential scan builds the chunk index
-// (offsets only — no columns are retained), after which chunks page in
-// on demand. A structurally damaged or truncated BTR2 file fails here
-// with an error unwrapping to ErrCorruptSpill.
+// OpenSpillHandle opens a BTR2 spill file as a handle with no resident
+// columns: one sequential scan builds the chunk index (offsets only — no
+// columns are retained), after which chunks page in on demand. The file
+// must chunk every chunkEvents events; chunkEvents <= 0 accepts the
+// granularity its header declares. A structurally damaged or truncated
+// file fails here with an error unwrapping to ErrCorruptSpill.
 func OpenSpillHandle(path string, chunkEvents int) (*Handle, error) {
-	if chunkEvents <= 0 {
-		chunkEvents = DefaultChunkEvents
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -118,7 +109,7 @@ func OpenSpillHandle(path string, chunkEvents int) (*Handle, error) {
 		f.Close()
 		return nil, err
 	}
-	idx, events, deltaBytes, err := scanSpill(io.NewSectionReader(f, 0, st.Size()), chunkEvents)
+	idx, events, deltaBytes, chunkEvents, err := scanSpill(io.NewSectionReader(f, 0, st.Size()), chunkEvents)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -215,7 +206,7 @@ func (h *Handle) readFull(f *os.File, p []byte, off int64) error {
 	}
 }
 
-// Spilled reports whether the recording is backed by a BTR1 file.
+// Spilled reports whether the recording is backed by a spill file.
 func (h *Handle) Spilled() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -307,7 +298,7 @@ func (h *Handle) indexLocked() ([]chunkPos, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, events, _, err := scanSpill(io.NewSectionReader(f, 0, h.fileSize), h.chunkEvents)
+	idx, events, _, _, err := scanSpill(io.NewSectionReader(f, 0, h.fileSize), h.chunkEvents)
 	if err != nil {
 		return nil, err
 	}
@@ -317,39 +308,6 @@ func (h *Handle) indexLocked() ([]chunkPos, error) {
 	}
 	h.idx = idx
 	return idx, nil
-}
-
-// EnableMmap switches the handle's spill paging from pread to a
-// read-only shared mapping of the whole file. Page-ins then decode
-// straight out of the mapping — no read syscall, no copy of the encoded
-// bytes — and the OS page cache, not the handle, decides what stays
-// warm. Idempotent; requires spill backing. On platforms without mmap
-// support (or for files too large to map) it returns an error and the
-// handle keeps paging via pread, so callers may treat failure as a soft
-// fallback.
-func (h *Handle) EnableMmap() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.mm != nil {
-		return nil
-	}
-	f, err := h.fileLocked()
-	if err != nil {
-		return err
-	}
-	mm, err := mapFile(f, h.fileSize)
-	if err != nil {
-		return err
-	}
-	h.mm = mm
-	return nil
-}
-
-// Mmapped reports whether spill page-ins decode from a mapping.
-func (h *Handle) Mmapped() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.mm != nil
 }
 
 // chunkLen returns chunk k's event count.
@@ -390,20 +348,12 @@ func (h *Handle) DecodeChunkInto(k int, pcs, dirs []uint64) (DecodedChunk, error
 		return DecodedChunk{}, err
 	}
 	idx, err := h.indexLocked()
+	h.mu.Unlock()
 	if err != nil {
-		h.mu.Unlock()
 		return DecodedChunk{}, err
 	}
-	fileSize := h.fileSize
-	mm := h.mm
-	h.mu.Unlock()
 
-	var d DecodedChunk
-	if mm != nil {
-		d, err = h.readChunkMapped(mm, idx, fileSize, k, h.chunkLen(k), pcs, dirs)
-	} else {
-		d, err = h.readChunkAt(f, idx, fileSize, k, h.chunkLen(k), pcs, dirs)
-	}
+	d, err := h.readChunkAt(f, idx[k], k, h.chunkLen(k), pcs, dirs)
 	if err != nil {
 		return DecodedChunk{}, err
 	}
@@ -421,41 +371,32 @@ func (h *Handle) Materialise() (*ChunkedTrace, error) {
 }
 
 // materialise additionally reports whether the spill file was read.
+// Chunks page in through DecodeChunkInto, so every check a page-in
+// makes (checksum, payload structure, event count) runs here too.
 func (h *Handle) materialise() (*ChunkedTrace, bool, error) {
 	h.mu.Lock()
-	if h.res != nil && len(h.res.chunks) == h.nchunks {
-		tr := h.res
-		h.mu.Unlock()
-		return tr, false, nil
-	}
-	f, err := h.fileLocked()
-	if err != nil {
-		h.mu.Unlock()
-		return nil, false, err
-	}
-	size := h.fileSize
+	res := h.res
 	h.mu.Unlock()
-
-	tr, err := readSpillFrom(io.NewSectionReader(f, 0, size), h.chunkEvents)
-	if err != nil {
-		return nil, true, err
+	if res != nil && len(res.chunks) == h.nchunks {
+		return res, false, nil
 	}
-	if tr.events != h.events {
-		return nil, true, &CorruptError{Path: h.path, Chunk: -1,
-			Reason: fmt.Sprintf("spill file holds %d events, handle expects %d", tr.events, h.events)}
-	}
-	h.pageIns.Add(int64(len(tr.chunks)))
-
-	h.mu.Lock()
-	if h.res == nil || len(h.res.chunks) < h.nchunks {
-		h.res = tr
-		if s := tr.SizeBytes(); s > h.residentPeak {
-			h.residentPeak = s
+	rec := NewChunkRecorder(h.chunkEvents)
+	var pcs []uint64
+	dirs := make([]uint64, (h.chunkEvents+63)/64) // never the resident bitmap a decode may return
+	for k := 0; k < h.nchunks; k++ {
+		d, err := h.DecodeChunkInto(k, pcs, dirs)
+		if err != nil {
+			return nil, true, err
 		}
+		for i := 0; i < d.N; i++ {
+			rec.Branch(d.PCs[i], d.Dirs[i>>6]&(1<<(uint(i)&63)) != 0)
+		}
+		pcs = d.PCs
 	}
-	tr = h.res
-	h.mu.Unlock()
-	return tr, true, nil
+	h.adoptResident(rec.Trace())
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.res, true, nil
 }
 
 // ChunkReader returns a sequential reader over the whole recording:
@@ -464,7 +405,9 @@ func (h *Handle) materialise() (*ChunkedTrace, bool, error) {
 // concurrently. Paging errors panic with context (replay interfaces
 // have no error path); the simulator converts such panics into
 // per-input errors.
-func (h *Handle) ChunkReader() ChunkReader {
+func (h *Handle) ChunkReader() ChunkReader { return h.newReader() }
+
+func (h *Handle) newReader() *handleReader {
 	h.mu.Lock()
 	res := h.res
 	h.mu.Unlock()
@@ -487,27 +430,36 @@ type handleReader struct {
 }
 
 func (r *handleReader) NextChunk() (pcs []uint64, dirs []uint64, n int, ok bool) {
+	pcs, dirs, n, ok, err := r.nextChunk()
+	if err != nil {
+		// The panic value is an error wrapping the cause, so a recover
+		// further up can errors.Is it (e.g. against ErrCorruptSpill).
+		panic(err)
+	}
+	return pcs, dirs, n, ok
+}
+
+// nextChunk is NextChunk returning paging errors instead of panicking.
+func (r *handleReader) nextChunk() (pcs []uint64, dirs []uint64, n int, ok bool, err error) {
 	if r.rep != nil {
 		if pcs, dirs, n, ok = r.rep.NextChunk(); ok {
-			return pcs, dirs, n, true
+			return pcs, dirs, n, true, nil
 		}
 		r.rep = nil
 	}
 	if r.next >= r.h.nchunks {
-		return nil, nil, 0, false
+		return nil, nil, 0, false, nil
 	}
 	d, err := r.h.DecodeChunkInto(r.next, r.pcs, r.dirs)
 	if err != nil {
-		// The panic value is an error wrapping the cause, so a recover
-		// further up can errors.Is it (e.g. against ErrCorruptSpill).
-		panic(fmt.Errorf("trace: paging chunk %d: %w", r.next, err))
+		return nil, nil, 0, false, fmt.Errorf("trace: paging chunk %d: %w", r.next, err)
 	}
 	r.next++
 	r.pcs = d.PCs
 	if cap(r.dirs) >= len(d.Dirs) {
 		r.dirs = d.Dirs
 	}
-	return d.PCs, d.Dirs, d.N, true
+	return d.PCs, d.Dirs, d.N, true, nil
 }
 
 // Replay drives every recorded event through sink, paging spilled
@@ -526,7 +478,8 @@ func (h *Handle) Replay(sink Sink) {
 	}
 }
 
-// Source returns an event-at-a-time view of the recording.
+// Source returns an event-at-a-time view of the recording. Unlike
+// Replay, a paging error is returned by Next rather than panicking.
 func (h *Handle) Source() Source {
-	return &chunkSource{r: h.ChunkReader()}
+	return &chunkSource{next: h.newReader().nextChunk}
 }

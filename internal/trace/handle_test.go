@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -49,8 +50,8 @@ func chunkOf(tr *ChunkedTrace, k int) DecodedChunk {
 // TestStreamRecorderRoundTrip pins the out-of-core recording path: a
 // stream recorded straight to a spill file replays bit-identically,
 // pages chunks in random order correctly, and bounds its resident
-// prefix — across chunk sizes that do and do not align with the BTR1
-// 8-event groups (chunk boundaries mid-group exercise the skip logic).
+// prefix — across chunk sizes that do and do not align with the
+// format's 8-event groups (frames may end on a short group).
 func TestStreamRecorderRoundTrip(t *testing.T) {
 	const n = 5000
 	events := syntheticEvents(n, 42)
@@ -103,8 +104,8 @@ func TestStreamRecorderRoundTrip(t *testing.T) {
 }
 
 // TestStreamRecorderNamedPath pins the durable mode: the recording
-// lands at the requested path as a valid BTR1 file a fresh handle (and
-// a plain reader) can open.
+// lands at the requested path as a valid BTR2 file a fresh handle can
+// open, at its declared granularity or at whatever the header says.
 func TestStreamRecorderNamedPath(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sub", "rec.btr")
 	events := syntheticEvents(3000, 7)
@@ -138,6 +139,20 @@ func TestStreamRecorderNamedPath(t *testing.T) {
 	}
 	if !reflect.DeepEqual(collect(tr), events) {
 		t.Fatal("materialised trace diverged")
+	}
+	declared, err := OpenSpillHandle(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if declared.ChunkEvents() != 100 || declared.Chunks() != reopened.Chunks() {
+		t.Fatalf("granularity 0 opened at %d events/chunk, %d chunks; want the header's 100, %d",
+			declared.ChunkEvents(), declared.Chunks(), reopened.Chunks())
+	}
+	if got := replayHandle(declared); !reflect.DeepEqual(got, events) {
+		t.Fatal("replay at the declared granularity diverged")
+	}
+	if _, err := OpenSpillHandle(path, 64); err == nil || errors.Is(err, ErrCorruptSpill) {
+		t.Fatalf("a granularity mismatch must be a plain error, got %v", err)
 	}
 }
 

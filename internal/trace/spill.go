@@ -11,15 +11,10 @@ import (
 	"sync"
 )
 
-// Spill-file machinery for out-of-core recordings: BTR files double as
-// the paging store behind a Handle. New spill files are written in the
-// checksummed BTR2 chunk-frame format (codec.go), whose frames map 1:1
-// onto the handle's chunks — random access is one bounded ReadAt per
-// frame, and the frame checksum is verified on every page-in, pread and
-// mmap alike. Legacy BTR1 files remain readable: their self-delimiting
-// group stream needs a sequential scan to build a chunk index
-// (chunkPos), after which chunks decode from group spans, with
-// structural checks but no checksums.
+// Spill-file machinery for out-of-core recordings: BTR2 files (codec.go)
+// double as the paging store behind a Handle. Their frames map 1:1 onto
+// the handle's chunks, so random access is one bounded ReadAt per frame,
+// and the frame checksum is verified on every page-in.
 
 // spillEncoder streams events into BTR2 chunk frames on an io.Writer,
 // tracking the chunk index as it goes. It is the shared encoding core
@@ -52,7 +47,7 @@ func newSpillEncoder(w io.Writer, chunkEvents int) (*spillEncoder, error) {
 	}
 	e := &spillEncoder{w: w, chunkEvents: chunkEvents}
 	var hdr [4 + binary.MaxVarintLen64]byte
-	copy(hdr[:], magic2[:])
+	copy(hdr[:], magic[:])
 	n := 4 + binary.PutUvarint(hdr[4:], uint64(chunkEvents))
 	if _, err := w.Write(hdr[:n]); err != nil {
 		return nil, fmt.Errorf("trace: writing spill header: %w", err)
@@ -190,43 +185,20 @@ func writeSpill(path string, tr *ChunkedTrace) error {
 	return nil
 }
 
-// readSpill decodes a spill file back into a chunked trace at the key's
-// granularity; the (pc, taken) stream round-trips exactly, so the
-// reloaded trace replays bit-identically to the original recording.
-func readSpill(path string, chunkEvents int) (*ChunkedTrace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return readSpillFrom(f, chunkEvents)
-}
-
-// readSpillFrom is readSpill over an arbitrary reader (e.g. a section
-// of an already-open spill file). Either format decodes; BTR2 frames
-// are checksum-verified as they stream past.
-func readSpillFrom(r io.Reader, chunkEvents int) (*ChunkedTrace, error) {
-	br, err := NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	rec := NewChunkRecorder(chunkEvents)
-	if _, err := Copy(rec, br); err != nil {
-		return nil, err
-	}
-	return rec.Trace(), nil
-}
-
 // countingReader tracks the byte offset of a buffered reader, so the
-// spill scanner can record exact chunk positions.
+// spill scanner can record exact chunk positions, and remembers the
+// first read failure other than EOF, so the scanner can tell I/O
+// trouble from damage.
 type countingReader struct {
-	br  *bufio.Reader
-	off int64
+	br    *bufio.Reader
+	off   int64
+	ioErr error
 }
 
 func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.br.Read(p)
 	c.off += int64(n)
+	c.noteErr(err)
 	return n, err
 }
 
@@ -235,84 +207,32 @@ func (c *countingReader) ReadByte() (byte, error) {
 	if err == nil {
 		c.off++
 	}
+	c.noteErr(err)
 	return b, err
 }
 
-// scanSpill walks a spill stream once, building the chunk index without
-// retaining columns, and reports the event count and total delta bytes
-// (from which a would-be resident footprint is derived). For BTR2 the
-// requested granularity must match the file's; checksums are deferred
-// to page-in (the scan is the cheap open path), but frame structure and
-// the trailer are verified, so a truncated v2 file fails here.
-func scanSpill(r io.Reader, chunkEvents int) (idx []chunkPos, events int64, deltaBytes int64, err error) {
-	idx, events, deltaBytes, _, err = scanSpillAny(r, chunkEvents)
-	return idx, events, deltaBytes, err
+func (c *countingReader) noteErr(err error) {
+	if err != nil && err != io.EOF && c.ioErr == nil {
+		c.ioErr = err
+	}
 }
 
-// scanSpillAny is scanSpill additionally reporting the granularity the
-// index was built at. chunkEvents <= 0 accepts whatever a v2 header
-// declares (and scans v1 at DefaultChunkEvents) — the verifier's mode,
-// where the caller does not know the file's granularity up front.
-func scanSpillAny(r io.Reader, chunkEvents int) (idx []chunkPos, events int64, deltaBytes int64, granularity int, err error) {
+// scanSpill walks a BTR2 stream once, building the chunk index without
+// retaining columns, and reports the event count, the total delta bytes
+// (from which a would-be resident footprint is derived) and the
+// granularity the file declares. chunkEvents > 0 must match that
+// granularity; chunkEvents <= 0 accepts it. Checksums are deferred to
+// page-in (the scan is the cheap open path), but frame structure and
+// the trailer are verified, so a truncated file fails here.
+func scanSpill(r io.Reader, chunkEvents int) (idx []chunkPos, events int64, deltaBytes int64, granularity int, err error) {
 	c := &countingReader{br: bufio.NewReaderSize(r, 1<<16)}
 	var hdr [4]byte
 	if _, err := io.ReadFull(c, hdr[:]); err != nil {
 		return nil, 0, 0, 0, fmt.Errorf("trace: reading spill header: %w", err)
 	}
-	switch hdr {
-	case magic2:
-		return scanSpillV2(c, chunkEvents)
-	case magic:
-		if chunkEvents <= 0 {
-			chunkEvents = DefaultChunkEvents
-		}
-		idx, events, deltaBytes, err = scanSpillV1(c, chunkEvents)
-		return idx, events, deltaBytes, chunkEvents, err
-	default:
+	if hdr != magic {
 		return nil, 0, 0, 0, ErrBadMagic
 	}
-}
-
-// scanSpillV1 indexes a legacy BTR1 group stream: chunk boundaries fall
-// mid-group, so each chunkPos carries the containing group's offset, an
-// in-group skip and the chaining PC.
-func scanSpillV1(c *countingReader, chunkEvents int) (idx []chunkPos, events int64, deltaBytes int64, err error) {
-	var pc uint64
-	var groups int64
-scan:
-	for {
-		groupStart := c.off
-		if _, err := c.ReadByte(); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, 0, 0, fmt.Errorf("trace: scanning spill: %w", err)
-		}
-		groups++
-		for i := 0; i < groupSize; i++ {
-			word, err := binary.ReadUvarint(c)
-			if err == io.EOF {
-				// Short final group: clean end of stream.
-				break scan
-			}
-			if err != nil {
-				return nil, 0, 0, fmt.Errorf("trace: scanning spill: %w", err)
-			}
-			if events%int64(chunkEvents) == 0 {
-				idx = append(idx, chunkPos{off: groupStart, startPC: pc, skip: uint8(i)})
-			}
-			pc += uint64(unzigzag(word))
-			events++
-		}
-	}
-	// Everything that is not the header or a group mask is delta bytes.
-	return idx, events, deltaBytes + c.off - int64(len(magic)) - groups, nil
-}
-
-// scanSpillV2 indexes a BTR2 frame stream, verifying frame structure
-// and the end-of-stream trailer (payload checksums are checked at
-// page-in). chunkEvents <= 0 accepts the header's declared granularity.
-func scanSpillV2(c *countingReader, chunkEvents int) (idx []chunkPos, events int64, deltaBytes int64, granularity int, err error) {
 	declared, err := binary.ReadUvarint(c)
 	if err != nil || declared == 0 || declared > maxChunkEvents {
 		return nil, 0, 0, 0, &CorruptError{Chunk: -1, Reason: "bad chunk granularity in header"}
@@ -324,22 +244,24 @@ func scanSpillV2(c *countingReader, chunkEvents int) (idx []chunkPos, events int
 	corrupt := func(chunk int, reason string) ([]chunkPos, int64, int64, int, error) {
 		return nil, 0, 0, 0, &CorruptError{Chunk: chunk, Reason: reason}
 	}
-	fieldErr := func(ferr error, chunk int, reason string) ([]chunkPos, int64, int64, int, error) {
-		if ferr == io.EOF || ferr == io.ErrUnexpectedEOF {
-			return corrupt(chunk, reason)
+	// A field that fails to read is truncation or an overlong varint —
+	// damage — unless the file itself failed to read.
+	fieldErr := func(chunk int, reason string) ([]chunkPos, int64, int64, int, error) {
+		if c.ioErr != nil {
+			return nil, 0, 0, 0, fmt.Errorf("trace: scanning spill: %w", c.ioErr)
 		}
-		return nil, 0, 0, 0, fmt.Errorf("trace: scanning spill: %w", ferr)
+		return corrupt(chunk, reason)
 	}
 	short := false
 	for {
 		n, err := binary.ReadUvarint(c)
 		if err != nil {
-			return fieldErr(err, len(idx), "stream ends without its trailer (truncated?)")
+			return fieldErr(len(idx), "stream ends without its trailer (truncated?)")
 		}
 		if n == 0 {
 			total, err := binary.ReadUvarint(c)
 			if err != nil {
-				return fieldErr(err, -1, "truncated end-of-stream trailer")
+				return fieldErr(-1, "truncated end-of-stream trailer")
 			}
 			if int64(total) != events {
 				return corrupt(-1, fmt.Sprintf("trailer counts %d events, stream holds %d", total, events))
@@ -360,22 +282,25 @@ func scanSpillV2(c *countingReader, chunkEvents int) (idx []chunkPos, events int
 		}
 		plen, err := binary.ReadUvarint(c)
 		if err != nil {
-			return fieldErr(err, len(idx), "truncated chunk frame header")
+			return fieldErr(len(idx), "truncated chunk frame header")
 		}
-		if plen == 0 || plen > maxChunkPayload {
+		// Every event costs at least one delta byte and every group one
+		// mask byte, so a shorter payload is damage — and rejecting it
+		// here keeps a forged event count from sizing a decode buffer.
+		if plen > maxChunkPayload || plen < n+(n+groupSize-1)/groupSize {
 			return corrupt(len(idx), "bad chunk frame length")
 		}
 		startPC, err := binary.ReadUvarint(c)
 		if err != nil {
-			return fieldErr(err, len(idx), "truncated chunk frame header")
+			return fieldErr(len(idx), "truncated chunk frame header")
 		}
 		var crcb [4]byte
 		if _, err := io.ReadFull(c, crcb[:]); err != nil {
-			return fieldErr(err, len(idx), "truncated chunk frame header")
+			return fieldErr(len(idx), "truncated chunk frame header")
 		}
 		payloadOff := c.off
 		if _, err := io.CopyN(io.Discard, c, int64(plen)); err != nil {
-			return fieldErr(err, len(idx), "truncated chunk payload")
+			return fieldErr(len(idx), "truncated chunk payload")
 		}
 		idx = append(idx, chunkPos{
 			off:     payloadOff,
@@ -386,30 +311,6 @@ func scanSpillV2(c *countingReader, chunkEvents int) (idx []chunkPos, events int
 		events += int64(n)
 		deltaBytes += int64(plen) - (int64(n)+groupSize-1)/groupSize
 	}
-}
-
-// chunkSpan computes the byte range of the spill file covering chunk k.
-// BTR2 chunks are self-contained frames, so the span is exactly the
-// payload. BTR1 chunk boundaries are independent of the format's
-// 8-event groups: when the next chunk starts mid-group, this chunk's
-// final events live past that chunk's group offset, so the span extends
-// by the mask byte plus at most skip full-width deltas.
-func chunkSpan(idx []chunkPos, fileSize int64, k int) (start, end int64) {
-	if idx[k].plen > 0 {
-		return idx[k].off, idx[k].off + idx[k].plen
-	}
-	start = idx[k].off
-	end = fileSize
-	if k+1 < len(idx) {
-		end = idx[k+1].off
-		if s := int64(idx[k+1].skip); s > 0 {
-			end += 1 + s*binary.MaxVarintLen64
-			if end > fileSize {
-				end = fileSize
-			}
-		}
-	}
-	return start, end
 }
 
 // pageBufPool recycles the scratch buffers spill page-ins read encoded
@@ -434,52 +335,31 @@ func putPageBuf(bp *[]byte) { pageBufPool.Put(bp) }
 // ReadAt covering the chunk's span (retried with backoff on transient
 // errors), then a checksum-verified decode. Buffers are reused when
 // large enough.
-func (h *Handle) readChunkAt(f *os.File, idx []chunkPos, fileSize int64, k, n int, pcs, dirs []uint64) (DecodedChunk, error) {
-	start, end := chunkSpan(idx, fileSize, k)
-	bp := getPageBuf(int(end - start))
+func (h *Handle) readChunkAt(f *os.File, pos chunkPos, k, n int, pcs, dirs []uint64) (DecodedChunk, error) {
+	bp := getPageBuf(int(pos.plen))
 	defer putPageBuf(bp)
 	buf := *bp
-	if err := h.readFull(f, buf, start); err != nil {
+	if err := h.readFull(f, buf, pos.off); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return DecodedChunk{}, &CorruptError{Chunk: k, Reason: "spill file shorter than its chunk index (truncated?)"}
 		}
 		return DecodedChunk{}, fmt.Errorf("trace: paging spill chunk %d: %w", k, err)
 	}
-	return decodeChunk(buf, idx[k], k, n, h.chunkEvents, pcs, dirs)
+	return decodeChunk(buf, pos, k, n, h.chunkEvents, pcs, dirs)
 }
 
-// readChunkMapped is readChunkAt over an mmapped spill file: the same
-// checksum-verified decode, but straight out of the mapping — no read
-// syscall, no copy of the encoded bytes.
-func (h *Handle) readChunkMapped(mm *mmapRegion, idx []chunkPos, fileSize int64, k, n int, pcs, dirs []uint64) (DecodedChunk, error) {
-	start, end := chunkSpan(idx, fileSize, k)
-	if end > int64(len(mm.data)) {
-		return DecodedChunk{}, &CorruptError{Chunk: k, Reason: "chunk span past the mapped file"}
-	}
-	return decodeChunk(mm.data[start:end], idx[k], k, n, h.chunkEvents, pcs, dirs)
-}
-
-// decodeChunk verifies (BTR2) and decodes chunk k from buf, which must
-// start at the chunk's span offset. Every page-in funnels through here,
-// pread and mmap alike, so a damaged chunk is detected before a single
-// wrong event reaches a replay.
+// decodeChunk verifies and decodes chunk k (n events) from buf, which
+// must start with the chunk's payload. Every page-in funnels through
+// here, so a damaged chunk is detected before a single wrong event
+// reaches a replay.
 func decodeChunk(buf []byte, pos chunkPos, k, n, chunkEvents int, pcs, dirs []uint64) (DecodedChunk, error) {
-	if pos.plen > 0 {
-		if int64(len(buf)) < pos.plen {
-			return DecodedChunk{}, &CorruptError{Chunk: k, Reason: "chunk payload extends past end of file"}
-		}
-		buf = buf[:pos.plen]
-		if crc32.Checksum(buf, castagnoli) != pos.crc {
-			return DecodedChunk{}, &CorruptError{Chunk: k, Reason: "chunk checksum mismatch"}
-		}
+	if int64(len(buf)) < pos.plen {
+		return DecodedChunk{}, &CorruptError{Chunk: k, Reason: "chunk payload extends past end of file"}
 	}
-	return decodeChunkBytes(buf, pos, k, n, chunkEvents, pcs, dirs)
-}
-
-// decodeChunkBytes decodes chunk k (n events) from buf, which must hold
-// at least the chunk's span starting at pos.off (the decode stops after
-// n events, so trailing bytes beyond the span are ignored).
-func decodeChunkBytes(buf []byte, pos chunkPos, k, n, chunkEvents int, pcs, dirs []uint64) (DecodedChunk, error) {
+	buf = buf[:pos.plen]
+	if crc32.Checksum(buf, castagnoli) != pos.crc {
+		return DecodedChunk{}, &CorruptError{Chunk: k, Reason: "chunk checksum mismatch"}
+	}
 	corrupt := func() (DecodedChunk, error) {
 		return DecodedChunk{}, &CorruptError{Chunk: k, Reason: "undecodable chunk bytes"}
 	}
@@ -496,20 +376,8 @@ func decodeChunkBytes(buf []byte, pos chunkPos, k, n, chunkEvents int, pcs, dirs
 		dirs[i] = 0
 	}
 
-	if len(buf) == 0 {
-		return corrupt()
-	}
-	mask := buf[0]
-	p := 1
-	gi := 0
-	for s := 0; s < int(pos.skip); s++ {
-		_, w := binary.Uvarint(buf[p:])
-		if w <= 0 {
-			return corrupt()
-		}
-		p += w
-		gi++
-	}
+	var mask byte
+	p, gi := 0, groupSize
 	pc := pos.startPC
 	for i := 0; i < n; i++ {
 		if gi == groupSize {

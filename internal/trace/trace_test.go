@@ -3,6 +3,10 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -41,52 +45,61 @@ func TestRecorderRoundTrip(t *testing.T) {
 	}
 }
 
+// recordFile streams events through a StreamRecorder into a named BTR2
+// file (nothing resident) and reopens it cold, so every read pages
+// through the file's one decode path.
+func recordFile(t *testing.T, events []Event, chunkEvents int) (*Handle, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "rec.btr")
+	sr, err := NewStreamRecorder(path, chunkEvents, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		sr.Branch(ev.PC, ev.Taken)
+	}
+	if _, err := sr.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	h, err := OpenSpillHandle(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, path
+}
+
+// readAll drains a handle's Source, failing on any paging error.
+func readAll(t *testing.T, h *Handle) []Event {
+	t.Helper()
+	var rec Recorder
+	if _, err := Copy(&rec, h.Source()); err != nil {
+		t.Fatal(err)
+	}
+	return rec.Events
+}
+
 func TestBinaryCodecRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range sampleEvents() {
-		w.Branch(ev.PC, ev.Taken)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range sampleEvents() {
-		got, ok, err := r.Next()
-		if err != nil || !ok {
-			t.Fatalf("event %d: ok=%v err=%v", i, ok, err)
-		}
-		if got != want {
-			t.Fatalf("event %d: got %+v want %+v", i, got, want)
-		}
-	}
-	if _, ok, _ := r.Next(); ok {
-		t.Fatal("reader yielded extra event")
+	h, _ := recordFile(t, sampleEvents(), 0)
+	if got := readAll(t, h); !reflect.DeepEqual(got, sampleEvents()) {
+		t.Fatalf("round trip: got %+v want %+v", got, sampleEvents())
 	}
 }
 
 func TestBinaryCodecCompactness(t *testing.T) {
 	// A hot-loop trace (one PC, alternating outcomes) must cost ~1
-	// byte/event, far below the naive 9.
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	// byte/event, far below the naive 9: one delta byte per event, one
+	// mask byte per 8, plus per-frame headers.
+	const n = 10000
+	events := make([]Event, n)
+	for i := range events {
+		events[i] = Event{PC: 0x400100, Taken: i%2 == 0}
+	}
+	_, path := recordFile(t, events, 0)
+	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 10000
-	for i := 0; i < n; i++ {
-		w.Branch(0x400100, i%2 == 0)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	perEvent := float64(buf.Len()-4) / n
+	perEvent := float64(st.Size()) / n
 	if perEvent > 1.13 {
 		t.Fatalf("hot-loop encoding costs %.3f bytes/event, want ~1.125", perEvent)
 	}
@@ -94,89 +107,51 @@ func TestBinaryCodecCompactness(t *testing.T) {
 
 func TestWriterPartialFinalGroup(t *testing.T) {
 	// Streams whose length is not a multiple of the group size must
-	// round-trip: the final short group is implicit in EOF.
-	for _, n := range []int{1, 2, 7, 8, 9, 15, 16, 17} {
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			w.Branch(uint64(0x1000+4*i), i%3 == 0)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := NewReader(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			ev, ok, err := r.Next()
-			if err != nil || !ok {
-				t.Fatalf("n=%d event %d: ok=%v err=%v", n, i, ok, err)
+	// round-trip, at a chunk size that is not one either: every frame
+	// may end on a short group.
+	for _, chunkEvents := range []int{5, 8, 1024} {
+		for _, n := range []int{1, 2, 7, 8, 9, 15, 16, 17} {
+			events := make([]Event, n)
+			for i := range events {
+				events[i] = Event{PC: uint64(0x1000 + 4*i), Taken: i%3 == 0}
 			}
-			if ev.PC != uint64(0x1000+4*i) || ev.Taken != (i%3 == 0) {
-				t.Fatalf("n=%d event %d: got %+v", n, i, ev)
+			h, _ := recordFile(t, events, chunkEvents)
+			if got := readAll(t, h); !reflect.DeepEqual(got, events) {
+				t.Fatalf("chunk=%d n=%d: got %+v", chunkEvents, n, got)
 			}
 		}
-		if _, ok, _ := r.Next(); ok {
-			t.Fatalf("n=%d: extra event", n)
-		}
-	}
-}
-
-func TestWriterRejectsAfterClose(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	w.Branch(1, true)
-	if err := w.Close(); !errors.Is(err, ErrWriterClosed) {
-		t.Fatalf("err = %v, want ErrWriterClosed", err)
 	}
 }
 
 func TestWriterFlushKeepsPartialGroup(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
+	// A one-event recording is one short group in one short frame: the
+	// sealed file holds it, and the trailer counts it.
+	h, _ := recordFile(t, []Event{{PC: 4, Taken: true}}, 0)
+	if h.Events() != 1 || h.Chunks() != 1 {
+		t.Fatalf("events=%d chunks=%d, want 1/1", h.Events(), h.Chunks())
 	}
-	w.Branch(4, true) // one pending event, group not complete
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 4 {
-		t.Fatalf("flush emitted a partial group (%d bytes beyond header)", buf.Len()-4)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, ok, err := r.Next()
-	if err != nil || !ok || ev.PC != 4 || !ev.Taken {
-		t.Fatalf("event after close: %+v ok=%v err=%v", ev, ok, err)
+	if got := readAll(t, h); len(got) != 1 || got[0] != (Event{PC: 4, Taken: true}) {
+		t.Fatalf("events after seal: %+v", got)
 	}
 }
 
 func TestReaderRejectsBadMagic(t *testing.T) {
-	_, err := NewReader(bytes.NewReader([]byte("NOPE....")))
-	if !errors.Is(err, ErrBadMagic) {
+	path := filepath.Join(t.TempDir(), "nope.btr")
+	if err := os.WriteFile(path, []byte("NOPE...."), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSpillHandle(path, 0); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
 }
 
 func TestReaderShortHeader(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("BT"))); err == nil {
-		t.Fatal("short header accepted")
+	path := filepath.Join(t.TempDir(), "short.btr")
+	if err := os.WriteFile(path, []byte("BT"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSpillHandle(path, 0); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want a short-header read error", err)
 	}
 }
 
@@ -299,33 +274,33 @@ func TestZigzagRoundTrip(t *testing.T) {
 }
 
 func TestQuickBinaryRoundTrip(t *testing.T) {
-	f := func(pcs []uint64, dirs []bool) bool {
-		n := len(pcs)
-		if len(dirs) < n {
-			n = len(dirs)
-		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
+	dir := t.TempDir()
+	f := func(pcs []uint64, dirs []bool, chunk uint8) bool {
+		n := min(len(pcs), len(dirs))
+		path := filepath.Join(dir, "quick.btr")
+		sr, err := NewStreamRecorder(path, int(chunk)+1, 0)
 		if err != nil {
 			return false
 		}
 		for i := 0; i < n; i++ {
-			w.Branch(pcs[i], dirs[i])
+			sr.Branch(pcs[i], dirs[i])
 		}
-		if w.Close() != nil {
+		if _, err := sr.Seal(); err != nil {
 			return false
 		}
-		r, err := NewReader(&buf)
+		h, err := OpenSpillHandle(path, 0)
 		if err != nil {
 			return false
 		}
+		defer h.f.Close()
+		src := h.Source()
 		for i := 0; i < n; i++ {
-			ev, ok, err := r.Next()
+			ev, ok, err := src.Next()
 			if err != nil || !ok || ev.PC != pcs[i] || ev.Taken != dirs[i] {
 				return false
 			}
 		}
-		_, ok, err := r.Next()
+		_, ok, err := src.Next()
 		return !ok && err == nil
 	}
 	if err := quick.Check(f, nil); err != nil {

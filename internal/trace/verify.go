@@ -1,15 +1,10 @@
 package trace
 
-import (
-	"fmt"
-	"io"
-	"os"
-)
+import "errors"
 
 // VerifyReport is the result of auditing one spill file.
 type VerifyReport struct {
 	Path   string
-	Format int // 1 = BTR1, 2 = BTR2; 0 when the header is unreadable
 	Chunks int
 	Events int64
 	Err    error // nil = the file passed every check
@@ -19,76 +14,36 @@ type VerifyReport struct {
 func (r VerifyReport) OK() bool { return r.Err == nil }
 
 // VerifySpill audits a spill file end to end: header, frame structure,
-// event counts and trailer via the index scan, then — for BTR2 — every
-// chunk's checksum and payload decodability, exactly the checks a
-// page-in would apply. Legacy BTR1 files get the full structural walk
-// (the format has no checksums, so that is the strongest audit it
-// admits). The returned report carries whatever was learned before the
-// first failure.
+// event counts and trailer via the index scan, then every chunk's
+// checksum and payload decodability through the handle's page-in path,
+// exactly the checks a replay would apply. The returned report carries
+// whatever was learned before the first failure.
 func VerifySpill(path string) VerifyReport {
 	rep := VerifyReport{Path: path}
-	f, err := os.Open(path)
+	h, err := OpenSpillHandle(path, 0)
 	if err != nil {
-		rep.Err = err
+		rep.Err = withPath(err, path)
 		return rep
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		rep.Err = err
-		return rep
-	}
-	var hdr [4]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		rep.Err = fmt.Errorf("trace: reading spill header: %w", err)
-		return rep
-	}
-	switch hdr {
-	case magic:
-		rep.Format = 1
-	case magic2:
-		rep.Format = 2
-	default:
-		rep.Err = ErrBadMagic
-		return rep
-	}
-
-	idx, events, _, granularity, err := scanSpillAny(io.NewSectionReader(f, 0, st.Size()), 0)
-	if err != nil {
-		rep.Err = err
-		return rep
-	}
-	rep.Chunks, rep.Events = len(idx), events
-	if rep.Format == 1 {
-		// The scan walked every group and delta; BTR1 has nothing
-		// stronger to check.
-		return rep
-	}
-
+	defer h.f.Close()
+	rep.Chunks, rep.Events = h.nchunks, h.events
 	var pcs, dirs []uint64
-	var buf []byte
-	for k := range idx {
-		n := granularity
-		if k == len(idx)-1 {
-			n = int(events - int64(k)*int64(granularity))
-		}
-		if int64(cap(buf)) < idx[k].plen {
-			buf = make([]byte, idx[k].plen)
-		}
-		buf = buf[:idx[k].plen]
-		if _, err := f.ReadAt(buf, idx[k].off); err != nil {
-			rep.Err = fmt.Errorf("trace: reading chunk %d: %w", k, err)
-			return rep
-		}
-		d, err := decodeChunk(buf, idx[k], k, n, granularity, pcs, dirs)
+	for k := 0; k < h.nchunks; k++ {
+		d, err := h.DecodeChunkInto(k, pcs, dirs)
 		if err != nil {
-			if ce, ok := err.(*CorruptError); ok {
-				ce.Path = path
-			}
-			rep.Err = err
+			rep.Err = withPath(err, path)
 			return rep
 		}
 		pcs, dirs = d.PCs, d.Dirs
 	}
 	return rep
+}
+
+// withPath names the damaged file in a corruption error.
+func withPath(err error, path string) error {
+	var ce *CorruptError
+	if errors.As(err, &ce) {
+		ce.Path = path
+	}
+	return err
 }
