@@ -97,6 +97,105 @@ func BenchmarkAblations(b *testing.B) {
 	}
 }
 
+// ablationRowInput is one suite input's pre-decoded chunks with the
+// pass-1 artifacts the profile-built rows are constructed from.
+type ablationRowInput struct {
+	in     *InputResult
+	chunks []trace.DecodedChunk
+}
+
+var (
+	ablationRowsOnce   sync.Once
+	ablationRowsInputs []ablationRowInput
+	ablationRowsEvents int64
+)
+
+// ablationRowsSuite records the suite at scale 0.05 and decodes every
+// input's chunks once.
+func ablationRowsSuite() ([]ablationRowInput, int64) {
+	ablationRowsOnce.Do(func() {
+		for _, in := range RunSuite(Workloads(), SimConfig{Scale: 0.05}).Inputs {
+			ri := ablationRowInput{in: in}
+			rd := in.Recorded.ChunkReader()
+			for {
+				pcs, dirs, n, ok := rd.NextChunk()
+				if !ok {
+					break
+				}
+				ri.chunks = append(ri.chunks, trace.DecodedChunk{PCs: slices.Clone(pcs), Dirs: slices.Clone(dirs), N: n})
+			}
+			ablationRowsInputs = append(ablationRowsInputs, ri)
+			ablationRowsEvents += in.Events
+		}
+	})
+	return ablationRowsInputs, ablationRowsEvents
+}
+
+// ablationRowSweeper is a predictor with its own chunk kernel, as every
+// A1/A5 row builds.
+type ablationRowSweeper interface {
+	Predictor
+	bpred.ChunkSweeper
+}
+
+// ablationRows are the distinct A1/A5 row constructors at the sizes the
+// ablations build them. PAs(k=8) and GAs(k=10) are the bank's own slots,
+// which A1 reads from the suite sweep; they time the bank kernel the
+// other rows are measured against.
+var ablationRows = []struct {
+	name  string
+	build func(in *InputResult) ablationRowSweeper
+}{
+	{"TransitionHybrid", func(in *InputResult) ablationRowSweeper {
+		return bpred.NewTransitionHybridTable(in.Table, in.Profiles, bpred.HybridComponents{})
+	}},
+	{"TakenHybrid", func(in *InputResult) ablationRowSweeper {
+		return bpred.NewTakenHybridTable(in.Table, in.Profiles, bpred.HybridComponents{})
+	}},
+	{"DynamicClassHybrid", func(*InputResult) ablationRowSweeper {
+		return bpred.NewDynamicClassHybrid(13, 64, bpred.HybridComponents{})
+	}},
+	{"gshare(17,k=12)", func(*InputResult) ablationRowSweeper { return bpred.NewGShare(bpred.GAsPHTBits, 12) }},
+	{"Bimodal(17)", func(*InputResult) ablationRowSweeper { return bpred.NewBimodal(bpred.GAsPHTBits) }},
+	{"Agree(17,k=10)", func(*InputResult) ablationRowSweeper { return bpred.NewAgree(bpred.GAsPHTBits, 10, 14) }},
+	{"Tournament", func(*InputResult) ablationRowSweeper {
+		return bpred.NewTournament("Tournament(PAs8,gshare10)", bpred.NewPAs(8), bpred.NewGShare(16, 10), 12)
+	}},
+	{"StaticBias", func(in *InputResult) ablationRowSweeper { return bpred.NewProfiledStaticBias(in.Table, in.Profiles) }},
+	{"LastTime(17)", func(*InputResult) ablationRowSweeper { return bpred.NewLastTime(bpred.GAsPHTBits) }},
+	{"BiMode", func(*InputResult) ablationRowSweeper { return bpred.NewBiMode(16, 15, 12) }},
+	{"YAGS", func(*InputResult) ablationRowSweeper { return bpred.NewYAGS(16, 14, 8, 12) }},
+	{"Filter", func(*InputResult) ablationRowSweeper { return bpred.NewFilter(14, 32, bpred.NewGShare(16, 12)) }},
+	{"gskew", func(*InputResult) ablationRowSweeper { return bpred.NewGSkew(16, 12) }},
+	{"PAs(k=8)", func(*InputResult) ablationRowSweeper { return bpred.NewPAs(8) }},
+	{"GAs(k=10)", func(*InputResult) ablationRowSweeper { return bpred.NewGAs(10) }},
+}
+
+// BenchmarkAblationRows times each A1/A5 row's chunk kernel alone, one
+// sub-benchmark per row, single-threaded over the pre-decoded chunks of
+// the scale-0.05 suite. Each iteration builds the row's predictor per
+// input, as the ablation grid does, and sweeps that input's chunks; the
+// recording and decoding happen outside the timer. ns/event is the
+// per-row figure a kernel change must move.
+func BenchmarkAblationRows(b *testing.B) {
+	inputs, events := ablationRowsSuite()
+	wrong := make([]uint64, (trace.DefaultChunkEvents+63)/64)
+	for _, row := range ablationRows {
+		b.Run(row.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, ri := range inputs {
+					p := row.build(ri.in)
+					for _, c := range ri.chunks {
+						clear(wrong)
+						p.SweepChunk(c.PCs, c.Dirs, c.N, wrong)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(events)), "ns/event")
+		})
+	}
+}
+
 // BenchmarkSuiteSweepRegenerate measures the original pipeline — the
 // generator re-runs for pass 2 and the bank is driven serially — as the
 // baseline the replay engine is compared against. Scale 1.0 is the

@@ -14,12 +14,14 @@ import "fmt"
 // not-taken" banks), separating branches by bias so destructive aliasing
 // between opposite-biased branches disappears.
 type BiMode struct {
-	k          int
-	phtBits    int
-	ghr        uint64
-	histMask   uint64
-	choice     *CounterTable
-	banks      [2]*CounterTable
+	k        int
+	phtBits  int
+	ghr      uint64
+	histMask uint64
+	choice   *CounterTable
+	// banks holds the not-taken bank's 2^phtBits counters, then the
+	// taken bank's: the chosen bank's bit is the top index bit.
+	banks      *CounterTable
 	choiceBits int
 }
 
@@ -34,7 +36,7 @@ func NewBiMode(phtBits, choiceBits, k int) *BiMode {
 		phtBits:    phtBits,
 		histMask:   (1 << uint(k)) - 1,
 		choice:     NewCounterTable(choiceBits),
-		banks:      [2]*CounterTable{NewCounterTable(phtBits), NewCounterTable(phtBits)},
+		banks:      NewCounterTable(phtBits + 1),
 		choiceBits: choiceBits,
 	}
 }
@@ -42,32 +44,31 @@ func NewBiMode(phtBits, choiceBits, k int) *BiMode {
 // Name implements Predictor.
 func (b *BiMode) Name() string { return fmt.Sprintf("BiMode(%d,k=%d)", b.phtBits, b.k) }
 
-func (b *BiMode) index(pc uint64) uint64 { return pcIndex(pc) ^ (b.ghr & b.histMask) }
-
-func (b *BiMode) bank(pc uint64) int {
+// index returns pc's counter in the bank the choice PHT picks for it.
+func (b *BiMode) index(pc uint64) uint64 {
+	bank := uint64(0)
 	if b.choice.Predict(pcIndex(pc)) {
-		return 1 // taken bank
+		bank = 1 // taken bank
 	}
-	return 0
+	return bank<<uint(b.phtBits) | (pcIndex(pc)^(b.ghr&b.histMask))&(1<<uint(b.phtBits)-1)
 }
 
 // Predict implements Predictor.
 func (b *BiMode) Predict(pc uint64) bool {
-	return b.banks[b.bank(pc)].Predict(b.index(pc))
+	return b.banks.Predict(b.index(pc))
 }
 
 // Update implements Predictor. Only the chosen bank trains; the choice
 // table trains except when it mispicked but the chosen bank still
 // predicted correctly (the Bi-Mode partial-update rule).
 func (b *BiMode) Update(pc uint64, taken bool) {
-	bank := b.bank(pc)
 	idx := b.index(pc)
-	bankCorrect := b.banks[bank].Predict(idx) == taken
-	choiceAgrees := (bank == 1) == taken
+	bankCorrect := b.banks.Predict(idx) == taken
+	choiceAgrees := (idx>>uint(b.phtBits) == 1) == taken
 	if !(bankCorrect && !choiceAgrees) {
 		b.choice.Update(pcIndex(pc), taken)
 	}
-	b.banks[bank].Update(idx, taken)
+	b.banks.Update(idx, taken)
 	b.ghr <<= 1
 	if taken {
 		b.ghr |= 1
@@ -77,12 +78,11 @@ func (b *BiMode) Update(pc uint64, taken bool) {
 // PredictUpdate implements PredictUpdater: the bank choice and the bank
 // index are computed once, and the bank counter is loaded once.
 func (b *BiMode) PredictUpdate(pc uint64, taken bool) bool {
-	ci := pcIndex(pc)
-	bank := b.bank(pc)
-	predicted := b.banks[bank].PredictUpdate(b.index(pc), taken)
-	choiceAgrees := (bank == 1) == taken
+	idx := b.index(pc)
+	predicted := b.banks.PredictUpdate(idx, taken)
+	choiceAgrees := (idx>>uint(b.phtBits) == 1) == taken
 	if !(predicted == taken && !choiceAgrees) {
-		b.choice.Update(ci, taken)
+		b.choice.Update(pcIndex(pc), taken)
 	}
 	b.ghr <<= 1
 	if taken {
@@ -91,19 +91,37 @@ func (b *BiMode) PredictUpdate(pc uint64, taken bool) bool {
 	return predicted
 }
 
-// SweepChunk implements ChunkSweeper.
+// SweepChunk implements ChunkSweeper in the shape of GAs.SweepChunk: the
+// choice counter's bit is the bank's index bit, and the choice trains
+// through a store masked by the partial-update rule.
 func (b *BiMode) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
-	for i := 0; i < n; i++ {
-		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
-		if b.PredictUpdate(pcs[i], taken) != taken {
-			wrong[i>>6] |= 1 << (uint(i) & 63)
+	choice, cmask := b.choice.counters, b.choice.mask
+	banks, shift := b.banks.counters, uint(b.phtBits)&63
+	bankMask, histMask, ghr := uint64(1)<<shift-1, b.histMask, b.ghr
+	for base := 0; base < n; base += 64 {
+		d := dirs[base>>6]
+		var miss uint64
+		for j, pc := range pcs[base:min(base+64, n)] {
+			t := d >> (uint(j) & 63) & 1
+			x := pcIndex(pc)
+			cc := choice[x&cmask]
+			bank := uint64(cc >> 1)
+			p := train(banks, bank<<shift|(x^ghr&histMask)&bankMask, t)
+			// The choice keeps its counter when the chosen bank was
+			// right and the choice was not.
+			keep := (p ^ t ^ 1) & (bank ^ t)
+			choice[x&cmask] = cc ^ (cc^cc.next(t))&Counter2(keep-1)
+			ghr = ghr<<1 | t
+			miss |= (p ^ t) << (uint(j) & 63)
 		}
+		wrong[base>>6] |= miss
 	}
+	b.ghr = ghr
 }
 
 // SizeBits implements Predictor.
 func (b *BiMode) SizeBits() int64 {
-	return b.choice.SizeBits() + b.banks[0].SizeBits() + b.banks[1].SizeBits() + int64(b.k)
+	return b.choice.SizeBits() + b.banks.SizeBits() + int64(b.k)
 }
 
 // YAGS (Eden & Mudge) keeps a bimodal choice PHT for the common, biased
@@ -117,66 +135,65 @@ type YAGS struct {
 	ghr       uint64
 	histMask  uint64
 	choice    *CounterTable
-	caches    [2]yagsCache // [0] = not-taken cache, [1] = taken cache
-}
-
-type yagsCache struct {
-	tags     []uint16
-	counters []Counter2
-	valid    []bool
-	mask     uint64
-}
-
-func newYagsCache(bits int) yagsCache {
-	n := 1 << uint(bits)
-	c := yagsCache{
-		tags:     make([]uint16, n),
-		counters: make([]Counter2, n),
-		valid:    make([]bool, n),
-		mask:     uint64(n - 1),
-	}
-	for i := range c.counters {
-		c.counters[i] = 1
-	}
-	return c
+	// The two exception caches, the not-taken cache's 2^cacheBits
+	// entries then the taken cache's: a taken bias consults the first.
+	// tags holds each entry's partial tag plus one, 0 marking an empty
+	// entry.
+	tags      []uint16
+	counters  []Counter2
+	cacheMask uint64
 }
 
 // NewYAGS builds a YAGS predictor: 2^choiceBits choice counters, two
-// 2^cacheBits exception caches with tagBits-bit partial tags, history
-// length k.
+// 2^cacheBits exception caches with tagBits-bit partial tags (1..15),
+// history length k.
 func NewYAGS(choiceBits, cacheBits, tagBits, k int) *YAGS {
 	if k < 0 || k > 24 {
 		panic("bpred: YAGS history length out of range")
 	}
-	return &YAGS{
+	if tagBits < 1 || tagBits > 15 {
+		panic("bpred: YAGS tag bits out of range")
+	}
+	n := 2 << uint(cacheBits)
+	y := &YAGS{
 		k:         k,
 		cacheBits: cacheBits,
 		tagBits:   uint(tagBits),
 		histMask:  (1 << uint(k)) - 1,
 		choice:    NewCounterTable(choiceBits),
-		caches:    [2]yagsCache{newYagsCache(cacheBits), newYagsCache(cacheBits)},
+		tags:      make([]uint16, n),
+		counters:  make([]Counter2, n),
+		cacheMask: 1<<uint(cacheBits) - 1,
 	}
+	for i := range y.counters {
+		y.counters[i] = 1
+	}
+	return y
 }
 
 // Name implements Predictor.
 func (y *YAGS) Name() string { return fmt.Sprintf("YAGS(%d,k=%d)", y.cacheBits, y.k) }
 
-func (y *YAGS) cacheIndex(pc uint64) uint64 { return pcIndex(pc) ^ (y.ghr & y.histMask) }
+// entry returns pc's entry in the cache opposite bias.
+func (y *YAGS) entry(pc uint64, bias bool) uint64 {
+	i := (pcIndex(pc) ^ (y.ghr & y.histMask)) & y.cacheMask
+	if !bias {
+		i |= 1 << uint(y.cacheBits)
+	}
+	return i
+}
+
+// tag returns pc's stored tag: its partial tag plus one.
 func (y *YAGS) tag(pc uint64) uint16 {
-	return uint16(pcIndex(pc) & ((1 << y.tagBits) - 1))
+	return uint16(pcIndex(pc)&((1<<y.tagBits)-1)) + 1
 }
 
 // Predict implements Predictor: consult the cache opposite the bias; on a
 // tag hit its counter overrides the choice prediction.
 func (y *YAGS) Predict(pc uint64) bool {
 	bias := y.choice.Predict(pcIndex(pc))
-	cache := &y.caches[0] // bias taken -> consult not-taken cache
-	if !bias {
-		cache = &y.caches[1]
-	}
-	i := y.cacheIndex(pc) & cache.mask
-	if cache.valid[i] && cache.tags[i] == y.tag(pc) {
-		return cache.counters[i].Predict()
+	if i := y.entry(pc, bias); y.tags[i] == y.tag(pc) {
+		return y.counters[i].Predict()
 	}
 	return bias
 }
@@ -184,24 +201,19 @@ func (y *YAGS) Predict(pc uint64) bool {
 // Update implements Predictor.
 func (y *YAGS) Update(pc uint64, taken bool) {
 	bias := y.choice.Predict(pcIndex(pc))
-	cache := &y.caches[0]
-	if !bias {
-		cache = &y.caches[1]
-	}
-	i := y.cacheIndex(pc) & cache.mask
-	hit := cache.valid[i] && cache.tags[i] == y.tag(pc)
+	i := y.entry(pc, bias)
+	hit := y.tags[i] == y.tag(pc)
 	if hit {
-		cache.counters[i] = cache.counters[i].Update(taken)
+		y.counters[i] = y.counters[i].Update(taken)
 	} else if taken != bias {
 		// The branch deviated from its bias: allocate an exception entry.
-		cache.valid[i] = true
-		cache.tags[i] = y.tag(pc)
-		cache.counters[i] = 1
-		cache.counters[i] = cache.counters[i].Update(taken)
+		y.tags[i] = y.tag(pc)
+		y.counters[i] = 1
+		y.counters[i] = y.counters[i].Update(taken)
 	}
 	// The choice PHT trains unless the cache overrode it correctly while
 	// the choice itself was wrong (same partial-update idea as Bi-Mode).
-	overrodeCorrectly := hit && cache.counters[i].Predict() == taken && bias != taken
+	overrodeCorrectly := hit && y.counters[i].Predict() == taken && bias != taken
 	if !overrodeCorrectly {
 		y.choice.Update(pcIndex(pc), taken)
 	}
@@ -216,23 +228,18 @@ func (y *YAGS) Update(pc uint64, taken bool) {
 func (y *YAGS) PredictUpdate(pc uint64, taken bool) bool {
 	ci := pcIndex(pc)
 	bias := y.choice.Predict(ci)
-	cache := &y.caches[0]
-	if !bias {
-		cache = &y.caches[1]
-	}
-	i := y.cacheIndex(pc) & cache.mask
+	i := y.entry(pc, bias)
 	tag := y.tag(pc)
-	hit := cache.valid[i] && cache.tags[i] == tag
+	hit := y.tags[i] == tag
 	predicted := bias
 	if hit {
-		predicted = cache.counters[i].Predict()
-		cache.counters[i] = cache.counters[i].Update(taken)
+		predicted = y.counters[i].Predict()
+		y.counters[i] = y.counters[i].Update(taken)
 	} else if taken != bias {
-		cache.valid[i] = true
-		cache.tags[i] = tag
-		cache.counters[i] = Counter2(1).Update(taken)
+		y.tags[i] = tag
+		y.counters[i] = Counter2(1).Update(taken)
 	}
-	if !(hit && cache.counters[i].Predict() == taken && bias != taken) {
+	if !(hit && y.counters[i].Predict() == taken && bias != taken) {
 		y.choice.Update(ci, taken)
 	}
 	y.ghr <<= 1
@@ -242,20 +249,51 @@ func (y *YAGS) PredictUpdate(pc uint64, taken bool) bool {
 	return predicted
 }
 
-// SweepChunk implements ChunkSweeper.
+// SweepChunk implements ChunkSweeper in the shape of GAs.SweepChunk. A
+// tag hit or an allocation, the rare exception-cache traffic, is a
+// branch; the choice trains through a store masked by the
+// partial-update rule. Writing the cache entry back on every event
+// through masked stores measured slower.
 func (y *YAGS) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
-	for i := 0; i < n; i++ {
-		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
-		if y.PredictUpdate(pcs[i], taken) != taken {
-			wrong[i>>6] |= 1 << (uint(i) & 63)
+	choice, cmask := y.choice.counters, y.choice.mask
+	tags, counters := y.tags, y.counters
+	cacheMask, cacheShift := y.cacheMask, uint(y.cacheBits)&63
+	tagMask, histMask, ghr := uint64(1)<<y.tagBits-1, y.histMask, y.ghr
+	for base := 0; base < n; base += 64 {
+		d := dirs[base>>6]
+		var miss uint64
+		for j, pc := range pcs[base:min(base+64, n)] {
+			t := d >> (uint(j) & 63) & 1
+			x := pcIndex(pc)
+			cc := choice[x&cmask]
+			bias := uint64(cc >> 1)
+			i := (bias^1)<<cacheShift | (x^ghr&histMask)&cacheMask
+			tag := x&tagMask + 1
+			p, keep := bias, uint64(0)
+			if uint64(tags[i]) == tag {
+				c := counters[i]
+				nc := c.next(t)
+				counters[i] = nc
+				p = uint64(c >> 1)
+				// The choice keeps its counter when the cache overrode
+				// it correctly.
+				keep = (uint64(nc>>1) ^ t ^ 1) & (bias ^ t)
+			} else if t != bias {
+				tags[i] = uint16(tag)
+				counters[i] = Counter2(1).next(t)
+			}
+			choice[x&cmask] = cc ^ (cc^cc.next(t))&Counter2(keep-1)
+			ghr = ghr<<1 | t
+			miss |= (p ^ t) << (uint(j) & 63)
 		}
+		wrong[base>>6] |= miss
 	}
+	y.ghr = ghr
 }
 
 // SizeBits implements Predictor.
 func (y *YAGS) SizeBits() int64 {
-	perCache := int64(len(y.caches[0].tags)) * (int64(y.tagBits) + 2 + 1)
-	return y.choice.SizeBits() + 2*perCache + int64(y.k)
+	return y.choice.SizeBits() + int64(len(y.tags))*(int64(y.tagBits)+2+1) + int64(y.k)
 }
 
 // Filter (Chang, Evers & Patt, PACT 1996) keeps heavily biased branches
@@ -268,7 +306,7 @@ func (y *YAGS) SizeBits() int64 {
 type Filter struct {
 	threshold uint8
 	counts    []uint8
-	dirs      []bool
+	dirs      []uint8 // each slot's run direction bit
 	mask      uint64
 	dynamic   part
 }
@@ -280,7 +318,7 @@ func NewFilter(tableBits int, threshold uint8, dynamic Predictor) *Filter {
 	return &Filter{
 		threshold: threshold,
 		counts:    make([]uint8, n),
-		dirs:      make([]bool, n),
+		dirs:      make([]uint8, n),
 		mask:      uint64(n - 1),
 		dynamic:   newPart(dynamic),
 	}
@@ -300,7 +338,7 @@ func (f *Filter) Filtered(pc uint64) bool { return f.counts[f.slot(pc)] >= f.thr
 func (f *Filter) Predict(pc uint64) bool {
 	i := f.slot(pc)
 	if f.counts[i] >= f.threshold {
-		return f.dirs[i]
+		return f.dirs[i] == 1
 	}
 	return f.dynamic.p.Predict(pc)
 }
@@ -320,7 +358,7 @@ func (f *Filter) Update(pc uint64, taken bool) {
 // its run direction; any other steps the dynamic predictor once.
 func (f *Filter) PredictUpdate(pc uint64, taken bool) bool {
 	i := f.slot(pc)
-	predicted := f.dirs[i]
+	predicted := f.dirs[i] == 1
 	if f.counts[i] < f.threshold {
 		predicted = f.dynamic.step(pc, taken)
 	}
@@ -328,27 +366,58 @@ func (f *Filter) PredictUpdate(pc uint64, taken bool) bool {
 	return predicted
 }
 
-// SweepChunk implements ChunkSweeper.
+// SweepChunk implements ChunkSweeper. Over a gshare it runs in the shape
+// of GAs.SweepChunk: a slot below the threshold steps the gshare inline,
+// a filtered one predicts its run direction, and the run extends or
+// restarts by arithmetic. Whether a slot is filtered is a branch: it
+// holds for whole runs of the branch, and stepping the gshare through a
+// masked store on every event measured slower. Any other dynamic
+// predictor runs sweepSteps.
 func (f *Filter) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
-	for i := 0; i < n; i++ {
-		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
-		if f.PredictUpdate(pcs[i], taken) != taken {
-			wrong[i>>6] |= 1 << (uint(i) & 63)
-		}
+	g := f.dynamic.gshare
+	if g == nil {
+		sweepSteps(f, pcs, dirs, n, wrong)
+		return
 	}
+	gc, ghr := g.cols(), g.ghr
+	counts, runDir, mask, threshold := f.counts, f.dirs, f.mask, f.threshold
+	for base := 0; base < n; base += 64 {
+		d := dirs[base>>6]
+		var miss uint64
+		for j, pc := range pcs[base:min(base+64, n)] {
+			t := d >> (uint(j) & 63) & 1
+			x := pcIndex(pc)
+			i := x & mask
+			c, r := counts[i], uint64(runDir[i])
+			p := r
+			if c < threshold {
+				p = gc.step(x, ghr, t)
+				ghr = ghr<<1 | t
+			}
+			// The run grows, saturating at 255, while the outcome
+			// repeats r, and restarts at 1 on a transition.
+			grown := uint64(c) + 1
+			grown -= grown >> 8
+			counts[i] = uint8(1 + (grown-1)&-(r^t^1))
+			runDir[i] = uint8(t)
+			miss |= (p ^ t) << (uint(j) & 63)
+		}
+		wrong[base>>6] |= miss
+	}
+	g.ghr = ghr
 }
 
 // run extends slot i's run of identical outcomes, or restarts it on a
 // transition.
 func (f *Filter) run(i uint64, taken bool) {
-	if f.dirs[i] == taken {
+	if f.dirs[i] == uint8(bit(taken)) {
 		if f.counts[i] < 255 {
 			f.counts[i]++
 		}
 	} else {
 		// Transition: reset the run and re-admit to the dynamic tables.
 		f.counts[i] = 1
-		f.dirs[i] = taken
+		f.dirs[i] = uint8(bit(taken))
 	}
 }
 
@@ -437,14 +506,26 @@ func (g *GSkew) PredictUpdate(pc uint64, taken bool) bool {
 	return majority(v0, v1, v2)
 }
 
-// SweepChunk implements ChunkSweeper.
+// SweepChunk implements ChunkSweeper in the shape of GAs.SweepChunk; the
+// vote is the bitwise majority of the three banks' prediction bits.
 func (g *GSkew) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
-	for i := 0; i < n; i++ {
-		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
-		if g.PredictUpdate(pcs[i], taken) != taken {
-			wrong[i>>6] |= 1 << (uint(i) & 63)
+	b0, b1, b2 := g.banks[0].counters, g.banks[1].counters, g.banks[2].counters
+	shift, histMask, ghr := 64-uint(g.bankBits), g.histMask, g.ghr
+	for base := 0; base < n; base += 64 {
+		d := dirs[base>>6]
+		var miss uint64
+		for j, pc := range pcs[base:min(base+64, n)] {
+			t := d >> (uint(j) & 63) & 1
+			x := pcIndex(pc) ^ ghr&histMask
+			v0 := train(b0, x*skewMul[0]>>shift, t)
+			v1 := train(b1, x*skewMul[1]>>shift, t)
+			v2 := train(b2, x*skewMul[2]>>shift, t)
+			ghr = ghr<<1 | t
+			miss |= (v0&v1 | v0&v2 | v1&v2 ^ t) << (uint(j) & 63)
 		}
+		wrong[base>>6] |= miss
 	}
+	g.ghr = ghr
 }
 
 // SizeBits implements Predictor.

@@ -34,7 +34,7 @@ func (AlwaysTaken) SizeBits() int64 { return 0 }
 // Branches without a profiled direction fall back to taken.
 type StaticBias struct {
 	sites core.Sites
-	dirs  []bool // per site slot
+	dirs  []uint8 // per site slot: the predicted outcome bit
 }
 
 // NewStaticBias returns a profile-guided static predictor. The map gives
@@ -42,7 +42,7 @@ type StaticBias struct {
 func NewStaticBias(bias map[uint64]bool) *StaticBias {
 	s := newStaticBias(core.NewSites(bias))
 	for pc, dir := range bias {
-		s.dirs[s.sites.Slot(pc)] = dir
+		s.dirs[s.sites.Slot(pc)] = uint8(bit(dir))
 	}
 	return s
 }
@@ -54,16 +54,16 @@ func NewProfiledStaticBias(tbl *core.ClassTable, profiles map[uint64]*core.Profi
 	s := newStaticBias(tbl.Sites)
 	for pc, p := range profiles {
 		if slot := tbl.Slot(pc); slot >= 0 {
-			s.dirs[slot] = p.TakenRate() >= 0.5
+			s.dirs[slot] = uint8(bit(p.TakenRate() >= 0.5))
 		}
 	}
 	return s
 }
 
 func newStaticBias(sites core.Sites) *StaticBias {
-	s := &StaticBias{sites: sites, dirs: make([]bool, sites.Len())}
+	s := &StaticBias{sites: sites, dirs: make([]uint8, sites.Len())}
 	for i := range s.dirs {
-		s.dirs[i] = true
+		s.dirs[i] = 1
 	}
 	return s
 }
@@ -74,7 +74,7 @@ func (s *StaticBias) Name() string { return "StaticBias" }
 // Predict implements Predictor.
 func (s *StaticBias) Predict(pc uint64) bool {
 	if slot := s.sites.Slot(pc); slot >= 0 {
-		return s.dirs[slot]
+		return s.dirs[slot] == 1
 	}
 	return true
 }
@@ -85,13 +85,23 @@ func (s *StaticBias) Update(pc uint64, taken bool) {}
 // PredictUpdate implements PredictUpdater.
 func (s *StaticBias) PredictUpdate(pc uint64, taken bool) bool { return s.Predict(pc) }
 
-// SweepChunk implements ChunkSweeper.
+// SweepChunk implements ChunkSweeper with the shape of GAs.SweepChunk:
+// each dirs word read once, the miss bit prediction^t collected in a
+// register and OR-ed into wrong once per 64 events.
 func (s *StaticBias) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
-	for i := 0; i < n; i++ {
-		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
-		if s.Predict(pcs[i]) != taken {
-			wrong[i>>6] |= 1 << (uint(i) & 63)
+	sites, pred := &s.sites, s.dirs
+	for base := 0; base < n; base += 64 {
+		d := dirs[base>>6]
+		var miss uint64
+		for j, pc := range pcs[base:min(base+64, n)] {
+			t := d >> (uint(j) & 63) & 1
+			p := uint64(1)
+			if slot := sites.Slot(pc); slot >= 0 {
+				p = uint64(pred[slot])
+			}
+			miss |= (p ^ t) << (uint(j) & 63)
 		}
+		wrong[base>>6] |= miss
 	}
 }
 
@@ -103,40 +113,46 @@ func (s *StaticBias) SizeBits() int64 { return 0 }
 // 1-bit-per-entry table) — the zero-history behaviour the paper uses to
 // explain why transition classes 9-10 are pathological without history.
 type LastTime struct {
-	bits []bool
+	bits []uint8 // the last outcome bit per entry
 	mask uint64
 }
 
 // NewLastTime returns a last-time predictor with 2^bits entries.
 func NewLastTime(bits int) *LastTime {
-	return &LastTime{bits: make([]bool, 1<<uint(bits)), mask: (1 << uint(bits)) - 1}
+	return &LastTime{bits: make([]uint8, 1<<uint(bits)), mask: (1 << uint(bits)) - 1}
 }
 
 // Name implements Predictor.
 func (l *LastTime) Name() string { return "LastTime" }
 
 // Predict implements Predictor.
-func (l *LastTime) Predict(pc uint64) bool { return l.bits[pcIndex(pc)&l.mask] }
+func (l *LastTime) Predict(pc uint64) bool { return l.bits[pcIndex(pc)&l.mask] == 1 }
 
 // Update implements Predictor.
-func (l *LastTime) Update(pc uint64, taken bool) { l.bits[pcIndex(pc)&l.mask] = taken }
+func (l *LastTime) Update(pc uint64, taken bool) { l.bits[pcIndex(pc)&l.mask] = uint8(bit(taken)) }
 
 // PredictUpdate implements PredictUpdater: one table index for the fused
 // predict-then-update step.
 func (l *LastTime) PredictUpdate(pc uint64, taken bool) bool {
 	i := pcIndex(pc) & l.mask
-	predicted := l.bits[i]
-	l.bits[i] = taken
+	predicted := l.bits[i] == 1
+	l.bits[i] = uint8(bit(taken))
 	return predicted
 }
 
-// SweepChunk implements ChunkSweeper.
+// SweepChunk implements ChunkSweeper with the shape of GAs.SweepChunk.
 func (l *LastTime) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
-	for i := 0; i < n; i++ {
-		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
-		if l.PredictUpdate(pcs[i], taken) != taken {
-			wrong[i>>6] |= 1 << (uint(i) & 63)
+	last, mask := l.bits, l.mask
+	for base := 0; base < n; base += 64 {
+		d := dirs[base>>6]
+		var miss uint64
+		for j, pc := range pcs[base:min(base+64, n)] {
+			t := d >> (uint(j) & 63) & 1
+			i := pcIndex(pc) & mask
+			miss |= (uint64(last[i]) ^ t) << (uint(j) & 63)
+			last[i] = uint8(t)
 		}
+		wrong[base>>6] |= miss
 	}
 }
 
@@ -169,18 +185,35 @@ func (b *Bimodal) PredictUpdate(pc uint64, taken bool) bool {
 	return b.pht.PredictUpdate(pcIndex(pc), taken)
 }
 
-// SweepChunk implements ChunkSweeper.
+// SweepChunk implements ChunkSweeper with the shape of GAs.SweepChunk.
 func (b *Bimodal) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
-	for i := 0; i < n; i++ {
-		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
-		if b.PredictUpdate(pcs[i], taken) != taken {
-			wrong[i>>6] |= 1 << (uint(i) & 63)
+	pht, mask := b.pht.counters, b.pht.mask
+	for base := 0; base < n; base += 64 {
+		d := dirs[base>>6]
+		var miss uint64
+		for j, pc := range pcs[base:min(base+64, n)] {
+			t := d >> (uint(j) & 63) & 1
+			miss |= (train(pht, pcIndex(pc)&mask, t) ^ t) << (uint(j) & 63)
 		}
+		wrong[base>>6] |= miss
 	}
 }
 
 // SizeBits implements Predictor.
 func (b *Bimodal) SizeBits() int64 { return b.pht.SizeBits() }
+
+// bimodalCols are a Bimodal's table and mask, hoisted into the locals of
+// a composite's chunk kernel.
+type bimodalCols struct {
+	pht  []Counter2
+	mask uint64
+}
+
+func (b *Bimodal) cols() bimodalCols { return bimodalCols{pht: b.pht.counters, mask: b.pht.mask} }
+
+// step is the bimodal step on address bits a and outcome bit t; it
+// returns the prediction bit.
+func (c bimodalCols) step(a, t uint64) uint64 { return train(c.pht, a&c.mask, t) }
 
 // GShare XORs k bits of global history into the PHT index (McFarling).
 type GShare struct {
@@ -233,14 +266,38 @@ func (g *GShare) PredictUpdate(pc uint64, taken bool) bool {
 	return predicted
 }
 
-// SweepChunk implements ChunkSweeper.
+// SweepChunk implements ChunkSweeper with the shape of GAs.SweepChunk;
+// the history lives in a register for the chunk.
 func (g *GShare) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
-	for i := 0; i < n; i++ {
-		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
-		if g.PredictUpdate(pcs[i], taken) != taken {
-			wrong[i>>6] |= 1 << (uint(i) & 63)
+	gc, ghr := g.cols(), g.ghr
+	for base := 0; base < n; base += 64 {
+		d := dirs[base>>6]
+		var miss uint64
+		for j, pc := range pcs[base:min(base+64, n)] {
+			t := d >> (uint(j) & 63) & 1
+			miss |= (gc.step(pcIndex(pc), ghr, t) ^ t) << (uint(j) & 63)
+			ghr = ghr<<1 | t
 		}
+		wrong[base>>6] |= miss
 	}
+	g.ghr = ghr
+}
+
+// gshareCols are a GShare's table and masks, hoisted into a chunk
+// kernel's locals; the kernel keeps the history itself.
+type gshareCols struct {
+	pht        []Counter2
+	mask, hist uint64
+}
+
+func (g *GShare) cols() gshareCols {
+	return gshareCols{pht: g.pht.counters, mask: g.pht.mask, hist: g.mask}
+}
+
+// step trains the counter at address bits a under history ghr toward t
+// and returns its prediction bit.
+func (c gshareCols) step(a, ghr, t uint64) uint64 {
+	return train(c.pht, (a^ghr&c.hist)&c.mask, t)
 }
 
 // SizeBits implements Predictor.
@@ -251,9 +308,10 @@ func (g *GShare) SizeBits() int64 { return g.pht.SizeBits() + int64(g.k) }
 // destructive PHT interference into neutral or constructive interference.
 // The bias is set by the branch's first observed outcome.
 type Agree struct {
-	inner    *GShare
-	bias     []bool
-	seen     []bool
+	inner *GShare
+	// bias holds one entry per bias slot: 0 until the slot's first
+	// outcome b, then 2|b.
+	bias     []uint8
 	biasMask uint64
 }
 
@@ -262,8 +320,7 @@ type Agree struct {
 func NewAgree(phtBits, k, biasBits int) *Agree {
 	return &Agree{
 		inner:    NewGShare(phtBits, k),
-		bias:     make([]bool, 1<<uint(biasBits)),
-		seen:     make([]bool, 1<<uint(biasBits)),
+		bias:     make([]uint8, 1<<uint(biasBits)),
 		biasMask: (1 << uint(biasBits)) - 1,
 	}
 }
@@ -275,8 +332,8 @@ func (a *Agree) Name() string { return fmt.Sprintf("Agree(%d,k=%d)", a.inner.pht
 func (a *Agree) Predict(pc uint64) bool {
 	i := pcIndex(pc) & a.biasMask
 	bias := true
-	if a.seen[i] {
-		bias = a.bias[i]
+	if a.bias[i] != 0 {
+		bias = a.bias[i]&1 == 1
 	}
 	agree := a.inner.pht.Predict(a.inner.index(pc))
 	return agree == bias
@@ -285,11 +342,10 @@ func (a *Agree) Predict(pc uint64) bool {
 // Update implements Predictor.
 func (a *Agree) Update(pc uint64, taken bool) {
 	i := pcIndex(pc) & a.biasMask
-	if !a.seen[i] {
-		a.seen[i] = true
-		a.bias[i] = taken
+	if a.bias[i] == 0 {
+		a.bias[i] = 2 | uint8(bit(taken))
 	}
-	agreed := taken == a.bias[i]
+	agreed := taken == (a.bias[i]&1 == 1)
 	a.inner.pht.Update(a.inner.index(pc), agreed)
 	a.inner.ghr <<= 1
 	if taken {
@@ -305,12 +361,11 @@ func (a *Agree) PredictUpdate(pc uint64, taken bool) bool {
 	// An unseen branch predicts against a taken bias and trains against
 	// its first outcome, which becomes its bias.
 	predBias, trainBias := true, taken
-	if a.seen[i] {
-		predBias = a.bias[i]
+	if a.bias[i] != 0 {
+		predBias = a.bias[i]&1 == 1
 		trainBias = predBias
 	} else {
-		a.seen[i] = true
-		a.bias[i] = taken
+		a.bias[i] = 2 | uint8(bit(taken))
 	}
 	agree := a.inner.pht.PredictUpdate(a.inner.index(pc), taken == trainBias)
 	a.inner.ghr <<= 1
@@ -320,14 +375,29 @@ func (a *Agree) PredictUpdate(pc uint64, taken bool) bool {
 	return agree == predBias
 }
 
-// SweepChunk implements ChunkSweeper.
+// SweepChunk implements ChunkSweeper with the shape of GAs.SweepChunk.
+// The bias entry s is read as integers: seen = s>>1, the predicting
+// bias is s's bit when seen and 1 otherwise, and the agreement the
+// counter trains on is 1 for a first outcome.
 func (a *Agree) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
-	for i := 0; i < n; i++ {
-		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
-		if a.PredictUpdate(pcs[i], taken) != taken {
-			wrong[i>>6] |= 1 << (uint(i) & 63)
+	gc, ghr := a.inner.cols(), a.inner.ghr
+	bias, biasMask := a.bias, a.biasMask
+	for base := 0; base < n; base += 64 {
+		d := dirs[base>>6]
+		var miss uint64
+		for j, pc := range pcs[base:min(base+64, n)] {
+			t := d >> (uint(j) & 63) & 1
+			x := pcIndex(pc)
+			s := uint64(bias[x&biasMask])
+			unseen := s>>1 ^ 1
+			bias[x&biasMask] = uint8(s | (2|t)&-unseen)
+			agree := gc.step(x, ghr, (t^s^1|unseen)&1)
+			miss |= ((s|unseen)&1 ^ agree ^ 1 ^ t) << (uint(j) & 63)
+			ghr = ghr<<1 | t
 		}
+		wrong[base>>6] |= miss
 	}
+	a.inner.ghr = ghr
 }
 
 // SizeBits implements Predictor.
@@ -404,14 +474,36 @@ func (t *Tournament) PredictUpdate(pc uint64, taken bool) bool {
 	return predicted
 }
 
-// SweepChunk implements ChunkSweeper.
+// SweepChunk implements ChunkSweeper. Over the default pair, a PAs
+// (k ≥ 1) and a gshare, both components step inline in the shape of
+// GAs.SweepChunk: the output is b's bit unless the chooser's bit selects
+// a where the two disagree, and the chooser trains toward a's
+// correctness through a store masked by that disagreement. Any other
+// pair runs sweepSteps.
 func (t *Tournament) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
-	for i := 0; i < n; i++ {
-		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
-		if t.PredictUpdate(pcs[i], taken) != taken {
-			wrong[i>>6] |= 1 << (uint(i) & 63)
-		}
+	if t.a.pas == nil || t.a.pas.k == 0 || t.b.gshare == nil {
+		sweepSteps(t, pcs, dirs, n, wrong)
+		return
 	}
+	pa, gb, ghr := t.a.pas.cols(), t.b.gshare.cols(), t.b.gshare.ghr
+	chooser, cmask := t.chooser.counters, t.chooser.mask
+	for base := 0; base < n; base += 64 {
+		d := dirs[base>>6]
+		var miss uint64
+		for j, pc := range pcs[base:min(base+64, n)] {
+			tb := d >> (uint(j) & 63) & 1
+			x := pcIndex(pc)
+			ap := pa.step(x, tb)
+			bp := gb.step(x, ghr, tb)
+			ghr = ghr<<1 | tb
+			differ := ap ^ bp
+			c := chooser[x&cmask]
+			chooser[x&cmask] = c ^ (c^c.next(ap^tb^1))&Counter2(-differ)
+			miss |= (bp ^ differ&uint64(c>>1) ^ tb) << (uint(j) & 63)
+		}
+		wrong[base>>6] |= miss
+	}
+	t.b.gshare.ghr = ghr
 }
 
 // SizeBits implements Predictor.

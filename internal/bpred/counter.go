@@ -24,6 +24,14 @@ func (c Counter2) next(t uint64) Counter2 {
 	return counterNext[(uint64(c)<<1|t)&7]
 }
 
+// train trains pht[i] toward outcome bit t and returns the counter's
+// pre-update prediction bit: the counter step of every chunk kernel.
+func train(pht []Counter2, i, t uint64) uint64 {
+	c := pht[i]
+	pht[i] = c.next(t)
+	return uint64(c >> 1)
+}
+
 // Predict reports the counter's current direction prediction.
 func (c Counter2) Predict() bool { return c >= 2 }
 

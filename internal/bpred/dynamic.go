@@ -24,14 +24,18 @@ type DynamicClassHybrid struct {
 }
 
 type dynEntry struct {
-	execs  uint16
-	taken  uint16
-	trans  uint16
-	last   bool
-	primed bool
+	execs uint16
+	taken uint16
+	trans uint16
+	// last is 2|b once the current window holds an execution whose
+	// outcome bit was b, and 0 before that.
+	last uint8
 
 	classified bool
 	advice     uint8 // a core.Advice, in a byte to keep entries small
+	// route is the component the advice sends the branch to; dynLong
+	// until the branch is first classified.
+	route uint8
 }
 
 // Routes of a DynamicClassHybrid entry: where its advice sends it.
@@ -41,13 +45,9 @@ const (
 	dynShort
 )
 
-// route returns the component index for the entry's current advice;
-// unclassified branches go to the long-history component.
-func (e *dynEntry) route() int {
-	if !e.classified {
-		return dynLong
-	}
-	switch core.Advice(e.advice) {
+// routeOf returns the component index for an advice.
+func routeOf(a core.Advice) uint8 {
+	switch a {
 	case core.AdviseStatic:
 		return dynBias
 	case core.AdviseShortLocal:
@@ -90,61 +90,97 @@ func (d *DynamicClassHybrid) entry(pc uint64) *dynEntry {
 
 // Predict implements Predictor.
 func (d *DynamicClassHybrid) Predict(pc uint64) bool {
-	return d.parts[d.entry(pc).route()].p.Predict(pc)
+	return d.parts[d.entry(pc).route].p.Predict(pc)
 }
 
 // Update implements Predictor: trains the owning component, accumulates
 // the monitor counters, and (re)classifies at window boundaries.
 func (d *DynamicClassHybrid) Update(pc uint64, taken bool) {
 	e := d.entry(pc)
-	d.parts[e.route()].p.Update(pc, taken)
-	d.monitor(e, taken)
+	d.parts[e.route].p.Update(pc, taken)
+	d.monitor(e, bit(taken))
 }
 
 // PredictUpdate implements PredictUpdater: one monitor-entry lookup
 // serves the routing, the component's fused step and the monitor update.
 func (d *DynamicClassHybrid) PredictUpdate(pc uint64, taken bool) bool {
 	e := d.entry(pc)
-	predicted := d.parts[e.route()].step(pc, taken)
-	d.monitor(e, taken)
+	predicted := d.parts[e.route].step(pc, taken)
+	d.monitor(e, bit(taken))
 	return predicted
 }
 
-// SweepChunk implements ChunkSweeper.
+// SweepChunk implements ChunkSweeper. Over the default components it is
+// ClassHybrid.SweepChunk's loop with the route read from the branch's
+// monitor entry, which then takes the outcome bit; any other components
+// run sweepSteps.
 func (d *DynamicClassHybrid) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
-	for i := 0; i < n; i++ {
-		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
-		if d.PredictUpdate(pcs[i], taken) != taken {
-			wrong[i>>6] |= 1 << (uint(i) & 63)
+	bias, short, long := d.parts[dynBias].bimodal, d.parts[dynShort].pas, d.parts[dynLong].gshare
+	if bias == nil || short == nil || short.k == 0 || long == nil {
+		sweepSteps(d, pcs, dirs, n, wrong)
+		return
+	}
+	bc, sc, lc, ghr := bias.cols(), short.cols(), long.cols(), long.ghr
+	entries, mask, window := d.entries, d.mask, d.window
+	for base := 0; base < n; base += 64 {
+		dw := dirs[base>>6]
+		var miss uint64
+		for j, pc := range pcs[base:min(base+64, n)] {
+			t := dw >> (uint(j) & 63) & 1
+			x := pcIndex(pc)
+			e := &entries[x&mask]
+			var p uint64
+			switch e.route {
+			case dynLong:
+				p = lc.step(x, ghr, t)
+				ghr = ghr<<1 | t
+			case dynBias:
+				p = bc.step(x, t)
+			default:
+				p = sc.step(x, t)
+			}
+			if e.observe(t, window) {
+				classify(e)
+			}
+			miss |= (p ^ t) << (uint(j) & 63)
 		}
+		wrong[base>>6] |= miss
+	}
+	long.ghr = ghr
+}
+
+// monitor accumulates outcome bit t into the entry's window counters and
+// reclassifies the branch when the window fills.
+func (d *DynamicClassHybrid) monitor(e *dynEntry, t uint64) {
+	if e.observe(t, d.window) {
+		classify(e)
 	}
 }
 
-// monitor accumulates one execution into the entry's window counters and
-// reclassifies the branch when the window fills.
-func (d *DynamicClassHybrid) monitor(e *dynEntry, taken bool) {
+// observe accumulates outcome bit t into the entry's window counters and
+// reports whether the window is full.
+func (e *dynEntry) observe(t uint64, window uint16) bool {
 	e.execs++
-	if taken {
-		e.taken++
-	}
-	if e.primed && taken != e.last {
-		e.trans++
-	}
-	e.last = taken
-	e.primed = true
+	e.taken += uint16(t)
+	e.trans += uint16(uint64(e.last) >> 1 & (uint64(e.last) ^ t))
+	e.last = uint8(2 | t)
+	return e.execs >= window
+}
 
-	if e.execs >= d.window {
-		takenRate := float64(e.taken) / float64(e.execs)
-		transRate := float64(e.trans) / float64(e.execs-1)
-		jc := core.JointClass{
-			Taken:      core.ClassOf(takenRate),
-			Transition: core.ClassOf(transRate),
-		}
-		e.advice = uint8(core.Advise(jc))
-		e.classified = true
-		e.execs, e.taken, e.trans = 0, 0, 0
-		e.primed = false
+// classify ends the entry's window: the branch takes the advice of its
+// window's joint class, and the counters restart.
+func classify(e *dynEntry) {
+	takenRate := float64(e.taken) / float64(e.execs)
+	transRate := float64(e.trans) / float64(e.execs-1)
+	jc := core.JointClass{
+		Taken:      core.ClassOf(takenRate),
+		Transition: core.ClassOf(transRate),
 	}
+	a := core.Advise(jc)
+	e.advice = uint8(a)
+	e.route = routeOf(a)
+	e.classified = true
+	e.execs, e.taken, e.trans, e.last = 0, 0, 0, 0
 }
 
 // dynamic returns the three dynamic components.

@@ -179,14 +179,48 @@ func (h *ClassHybrid) PredictUpdate(pc uint64, taken bool) bool {
 	return s&steerTaken != 0
 }
 
-// SweepChunk implements ChunkSweeper.
+// SweepChunk implements ChunkSweeper. Over the default components, a
+// bimodal bias table, a PAs (k ≥ 1) and a gshare, the owning component
+// steps inline in the shape of GAs.SweepChunk, and a static route's
+// prediction is its steering bit. The route is a switch: it follows the
+// branch site, which the host predicts well, and stepping all three
+// components through masked stores measured slower. Any other
+// components run sweepSteps.
 func (h *ClassHybrid) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
-	for i := 0; i < n; i++ {
-		taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
-		if h.PredictUpdate(pcs[i], taken) != taken {
-			wrong[i>>6] |= 1 << (uint(i) & 63)
-		}
+	bias, short, long := h.parts[compBias].bimodal, h.parts[compShort].pas, h.parts[compLong].gshare
+	if bias == nil || short == nil || short.k == 0 || long == nil {
+		sweepSteps(h, pcs, dirs, n, wrong)
+		return
 	}
+	bc, sc, lc, ghr := bias.cols(), short.cols(), long.cols(), long.ghr
+	sites, steer := &h.sites, h.steer
+	for base := 0; base < n; base += 64 {
+		d := dirs[base>>6]
+		var miss uint64
+		for j, pc := range pcs[base:min(base+64, n)] {
+			t := d >> (uint(j) & 63) & 1
+			r := compLong
+			if s := sites.Slot(pc); s >= 0 {
+				r = steer[s]
+			}
+			x := pcIndex(pc)
+			var p uint64
+			switch r & compMask {
+			case compLong:
+				p = lc.step(x, ghr, t)
+				ghr = ghr<<1 | t
+			case compBias:
+				p = bc.step(x, t)
+			case compShort:
+				p = sc.step(x, t)
+			default:
+				p = uint64(r >> 2)
+			}
+			miss |= (p ^ t) << (uint(j) & 63)
+		}
+		wrong[base>>6] |= miss
+	}
+	long.ghr = ghr
 }
 
 // dynamic returns the three dynamic components.

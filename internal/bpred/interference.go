@@ -47,9 +47,10 @@ func (s AliasStats) DestructiveRate() float64 {
 // AliasTracker shadows a PHT's index stream and accumulates AliasStats.
 // It stores the last-touching PC and direction per counter.
 type AliasTracker struct {
-	lastPC  []uint64
-	lastDir []bool
-	touched []bool
+	lastPC []uint64
+	// lastDir is 0 for a counter never updated, else 2|d for a last
+	// update in direction bit d.
+	lastDir []uint8
 	mask    uint64
 	stats   AliasStats
 }
@@ -59,8 +60,7 @@ func NewAliasTracker(bits int) *AliasTracker {
 	n := 1 << uint(bits)
 	return &AliasTracker{
 		lastPC:  make([]uint64, n),
-		lastDir: make([]bool, n),
-		touched: make([]bool, n),
+		lastDir: make([]uint8, n),
 		mask:    uint64(n - 1),
 	}
 }
@@ -70,19 +70,50 @@ func NewAliasTracker(bits int) *AliasTracker {
 func (a *AliasTracker) Observe(index, pc uint64, taken bool) {
 	i := index & a.mask
 	a.stats.Updates++
-	if a.touched[i] && a.lastPC[i] != pc {
+	if a.lastDir[i] != 0 && a.lastPC[i] != pc {
 		a.stats.Aliased++
-		if a.lastDir[i] != taken {
+		if a.lastDir[i] != 2|uint8(bit(taken)) {
 			a.stats.Destructive++
 		}
 	}
-	a.touched[i] = true
 	a.lastPC[i] = pc
-	a.lastDir[i] = taken
+	a.lastDir[i] = 2 | uint8(bit(taken))
 }
 
 // Stats returns the accumulated statistics.
 func (a *AliasTracker) Stats() AliasStats { return a.stats }
+
+// SweepChunkTracked is SweepChunk that also records every event's
+// counter update in tr, exactly as calling tr.Observe(g.Index(pc), pc,
+// taken) before each PredictUpdate would. It keeps SweepChunk's shape:
+// the aliasing test is integer arithmetic on the tracker's last PC and
+// direction byte, and the counts collect in registers.
+func (g *GShare) SweepChunkTracked(pcs, dirs []uint64, n int, wrong []uint64, tr *AliasTracker) {
+	gc, ghr := g.cols(), g.ghr
+	lastPC, lastDir, tmask := tr.lastPC, tr.lastDir, tr.mask
+	var aliased, destructive uint64
+	for base := 0; base < n; base += 64 {
+		d := dirs[base>>6]
+		var miss uint64
+		for j, pc := range pcs[base:min(base+64, n)] {
+			t := d >> (uint(j) & 63) & 1
+			x := pcIndex(pc)
+			i := (x ^ ghr&gc.hist) & tmask
+			last := uint64(lastDir[i])
+			a := last >> 1 & bit(lastPC[i] != pc)
+			aliased += a
+			destructive += a & (last ^ t)
+			lastPC[i], lastDir[i] = pc, uint8(2|t)
+			miss |= (gc.step(x, ghr, t) ^ t) << (uint(j) & 63)
+			ghr = ghr<<1 | t
+		}
+		wrong[base>>6] |= miss
+	}
+	g.ghr = ghr
+	tr.stats.Updates += int64(n)
+	tr.stats.Aliased += int64(aliased)
+	tr.stats.Destructive += int64(destructive)
+}
 
 // Index exposes GShare's PHT index computation for interference analysis.
 func (g *GShare) Index(pc uint64) uint64 { return g.index(pc) }

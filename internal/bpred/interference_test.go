@@ -1,6 +1,9 @@
 package bpred
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestAliasStatsRates(t *testing.T) {
 	s := AliasStats{Updates: 100, Aliased: 40, Destructive: 10}
@@ -80,4 +83,38 @@ func TestIndexExposure(t *testing.T) {
 	if p.Index(0x400004) >= 1<<PAsPHTBits {
 		t.Fatal("PAs index exceeds PHT")
 	}
+}
+
+// TestSweepChunkTrackedMatchesObserve: the tracked gshare kernel must
+// leave the same miss bits and alias statistics as Observe on the
+// scalar index before each PredictUpdate, across chunk lengths around
+// the word boundary.
+func TestSweepChunkTrackedMatchesObserve(t *testing.T) {
+	stream := personalityStream(20000, densePC)
+	scalar, str := NewGShare(12, 8), NewAliasTracker(12)
+	want := make([]bool, len(stream))
+	for i, ev := range stream {
+		str.Observe(scalar.Index(ev.pc), ev.pc, ev.taken)
+		want[i] = scalar.PredictUpdate(ev.pc, ev.taken) != ev.taken
+	}
+	if s := str.Stats(); s.Aliased == 0 || s.Destructive == 0 {
+		t.Fatalf("stream never aliases a 2^12 table: %+v", s)
+	}
+	for _, l := range []int{1, 63, 64, 1000} {
+		g, tr := NewGShare(12, 8), NewAliasTracker(12)
+		checkKernel(t, fmt.Sprintf("chunk %d", l), trackedSweep{g, tr}, oracleChunks(stream, l), want)
+		if tr.Stats() != str.Stats() {
+			t.Fatalf("chunk %d: tracked stats %+v, Observe %+v", l, tr.Stats(), str.Stats())
+		}
+	}
+}
+
+// trackedSweep adapts SweepChunkTracked to ChunkSweeper.
+type trackedSweep struct {
+	g  *GShare
+	tr *AliasTracker
+}
+
+func (s trackedSweep) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
+	s.g.SweepChunkTracked(pcs, dirs, n, wrong, s.tr)
 }

@@ -156,17 +156,17 @@ func TestBankMatchesReference(t *testing.T) {
 				}
 			}
 			for _, l := range lengths {
-				checkKernel(t, fmt.Sprintf("%s/chunk %d", name, l), s, chunks[l], want)
+				kernel, _ := bankSlot(s)
+				checkKernel(t, fmt.Sprintf("%s/chunk %d", name, l), kernel, chunks[l], want)
 			}
 		}
 	}
 }
 
-// checkKernel sweeps chunks through a fresh slot-s kernel into prefilled
+// checkKernel sweeps chunks through a fresh kernel p into prefilled
 // bitmaps and compares every bit with the reference misses.
-func checkKernel(t *testing.T, name string, s int, chunks []oracleChunk, want []bool) {
+func checkKernel(t *testing.T, name string, p ChunkSweeper, chunks []oracleChunk, want []bool) {
 	t.Helper()
-	p, _ := bankSlot(s)
 	base := 0
 	for _, c := range chunks {
 		wrong := make([]uint64, len(c.dirs))

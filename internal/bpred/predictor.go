@@ -108,10 +108,29 @@ func (s *Sink) Branch(pc uint64, taken bool) {
 // sets bit i of wrong for every misprediction, leaving the other bits
 // alone: callers clear wrong between chunks and count misses by
 // popcount. Sweeping a stream's chunks in order is identical to calling
-// PredictUpdate on each event, and every predictor's kernel loops over
-// that same step.
+// PredictUpdate on each event. The kernels do not call it: each reads a
+// dirs word once, takes the outcomes as integer bits, trains its raw
+// tables and ORs a register of miss bits into wrong once per 64 events
+// (see GAs.SweepChunk). Only composites over custom components step
+// their parts per event, through sweepSteps.
 type ChunkSweeper interface {
 	SweepChunk(pcs, dirs []uint64, n int, wrong []uint64)
+}
+
+// sweepSteps is the chunk kernel of a composite over components it
+// cannot reach into: the shape of GAs.SweepChunk around one fused step
+// per event. Composites over their default components have their own
+// inlined loops.
+func sweepSteps(p PredictUpdater, pcs, dirs []uint64, n int, wrong []uint64) {
+	for base := 0; base < n; base += 64 {
+		d := dirs[base>>6]
+		var miss uint64
+		for j, pc := range pcs[base:min(base+64, n)] {
+			t := d >> (uint(j) & 63) & 1
+			miss |= (bit(p.PredictUpdate(pc, t == 1)) ^ t) << (uint(j) & 63)
+		}
+		wrong[base>>6] |= miss
+	}
 }
 
 // part is one component of a composite predictor. The component types

@@ -253,6 +253,35 @@ func (p *PAs) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
 	}
 }
 
+// pasCols are a PAs(k ≥ 1)'s tables and masks, hoisted into the locals
+// of a composite's chunk kernel.
+type pasCols struct {
+	pht                         *[1 << PAsPHTBits]Counter2
+	bht                         []uint16
+	bhtMask, addrMask, histMask uint64
+	k                           uint
+}
+
+func (p *PAs) cols() pasCols {
+	return pasCols{
+		pht: (*[1 << PAsPHTBits]Counter2)(p.pht.counters),
+		bht: p.bht, bhtMask: p.bhtMask, addrMask: p.addrMask, histMask: p.histMask,
+		k: uint(p.k) & 63,
+	}
+}
+
+// step is the PAs step on address bits a and outcome bit t: it trains
+// the counter, shifts the branch's history and returns the prediction
+// bit.
+func (c pasCols) step(a, t uint64) uint64 {
+	h := uint64(c.bht[a&c.bhtMask])
+	i := ((a&c.addrMask)<<c.k | h&c.histMask) & (1<<PAsPHTBits - 1)
+	p := c.pht[i]
+	c.pht[i] = p.next(t)
+	c.bht[a&c.bhtMask] = uint16(h<<1 | t)
+	return uint64(p >> 1)
+}
+
 // GAg is the degenerate global predictor whose PHT is indexed purely by k
 // bits of global history (Yeh & Patt's GAg), provided as a baseline.
 type GAg struct {

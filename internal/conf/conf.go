@@ -6,6 +6,8 @@
 package conf
 
 import (
+	"math/bits"
+
 	"btr/internal/core"
 )
 
@@ -35,6 +37,20 @@ func (c ResettingCounter) Update(correct bool, max ResettingCounter) ResettingCo
 		return c + 1
 	}
 	return c
+}
+
+// next is Update on the correctness bit ok (0 or 1) without a branch on
+// it: the saturating increment is masked to zero on a miss.
+func (c ResettingCounter) next(ok uint64, max ResettingCounter) ResettingCounter {
+	return (c + ResettingCounter(bit(c < max))) & ResettingCounter(-ok)
+}
+
+// bit returns b as an integer bit, 1 or 0.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // OneLevel is the one-level dynamic estimator: a table of resetting
@@ -73,14 +89,20 @@ func (o *OneLevel) Update(pc uint64, correct bool) {
 }
 
 // ObserveChunk implements ChunkObserver; the counter is indexed once per
-// event for the confidence read and the training.
+// event for the confidence read and the training, and the verdicts
+// collect in a bitmap the quadrants count per 64 events.
 func (o *OneLevel) ObserveChunk(pcs, wrong []uint64, n int, q *Quadrants) {
-	for i := 0; i < n; i++ {
-		correct := wrong[i>>6]&(1<<(uint(i)&63)) == 0
-		j := (pcs[i] >> 2) & o.mask
-		c := o.counters[j]
-		q.Observe(c >= o.threshold, correct)
-		o.counters[j] = c.Update(correct, o.max)
+	counters, mask, max, threshold := o.counters, o.mask, o.max, o.threshold
+	for base := 0; base < n; base += 64 {
+		w := wrong[base>>6]
+		var high uint64
+		for j, pc := range pcs[base:min(base+64, n)] {
+			i := (pc >> 2) & mask
+			c := counters[i]
+			high |= bit(c >= threshold) << (uint(j) & 63)
+			counters[i] = c.next(^w>>(uint(j)&63)&1, max)
+		}
+		q.observeWord(high, w, n-base)
 	}
 }
 
@@ -135,12 +157,25 @@ func (t *TwoLevel) Update(pc uint64, correct bool) {
 	t.history[h] &= uint16(t.tableMask)
 }
 
-// ObserveChunk implements ChunkObserver.
+// ObserveChunk implements ChunkObserver in OneLevel.ObserveChunk's
+// shape; the correctness bit also shifts into the branch's register.
 func (t *TwoLevel) ObserveChunk(pcs, wrong []uint64, n int, q *Quadrants) {
-	for i := 0; i < n; i++ {
-		correct := wrong[i>>6]&(1<<(uint(i)&63)) == 0
-		q.Observe(t.HighConfidence(pcs[i]), correct)
-		t.Update(pcs[i], correct)
+	history, histMask, tableMask := t.history, t.histMask, t.tableMask
+	counters, max, threshold := t.counters, t.max, t.threshold
+	for base := 0; base < n; base += 64 {
+		w := wrong[base>>6]
+		var high uint64
+		for j, pc := range pcs[base:min(base+64, n)] {
+			ok := ^w >> (uint(j) & 63) & 1
+			h := (pc >> 2) & histMask
+			hist := uint64(history[h])
+			i := hist & tableMask
+			c := counters[i]
+			high |= bit(c >= threshold) << (uint(j) & 63)
+			counters[i] = c.next(ok, max)
+			history[h] = uint16((hist<<1 | ok) & tableMask)
+		}
+		q.observeWord(high, w, n-base)
 	}
 }
 
@@ -182,10 +217,15 @@ func (c *ClassStatic) HighConfidence(pc uint64) bool { return c.high[c.table.Ind
 // Update implements Estimator. The class estimator is static.
 func (c *ClassStatic) Update(pc uint64, correct bool) {}
 
-// ObserveChunk implements ChunkObserver.
+// ObserveChunk implements ChunkObserver in OneLevel.ObserveChunk's
+// shape.
 func (c *ClassStatic) ObserveChunk(pcs, wrong []uint64, n int, q *Quadrants) {
-	for i := 0; i < n; i++ {
-		q.Observe(c.HighConfidence(pcs[i]), wrong[i>>6]&(1<<(uint(i)&63)) == 0)
+	for base := 0; base < n; base += 64 {
+		var high uint64
+		for j, pc := range pcs[base:min(base+64, n)] {
+			high |= bit(c.high[c.table.Index(pc)]) << (uint(j) & 63)
+		}
+		q.observeWord(high, wrong[base>>6], n-base)
 	}
 }
 
@@ -227,6 +267,20 @@ func (q *Quadrants) Observe(highConf, correct bool) {
 	default:
 		q.LowWrong++
 	}
+}
+
+// observeWord records the verdicts of one 64-event word: bit j of high
+// is event j's confidence and bit j of wrong its misprediction, for the
+// word's first min(events, 64) events.
+func (q *Quadrants) observeWord(high, wrong uint64, events int) {
+	valid := ^uint64(0)
+	if events < 64 {
+		valid = 1<<uint(events) - 1
+	}
+	q.HighCorrect += int64(bits.OnesCount64(high &^ wrong & valid))
+	q.HighWrong += int64(bits.OnesCount64(high & wrong & valid))
+	q.LowCorrect += int64(bits.OnesCount64(^high &^ wrong & valid))
+	q.LowWrong += int64(bits.OnesCount64(^high & wrong & valid))
 }
 
 // Add accumulates another tally into q, e.g. one input's quadrants

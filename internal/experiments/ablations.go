@@ -20,6 +20,38 @@ import (
 type predictorSpec struct {
 	key   string
 	build func(in *sim.InputResult) ablationPredictor
+	// bank is set for a slot of the suite sweep's own PAs/GAs bank,
+	// which has already run every input: the row reads the slot's
+	// misses from the suite instead of replaying it.
+	bank *bankSlot
+}
+
+// bankSlot names one (kind, history length) slot of the bank.
+type bankSlot struct {
+	kind sim.Kind
+	k    int
+}
+
+// bankSpec is the row of bank slot (kind, k).
+func bankSpec(kind sim.Kind, k int) predictorSpec {
+	return predictorSpec{key: fmt.Sprintf("%v(k=%d)", kind, k), bank: &bankSlot{kind, k}}
+}
+
+// tally sums the slot's class-attributed misses over the suite's
+// inputs; every event is attributed to a class, so the sum is the
+// slot's miss count.
+func (b *bankSlot) tally(suite *sim.SuiteResult) predictorTally {
+	var t predictorTally
+	for _, in := range suite.Inputs {
+		t.misses += in.Miss[b.kind][b.k].Total()
+		t.events += in.Events
+	}
+	var p bpred.Predictor = bpred.NewGAs(b.k)
+	if b.kind == sim.KindPAs {
+		p = bpred.NewPAs(b.k)
+	}
+	t.sizeBits = p.SizeBits()
+	return t
 }
 
 // ablationPredictor is a predictor with its own chunk kernel.
@@ -36,10 +68,10 @@ type predictorRow struct {
 
 // The constructors A1 and A5 share.
 var (
-	transitionHybridSpec = predictorSpec{"TransitionHybrid", func(in *sim.InputResult) ablationPredictor {
+	transitionHybridSpec = predictorSpec{key: "TransitionHybrid", build: func(in *sim.InputResult) ablationPredictor {
 		return bpred.NewTransitionHybridTable(in.Table, in.Profiles, bpred.HybridComponents{})
 	}}
-	gshare17k12Spec = predictorSpec{"gshare(17,k=12)", func(in *sim.InputResult) ablationPredictor {
+	gshare17k12Spec = predictorSpec{key: "gshare(17,k=12)", build: func(in *sim.InputResult) ablationPredictor {
 		return bpred.NewGShare(bpred.GAsPHTBits, 12)
 	}}
 )
@@ -63,7 +95,7 @@ func runPredictorRows(c *Context, rows []predictorRow) ([]predictorTally, error)
 	c.predMu.Lock()
 	var todo []predictorSpec
 	for _, r := range rows {
-		if _, done := c.predMemo[r.pred.key]; !done {
+		if _, done := c.predMemo[r.pred.key]; !done && r.pred.bank == nil {
 			todo = append(todo, r.pred)
 		}
 	}
@@ -97,6 +129,10 @@ func runPredictorRows(c *Context, rows []predictorRow) ([]predictorTally, error)
 	}
 	out := make([]predictorTally, len(rows))
 	for i, r := range rows {
+		if r.pred.bank != nil {
+			out[i] = r.pred.bank.tally(c.Suite())
+			continue
+		}
 		out[i] = c.predMemo[r.pred.key]
 	}
 	return out, nil
@@ -162,16 +198,16 @@ func renderPredictorTable(c *Context, w io.Writer, title string, rows []predicto
 func runImplicitClassificationAblation(c *Context, w io.Writer) error {
 	rows := []predictorRow{
 		{"TransitionHybrid (explicit)", transitionHybridSpec},
-		{"BiMode(16,k=12)", predictorSpec{"BiMode(16,15,k=12)", func(in *sim.InputResult) ablationPredictor {
+		{"BiMode(16,k=12)", predictorSpec{key: "BiMode(16,15,k=12)", build: func(in *sim.InputResult) ablationPredictor {
 			return bpred.NewBiMode(16, 15, 12)
 		}}},
-		{"YAGS(16,k=12)", predictorSpec{"YAGS(16,14,8,k=12)", func(in *sim.InputResult) ablationPredictor {
+		{"YAGS(16,k=12)", predictorSpec{key: "YAGS(16,14,8,k=12)", build: func(in *sim.InputResult) ablationPredictor {
 			return bpred.NewYAGS(16, 14, 8, 12)
 		}}},
-		{"Filter(32)+gshare(16,k=12)", predictorSpec{"Filter(14,32)+gshare(16,k=12)", func(in *sim.InputResult) ablationPredictor {
+		{"Filter(32)+gshare(16,k=12)", predictorSpec{key: "Filter(14,32)+gshare(16,k=12)", build: func(in *sim.InputResult) ablationPredictor {
 			return bpred.NewFilter(14, 32, bpred.NewGShare(16, 12))
 		}}},
-		{"gskew(16,k=12)", predictorSpec{"gskew(16,k=12)", func(in *sim.InputResult) ablationPredictor {
+		{"gskew(16,k=12)", predictorSpec{key: "gskew(16,k=12)", build: func(in *sim.InputResult) ablationPredictor {
 			return bpred.NewGSkew(16, 12)
 		}}},
 		{"gshare(17,k=12) (no scheme)", gshare17k12Spec},
@@ -184,33 +220,29 @@ func runImplicitClassificationAblation(c *Context, w io.Writer) error {
 func runHybridAblation(c *Context, w io.Writer) error {
 	rows := []predictorRow{
 		{"TransitionHybrid (§5.4)", transitionHybridSpec},
-		{"TakenHybrid (Chang)", predictorSpec{"TakenHybrid", func(in *sim.InputResult) ablationPredictor {
+		{"TakenHybrid (Chang)", predictorSpec{key: "TakenHybrid", build: func(in *sim.InputResult) ablationPredictor {
 			return bpred.NewTakenHybridTable(in.Table, in.Profiles, bpred.HybridComponents{})
 		}}},
-		{"DynamicClassHybrid (§6)", predictorSpec{"DynamicClassHybrid(13,64)", func(in *sim.InputResult) ablationPredictor {
+		{"DynamicClassHybrid (§6)", predictorSpec{key: "DynamicClassHybrid(13,64)", build: func(in *sim.InputResult) ablationPredictor {
 			return bpred.NewDynamicClassHybrid(13, 64, bpred.HybridComponents{})
 		}}},
 		{"gshare(17,k=12)", gshare17k12Spec},
-		{"PAs(k=8)", predictorSpec{"PAs(k=8)", func(in *sim.InputResult) ablationPredictor {
-			return bpred.NewPAs(8)
-		}}},
-		{"GAs(k=10)", predictorSpec{"GAs(k=10)", func(in *sim.InputResult) ablationPredictor {
-			return bpred.NewGAs(10)
-		}}},
-		{"Bimodal(17)", predictorSpec{"Bimodal(17)", func(in *sim.InputResult) ablationPredictor {
+		{"PAs(k=8)", bankSpec(sim.KindPAs, 8)},
+		{"GAs(k=10)", bankSpec(sim.KindGAs, 10)},
+		{"Bimodal(17)", predictorSpec{key: "Bimodal(17)", build: func(in *sim.InputResult) ablationPredictor {
 			return bpred.NewBimodal(bpred.GAsPHTBits)
 		}}},
-		{"Agree(17,k=10)", predictorSpec{"Agree(17,k=10,14)", func(in *sim.InputResult) ablationPredictor {
+		{"Agree(17,k=10)", predictorSpec{key: "Agree(17,k=10,14)", build: func(in *sim.InputResult) ablationPredictor {
 			return bpred.NewAgree(bpred.GAsPHTBits, 10, 14)
 		}}},
-		{"Tournament(PAs8,gshare10)", predictorSpec{"Tournament(PAs(k=8),gshare(16,k=10),12)", func(in *sim.InputResult) ablationPredictor {
+		{"Tournament(PAs8,gshare10)", predictorSpec{key: "Tournament(PAs(k=8),gshare(16,k=10),12)", build: func(in *sim.InputResult) ablationPredictor {
 			return bpred.NewTournament("Tournament(PAs8,gshare10)",
 				bpred.NewPAs(8), bpred.NewGShare(16, 10), 12)
 		}}},
-		{"StaticBias(profile)", predictorSpec{"StaticBias(profile)", func(in *sim.InputResult) ablationPredictor {
+		{"StaticBias(profile)", predictorSpec{key: "StaticBias(profile)", build: func(in *sim.InputResult) ablationPredictor {
 			return bpred.NewProfiledStaticBias(in.Table, in.Profiles)
 		}}},
-		{"LastTime(17)", predictorSpec{"LastTime(17)", func(in *sim.InputResult) ablationPredictor {
+		{"LastTime(17)", predictorSpec{key: "LastTime(17)", build: func(in *sim.InputResult) ablationPredictor {
 			return bpred.NewLastTime(bpred.GAsPHTBits)
 		}}},
 	}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"btr/internal/bpred"
 	"btr/internal/sched"
 	"btr/internal/sim"
 	"btr/internal/trace"
@@ -103,9 +104,11 @@ func TestAblationCanceledSkipsReplays(t *testing.T) {
 	}
 }
 
-// TestSharedPredictorRowsReplayOnce: A5 after A1 replays only the four
-// constructors A1 did not run; TransitionHybrid and gshare(17,k=12)
-// come from the context's memo.
+// TestSharedPredictorRowsReplayOnce: A1 replays nine of its eleven
+// rows, since PAs(k=8) and GAs(k=10) read the suite sweep's own bank
+// slots; A5 after A1 replays only the four constructors A1 did not
+// run, and TransitionHybrid and gshare(17,k=12) come from the
+// context's memo.
 func TestSharedPredictorRowsReplayOnce(t *testing.T) {
 	var runs atomic.Int64
 	ctx := &Context{Cfg: sim.Config{Scale: 1, NoRecord: true}, Specs: countingSpecs(&runs)}
@@ -114,7 +117,7 @@ func TestSharedPredictorRowsReplayOnce(t *testing.T) {
 	for _, tc := range []struct {
 		id   string
 		rows int64
-	}{{"A1", 11}, {"A5", 4}, {"A1", 0}} {
+	}{{"A1", 9}, {"A5", 4}, {"A1", 0}} {
 		e, err := Find(tc.id)
 		if err != nil {
 			t.Fatal(err)
@@ -125,6 +128,35 @@ func TestSharedPredictorRowsReplayOnce(t *testing.T) {
 		}
 		if got := runs.Load() - before; got != tc.rows*inputs {
 			t.Fatalf("%s replayed %d inputs, want %d (%d rows × %d inputs)", tc.id, got, tc.rows*inputs, tc.rows, inputs)
+		}
+	}
+}
+
+// TestBankRowsMatchReplay: A1's PAs(k=8) and GAs(k=10) rows read the
+// suite sweep's own slots; the tally must equal replaying every input
+// through a fresh predictor's chunk kernel, as the rows did before.
+func TestBankRowsMatchReplay(t *testing.T) {
+	ctx := smallContext()
+	for _, spec := range []predictorSpec{bankSpec(sim.KindPAs, 8), bankSpec(sim.KindGAs, 10)} {
+		got := spec.bank.tally(ctx.Suite())
+		parts, err := runGrid(ctx, 1, func(_ int, in *sim.InputResult) gridRow[predictorTally] {
+			var p ablationPredictor = bpred.NewGAs(spec.bank.k)
+			if spec.bank.kind == sim.KindPAs {
+				p = bpred.NewPAs(spec.bank.k)
+			}
+			return &predictorRun{p: p, tally: predictorTally{sizeBits: p.SizeBits()}}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want predictorTally
+		for _, p := range parts[0] {
+			want.misses += p.misses
+			want.events += p.events
+			want.sizeBits = p.sizeBits
+		}
+		if got != want || got.misses == 0 {
+			t.Errorf("%s: bank tally %+v, replay %+v", spec.key, got, want)
 		}
 	}
 }

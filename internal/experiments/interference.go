@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math/bits"
 
 	"btr/internal/bpred"
 	"btr/internal/core"
@@ -19,12 +20,14 @@ import (
 // rate on the very same hard branches — the §5.1 resource argument.
 func runInterferenceAblation(c *Context, w io.Writer) error {
 	// Which joint classes stay in the shared table under classification?
-	var stays [256]bool
+	var stays [256]uint64
 	for t := core.Class(0); t < core.NumClasses; t++ {
 		for tr := core.Class(0); tr < core.NumClasses; tr++ {
 			jc := core.JointClass{Taken: t, Transition: tr}
 			adv := core.Advise(jc)
-			stays[jc.Flat()] = adv == core.AdviseLongHistory || adv == core.AdviseNonPredictive
+			if adv == core.AdviseLongHistory || adv == core.AdviseNonPredictive {
+				stays[jc.Flat()] = 1
+			}
 		}
 	}
 	// Row 0 feeds the whole stream, row 1 filters the easy branches out.
@@ -85,30 +88,70 @@ type interferenceAccum struct {
 // the SAME population — the hard branches that remain in the shared
 // table — so the miss-rate column isolates what the easy branches'
 // presence costs them.
+//
+// Per chunk, the run marks the staying events in a bitmap. The filtered
+// row packs those events into its own chunk columns. The gshare then
+// sweeps the chunk through SweepChunkTracked, and the hard misses are
+// the popcount of its miss bitmap under the staying bits.
 type interferenceRun struct {
 	filterEasy bool
-	stays      *[256]bool // by flat joint class; Unclassified stays out
+	stays      *[256]uint64 // 1 by flat joint class; Unclassified stays out
 	table      *core.ClassTable
 	g          *bpred.GShare
 	tr         *bpred.AliasTracker
 	acc        interferenceAccum
+
+	keep, wrong []uint64
+	pcs, dirs   []uint64 // the filtered row's packed chunk
 }
 
 func (r *interferenceRun) chunk(pcs, dirs []uint64, n int) {
-	for i := 0; i < n; i++ {
-		pc, taken := pcs[i], dirs[i>>6]&(1<<(uint(i)&63)) != 0
-		stays := r.stays[r.table.Index(pc)]
-		if r.filterEasy && !stays {
-			continue
+	r.keep = missBitmap(r.keep, n)
+	for base := 0; base < n; base += 64 {
+		var w uint64
+		for j, pc := range pcs[base:min(base+64, n)] {
+			w |= r.stays[r.table.Index(pc)] << (uint(j) & 63)
 		}
-		r.tr.Observe(r.g.Index(pc), pc, taken)
-		if r.g.PredictUpdate(pc, taken) != taken && stays {
-			r.acc.hardMisses++
+		r.keep[base>>6] = w
+	}
+	keep := r.keep
+	if r.filterEasy {
+		pcs, dirs, n = r.pack(pcs, dirs, n)
+		keep = nil
+	}
+	r.wrong = missBitmap(r.wrong, n)
+	r.g.SweepChunkTracked(pcs, dirs, n, r.wrong, r.tr)
+	if keep == nil {
+		// Every packed event stays.
+		for _, w := range r.wrong {
+			r.acc.hardMisses += int64(bits.OnesCount64(w))
 		}
-		if stays {
-			r.acc.hardEvents++
+		r.acc.hardEvents += int64(n)
+		return
+	}
+	for i, w := range r.wrong {
+		r.acc.hardMisses += int64(bits.OnesCount64(w & keep[i]))
+		r.acc.hardEvents += int64(bits.OnesCount64(keep[i]))
+	}
+}
+
+// pack copies the chunk's staying events, in order, into the run's own
+// columns and returns them.
+func (r *interferenceRun) pack(pcs, dirs []uint64, n int) ([]uint64, []uint64, int) {
+	if cap(r.pcs) < n {
+		r.pcs = make([]uint64, n)
+	}
+	r.dirs = missBitmap(r.dirs, n)
+	m := 0
+	for w, word := range r.keep {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			r.pcs[m] = pcs[i]
+			r.dirs[m>>6] |= dirs[i>>6] >> (uint(i) & 63) & 1 << (uint(m) & 63)
+			m++
 		}
 	}
+	return r.pcs[:m], r.dirs, m
 }
 
 func (r *interferenceRun) result() interferenceAccum {

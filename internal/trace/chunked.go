@@ -228,8 +228,12 @@ func (r *Replayer) NextChunk() (pcs []uint64, dirs []uint64, n int, ok bool) {
 	c := &r.t.chunks[r.ci]
 	r.ci++
 	c.decodeInto(r.pcs)
-	return r.pcs[:c.n], c.dirs, c.n, true
+	return r.pcs[:c.n], c.bitmap(), c.n, true
 }
+
+// bitmap returns the chunk's direction bitmap trimmed to its events'
+// (n+63)/64 words, the length every decode path hands out.
+func (c *chunk) bitmap() []uint64 { return c.dirs[:(c.n+63)/64] }
 
 // decodeInto expands the chunk's delta column into pcs, which must hold
 // at least c.n entries. Chunks are immutable, so concurrent decodes into

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -53,9 +54,63 @@ func TestScanRejectsForgedEventCount(t *testing.T) {
 	}
 }
 
+// forgedGranularityFile is a 20-byte BTR2 file that declares chunks of
+// 2^30 events and holds one well-formed 1-event frame: a valid file, as
+// a short final chunk may be. Sizing the direction bitmap by the
+// declared granularity would allocate 128 MiB per page-in.
+func forgedGranularityFile() []byte {
+	payload := []byte{0x01, 0x00} // group mask (taken), zero PC delta
+	b := append([]byte{}, magic[:]...)
+	b = binary.AppendUvarint(b, 1<<30) // granularity
+	b = binary.AppendUvarint(b, 1)     // frame events
+	b = binary.AppendUvarint(b, uint64(len(payload)))
+	b = binary.AppendUvarint(b, 0x40) // startPC
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
+	b = append(b, payload...)
+	b = binary.AppendUvarint(b, 0) // trailer
+	return binary.AppendUvarint(b, 1)
+}
+
+// TestVerifyForgedGranularityBoundsAlloc: verifying and paging in the
+// forged-granularity file allocates by the one event it holds, not by
+// the granularity its header declares.
+func TestVerifyForgedGranularityBoundsAlloc(t *testing.T) {
+	data := forgedGranularityFile()
+	if len(data) != 20 {
+		t.Fatalf("forged file is %d bytes, want 20", len(data))
+	}
+	path := filepath.Join(t.TempDir(), "granularity.btr")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep := VerifySpill(path)
+	runtime.ReadMemStats(&after)
+	if rep.Err != nil || rep.Chunks != 1 || rep.Events != 1 {
+		t.Fatalf("VerifySpill: %+v, want one clean 1-event chunk", rep)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("VerifySpill allocated %d bytes for a 20-byte file", got)
+	}
+	h, err := OpenSpillHandle(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.f.Close()
+	d, err := h.DecodeChunk(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.N != 1 || d.PCs[0] != 0x40 || len(d.Dirs) != 1 || d.Dirs[0] != 1 {
+		t.Fatalf("decoded %+v, want one taken event at 0x40 in a 1-word bitmap", d)
+	}
+}
+
 // fuzzSeeds returns a clean spill and damaged variants of it: cut at a
 // frame boundary, cut inside a frame, one flipped payload bit, plus a
-// retired BTR1 header and the forged-count file.
+// retired BTR1 header, the forged-count file and the forged-granularity
+// file.
 func fuzzSeeds(f *testing.F) [][]byte {
 	path := filepath.Join(f.TempDir(), "seed.btr")
 	sr, err := NewStreamRecorder(path, 40, 0)
@@ -85,6 +140,7 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		flipped,
 		{'B', 'T', 'R', '1', 0x01, 0x08, 0x00},
 		forgedCountFile(),
+		forgedGranularityFile(),
 	}
 }
 

@@ -34,8 +34,9 @@ type ChunkReader interface {
 var _ ChunkReader = (*Replayer)(nil)
 
 // DecodedChunk is one chunk's decoded columns: the PC column, the
-// direction bitmap (event i's outcome is bit i&63 of word i>>6), the
-// event count, and the chunk's first event index in the stream.
+// direction bitmap (event i's outcome is bit i&63 of word i>>6, in
+// (N+63)/64 words), the event count, and the chunk's first event index
+// in the stream.
 type DecodedChunk struct {
 	PCs  []uint64
 	Dirs []uint64
@@ -340,7 +341,7 @@ func (h *Handle) DecodeChunkInto(k int, pcs, dirs []uint64) (DecodedChunk, error
 			pcs = make([]uint64, c.n)
 		}
 		c.decodeInto(pcs[:c.n])
-		return DecodedChunk{PCs: pcs[:c.n], Dirs: c.dirs, N: c.n, Base: base}, nil
+		return DecodedChunk{PCs: pcs[:c.n], Dirs: c.bitmap(), N: c.n, Base: base}, nil
 	}
 	f, err := h.fileLocked()
 	if err != nil {
@@ -426,6 +427,9 @@ type handleReader struct {
 	rep  *Replayer // over the resident prefix snapshot; nil when exhausted
 	next int       // next chunk index once rep is exhausted
 	pcs  []uint64
+	// dirs is the reader's own direction bitmap, one chunk's worth of
+	// words, allocated at the first page-in. It is never taken from a
+	// decoded chunk, whose Dirs may alias the resident trace.
 	dirs []uint64
 }
 
@@ -450,15 +454,15 @@ func (r *handleReader) nextChunk() (pcs []uint64, dirs []uint64, n int, ok bool,
 	if r.next >= r.h.nchunks {
 		return nil, nil, 0, false, nil
 	}
+	if r.dirs == nil {
+		r.dirs = make([]uint64, (r.h.chunkEvents+63)/64)
+	}
 	d, err := r.h.DecodeChunkInto(r.next, r.pcs, r.dirs)
 	if err != nil {
 		return nil, nil, 0, false, fmt.Errorf("trace: paging chunk %d: %w", r.next, err)
 	}
 	r.next++
 	r.pcs = d.PCs
-	if cap(r.dirs) >= len(d.Dirs) {
-		r.dirs = d.Dirs
-	}
 	return d.PCs, d.Dirs, d.N, true, nil
 }
 

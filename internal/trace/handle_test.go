@@ -240,3 +240,43 @@ func TestResidentHandle(t *testing.T) {
 		t.Fatalf("EncodedBytes %d != SizeBytes %d", h.EncodedBytes(), tr.SizeBytes())
 	}
 }
+
+// TestChunkReaderReusesBuffers: a reader over a zero-resident handle
+// allocates its column buffers at the first page-in and reuses them for
+// every later chunk, so a full replay costs the same handful of
+// allocations at 2 chunks as at 26.
+func TestChunkReaderReusesBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops page buffers at random")
+	}
+	replayAllocs := func(chunks int) float64 {
+		const chunkEvents = 1000
+		sr, err := NewStreamRecorder("", chunkEvents, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range syntheticEvents(chunks*chunkEvents-chunkEvents/2, 3) {
+			sr.Branch(ev.PC, ev.Taken)
+		}
+		h, err := sr.Seal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.f.Close()
+		if h.Chunks() != chunks {
+			t.Fatalf("recorded %d chunks, want %d", h.Chunks(), chunks)
+		}
+		return testing.AllocsPerRun(5, func() {
+			r := h.ChunkReader()
+			for {
+				if _, _, _, ok := r.NextChunk(); !ok {
+					break
+				}
+			}
+		})
+	}
+	few, many := replayAllocs(2), replayAllocs(26)
+	if many != few || many > 3 {
+		t.Fatalf("full replay allocated %v times over 2 chunks and %v over 26; want at most 3, independent of the chunk count", few, many)
+	}
+}

@@ -345,14 +345,16 @@ func (h *Handle) readChunkAt(f *os.File, pos chunkPos, k, n int, pcs, dirs []uin
 		}
 		return DecodedChunk{}, fmt.Errorf("trace: paging spill chunk %d: %w", k, err)
 	}
-	return decodeChunk(buf, pos, k, n, h.chunkEvents, pcs, dirs)
+	return decodeChunk(buf, pos, k, n, pcs, dirs)
 }
 
 // decodeChunk verifies and decodes chunk k (n events) from buf, which
 // must start with the chunk's payload. Every page-in funnels through
 // here, so a damaged chunk is detected before a single wrong event
-// reaches a replay.
-func decodeChunk(buf []byte, pos chunkPos, k, n, chunkEvents int, pcs, dirs []uint64) (DecodedChunk, error) {
+// reaches a replay. Both columns are sized by n, which the scan has
+// bounded by the payload length, never by the header's declared
+// granularity.
+func decodeChunk(buf []byte, pos chunkPos, k, n int, pcs, dirs []uint64) (DecodedChunk, error) {
 	if int64(len(buf)) < pos.plen {
 		return DecodedChunk{}, &CorruptError{Chunk: k, Reason: "chunk payload extends past end of file"}
 	}
@@ -367,7 +369,7 @@ func decodeChunk(buf []byte, pos chunkPos, k, n, chunkEvents int, pcs, dirs []ui
 		pcs = make([]uint64, n)
 	}
 	pcs = pcs[:n]
-	words := (chunkEvents + 63) / 64
+	words := (n + 63) / 64
 	if cap(dirs) < words {
 		dirs = make([]uint64, words)
 	}
