@@ -78,11 +78,14 @@ func BenchmarkImplicitSchemes(b *testing.B) { benchExperiment(b, "A5") }
 // iteration renders both on a fresh context, so it times one grid per
 // ablation — every input read once, each chunk swept by every row's
 // kernel — with A5 running only the four constructors A1 has not
-// already run; the suite sweep itself is paid outside the timer.
+// already run; the suite sweep itself is paid outside the timer. It
+// reports bytes and allocations per op: each row's tables come from the
+// predictor pools and go back after every input.
 func BenchmarkAblations(b *testing.B) {
 	s := NewScheduler(0)
 	defer s.Close()
 	cfg := SimConfig{Scale: 0.05, Sched: s}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -131,11 +134,12 @@ func ablationRowsSuite() ([]ablationRowInput, int64) {
 	return ablationRowsInputs, ablationRowsEvents
 }
 
-// ablationRowSweeper is a predictor with its own chunk kernel, as every
-// A1/A5 row builds.
+// ablationRowSweeper is a predictor with its own chunk kernel and
+// pooled tables, as every A1/A5 row builds.
 type ablationRowSweeper interface {
 	Predictor
 	bpred.ChunkSweeper
+	Release()
 }
 
 // ablationRows are the distinct A1/A5 row constructors at the sizes the
@@ -174,9 +178,9 @@ var ablationRows = []struct {
 // BenchmarkAblationRows times each A1/A5 row's chunk kernel alone, one
 // sub-benchmark per row, single-threaded over the pre-decoded chunks of
 // the scale-0.05 suite. Each iteration builds the row's predictor per
-// input, as the ablation grid does, and sweeps that input's chunks; the
-// recording and decoding happen outside the timer. ns/event is the
-// per-row figure a kernel change must move.
+// input, as the ablation grid does, sweeps that input's chunks and
+// releases it; the recording and decoding happen outside the timer.
+// ns/event is the per-row figure a kernel change must move.
 func BenchmarkAblationRows(b *testing.B) {
 	inputs, events := ablationRowsSuite()
 	wrong := make([]uint64, (trace.DefaultChunkEvents+63)/64)
@@ -189,6 +193,7 @@ func BenchmarkAblationRows(b *testing.B) {
 						clear(wrong)
 						p.SweepChunk(c.PCs, c.Dirs, c.N, wrong)
 					}
+					p.Release()
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(events)), "ns/event")
@@ -207,11 +212,14 @@ func BenchmarkSuiteSweepRegenerate(b *testing.B) {
 
 // BenchmarkSuiteSweepScheduled measures the recorded pipeline on the
 // same input (RunSuite, and RunInput, run nothing else): the profile
-// task fans its 34-slot bank sweep out as per-slot chains of one-chunk
-// tasks over a decode-once chunk window, so even this single-input suite
-// fills every core and never decodes the trace twice. It must beat
-// BenchmarkSuiteSweepRegenerate wall-clock.
+// task fans its 34-slot bank sweep out as 33 per-slot chains (PAs(0) is
+// GAs(0)) of one-chunk tasks over a decode-once chunk window, so even
+// this single-input suite fills every core and never decodes the trace
+// twice. It must beat BenchmarkSuiteSweepRegenerate wall-clock. It
+// reports bytes and allocations per op: the chains' tables come from
+// the predictor pools.
 func BenchmarkSuiteSweepScheduled(b *testing.B) {
+	b.ReportAllocs()
 	benchSweepSuite(b, SimConfig{Scale: 1.0})
 }
 
@@ -253,7 +261,9 @@ func BenchmarkSingleInputSaturation(b *testing.B) {
 // PAs/GAs bank, each slot swept serially through its SweepChunk kernel
 // over the decoded chunks of gcc/genoutput.i at singleInputScale.
 // Recording and decoding happen outside the timer; each iteration builds
-// the 34 predictors afresh, as the sim sweep does per input.
+// the 34 predictors and releases each after its sweep, as the sim sweep
+// does per input, so from the second iteration on their tables come
+// from the predictor pools.
 func BenchmarkBankSweep(b *testing.B) {
 	spec, err := FindWorkload("gcc", "genoutput.i")
 	if err != nil {
@@ -276,7 +286,7 @@ func BenchmarkBankSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for slot := 0; slot < slots; slot++ {
-			var p bpred.ChunkSweeper
+			var p ablationRowSweeper
 			if k := slot % (bpred.MaxHistory + 1); slot <= bpred.MaxHistory {
 				p = bpred.NewPAs(k)
 			} else {
@@ -286,6 +296,7 @@ func BenchmarkBankSweep(b *testing.B) {
 				clear(wrong)
 				p.SweepChunk(c.PCs, c.Dirs, c.N, wrong)
 			}
+			p.Release()
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(tr.Events())*slots), "ns/event/slot")

@@ -124,6 +124,13 @@ func (b *BiMode) SizeBits() int64 {
 	return b.choice.SizeBits() + b.banks.SizeBits() + int64(b.k)
 }
 
+// Release returns the choice and bank tables to their slab; the
+// predictor is unusable afterwards.
+func (b *BiMode) Release() {
+	b.choice.Release()
+	b.banks.Release()
+}
+
 // YAGS (Eden & Mudge) keeps a bimodal choice PHT for the common, biased
 // case and two small tagged "exception caches" that record only the
 // branches that deviate from their bias — taken-biased branches that
@@ -154,21 +161,16 @@ func NewYAGS(choiceBits, cacheBits, tagBits, k int) *YAGS {
 	if tagBits < 1 || tagBits > 15 {
 		panic("bpred: YAGS tag bits out of range")
 	}
-	n := 2 << uint(cacheBits)
-	y := &YAGS{
+	return &YAGS{
 		k:         k,
 		cacheBits: cacheBits,
 		tagBits:   uint(tagBits),
 		histMask:  (1 << uint(k)) - 1,
 		choice:    NewCounterTable(choiceBits),
-		tags:      make([]uint16, n),
-		counters:  make([]Counter2, n),
+		tags:      u16Slab.Get(cacheBits + 1),
+		counters:  counterSlab.Get(cacheBits + 1),
 		cacheMask: 1<<uint(cacheBits) - 1,
 	}
-	for i := range y.counters {
-		y.counters[i] = 1
-	}
-	return y
 }
 
 // Name implements Predictor.
@@ -296,6 +298,15 @@ func (y *YAGS) SizeBits() int64 {
 	return y.choice.SizeBits() + int64(len(y.tags))*(int64(y.tagBits)+2+1) + int64(y.k)
 }
 
+// Release returns the choice table and both exception caches to their
+// slabs; the predictor is unusable afterwards.
+func (y *YAGS) Release() {
+	y.choice.Release()
+	u16Slab.Put(y.tags)
+	counterSlab.Put(y.counters)
+	y.tags, y.counters = nil, nil
+}
+
 // Filter (Chang, Evers & Patt, PACT 1996) keeps heavily biased branches
 // out of the dynamic tables with a per-branch run-length counter: once a
 // branch repeats one direction more than threshold times in a row, it is
@@ -314,12 +325,11 @@ type Filter struct {
 // NewFilter wraps a dynamic predictor with a 2^tableBits-entry filter and
 // the given run-length threshold (e.g. 32).
 func NewFilter(tableBits int, threshold uint8, dynamic Predictor) *Filter {
-	n := 1 << uint(tableBits)
 	return &Filter{
 		threshold: threshold,
-		counts:    make([]uint8, n),
-		dirs:      make([]uint8, n),
-		mask:      uint64(n - 1),
+		counts:    byteSlab.Get(tableBits),
+		dirs:      byteSlab.Get(tableBits),
+		mask:      1<<uint(tableBits) - 1,
 		dynamic:   newPart(dynamic),
 	}
 }
@@ -424,6 +434,15 @@ func (f *Filter) run(i uint64, taken bool) {
 // SizeBits implements Predictor.
 func (f *Filter) SizeBits() int64 {
 	return f.dynamic.p.SizeBits() + int64(len(f.counts))*9 // 8-bit count + direction
+}
+
+// Release returns the run table and the dynamic predictor's tables to
+// their slabs; the predictor is unusable afterwards.
+func (f *Filter) Release() {
+	byteSlab.Put(f.counts)
+	byteSlab.Put(f.dirs)
+	f.counts, f.dirs = nil, nil
+	release(f.dynamic.p)
 }
 
 // GSkew (Michaud, Seznec & Uhlig) reads three counter banks through three
@@ -531,4 +550,12 @@ func (g *GSkew) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
 // SizeBits implements Predictor.
 func (g *GSkew) SizeBits() int64 {
 	return g.banks[0].SizeBits()*3 + int64(g.k)
+}
+
+// Release returns the three banks to their slab; the predictor is
+// unusable afterwards.
+func (g *GSkew) Release() {
+	for _, b := range g.banks {
+		b.Release()
+	}
 }

@@ -109,6 +109,10 @@ func (s *StaticBias) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
 // predictor hardware, so the cost is zero table bits.
 func (s *StaticBias) SizeBits() int64 { return 0 }
 
+// Release drops the per-site hints, sized by the input's sites and so
+// not recycled; the predictor is unusable afterwards.
+func (s *StaticBias) Release() { s.dirs = nil }
+
 // LastTime predicts that each branch repeats its previous outcome (a
 // 1-bit-per-entry table) — the zero-history behaviour the paper uses to
 // explain why transition classes 9-10 are pathological without history.
@@ -119,7 +123,7 @@ type LastTime struct {
 
 // NewLastTime returns a last-time predictor with 2^bits entries.
 func NewLastTime(bits int) *LastTime {
-	return &LastTime{bits: make([]uint8, 1<<uint(bits)), mask: (1 << uint(bits)) - 1}
+	return &LastTime{bits: byteSlab.Get(bits), mask: (1 << uint(bits)) - 1}
 }
 
 // Name implements Predictor.
@@ -158,6 +162,13 @@ func (l *LastTime) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
 
 // SizeBits implements Predictor.
 func (l *LastTime) SizeBits() int64 { return int64(len(l.bits)) }
+
+// Release returns the table to its slab; the predictor is unusable
+// afterwards.
+func (l *LastTime) Release() {
+	byteSlab.Put(l.bits)
+	l.bits = nil
+}
 
 // Bimodal is a table of 2-bit counters indexed by branch address (Smith),
 // equivalent to the paper's k = 0 configuration when sized at 2^17.
@@ -201,6 +212,10 @@ func (b *Bimodal) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
 
 // SizeBits implements Predictor.
 func (b *Bimodal) SizeBits() int64 { return b.pht.SizeBits() }
+
+// Release returns the PHT to its slab; the predictor is unusable
+// afterwards.
+func (b *Bimodal) Release() { b.pht.Release() }
 
 // bimodalCols are a Bimodal's table and mask, hoisted into the locals of
 // a composite's chunk kernel.
@@ -303,6 +318,10 @@ func (c gshareCols) step(a, ghr, t uint64) uint64 {
 // SizeBits implements Predictor.
 func (g *GShare) SizeBits() int64 { return g.pht.SizeBits() + int64(g.k) }
 
+// Release returns the PHT to its slab; the predictor is unusable
+// afterwards.
+func (g *GShare) Release() { g.pht.Release() }
+
 // Agree stores a per-branch bias bit and lets gshare-indexed counters vote
 // on whether the branch will agree with its bias (Sprangle et al.), turning
 // destructive PHT interference into neutral or constructive interference.
@@ -320,7 +339,7 @@ type Agree struct {
 func NewAgree(phtBits, k, biasBits int) *Agree {
 	return &Agree{
 		inner:    NewGShare(phtBits, k),
-		bias:     make([]uint8, 1<<uint(biasBits)),
+		bias:     byteSlab.Get(biasBits),
 		biasMask: (1 << uint(biasBits)) - 1,
 	}
 }
@@ -402,6 +421,14 @@ func (a *Agree) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
 
 // SizeBits implements Predictor.
 func (a *Agree) SizeBits() int64 { return a.inner.SizeBits() + int64(len(a.bias)) }
+
+// Release returns the agreement counters and bias bits to their slabs;
+// the predictor is unusable afterwards.
+func (a *Agree) Release() {
+	a.inner.Release()
+	byteSlab.Put(a.bias)
+	a.bias = nil
+}
 
 // Tournament combines two component predictors with a 2-bit chooser table
 // indexed by branch address (McFarling's combining predictor).
@@ -509,4 +536,12 @@ func (t *Tournament) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
 // SizeBits implements Predictor.
 func (t *Tournament) SizeBits() int64 {
 	return t.a.p.SizeBits() + t.b.p.SizeBits() + t.chooser.SizeBits()
+}
+
+// Release returns the chooser and both components' tables to their
+// slabs; the predictor is unusable afterwards.
+func (t *Tournament) Release() {
+	t.chooser.Release()
+	release(t.a.p)
+	release(t.b.p)
 }

@@ -5,8 +5,11 @@
 // last-time, bimodal, GAg/PAg, gshare, agree, McFarling tournament, and
 // classification-guided hybrids).
 //
-// All predictors are deterministic and allocate their tables up front, so
-// a predictor's behaviour is a pure function of the branch event stream.
+// All predictors are deterministic and take their tables up front, so a
+// predictor's behaviour is a pure function of the branch event stream.
+// Tables come from per-size pools (Slab): every predictor that owns
+// tables has a Release that hands them back for the next predictor of
+// the same shape, as the sweeps do between inputs.
 package bpred
 
 // Counter2 is a 2-bit saturating counter in 0..3. Values 2 and 3 predict
@@ -53,25 +56,21 @@ type CounterTable struct {
 	mask     uint64
 }
 
-// NewCounterTable allocates a table with 2^bits counters, all initialised
-// weakly not-taken.
+// NewCounterTable returns a table with 2^bits counters, all weakly
+// not-taken, taken from the counter slab.
 func NewCounterTable(bits int) *CounterTable {
 	if bits < 0 || bits > 30 {
 		panic("bpred: counter table bits out of range")
 	}
-	n := 1 << bits
-	t := &CounterTable{
-		counters: make([]Counter2, n),
-		mask:     uint64(n - 1),
-	}
-	// Fill by doubling copies (memmove) rather than a byte-at-a-time
-	// store loop: the sweep harness rebuilds 34 tables (~4 MB) per input,
-	// making initialisation a measurable slice of small runs.
-	t.counters[0] = 1
-	for i := 1; i < n; i *= 2 {
-		copy(t.counters[i:], t.counters[:i])
-	}
-	return t
+	return &CounterTable{counters: counterSlab.Get(bits), mask: uint64(1)<<bits - 1}
+}
+
+// Release returns the counters to the slab. The table is unusable
+// afterwards: any access panics rather than sharing storage with the
+// table's next owner.
+func (t *CounterTable) Release() {
+	counterSlab.Put(t.counters)
+	t.counters = nil
 }
 
 // Len returns the number of counters.

@@ -72,7 +72,7 @@ func NewDynamicClassHybrid(tableBits int, window uint16, comp HybridComponents) 
 	comp = comp.withDefaults()
 	d := &DynamicClassHybrid{
 		window:  window,
-		entries: make([]dynEntry, 1<<uint(tableBits)),
+		entries: dynSlab.Get(tableBits),
 		mask:    (1 << uint(tableBits)) - 1,
 	}
 	d.parts[dynBias] = newPart(comp.BiasTable)
@@ -198,6 +198,16 @@ func (d *DynamicClassHybrid) SizeBits() int64 {
 		n += p.SizeBits()
 	}
 	return n
+}
+
+// Release returns the monitor table and the components' tables to
+// their slabs; the predictor is unusable afterwards.
+func (d *DynamicClassHybrid) Release() {
+	dynSlab.Put(d.entries)
+	d.entries = nil
+	for _, p := range d.dynamic() {
+		release(p)
+	}
 }
 
 // AdviceFor exposes the current dynamic classification of a branch, for

@@ -238,6 +238,16 @@ func (h *ClassHybrid) SizeBits() int64 {
 	return n
 }
 
+// Release returns the dynamic components' tables to their slabs and
+// drops the steering bytes, sized by the input's sites and so not
+// recycled; the predictor is unusable afterwards.
+func (h *ClassHybrid) Release() {
+	for _, p := range h.dynamic() {
+		release(p)
+	}
+	h.steer = nil
+}
+
 // ComponentFor exposes which component a branch is steered to ("static",
 // "bias-table", "short-local", "long-history"), for reporting.
 func (h *ClassHybrid) ComponentFor(pc uint64) string {

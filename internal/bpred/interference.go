@@ -57,12 +57,19 @@ type AliasTracker struct {
 
 // NewAliasTracker covers a table of 2^bits counters.
 func NewAliasTracker(bits int) *AliasTracker {
-	n := 1 << uint(bits)
 	return &AliasTracker{
-		lastPC:  make([]uint64, n),
-		lastDir: make([]uint8, n),
-		mask:    uint64(n - 1),
+		lastPC:  u64Slab.Get(bits),
+		lastDir: byteSlab.Get(bits),
+		mask:    1<<uint(bits) - 1,
 	}
+}
+
+// Release returns the tracker's columns to their slabs; the tracker is
+// unusable afterwards.
+func (a *AliasTracker) Release() {
+	u64Slab.Put(a.lastPC)
+	byteSlab.Put(a.lastDir)
+	a.lastPC, a.lastDir = nil, nil
 }
 
 // Observe records one counter update at index by branch pc with the given

@@ -99,6 +99,10 @@ func (g *GAs) PredictUpdate(pc uint64, taken bool) bool {
 // SizeBits implements Predictor.
 func (g *GAs) SizeBits() int64 { return g.pht.SizeBits() + int64(g.k) }
 
+// Release returns the PHT to its slab; the predictor is unusable
+// afterwards.
+func (g *GAs) Release() { g.pht.Release() }
+
 // SweepChunk runs the fused predict-then-update protocol over one decoded
 // trace chunk — pcs and the direction bitmap dirs (event i's outcome is
 // bit i&63 of word i>>6) hold n events — OR-ing bit i into wrong for every
@@ -167,7 +171,7 @@ func NewPAs(k int) *PAs {
 	p.phtBits = PAsPHTBits
 	p.pht = NewCounterTable(PAsPHTBits)
 	entriesLog := BHTEntriesLog2(k)
-	p.bht = make([]uint16, 1<<uint(entriesLog))
+	p.bht = u16Slab.Get(entriesLog)
 	p.bhtMask = uint64(len(p.bht) - 1)
 	p.histMask = (1 << uint(k)) - 1
 	p.addrMask = (1 << uint(PAsPHTBits-k)) - 1
@@ -222,6 +226,14 @@ func (p *PAs) PredictUpdate(pc uint64, taken bool) bool {
 // SizeBits implements Predictor.
 func (p *PAs) SizeBits() int64 {
 	return p.pht.SizeBits() + int64(len(p.bht))*int64(p.k)
+}
+
+// Release returns the PHT and BHT to their slabs; the predictor is
+// unusable afterwards.
+func (p *PAs) Release() {
+	p.pht.Release()
+	u16Slab.Put(p.bht)
+	p.bht = nil
 }
 
 // SweepChunk is the batch fused step over one decoded trace chunk, with
@@ -321,6 +333,10 @@ func (g *GAg) PredictUpdate(pc uint64, taken bool) bool {
 // SizeBits implements Predictor.
 func (g *GAg) SizeBits() int64 { return g.pht.SizeBits() + int64(g.k) }
 
+// Release returns the PHT to its slab; the predictor is unusable
+// afterwards.
+func (g *GAg) Release() { g.pht.Release() }
+
 // PAg keeps per-address history registers but shares a single
 // history-indexed PHT (Yeh & Patt's PAg), provided as a baseline.
 type PAg struct {
@@ -342,7 +358,7 @@ func NewPAg(k, bhtBits int) *PAg {
 	}
 	return &PAg{
 		k:       k,
-		bht:     make([]uint64, 1<<uint(bhtBits)),
+		bht:     u64Slab.Get(bhtBits),
 		bhtMask: (1 << uint(bhtBits)) - 1,
 		mask:    (1 << uint(k)) - 1,
 		pht:     NewCounterTable(k),
@@ -376,4 +392,12 @@ func (p *PAg) PredictUpdate(pc uint64, taken bool) bool {
 // SizeBits implements Predictor.
 func (p *PAg) SizeBits() int64 {
 	return p.pht.SizeBits() + int64(len(p.bht))*int64(p.k)
+}
+
+// Release returns the PHT and BHT to their slabs; the predictor is
+// unusable afterwards.
+func (p *PAg) Release() {
+	p.pht.Release()
+	u64Slab.Put(p.bht)
+	p.bht = nil
 }

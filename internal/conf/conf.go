@@ -8,6 +8,7 @@ package conf
 import (
 	"math/bits"
 
+	"btr/internal/bpred"
 	"btr/internal/core"
 )
 
@@ -67,11 +68,24 @@ type OneLevel struct {
 // saturation and high-confidence threshold.
 func NewOneLevel(bits int, max, threshold ResettingCounter) *OneLevel {
 	return &OneLevel{
-		counters:  make([]ResettingCounter, 1<<uint(bits)),
+		counters:  counterSlab.Get(bits),
 		mask:      (1 << uint(bits)) - 1,
 		max:       max,
 		threshold: threshold,
 	}
+}
+
+// The estimators' tables are recycled like the predictors' (see
+// bpred.Slab).
+var (
+	counterSlab bpred.Slab[ResettingCounter]
+	historySlab bpred.Slab[uint16]
+)
+
+// Release implements ChunkObserver.
+func (o *OneLevel) Release() {
+	counterSlab.Put(o.counters)
+	o.counters = nil
 }
 
 // Name implements Estimator.
@@ -123,14 +137,21 @@ type TwoLevel struct {
 // of historyBits each and a 2^historyBits counter table.
 func NewTwoLevel(historyEntries, historyBits int, max, threshold ResettingCounter) *TwoLevel {
 	return &TwoLevel{
-		history:   make([]uint16, 1<<uint(historyEntries)),
+		history:   historySlab.Get(historyEntries),
 		histMask:  (1 << uint(historyEntries)) - 1,
 		bits:      uint(historyBits),
-		counters:  make([]ResettingCounter, 1<<uint(historyBits)),
+		counters:  counterSlab.Get(historyBits),
 		tableMask: (1 << uint(historyBits)) - 1,
 		max:       max,
 		threshold: threshold,
 	}
+}
+
+// Release implements ChunkObserver.
+func (t *TwoLevel) Release() {
+	historySlab.Put(t.history)
+	counterSlab.Put(t.counters)
+	t.history, t.counters = nil, nil
 }
 
 // Name implements Estimator.
@@ -217,6 +238,9 @@ func (c *ClassStatic) HighConfidence(pc uint64) bool { return c.high[c.table.Ind
 // Update implements Estimator. The class estimator is static.
 func (c *ClassStatic) Update(pc uint64, correct bool) {}
 
+// Release implements ChunkObserver; the estimator owns no tables.
+func (c *ClassStatic) Release() {}
+
 // ObserveChunk implements ChunkObserver in OneLevel.ObserveChunk's
 // shape.
 func (c *ClassStatic) ObserveChunk(pcs, wrong []uint64, n int, q *Quadrants) {
@@ -234,9 +258,11 @@ func (c *ClassStatic) ObserveChunk(pcs, wrong []uint64, n int, q *Quadrants) {
 // verdict against the prediction's correctness in q, then train. Event
 // i's prediction was wrong when bit i&63 of wrong[i>>6] is set — the
 // miss bitmap a predictor's chunk kernel leaves. Every estimator in this
-// package implements it.
+// package implements it. Release returns the estimator's tables to their
+// pools once its input is done; the estimator is unusable afterwards.
 type ChunkObserver interface {
 	ObserveChunk(pcs, wrong []uint64, n int, q *Quadrants)
+	Release()
 }
 
 var (

@@ -46,18 +46,23 @@ func (b *bankSlot) tally(suite *sim.SuiteResult) predictorTally {
 		t.misses += in.Miss[b.kind][b.k].Total()
 		t.events += in.Events
 	}
-	var p bpred.Predictor = bpred.NewGAs(b.k)
+	var p ablationPredictor
 	if b.kind == sim.KindPAs {
 		p = bpred.NewPAs(b.k)
+	} else {
+		p = bpred.NewGAs(b.k)
 	}
 	t.sizeBits = p.SizeBits()
+	p.Release()
 	return t
 }
 
-// ablationPredictor is a predictor with its own chunk kernel.
+// ablationPredictor is a predictor with its own chunk kernel whose
+// tables go back to their pools on Release.
 type ablationPredictor interface {
 	bpred.Predictor
 	bpred.ChunkSweeper
+	Release()
 }
 
 // predictorRow is one table row: a display name over a constructor.
@@ -157,6 +162,8 @@ func (r *predictorRun) chunk(pcs, dirs []uint64, n int) {
 }
 
 func (r *predictorRun) result() predictorTally { return r.tally }
+
+func (r *predictorRun) release() { r.p.Release() }
 
 // missBitmap returns a zeroed bitmap of one bit per event of an n-event
 // chunk, reusing buf's storage when it is large enough.
@@ -331,6 +338,13 @@ func (r *confidenceRun) chunk(pcs, dirs []uint64, n int) {
 }
 
 func (r *confidenceRun) result() []conf.Quadrants { return r.quads }
+
+func (r *confidenceRun) release() {
+	r.pas.Release()
+	for _, est := range r.ests {
+		est.Release()
+	}
+}
 
 func runOptimalHistoryAblation(c *Context, w io.Writer) error {
 	suite := c.Suite()

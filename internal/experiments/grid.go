@@ -10,10 +10,12 @@ import (
 // gridRow is one row of a grid ablation over one input: a column kernel
 // fed the input's decoded chunks in stream order (pcs and the direction
 // bitmap dirs, event i's outcome in bit i&63 of word i>>6, hold n
-// events), then asked for its partial once the stream ends.
+// events), then asked for its partial once the stream ends and told to
+// release its predictor's tables for the next input's rows.
 type gridRow[P any] interface {
 	chunk(pcs, dirs []uint64, n int)
 	result() P
+	release()
 }
 
 // runGrid runs an ablation's rows over every input of the context's
@@ -33,7 +35,9 @@ type gridRow[P any] interface {
 //
 // Kernels must be independent of one another: each builds its own
 // predictor and reads only the input's shared, read-only classes,
-// profiles and class table.
+// profiles and class table. A kernel's predictor is released after its
+// result is taken, so the next input's rows reuse its tables; a
+// canceled task still releases its kernels.
 //
 // Once the group last passed to SuiteGroup is canceled, tasks skip
 // their work and runGrid returns sim.ErrCanceled.
@@ -89,6 +93,7 @@ func runGrid[P any](c *Context, rows int, start func(row int, in *sim.InputResul
 			}
 			for r, k := range kernels {
 				out[r][i] = k.result()
+				k.release()
 			}
 		})
 	}

@@ -158,3 +158,8 @@ func (r *interferenceRun) result() interferenceAccum {
 	r.acc.alias = r.tr.Stats()
 	return r.acc
 }
+
+func (r *interferenceRun) release() {
+	r.g.Release()
+	r.tr.Release()
+}

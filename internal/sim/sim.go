@@ -478,34 +478,45 @@ func profileCached(spec workload.Spec, cfg Config) (*InputResult, bool) {
 // missCell is one bank slot's flat class-attributed miss counters.
 type missCell = [core.NumClasses * core.NumClasses]int64
 
-// numBankSlots counts the (kind, k) configurations of the paper's sweep.
-const numBankSlots = int(NumKinds) * NumHistories
+// numBankChains counts the sweep's bank chains: one per (kind, k)
+// configuration of the paper's sweep but PAs(0), which is GAs(0) — both
+// are one 2^17-counter table indexed by 17 address bits — so chain c
+// sweeps flat slot c+1, and the fold copies GAs(0)'s counts to PAs(0).
+const numBankChains = int(NumKinds)*NumHistories - 1
 
-// bankSlotPredictor builds the predictor for flat bank slot i — the one
-// place the slot-index ↔ (kind, k) mapping is realised.
-func bankSlotPredictor(i int) bpred.ChunkSweeper {
-	kind, k := Kind(i/NumHistories), i%NumHistories
+// bankPredictor is a bank slot's chunk kernel, whose tables go back to
+// their pools on Release.
+type bankPredictor interface {
+	bpred.ChunkSweeper
+	Release()
+}
+
+// chainPredictor builds the predictor of bank chain c — the one place
+// the chain ↔ (kind, k) mapping is realised.
+func chainPredictor(c int) bankPredictor {
+	kind, k := Kind((c+1)/NumHistories), (c+1)%NumHistories
 	switch kind {
 	case KindPAs:
 		return bpred.NewPAs(k)
 	case KindGAs:
 		return bpred.NewGAs(k)
 	default:
-		panic(fmt.Sprintf("sim: bank slot %d has no predictor kind", i))
+		panic(fmt.Sprintf("sim: bank chain %d has no predictor kind", c))
 	}
 }
 
-// foldMisses copies each bank slot chain's flat counters into res.Miss;
-// chains past the bank slots (the hard chain) hold no misses.
+// foldMisses copies each bank chain's flat counters into res.Miss;
+// chains past the bank chains (the hard chain) hold no misses.
 func foldMisses(res *InputResult, chains []sweepChain) {
-	for i := range chains[:numBankSlots] {
-		kind, k := Kind(i/NumHistories), i%NumHistories
+	for c := range chains[:numBankChains] {
+		kind, k := Kind((c+1)/NumHistories), (c+1)%NumHistories
 		for t := 0; t < core.NumClasses; t++ {
 			for tr := 0; tr < core.NumClasses; tr++ {
-				res.Miss[kind][k][t][tr] = chains[i].miss[t*core.NumClasses+tr]
+				res.Miss[kind][k][t][tr] = chains[c].miss[t*core.NumClasses+tr]
 			}
 		}
 	}
+	res.Miss[KindPAs][0] = res.Miss[KindGAs][0]
 }
 
 // classOf resolves pc's flattened joint class for attribution. Every
@@ -607,5 +618,9 @@ func runInputRegenerate(spec workload.Spec, cfg Config) *InputResult {
 		}
 	})
 	spec.Run(sink, cfg.Scale)
+	for k := range pas {
+		pas[k].Release()
+		gas[k].Release()
+	}
 	return res
 }

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"btr/internal/bpred"
 	"btr/internal/core"
 	"btr/internal/sched"
 	"btr/internal/stats"
@@ -215,7 +214,7 @@ func profileTask(w *sched.Worker, spec workload.Spec, cfg Config, out **InputRes
 	startChunkSweep(w, res, cfg, true, out, errOut)
 }
 
-// startChunkSweep fans an input's sweep out as numBankSlots chains over
+// startChunkSweep fans an input's sweep out as numBankChains chains over
 // the chunk window, plus the hard chain when cold (res fresh from pass 1,
 // its hard distances still to walk). Chain heads go out oldest-first:
 // the submitting worker pops the last chain LIFO and rides it chunk by
@@ -263,18 +262,21 @@ type chunkSweep struct {
 }
 
 // sweepChain is one bank slot's sequential march over the chunk axis,
-// or the hard chain's (nil p). Its fields are only touched by the
-// chain's current task, and the chain has one task queued, running or
-// parked at a time, so it needs no locking.
+// or the hard chain's. A bank chain builds its predictor when it sweeps
+// its first chunk and releases it after its last, so its tables come
+// from, and go back to, the pools the other inputs' chains share; a
+// poisoned or canceled chain just drops it. Its fields are only touched
+// by the chain's current task, and the chain has one task queued,
+// running or parked at a time, so it needs no locking.
 type sweepChain struct {
-	p    bpred.ChunkSweeper
+	p    bankPredictor // nil before the first chunk, after the last, and on the hard chain
 	next int        // next chunk index to sweep
 	miss missCell   // the slot's class-attributed misses so far
 	cont sched.Task // the chain's continuation: advance from next
 }
 
 func newChunkSweep(res *InputResult, cfg Config, cold bool, out **InputResult, errOut *error) *chunkSweep {
-	nchains := numBankSlots
+	nchains := numBankChains
 	if cold {
 		nchains++
 	}
@@ -295,9 +297,6 @@ func newChunkSweep(res *InputResult, cfg Config, cold bool, out **InputResult, e
 	}
 	for i := range cs.chains {
 		cs.chains[i].cont = func(w *sched.Worker) { cs.advance(w, i) }
-		if i < numBankSlots {
-			cs.chains[i].p = bankSlotPredictor(i)
-		}
 	}
 	return cs
 }
@@ -335,7 +334,10 @@ func (cs *chunkSweep) advance(w *sched.Worker, ci int) {
 	if !ok {
 		return
 	}
-	if ch.p != nil {
+	if ci < numBankChains {
+		if ch.p == nil {
+			ch.p = chainPredictor(ci)
+		}
 		var wrong [(trace.DefaultChunkEvents + 63) / 64]uint64
 		scratch := wrong[:]
 		if words := (d.N + 63) / 64; words > len(scratch) {
@@ -349,6 +351,10 @@ func (cs *chunkSweep) advance(w *sched.Worker, ci int) {
 	if ch.next++; ch.next < cs.nchunks {
 		w.Submit(ch.cont)
 		return
+	}
+	if ch.p != nil {
+		ch.p.Release()
+		ch.p = nil
 	}
 	if cs.live.Add(-1) == 0 {
 		cs.finish()
