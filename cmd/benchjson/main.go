@@ -5,12 +5,15 @@
 //
 // Usage:
 //
-//	go test -run='^$' -bench=SuiteSweep -benchtime=3x . | benchjson -pr 4 -out BENCH_4.json
+//	go test -run='^$' -bench=SuiteSweep -benchtime=3x -count 5 . | benchjson -pr 4 -out BENCH_4.json
 //
-// Each benchmark line contributes one record with its name, worker
-// count (the -N GOMAXPROCS suffix Go appends), ns/op, and any custom
-// metrics such as events/op. Non-benchmark lines (goos/goarch/cpu
-// headers, PASS trailers) annotate or are skipped.
+// Each benchmark contributes one record per worker count (the -N
+// GOMAXPROCS suffix Go appends) with its name, ns/op, and any custom
+// metrics such as events/op. With -count > 1 the record keeps every
+// run's ns/op in samples and reports the median of each metric, so
+// benchtrend can tell a move from the run-to-run spread. Non-benchmark
+// lines (goos/goarch/cpu headers, PASS trailers) annotate or are
+// skipped.
 package main
 
 import (
@@ -19,16 +22,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
 
 // Benchmark is one parsed benchmark result line.
 type Benchmark struct {
-	Name       string  `json:"name"`
-	Workers    int     `json:"workers"`
-	Iterations int64   `json:"iterations"`
-	NsPerOp    float64 `json:"ns_per_op"`
+	Name       string `json:"name"`
+	Workers    int    `json:"workers"`
+	Iterations int64  `json:"iterations"`
+	// NsPerOp is the median over Samples, every run's ns/op in input
+	// order.
+	NsPerOp float64   `json:"ns_per_op"`
+	Samples []float64 `json:"samples,omitempty"`
 	// EventsPerOp is the pipeline's dynamic-branch throughput metric; 0
 	// for micro-benchmarks that do not report it.
 	EventsPerOp float64 `json:"events_per_op,omitempty"`
@@ -54,6 +61,11 @@ func main() {
 	flag.Parse()
 
 	rep := Report{PR: *pr}
+	type key struct {
+		name    string
+		workers int
+	}
+	runs := make(map[key][]Benchmark)
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -67,12 +79,19 @@ func main() {
 			rep.CPU = strings.TrimPrefix(line, "cpu: ")
 		case strings.HasPrefix(line, "Benchmark"):
 			if b, ok := parseLine(line); ok {
-				rep.Benchmarks = append(rep.Benchmarks, b)
+				k := key{b.Name, b.Workers}
+				if runs[k] == nil {
+					rep.Benchmarks = append(rep.Benchmarks, b)
+				}
+				runs[k] = append(runs[k], b)
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
 		fatal(err)
+	}
+	for i, b := range rep.Benchmarks {
+		rep.Benchmarks[i] = merge(runs[key{b.Name, b.Workers}])
 	}
 	if len(rep.Benchmarks) == 0 {
 		fatal(fmt.Errorf("no benchmark lines on stdin"))
@@ -134,6 +153,39 @@ func parseLine(line string) (Benchmark, bool) {
 		b.EventsPerSec = b.EventsPerOp / (b.NsPerOp / 1e9)
 	}
 	return b, b.NsPerOp > 0
+}
+
+// merge folds one benchmark's runs into a record of medians that keeps
+// every run's ns/op.
+func merge(runs []Benchmark) Benchmark {
+	b := runs[0]
+	b.Extra = nil
+	metric := func(get func(Benchmark) float64) float64 {
+		var vs []float64
+		for _, r := range runs {
+			vs = append(vs, get(r))
+		}
+		return median(vs)
+	}
+	for _, r := range runs {
+		b.Samples = append(b.Samples, r.NsPerOp)
+	}
+	b.NsPerOp = median(b.Samples)
+	b.EventsPerOp = metric(func(r Benchmark) float64 { return r.EventsPerOp })
+	b.EventsPerSec = metric(func(r Benchmark) float64 { return r.EventsPerSec })
+	for unit := range runs[0].Extra {
+		if b.Extra == nil {
+			b.Extra = make(map[string]float64)
+		}
+		b.Extra[unit] = metric(func(r Benchmark) float64 { return r.Extra[unit] })
+	}
+	return b
+}
+
+// median returns the middle of vs, or the mean of the middle two.
+func median(vs []float64) float64 {
+	s := slices.Sorted(slices.Values(vs))
+	return (s[(len(s)-1)/2] + s[len(s)/2]) / 2
 }
 
 func fatal(err error) {

@@ -8,6 +8,13 @@
 //	benchtrend -old BENCH_4.json -new BENCH_6.json \
 //	           -baseline SuiteSweepRegenerate -threshold 10 -failat 25
 //
+// Each snapshot's ns/op is the median of its runs (benchjson with
+// go test -count > 1), and a move counts only when it is larger than
+// the interquartile range of the old snapshot's samples, in the same
+// units: a move inside the spread the old runs already showed is noise,
+// however many percent it is. Snapshots without samples have no spread,
+// and every move past the thresholds counts.
+//
 // Snapshots are usually measured on different machines (the old one is
 // committed by a previous PR, the new one comes off the current
 // runner), so raw ns/op is not comparable across them. With -baseline,
@@ -28,16 +35,34 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"sort"
 )
 
 // Benchmark mirrors cmd/benchjson's record (the fields the diff needs).
 type Benchmark struct {
-	Name         string  `json:"name"`
-	Workers      int     `json:"workers"`
-	NsPerOp      float64 `json:"ns_per_op"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	Name         string    `json:"name"`
+	Workers      int       `json:"workers"`
+	NsPerOp      float64   `json:"ns_per_op"`
+	Samples      []float64 `json:"samples"`
+	EventsPerSec float64   `json:"events_per_sec"`
+}
+
+// iqr returns the interquartile range of b's samples (quartiles
+// interpolated between order statistics), 0 with fewer than two.
+func (b Benchmark) iqr() float64 {
+	if len(b.Samples) < 2 {
+		return 0
+	}
+	s := slices.Sorted(slices.Values(b.Samples))
+	q := func(p float64) float64 {
+		x := p * float64(len(s)-1)
+		i := int(x)
+		return s[i] + (x-float64(i))*(s[min(i+1, len(s)-1)]-s[i])
+	}
+	return q(0.75) - q(0.25)
 }
 
 // Report mirrors cmd/benchjson's document.
@@ -136,27 +161,31 @@ func main() {
 			fmt.Printf("  %-28s w=%-2d NEW  %12.0f ns/op\n", k.name, k.workers, nb.NsPerOp)
 			continue
 		}
-		oldV, newV := ob.NsPerOp, nb.NsPerOp
+		oldV, newV, spread := ob.NsPerOp, nb.NsPerOp, ob.iqr()
 		unit := "ns/op"
 		if *baseline != "" && k.name != *baseline {
-			oldV = ob.NsPerOp / baselineNs(oldM, *baseline, k.workers)
+			base := baselineNs(oldM, *baseline, k.workers)
+			oldV, spread = ob.NsPerOp/base, spread/base
 			newV = nb.NsPerOp / baselineNs(newM, *baseline, k.workers)
 			unit = "x-of-" + *baseline
 		}
 		move := 100 * (newV/oldV - 1)
 		mark := " "
-		if move > *threshold {
+		switch {
+		case math.Abs(newV-oldV) <= spread:
+			// Inside the old runs' spread: noise, whatever the percentage.
+		case move > *threshold:
 			mark = "!"
 			// The baseline itself (and everything when the gate is off)
 			// is reported raw across machines, never gated.
 			if move > *failat && gate && (*baseline == "" || k.name != *baseline) {
 				failed++
 			}
-		} else if move < -*threshold {
+		case move < -*threshold:
 			mark = "+"
 		}
-		fmt.Printf("%s %-28s w=%-2d %10.3f -> %10.3f %-22s (%+.1f%%)\n",
-			mark, k.name, k.workers, oldV, newV, unit, move)
+		fmt.Printf("%s %-28s w=%-2d %10.3f -> %10.3f %-22s (%+.1f%%, old IQR %.3f)\n",
+			mark, k.name, k.workers, oldV, newV, unit, move, spread)
 	}
 	for k := range oldM {
 		if _, ok := newM[k]; !ok {

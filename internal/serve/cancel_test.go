@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -30,6 +32,32 @@ func testContext(t *testing.T, s *Server) *experiments.Context {
 		ctx.Specs = append(ctx.Specs, spec)
 	}
 	return ctx
+}
+
+// settleLeaks waits, polling as sim's settleGoroutines does, for the
+// goroutine count to return to base and for dir to hold no temporary
+// spill file (a recording not yet sealed into the cache is a *.tmp*
+// file beside its final name), and fails the test if either stays
+// above its baseline. The default client's idle keep-alive
+// connections, which hold goroutines on both ends, are closed first.
+func settleLeaks(t *testing.T, label string, base int, dir string) {
+	t.Helper()
+	http.DefaultClient.CloseIdleConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := runtime.NumGoroutine()
+		if n <= base && len(tmps) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, baseline %d; temporary spill files %v", label, n, base, tmps)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestStreamCanceledGroupEmitsCanceledRecord: a canceled group never
@@ -121,11 +149,16 @@ func TestStreamCanceledAblationEmitsCanceledRecord(t *testing.T) {
 
 // TestDeadlineCancelsRequest: a request whose deadline_ms fires before
 // the suite finishes streams a canceled record and frees its slot; the
-// next request on the same server runs to completion.
+// next request on the same server runs to completion. Both record
+// through a persistent cache dir under a memory budget, and afterwards
+// the goroutines and the cache dir's temporary spill files are back at
+// their baselines.
 func TestDeadlineCancelsRequest(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{CacheDir: dir})
+	base := runtime.NumGoroutine()
 
-	req := Request{Experiments: []string{"T1", "F13"}, Specs: testSpecs, Scale: testScale, DeadlineMS: 1}
+	req := Request{Experiments: []string{"T1", "F13"}, Specs: testSpecs, Scale: testScale, MemBudget: 4096, DeadlineMS: 1}
 	code, recs := post(t, ts.URL, req)
 	if code != http.StatusOK {
 		t.Fatalf("status %d, want 200 (deadline cancels the stream, not admission)", code)
@@ -138,27 +171,34 @@ func TestDeadlineCancelsRequest(t *testing.T) {
 		t.Fatalf("tallies %+v, want 1 canceled / 0 in flight", m)
 	}
 
+	settleLeaks(t, "after the deadline", base, dir)
+
 	// The slot and scheduler survive: an undeadlined rerun completes.
-	code, recs = post(t, ts.URL, Request{Experiments: []string{"T1"}, Specs: testSpecs, Scale: testScale})
+	code, recs = post(t, ts.URL, Request{Experiments: []string{"T1"}, Specs: testSpecs, Scale: testScale, MemBudget: 4096})
 	if code != http.StatusOK || len(outputsByID(recs)) != 1 {
 		t.Fatalf("post-cancel request: status %d, records %v", code, recs)
 	}
 	if m := s.Metrics().Requests; m.Completed != 1 || m.InFlight != 0 {
 		t.Fatalf("post-cancel tallies %+v, want 1 completed / 0 in flight", m)
 	}
+	settleLeaks(t, "after the rerun", base, dir)
 }
 
 // TestClientDisconnectCancels is the live-disconnect smoke: the client
 // hangs up after the first record, the server cancels the request
 // cooperatively, the slot drains and the canceled counter moves —
-// without waiting for the suite to finish.
+// without waiting for the suite to finish — and the goroutines and the
+// cache dir's temporary spill files return to their baselines.
 func TestClientDisconnectCancels(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{CacheDir: dir})
+	base := runtime.NumGoroutine()
 
 	// A deliberately heavy request (50x the test scale): the hang-up
 	// below lands microseconds after the start record, so the suite must
-	// still be deep in pass 1 — cancellation, not completion, ends it.
-	body, err := json.Marshal(Request{Experiments: []string{"T1", "F13"}, Specs: testSpecs, Scale: 50 * testScale})
+	// still be deep in pass 1 — cancellation, not completion, ends it,
+	// with the recordings half-streamed to the cache dir.
+	body, err := json.Marshal(Request{Experiments: []string{"T1", "F13"}, Specs: testSpecs, Scale: 50 * testScale, MemBudget: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,4 +231,5 @@ func TestClientDisconnectCancels(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	settleLeaks(t, "after the disconnect", base, dir)
 }

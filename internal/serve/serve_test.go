@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -338,9 +339,16 @@ func TestDroppedInputsStreamAsStructuredRecords(t *testing.T) {
 
 // TestHealthzAndDrain: healthz flips to 503 on BeginDrain and new
 // requests are refused while in-flight ones finish (the scheduler is
-// still alive until Close).
+// still alive until Close). Closing the drained server returns the
+// goroutines and the cache dir's temporary spill files to their
+// baselines from before it started.
 func TestHealthzAndDrain(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	base := runtime.NumGoroutine()
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{CacheDir: dir})
+	if code, _ := post(t, ts.URL, Request{Experiments: []string{"T1"}, Specs: testSpecs, Scale: testScale, MemBudget: 4096}); code != http.StatusOK {
+		t.Fatalf("pre-drain POST status %d, want 200", code)
+	}
 
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -366,6 +374,9 @@ func TestHealthzAndDrain(t *testing.T) {
 	if !s.Metrics().Requests.Draining {
 		t.Fatal("metrics do not report draining")
 	}
+	ts.Close()
+	s.Close()
+	settleLeaks(t, "after the drain", base, dir)
 }
 
 // TestMetricsDocumentShape: the JSON document decodes into the

@@ -270,9 +270,9 @@ type chunkSweep struct {
 // running or parked at a time, so it needs no locking.
 type sweepChain struct {
 	p    bankPredictor // nil before the first chunk, after the last, and on the hard chain
-	next int        // next chunk index to sweep
-	miss missCell   // the slot's class-attributed misses so far
-	cont sched.Task // the chain's continuation: advance from next
+	next int           // next chunk index to sweep
+	miss missCell      // the slot's class-attributed misses so far
+	cont sched.Task    // the chain's continuation: advance from next
 }
 
 func newChunkSweep(res *InputResult, cfg Config, cold bool, out **InputResult, errOut *error) *chunkSweep {

@@ -239,16 +239,8 @@ func (c *chunk) bitmap() []uint64 { return c.dirs[:(c.n+63)/64] }
 // at least c.n entries. Chunks are immutable, so concurrent decodes into
 // distinct buffers are safe.
 func (c *chunk) decodeInto(pcs []uint64) {
-	pc := c.startPC
-	off := 0
-	for i := 0; i < c.n; i++ {
-		word, w := binary.Uvarint(c.deltas[off:])
-		if w <= 0 {
-			panic("trace: corrupt chunk delta column")
-		}
-		off += w
-		pc += uint64(unzigzag(word))
-		pcs[i] = pc
+	if _, _, ok := decodeDeltas(c.deltas, c.startPC, pcs[:c.n]); !ok {
+		panic("trace: corrupt chunk delta column")
 	}
 }
 

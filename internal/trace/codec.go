@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -91,6 +92,33 @@ func (e *CorruptError) Unwrap() error { return ErrCorruptSpill }
 
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// decodeDeltas decodes len(pcs) zigzag-varint PC deltas from the start
+// of b into pcs, chaining from pc, and returns the last PC and the bytes
+// read; ok is false when b runs out or holds a malformed varint. A
+// one-byte varint, most of a trace's deltas, is decoded inline, and
+// binary.Uvarint takes the longer ones. Both delta decoders, the
+// in-memory chunk's and the BTR2 frame's, run it.
+func decodeDeltas(b []byte, pc uint64, pcs []uint64) (last uint64, read int, ok bool) {
+	off := 0
+	for i := range pcs {
+		var word uint64
+		if off < len(b) && b[off] < 0x80 {
+			word = uint64(b[off])
+			off++
+		} else {
+			x, w := binary.Uvarint(b[off:])
+			if w <= 0 {
+				return pc, off, false
+			}
+			word = x
+			off += w
+		}
+		pc += uint64(unzigzag(word))
+		pcs[i] = pc
+	}
+	return pc, off, true
+}
 
 // WriteText streams events from src to w in a line-oriented text format
 // ("0x<pc> T|N"), useful for debugging and diffing. It reports the number

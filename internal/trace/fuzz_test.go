@@ -109,8 +109,8 @@ func TestVerifyForgedGranularityBoundsAlloc(t *testing.T) {
 
 // fuzzSeeds returns a clean spill and damaged variants of it: cut at a
 // frame boundary, cut inside a frame, one flipped payload bit, plus a
-// retired BTR1 header, the forged-count file and the forged-granularity
-// file.
+// retired BTR1 header, the forged-count file, the forged-granularity
+// file and a file whose frames mix 1- and 10-byte deltas.
 func fuzzSeeds(f *testing.F) [][]byte {
 	path := filepath.Join(f.TempDir(), "seed.btr")
 	sr, err := NewStreamRecorder(path, 40, 0)
@@ -141,6 +141,7 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		{'B', 'T', 'R', '1', 0x01, 0x08, 0x00},
 		forgedCountFile(),
 		forgedGranularityFile(),
+		mixedDeltaFile(f, mixedDeltaEvents(90)),
 	}
 }
 

@@ -378,29 +378,21 @@ func decodeChunk(buf []byte, pos chunkPos, k, n int, pcs, dirs []uint64) (Decode
 		dirs[i] = 0
 	}
 
-	var mask byte
-	p, gi := 0, groupSize
-	pc := pos.startPC
-	for i := 0; i < n; i++ {
-		if gi == groupSize {
-			if p >= len(buf) {
-				return corrupt()
-			}
-			mask = buf[p]
-			p++
-			gi = 0
-		}
-		word, w := binary.Uvarint(buf[p:])
-		if w <= 0 {
+	// Each group is a direction mask byte, then its events' deltas. A
+	// group starts at a multiple of 8 events, so its directions land in
+	// one bitmap word; mask bits past a short final group are ignored.
+	p, pc := 0, pos.startPC
+	for i := 0; i < n; i += groupSize {
+		if p >= len(buf) {
 			return corrupt()
 		}
-		p += w
-		pc += uint64(unzigzag(word))
-		pcs[i] = pc
-		if mask&(1<<uint(gi)) != 0 {
-			dirs[i>>6] |= 1 << (uint(i) & 63)
+		mask, m := uint64(buf[p]), min(groupSize, n-i)
+		last, w, ok := decodeDeltas(buf[p+1:], pc, pcs[i:i+m])
+		if !ok {
+			return corrupt()
 		}
-		gi++
+		p, pc = p+1+w, last
+		dirs[i>>6] |= mask & (1<<m - 1) << (uint(i) & 63)
 	}
 	return DecodedChunk{PCs: pcs, Dirs: dirs, N: n}, nil
 }
