@@ -216,7 +216,8 @@ func RunInput(spec WorkloadSpec, cfg SimConfig) *InputResult {
 // RunSuite runs the two-pass pipeline over the given specs and aggregates
 // (dynamic-occurrence weighted) exactly as the paper reports. Every input
 // runs as tasks on one work-stealing scheduler — the recorded 34-slot
-// sweep as per-slot chains of one-chunk tasks, or under cfg.NoRecord
+// sweep as 33 per-slot chains of one-chunk tasks (PAs(0) is GAs(0)), or
+// under cfg.NoRecord
 // the regenerating pipeline as one task — bit-identically either way.
 func RunSuite(specs []WorkloadSpec, cfg SimConfig) *SuiteResult {
 	return sim.RunSuite(specs, cfg)

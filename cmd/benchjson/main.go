@@ -9,15 +9,17 @@
 //
 // Each benchmark contributes one record per worker count (the -N
 // GOMAXPROCS suffix Go appends) with its name, ns/op, and any custom
-// metrics such as events/op. With -count > 1 the record keeps every
-// run's ns/op in samples and reports the median of each metric, so
-// benchtrend can tell a move from the run-to-run spread. Non-benchmark
+// metrics such as events/op. With -count > 1 the record is the median
+// run's (by ns/op, the lower middle of an even count) and keeps every
+// run's ns/op in samples, so benchtrend can tell a move from the
+// run-to-run spread. Non-benchmark
 // lines (goos/goarch/cpu headers, PASS trailers) annotate or are
 // skipped.
 package main
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -29,12 +31,11 @@ import (
 
 // Benchmark is one parsed benchmark result line.
 type Benchmark struct {
-	Name       string `json:"name"`
-	Workers    int    `json:"workers"`
-	Iterations int64  `json:"iterations"`
-	// NsPerOp is the median over Samples, every run's ns/op in input
-	// order.
-	NsPerOp float64   `json:"ns_per_op"`
+	Name       string  `json:"name"`
+	Workers    int     `json:"workers"`
+	Iterations int64   `json:"iterations"`
+	NsPerOp    float64 `json:"ns_per_op"`
+	// Samples is every run's ns/op, in input order.
 	Samples []float64 `json:"samples,omitempty"`
 	// EventsPerOp is the pipeline's dynamic-branch throughput metric; 0
 	// for micro-benchmarks that do not report it.
@@ -155,37 +156,16 @@ func parseLine(line string) (Benchmark, bool) {
 	return b, b.NsPerOp > 0
 }
 
-// merge folds one benchmark's runs into a record of medians that keeps
-// every run's ns/op.
+// merge returns one benchmark's median run, by ns/op, carrying every
+// run's ns/op as its samples.
 func merge(runs []Benchmark) Benchmark {
-	b := runs[0]
-	b.Extra = nil
-	metric := func(get func(Benchmark) float64) float64 {
-		var vs []float64
-		for _, r := range runs {
-			vs = append(vs, get(r))
-		}
-		return median(vs)
-	}
+	b := slices.SortedFunc(slices.Values(runs), func(x, y Benchmark) int {
+		return cmp.Compare(x.NsPerOp, y.NsPerOp)
+	})[(len(runs)-1)/2]
 	for _, r := range runs {
 		b.Samples = append(b.Samples, r.NsPerOp)
 	}
-	b.NsPerOp = median(b.Samples)
-	b.EventsPerOp = metric(func(r Benchmark) float64 { return r.EventsPerOp })
-	b.EventsPerSec = metric(func(r Benchmark) float64 { return r.EventsPerSec })
-	for unit := range runs[0].Extra {
-		if b.Extra == nil {
-			b.Extra = make(map[string]float64)
-		}
-		b.Extra[unit] = metric(func(r Benchmark) float64 { return r.Extra[unit] })
-	}
 	return b
-}
-
-// median returns the middle of vs, or the mean of the middle two.
-func median(vs []float64) float64 {
-	s := slices.Sorted(slices.Values(vs))
-	return (s[(len(s)-1)/2] + s[len(s)/2]) / 2
 }
 
 func fatal(err error) {

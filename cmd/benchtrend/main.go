@@ -8,12 +8,10 @@
 //	benchtrend -old BENCH_4.json -new BENCH_6.json \
 //	           -baseline SuiteSweepRegenerate -threshold 10 -failat 25
 //
-// Each snapshot's ns/op is the median of its runs (benchjson with
-// go test -count > 1), and a move counts only when it is larger than
-// the interquartile range of the old snapshot's samples, in the same
-// units: a move inside the spread the old runs already showed is noise,
-// however many percent it is. Snapshots without samples have no spread,
-// and every move past the thresholds counts.
+// Each snapshot's ns/op is the median of its runs (benchjson over
+// go test -count > 1), and a move counts only when it is larger than the
+// interquartile range of the old snapshot's runs: inside that spread it
+// is noise, however many percent it is.
 //
 // Snapshots are usually measured on different machines (the old one is
 // committed by a previous PR, the new one comes off the current
@@ -50,19 +48,14 @@ type Benchmark struct {
 	EventsPerSec float64   `json:"events_per_sec"`
 }
 
-// iqr returns the interquartile range of b's samples (quartiles
-// interpolated between order statistics), 0 with fewer than two.
+// iqr returns the interquartile range of b's samples, by nearest rank
+// (with five samples, the 4th smallest less the 2nd); 0 without any.
 func (b Benchmark) iqr() float64 {
-	if len(b.Samples) < 2 {
+	s := slices.Sorted(slices.Values(b.Samples))
+	if len(s) == 0 {
 		return 0
 	}
-	s := slices.Sorted(slices.Values(b.Samples))
-	q := func(p float64) float64 {
-		x := p * float64(len(s)-1)
-		i := int(x)
-		return s[i] + (x-float64(i))*(s[min(i+1, len(s)-1)]-s[i])
-	}
-	return q(0.75) - q(0.25)
+	return s[len(s)*3/4] - s[len(s)/4]
 }
 
 // Report mirrors cmd/benchjson's document.

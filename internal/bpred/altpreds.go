@@ -124,8 +124,7 @@ func (b *BiMode) SizeBits() int64 {
 	return b.choice.SizeBits() + b.banks.SizeBits() + int64(b.k)
 }
 
-// Release returns the choice and bank tables to their slab; the
-// predictor is unusable afterwards.
+// Release returns the choice and bank tables to their slab.
 func (b *BiMode) Release() {
 	b.choice.Release()
 	b.banks.Release()
@@ -298,13 +297,12 @@ func (y *YAGS) SizeBits() int64 {
 	return y.choice.SizeBits() + int64(len(y.tags))*(int64(y.tagBits)+2+1) + int64(y.k)
 }
 
-// Release returns the choice table and both exception caches to their
-// slabs; the predictor is unusable afterwards.
+// Release returns the choice table and the exception caches to their
+// slabs.
 func (y *YAGS) Release() {
 	y.choice.Release()
-	u16Slab.Put(y.tags)
-	counterSlab.Put(y.counters)
-	y.tags, y.counters = nil, nil
+	u16Slab.Put(&y.tags)
+	counterSlab.Put(&y.counters)
 }
 
 // Filter (Chang, Evers & Patt, PACT 1996) keeps heavily biased branches
@@ -437,11 +435,10 @@ func (f *Filter) SizeBits() int64 {
 }
 
 // Release returns the run table and the dynamic predictor's tables to
-// their slabs; the predictor is unusable afterwards.
+// their slabs.
 func (f *Filter) Release() {
-	byteSlab.Put(f.counts)
-	byteSlab.Put(f.dirs)
-	f.counts, f.dirs = nil, nil
+	byteSlab.Put(&f.counts)
+	byteSlab.Put(&f.dirs)
 	release(f.dynamic.p)
 }
 
@@ -552,8 +549,7 @@ func (g *GSkew) SizeBits() int64 {
 	return g.banks[0].SizeBits()*3 + int64(g.k)
 }
 
-// Release returns the three banks to their slab; the predictor is
-// unusable afterwards.
+// Release returns the three banks to their slab.
 func (g *GSkew) Release() {
 	for _, b := range g.banks {
 		b.Release()

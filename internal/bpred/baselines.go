@@ -109,8 +109,8 @@ func (s *StaticBias) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
 // predictor hardware, so the cost is zero table bits.
 func (s *StaticBias) SizeBits() int64 { return 0 }
 
-// Release drops the per-site hints, sized by the input's sites and so
-// not recycled; the predictor is unusable afterwards.
+// Release drops the per-site hints, which are sized by the input's
+// sites and not recycled.
 func (s *StaticBias) Release() { s.dirs = nil }
 
 // LastTime predicts that each branch repeats its previous outcome (a
@@ -163,12 +163,8 @@ func (l *LastTime) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
 // SizeBits implements Predictor.
 func (l *LastTime) SizeBits() int64 { return int64(len(l.bits)) }
 
-// Release returns the table to its slab; the predictor is unusable
-// afterwards.
-func (l *LastTime) Release() {
-	byteSlab.Put(l.bits)
-	l.bits = nil
-}
+// Release returns the table to its slab.
+func (l *LastTime) Release() { byteSlab.Put(&l.bits) }
 
 // Bimodal is a table of 2-bit counters indexed by branch address (Smith),
 // equivalent to the paper's k = 0 configuration when sized at 2^17.
@@ -213,8 +209,7 @@ func (b *Bimodal) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
 // SizeBits implements Predictor.
 func (b *Bimodal) SizeBits() int64 { return b.pht.SizeBits() }
 
-// Release returns the PHT to its slab; the predictor is unusable
-// afterwards.
+// Release returns the PHT to its slab.
 func (b *Bimodal) Release() { b.pht.Release() }
 
 // bimodalCols are a Bimodal's table and mask, hoisted into the locals of
@@ -318,8 +313,7 @@ func (c gshareCols) step(a, ghr, t uint64) uint64 {
 // SizeBits implements Predictor.
 func (g *GShare) SizeBits() int64 { return g.pht.SizeBits() + int64(g.k) }
 
-// Release returns the PHT to its slab; the predictor is unusable
-// afterwards.
+// Release returns the PHT to its slab.
 func (g *GShare) Release() { g.pht.Release() }
 
 // Agree stores a per-branch bias bit and lets gshare-indexed counters vote
@@ -422,12 +416,10 @@ func (a *Agree) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
 // SizeBits implements Predictor.
 func (a *Agree) SizeBits() int64 { return a.inner.SizeBits() + int64(len(a.bias)) }
 
-// Release returns the agreement counters and bias bits to their slabs;
-// the predictor is unusable afterwards.
+// Release returns the agreement counters and bias bits to their slabs.
 func (a *Agree) Release() {
 	a.inner.Release()
-	byteSlab.Put(a.bias)
-	a.bias = nil
+	byteSlab.Put(&a.bias)
 }
 
 // Tournament combines two component predictors with a 2-bit chooser table
@@ -538,8 +530,8 @@ func (t *Tournament) SizeBits() int64 {
 	return t.a.p.SizeBits() + t.b.p.SizeBits() + t.chooser.SizeBits()
 }
 
-// Release returns the chooser and both components' tables to their
-// slabs; the predictor is unusable afterwards.
+// Release returns the chooser's and both components' tables to their
+// slabs.
 func (t *Tournament) Release() {
 	t.chooser.Release()
 	release(t.a.p)

@@ -9,7 +9,8 @@
 // predictor's behaviour is a pure function of the branch event stream.
 // Tables come from per-size pools (Slab): every predictor that owns
 // tables has a Release that hands them back for the next predictor of
-// the same shape, as the sweeps do between inputs.
+// the same shape, as the sweeps do between inputs. A released predictor
+// is unusable: its tables are nil, and any use panics.
 package bpred
 
 // Counter2 is a 2-bit saturating counter in 0..3. Values 2 and 3 predict
@@ -65,13 +66,8 @@ func NewCounterTable(bits int) *CounterTable {
 	return &CounterTable{counters: counterSlab.Get(bits), mask: uint64(1)<<bits - 1}
 }
 
-// Release returns the counters to the slab. The table is unusable
-// afterwards: any access panics rather than sharing storage with the
-// table's next owner.
-func (t *CounterTable) Release() {
-	counterSlab.Put(t.counters)
-	t.counters = nil
-}
+// Release returns the counters to their slab.
+func (t *CounterTable) Release() { counterSlab.Put(&t.counters) }
 
 // Len returns the number of counters.
 func (t *CounterTable) Len() int { return len(t.counters) }

@@ -201,10 +201,9 @@ func (d *DynamicClassHybrid) SizeBits() int64 {
 }
 
 // Release returns the monitor table and the components' tables to
-// their slabs; the predictor is unusable afterwards.
+// their slabs.
 func (d *DynamicClassHybrid) Release() {
-	dynSlab.Put(d.entries)
-	d.entries = nil
+	dynSlab.Put(&d.entries)
 	for _, p := range d.dynamic() {
 		release(p)
 	}

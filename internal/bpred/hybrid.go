@@ -238,9 +238,8 @@ func (h *ClassHybrid) SizeBits() int64 {
 	return n
 }
 
-// Release returns the dynamic components' tables to their slabs and
-// drops the steering bytes, sized by the input's sites and so not
-// recycled; the predictor is unusable afterwards.
+// Release returns the components' tables to their slabs and drops the
+// steering bytes, which are sized by the input's sites and not recycled.
 func (h *ClassHybrid) Release() {
 	for _, p := range h.dynamic() {
 		release(p)

@@ -64,12 +64,10 @@ func NewAliasTracker(bits int) *AliasTracker {
 	}
 }
 
-// Release returns the tracker's columns to their slabs; the tracker is
-// unusable afterwards.
+// Release returns the tracker's columns to their slabs.
 func (a *AliasTracker) Release() {
-	u64Slab.Put(a.lastPC)
-	byteSlab.Put(a.lastDir)
-	a.lastPC, a.lastDir = nil, nil
+	u64Slab.Put(&a.lastPC)
+	byteSlab.Put(&a.lastDir)
 }
 
 // Observe records one counter update at index by branch pc with the given

@@ -5,12 +5,10 @@ import (
 	"sync"
 )
 
-// Slab recycles a predictor column type's power-of-two tables, one
+// Slab recycles one column type's power-of-two tables through one
 // sync.Pool per length, so a sweep that builds the same predictors for
 // every input reuses the last input's tables instead of allocating and
-// zeroing new ones. Get returns a table in its initial state: every
-// element init. Put resets a table to that state and offers it for
-// reuse. An empty pool makes Get allocate, exactly as before.
+// zeroing new ones. Every element of a table Get returns is init.
 type Slab[T comparable] struct {
 	init  T
 	pools [31]sync.Pool
@@ -25,8 +23,8 @@ var (
 	dynSlab     Slab[dynEntry]
 )
 
-// Get returns a table of 2^bits elements, each holding the slab's init
-// value.
+// Get returns a table of 2^bits elements, allocating when the pool is
+// empty.
 func (s *Slab[T]) Get(bits int) []T {
 	if t, ok := s.pools[bits].Get().(*[]T); ok {
 		return *t
@@ -36,18 +34,20 @@ func (s *Slab[T]) Get(bits int) []T {
 	return t
 }
 
-// Put resets t and offers it to the next Get of its length; nil is
-// ignored. The caller must drop every reference to t.
-func (s *Slab[T]) Put(t []T) {
-	if len(t) == 0 || len(t)&(len(t)-1) != 0 {
+// Put resets the table *t for the next Get of its length and sets *t to
+// nil, so a use after release panics instead of sharing the storage.
+func (s *Slab[T]) Put(t *[]T) {
+	tab := *t
+	*t = nil
+	if len(tab) == 0 || len(tab)&(len(tab)-1) != 0 {
 		return
 	}
-	s.reset(t)
-	s.pools[bits.TrailingZeros(uint(len(t)))].Put(&t)
+	s.reset(tab)
+	s.pools[bits.TrailingZeros(uint(len(tab)))].Put(&tab)
 }
 
-// reset sets every element of t to init: clear for a zero init, else
-// doubling copies (memmove) rather than a store per element.
+// reset sets every element of t to init, by doubling copies (memmove)
+// for a nonzero init.
 func (s *Slab[T]) reset(t []T) {
 	var zero T
 	if s.init == zero {
@@ -60,8 +60,8 @@ func (s *Slab[T]) reset(t []T) {
 	}
 }
 
-// release returns p's tables to their slabs when p is a predictor that
-// owns any: the components a composite releases with itself.
+// release returns a composite's component's tables to their slabs, if
+// it has a Release.
 func release(p Predictor) {
 	if r, ok := p.(interface{ Release() }); ok {
 		r.Release()

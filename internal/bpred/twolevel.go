@@ -99,8 +99,7 @@ func (g *GAs) PredictUpdate(pc uint64, taken bool) bool {
 // SizeBits implements Predictor.
 func (g *GAs) SizeBits() int64 { return g.pht.SizeBits() + int64(g.k) }
 
-// Release returns the PHT to its slab; the predictor is unusable
-// afterwards.
+// Release returns the PHT to its slab.
 func (g *GAs) Release() { g.pht.Release() }
 
 // SweepChunk runs the fused predict-then-update protocol over one decoded
@@ -228,12 +227,10 @@ func (p *PAs) SizeBits() int64 {
 	return p.pht.SizeBits() + int64(len(p.bht))*int64(p.k)
 }
 
-// Release returns the PHT and BHT to their slabs; the predictor is
-// unusable afterwards.
+// Release returns the PHT and BHT to their slabs.
 func (p *PAs) Release() {
 	p.pht.Release()
-	u16Slab.Put(p.bht)
-	p.bht = nil
+	u16Slab.Put(&p.bht)
 }
 
 // SweepChunk is the batch fused step over one decoded trace chunk, with
@@ -333,8 +330,7 @@ func (g *GAg) PredictUpdate(pc uint64, taken bool) bool {
 // SizeBits implements Predictor.
 func (g *GAg) SizeBits() int64 { return g.pht.SizeBits() + int64(g.k) }
 
-// Release returns the PHT to its slab; the predictor is unusable
-// afterwards.
+// Release returns the PHT to its slab.
 func (g *GAg) Release() { g.pht.Release() }
 
 // PAg keeps per-address history registers but shares a single
@@ -394,10 +390,8 @@ func (p *PAg) SizeBits() int64 {
 	return p.pht.SizeBits() + int64(len(p.bht))*int64(p.k)
 }
 
-// Release returns the PHT and BHT to their slabs; the predictor is
-// unusable afterwards.
+// Release returns the PHT and BHT to their slabs.
 func (p *PAg) Release() {
 	p.pht.Release()
-	u64Slab.Put(p.bht)
-	p.bht = nil
+	u64Slab.Put(&p.bht)
 }

@@ -75,18 +75,14 @@ func NewOneLevel(bits int, max, threshold ResettingCounter) *OneLevel {
 	}
 }
 
-// The estimators' tables are recycled like the predictors' (see
-// bpred.Slab).
+// The estimators' tables are recycled like the predictors'.
 var (
 	counterSlab bpred.Slab[ResettingCounter]
 	historySlab bpred.Slab[uint16]
 )
 
 // Release implements ChunkObserver.
-func (o *OneLevel) Release() {
-	counterSlab.Put(o.counters)
-	o.counters = nil
-}
+func (o *OneLevel) Release() { counterSlab.Put(&o.counters) }
 
 // Name implements Estimator.
 func (o *OneLevel) Name() string { return "jacobsen-1level" }
@@ -149,9 +145,8 @@ func NewTwoLevel(historyEntries, historyBits int, max, threshold ResettingCounte
 
 // Release implements ChunkObserver.
 func (t *TwoLevel) Release() {
-	historySlab.Put(t.history)
-	counterSlab.Put(t.counters)
-	t.history, t.counters = nil, nil
+	historySlab.Put(&t.history)
+	counterSlab.Put(&t.counters)
 }
 
 // Name implements Estimator.

@@ -35,9 +35,8 @@ type gridRow[P any] interface {
 //
 // Kernels must be independent of one another: each builds its own
 // predictor and reads only the input's shared, read-only classes,
-// profiles and class table. A kernel's predictor is released after its
-// result is taken, so the next input's rows reuse its tables; a
-// canceled task still releases its kernels.
+// profiles and class table. A kernel is released after its result is
+// taken, so the next input's rows reuse its tables.
 //
 // Once the group last passed to SuiteGroup is canceled, tasks skip
 // their work and runGrid returns sim.ErrCanceled.

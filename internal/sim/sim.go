@@ -478,10 +478,10 @@ func profileCached(spec workload.Spec, cfg Config) (*InputResult, bool) {
 // missCell is one bank slot's flat class-attributed miss counters.
 type missCell = [core.NumClasses * core.NumClasses]int64
 
-// numBankChains counts the sweep's bank chains: one per (kind, k)
-// configuration of the paper's sweep but PAs(0), which is GAs(0) — both
-// are one 2^17-counter table indexed by 17 address bits — so chain c
-// sweeps flat slot c+1, and the fold copies GAs(0)'s counts to PAs(0).
+// numBankChains counts the sweep's chains: one per (kind, k) slot but
+// PAs(0), which is GAs(0) (one 2^17-counter table on 17 address bits).
+// Chain c sweeps flat slot c+1; the fold copies GAs(0)'s counts to
+// PAs(0).
 const numBankChains = int(NumKinds)*NumHistories - 1
 
 // bankPredictor is a bank slot's chunk kernel, whose tables go back to
@@ -618,9 +618,5 @@ func runInputRegenerate(spec workload.Spec, cfg Config) *InputResult {
 		}
 	})
 	spec.Run(sink, cfg.Scale)
-	for k := range pas {
-		pas[k].Release()
-		gas[k].Release()
-	}
 	return res
 }

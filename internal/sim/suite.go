@@ -91,8 +91,9 @@ type SuiteResult struct {
 //
 // The engine is one work-stealing scheduler over per-input task grids:
 // each input starts as a profile+record task, whose recording fans out
-// as the 34-slot PAs/GAs sweep — one chain of one-chunk tasks per slot,
-// plus the hard-distance chain on a cold input — into the same queue,
+// as the 34-slot PAs/GAs sweep — one chain of one-chunk tasks per slot
+// but PAs(0), which is GAs(0), plus the hard-distance chain on a cold
+// input — into the same queue,
 // so late-arriving fan-out from a heavy input backfills cores freed by
 // small ones. Every sweep task is a pure function of its input's
 // recorded stream, so scheduling order cannot change results
@@ -262,9 +263,8 @@ type chunkSweep struct {
 }
 
 // sweepChain is one bank slot's sequential march over the chunk axis,
-// or the hard chain's. A bank chain builds its predictor when it sweeps
-// its first chunk and releases it after its last, so its tables come
-// from, and go back to, the pools the other inputs' chains share; a
+// or the hard chain's. A bank chain builds its predictor at its first
+// chunk and releases its tables to the shared pools after its last; a
 // poisoned or canceled chain just drops it. Its fields are only touched
 // by the chain's current task, and the chain has one task queued,
 // running or parked at a time, so it needs no locking.
@@ -273,6 +273,9 @@ type sweepChain struct {
 	next int           // next chunk index to sweep
 	miss missCell      // the slot's class-attributed misses so far
 	cont sched.Task    // the chain's continuation: advance from next
+	// wrong is the bank chain's miss bitmap for one chunk: a field, not
+	// a local, which would escape through SweepChunk on every task.
+	wrong [(trace.DefaultChunkEvents + 63) / 64]uint64
 }
 
 func newChunkSweep(res *InputResult, cfg Config, cold bool, out **InputResult, errOut *error) *chunkSweep {
@@ -338,8 +341,7 @@ func (cs *chunkSweep) advance(w *sched.Worker, ci int) {
 		if ch.p == nil {
 			ch.p = chainPredictor(ci)
 		}
-		var wrong [(trace.DefaultChunkEvents + 63) / 64]uint64
-		scratch := wrong[:]
+		scratch := ch.wrong[:]
 		if words := (d.N + 63) / 64; words > len(scratch) {
 			scratch = make([]uint64, words)
 		}

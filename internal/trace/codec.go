@@ -95,10 +95,8 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // decodeDeltas decodes len(pcs) zigzag-varint PC deltas from the start
 // of b into pcs, chaining from pc, and returns the last PC and the bytes
-// read; ok is false when b runs out or holds a malformed varint. A
-// one-byte varint, most of a trace's deltas, is decoded inline, and
-// binary.Uvarint takes the longer ones. Both delta decoders, the
-// in-memory chunk's and the BTR2 frame's, run it.
+// read; ok is false when b runs out or holds a malformed varint. Both
+// delta decoders run it. One-byte varints, most deltas, decode inline.
 func decodeDeltas(b []byte, pc uint64, pcs []uint64) (last uint64, read int, ok bool) {
 	off := 0
 	for i := range pcs {
