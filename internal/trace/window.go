@@ -6,13 +6,12 @@ import (
 )
 
 // ChunkWindow is a refcounted run of decoded chunks over one Handle,
-// read by a fixed number of sequential consumers — a bank sweep's 33
+// read by a fixed number of sequential consumers — a bank sweep's 34
 // slot chains, plus its hard-distance chain on a first run. Every
 // consumer walks the whole recording, chunks [0, n), in order, so the
 // window needs no replacement policy: a chunk is decoded (paging from
 // the spill file if need be) exactly once, by the first consumer to
-// reach it, and dropped when the last consumer has passed it; its PC
-// column then goes to a pool that every window's decodes draw from.
+// reach it, and dropped when the last consumer has passed it.
 //
 // Admission is bounded by depth: chunk k is decoded only while
 // k < lo+depth, lo being the oldest chunk still held, so at most depth
@@ -125,8 +124,8 @@ func (w *ChunkWindow[C]) slot(k int) *windowSlot[C] { return &w.ring[k%len(w.rin
 // and let its continuation be resumed by whoever returns it. woken
 // lists continuations this call unparked (a decode it installed), for
 // the caller to resume whatever ok says. Each successful Checkout must
-// be paired with one Release once the consumer is done with the chunk,
-// after which the columns may hold another chunk. A failed decode poisons the window; on a poisoned window Checkout
+// be paired with one Release once the consumer is done with the chunk.
+// A failed decode poisons the window; on a poisoned window Checkout
 // returns the cause.
 func (w *ChunkWindow[C]) Checkout(k int, cont C) (d DecodedChunk, ok bool, woken []C, err error) {
 	w.mu.Lock()
@@ -161,11 +160,7 @@ func (w *ChunkWindow[C]) Checkout(k int, cont C) (d DecodedChunk, ok bool, woken
 	s.state, s.refs = slotDecoding, w.consumers
 	w.mu.Unlock()
 
-	var pcs []uint64
-	if p, ok := pcsPool.Get().(*[]uint64); ok {
-		pcs = *p
-	}
-	d, err = w.h.DecodeChunkInto(k, pcs, nil)
+	d, err = w.h.DecodeChunk(k)
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -204,8 +199,6 @@ func (w *ChunkWindow[C]) Release(k int) (woken []C) {
 		return nil
 	}
 	w.bytes -= s.d.SizeBytes()
-	pcs := s.d.PCs
-	pcsPool.Put(&pcs)
 	s.state, s.d = slotReleased, DecodedChunk{}
 	w.stats.Released++
 	if k != w.lo {
@@ -227,11 +220,6 @@ func (w *ChunkWindow[C]) Release(k int) (woken []C) {
 	w.frontier = keep
 	return woken
 }
-
-// pcsPool recycles decoded PC columns from one chunk's last Release to
-// the next decode of any window. Every consumer is done with a chunk's
-// columns once it releases the chunk.
-var pcsPool sync.Pool
 
 // Fail poisons the window with err (the first cause sticks): parked
 // continuations are dropped, resident columns freed, and later
