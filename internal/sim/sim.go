@@ -479,10 +479,13 @@ func profileCached(spec workload.Spec, cfg Config) (*InputResult, bool) {
 type missCell = [core.NumClasses * core.NumClasses]int64
 
 // numBankChains counts the sweep's chains: one per (kind, k) slot but
-// PAs(0), which is GAs(0) (one 2^17-counter table on 17 address bits).
-// Chain c sweeps flat slot c+1; the fold copies GAs(0)'s counts to
-// PAs(0).
+// PAs(0), which is GAs(0) (one 2^17-counter table on 17 address bits),
+// so the fold copies GAs(0)'s counts to PAs(0).
 const numBankChains = int(NumKinds)*NumHistories - 1
+
+// chainSlot returns bank chain c's configuration, flat slot c+1 — the
+// one place the chain ↔ (kind, k) mapping is realised.
+func chainSlot(c int) (Kind, int) { return Kind((c + 1) / NumHistories), (c + 1) % NumHistories }
 
 // bankPredictor is a bank slot's chunk kernel, whose tables go back to
 // their pools on Release.
@@ -491,10 +494,9 @@ type bankPredictor interface {
 	Release()
 }
 
-// chainPredictor builds the predictor of bank chain c — the one place
-// the chain ↔ (kind, k) mapping is realised.
+// chainPredictor builds the predictor of bank chain c.
 func chainPredictor(c int) bankPredictor {
-	kind, k := Kind((c+1)/NumHistories), (c+1)%NumHistories
+	kind, k := chainSlot(c)
 	switch kind {
 	case KindPAs:
 		return bpred.NewPAs(k)
@@ -509,7 +511,7 @@ func chainPredictor(c int) bankPredictor {
 // chains past the bank chains (the hard chain) hold no misses.
 func foldMisses(res *InputResult, chains []sweepChain) {
 	for c := range chains[:numBankChains] {
-		kind, k := Kind((c+1)/NumHistories), (c+1)%NumHistories
+		kind, k := chainSlot(c)
 		for t := 0; t < core.NumClasses; t++ {
 			for tr := 0; tr < core.NumClasses; tr++ {
 				res.Miss[kind][k][t][tr] = chains[c].miss[t*core.NumClasses+tr]

@@ -93,9 +93,8 @@ type SuiteResult struct {
 // each input starts as a profile+record task, whose recording fans out
 // as the 34-slot PAs/GAs sweep — one chain of one-chunk tasks per slot
 // but PAs(0), which is GAs(0), plus the hard-distance chain on a cold
-// input — into the same queue,
-// so late-arriving fan-out from a heavy input backfills cores freed by
-// small ones. Every sweep task is a pure function of its input's
+// input — into the same queue, so late-arriving fan-out from a heavy
+// input backfills cores freed by small ones. Every sweep task is a pure function of its input's
 // recorded stream, so scheduling order cannot change results
 // (bit-for-bit identical to the NoRecord pipeline; see
 // TestScheduledMatchesLegacy). Under cfg.NoRecord each input is instead
