@@ -12,9 +12,8 @@
 // metrics such as events/op. With -count > 1 the record is the median
 // run's (by ns/op, the lower middle of an even count) and keeps every
 // run's ns/op in samples, so benchtrend can tell a move from the
-// run-to-run spread. Non-benchmark
-// lines (goos/goarch/cpu headers, PASS trailers) annotate or are
-// skipped.
+// run-to-run spread. Non-benchmark lines (goos/goarch/cpu headers, PASS
+// trailers) annotate or are skipped.
 package main
 
 import (
