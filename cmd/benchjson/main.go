@@ -7,23 +7,20 @@
 //
 //	go test -run='^$' -bench=SuiteSweep -benchtime=3x -count 5 . | benchjson -pr 4 -out BENCH_4.json
 //
-// Each benchmark contributes one record per worker count (the -N
-// GOMAXPROCS suffix Go appends) with its name, ns/op, and any custom
-// metrics such as events/op. With -count > 1 the record is the median
-// run's (by ns/op, the lower middle of an even count) and keeps every
-// run's ns/op in samples, so benchtrend can tell a move from the
-// run-to-run spread. Non-benchmark lines (goos/goarch/cpu headers, PASS
-// trailers) annotate or are skipped.
+// Each benchmark line contributes one record with its name, worker
+// count (the -N GOMAXPROCS suffix Go appends), ns/op, and any custom
+// metrics such as events/op, so -count 5 keeps five records per
+// benchmark: every sample, for benchtrend's median and spread.
+// Non-benchmark lines (goos/goarch/cpu headers, PASS trailers) annotate
+// or are skipped.
 package main
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -34,8 +31,6 @@ type Benchmark struct {
 	Workers    int     `json:"workers"`
 	Iterations int64   `json:"iterations"`
 	NsPerOp    float64 `json:"ns_per_op"`
-	// Samples is every run's ns/op, in input order.
-	Samples []float64 `json:"samples,omitempty"`
 	// EventsPerOp is the pipeline's dynamic-branch throughput metric; 0
 	// for micro-benchmarks that do not report it.
 	EventsPerOp float64 `json:"events_per_op,omitempty"`
@@ -61,11 +56,6 @@ func main() {
 	flag.Parse()
 
 	rep := Report{PR: *pr}
-	type key struct {
-		name    string
-		workers int
-	}
-	runs := make(map[key][]Benchmark)
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -79,19 +69,12 @@ func main() {
 			rep.CPU = strings.TrimPrefix(line, "cpu: ")
 		case strings.HasPrefix(line, "Benchmark"):
 			if b, ok := parseLine(line); ok {
-				k := key{b.Name, b.Workers}
-				if runs[k] == nil {
-					rep.Benchmarks = append(rep.Benchmarks, b)
-				}
-				runs[k] = append(runs[k], b)
+				rep.Benchmarks = append(rep.Benchmarks, b)
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
 		fatal(err)
-	}
-	for i, b := range rep.Benchmarks {
-		rep.Benchmarks[i] = merge(runs[key{b.Name, b.Workers}])
 	}
 	if len(rep.Benchmarks) == 0 {
 		fatal(fmt.Errorf("no benchmark lines on stdin"))
@@ -153,18 +136,6 @@ func parseLine(line string) (Benchmark, bool) {
 		b.EventsPerSec = b.EventsPerOp / (b.NsPerOp / 1e9)
 	}
 	return b, b.NsPerOp > 0
-}
-
-// merge returns one benchmark's median run, by ns/op, carrying every
-// run's ns/op as its samples.
-func merge(runs []Benchmark) Benchmark {
-	b := slices.SortedFunc(slices.Values(runs), func(x, y Benchmark) int {
-		return cmp.Compare(x.NsPerOp, y.NsPerOp)
-	})[(len(runs)-1)/2]
-	for _, r := range runs {
-		b.Samples = append(b.Samples, r.NsPerOp)
-	}
-	return b
 }
 
 func fatal(err error) {

@@ -8,10 +8,11 @@
 //	benchtrend -old BENCH_4.json -new BENCH_6.json \
 //	           -baseline SuiteSweepRegenerate -threshold 10 -failat 25
 //
-// Each snapshot's ns/op is the median of its runs (benchjson over
-// go test -count > 1), and a move counts only when it is larger than the
-// interquartile range of the old snapshot's runs: inside that spread it
-// is noise, however many percent it is.
+// A snapshot taken with go test -count > 1 holds one record per run;
+// each benchmark's ns/op is the median of its runs, and a move counts
+// only when it is larger than the interquartile range of the old
+// snapshot's runs: inside that spread it is noise, however many percent
+// it is.
 //
 // Snapshots are usually measured on different machines (the old one is
 // committed by a previous PR, the new one comes off the current
@@ -41,22 +42,19 @@ import (
 
 // Benchmark mirrors cmd/benchjson's record (the fields the diff needs).
 type Benchmark struct {
-	Name         string    `json:"name"`
-	Workers      int       `json:"workers"`
-	NsPerOp      float64   `json:"ns_per_op"`
-	Samples      []float64 `json:"samples"`
-	EventsPerSec float64   `json:"events_per_sec"`
+	Name         string  `json:"name"`
+	Workers      int     `json:"workers"`
+	NsPerOp      float64 `json:"ns_per_op"`
+	EventsPerSec float64 `json:"events_per_sec"`
+	// runs holds, sorted, the ns/op of every record with this name and
+	// worker count, one per go test -count run; load sets NsPerOp to
+	// their median.
+	runs []float64
 }
 
-// iqr returns the interquartile range of b's samples, by nearest rank
-// (with five samples, the 4th smallest less the 2nd); 0 without any.
-func (b Benchmark) iqr() float64 {
-	s := slices.Sorted(slices.Values(b.Samples))
-	if len(s) == 0 {
-		return 0
-	}
-	return s[len(s)*3/4] - s[len(s)/4]
-}
+// iqr returns the interquartile range of b's runs by nearest rank (with
+// five runs, the 4th smallest less the 2nd); 0 for a single run.
+func (b Benchmark) iqr() float64 { return b.runs[len(b.runs)*3/4] - b.runs[len(b.runs)/4] }
 
 // Report mirrors cmd/benchjson's document.
 type Report struct {
@@ -80,7 +78,14 @@ func load(path string) (*Report, map[key]Benchmark, error) {
 	}
 	m := make(map[key]Benchmark, len(rep.Benchmarks))
 	for _, b := range rep.Benchmarks {
-		m[key{b.Name, b.Workers}] = b
+		k := key{b.Name, b.Workers}
+		b.runs = append(m[k].runs, b.NsPerOp)
+		m[k] = b
+	}
+	for k, b := range m {
+		slices.Sort(b.runs)
+		b.NsPerOp = (b.runs[(len(b.runs)-1)/2] + b.runs[len(b.runs)/2]) / 2
+		m[k] = b
 	}
 	return &rep, m, nil
 }
