@@ -223,6 +223,25 @@ func BenchmarkSuiteSweepScheduled(b *testing.B) {
 	benchSweepSuite(b, SimConfig{Scale: 1.0})
 }
 
+// BenchmarkSuiteWarm times RunSuite over the scale-0.05 suite on trace
+// and profile caches warmed by an untimed run: every input is a
+// profile-cache hit, one task publishing the cached result with no
+// pass 1 and no sweep. It reports events/op, so a warm path that slid
+// back into sweeping shows as ns/op jumping at the same events/op.
+func BenchmarkSuiteWarm(b *testing.B) {
+	s := NewScheduler(0)
+	defer s.Close()
+	cfg := SimConfig{Scale: 0.05, Sched: s, Cache: NewTraceCache(0, ""), Profiles: NewProfileCache()}
+	specs := Workloads()
+	RunSuite(specs, cfg)
+	b.ResetTimer()
+	var events int64
+	for i := 0; i < b.N; i++ {
+		events += RunSuite(specs, cfg).TotalEvents()
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}
+
 // BenchmarkSuiteSweepStreaming is the out-of-core pipeline on the same
 // input: pass 1 streams the recording to a spill file keeping at most
 // ~4 KiB of chunk columns resident (the recording is ~30 KiB, so the

@@ -108,10 +108,10 @@ type (
 	TraceCache = trace.Cache
 	// TraceCacheKey identifies one recording in a TraceCache.
 	TraceCacheKey = trace.CacheKey
-	// ProfileCache caches classified pass-1 results (sans Miss) under
-	// the same keys as a TraceCache, so matching runs skip the profiling
-	// replay as well as the generator run. Assign one to
-	// SimConfig.Profiles.
+	// ProfileCache caches each input's whole result (Miss included)
+	// under the same keys as a TraceCache, so matching runs skip the
+	// profiling replay and the bank sweep as well as the generator run.
+	// Assign one to SimConfig.Profiles.
 	ProfileCache = sim.ProfileCache
 
 	// Experiment regenerates one paper table or figure.
@@ -274,17 +274,17 @@ func NewTraceCache(maxBytes int64, spillDir string) *TraceCache {
 	return trace.NewCache(maxBytes, spillDir, workload.RegistryFingerprint())
 }
 
-// NewProfileCache builds a cache of classified pass-1 results with the
-// default byte budget. Assign it to SimConfig.Profiles so repeated runs
-// over the same (workload, scale, chunk) skip the profiling replay
-// entirely; experiment contexts built via NewExperimentContext share
-// one automatically.
+// NewProfileCache builds a cache of per-input results with the default
+// byte budget. Assign it to SimConfig.Profiles so repeated runs over the
+// same (workload, scale, chunk) skip the profiling replay and the bank
+// sweep entirely; experiment contexts built via NewExperimentContext
+// share one automatically.
 func NewProfileCache() *ProfileCache {
 	return sim.NewProfileCache()
 }
 
 // NewProfileCacheBytes is NewProfileCache with an explicit budget for
-// the retained pass-1 artifacts (<= 0 means unbounded); entries past it
+// the retained results (<= 0 means unbounded); entries past it
 // are evicted least-recently-used and recomputed on the next run.
 func NewProfileCacheBytes(maxBytes int64) *ProfileCache {
 	return sim.NewProfileCacheBytes(maxBytes)

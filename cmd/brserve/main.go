@@ -4,7 +4,7 @@
 // bit-identical to brexp's files for the same configuration. Every
 // request runs as a session over one shared work-stealing scheduler
 // and one shared recorded-trace + profile cache, so repeated and
-// concurrent requests reuse each other's pass-1 work; admission
+// concurrent requests reuse each other's pass-1 and sweep work; admission
 // control (bounded in-flight slots, a bounded wait queue, per-request
 // scale/budget caps) answers 429 past capacity. /metrics reports the
 // substrate counters, /healthz the drain state. SIGINT/SIGTERM drains

@@ -39,13 +39,13 @@ type Context struct {
 }
 
 // Shared bundles the immutable-state substrate experiment contexts
-// draw on: the recorded-trace cache and its pass-1 profile sibling.
+// draw on: the recorded-trace cache and its per-input result sibling.
 // Recordings are keyed by (workload name, spec fingerprint, scale,
 // chunk size), so any two contexts over the same bundle with matching
 // config — an ablation rerun, a confidence study, a second brserve
 // request — replay the first run's recordings instead of running any
 // generator again, and the profile cache makes that second context skip
-// the profiling replay too: zero pass-1 work of any kind. Both caches
+// the profiling replay and the bank sweep too. Both caches
 // are safe for concurrent use, so one bundle can back any number of
 // concurrent sessions.
 type Shared struct {

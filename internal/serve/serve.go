@@ -333,9 +333,9 @@ func (s *Server) resolve(req *Request) (ids []string, specs []workload.Spec, cfg
 		return nil, nil, cfg, &rejection{http.StatusBadRequest,
 			ErrorResponse{Error: fmt.Sprintf("window %d is outside 0..%d", req.Window, MaxWindow)}}
 	}
-	if req.DeadlineMS < 0 {
+	if maxMS := int64(1<<63-1) / int64(time.Millisecond); req.DeadlineMS < 0 || req.DeadlineMS > maxMS {
 		return nil, nil, cfg, &rejection{http.StatusBadRequest,
-			ErrorResponse{Error: fmt.Sprintf("deadline_ms %d is negative", req.DeadlineMS)}}
+			ErrorResponse{Error: fmt.Sprintf("deadline_ms %d is outside 0..%d", req.DeadlineMS, maxMS)}}
 	}
 	cfg = sim.Config{
 		Scale:              scale,

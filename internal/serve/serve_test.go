@@ -198,6 +198,46 @@ func TestConcurrentRequestsShareSubstrate(t *testing.T) {
 	}
 }
 
+// TestRepeatedRequestIsByteIdentical: a second identical request is
+// served from the profile cache — no input is swept again, so the
+// summed chunk-window counters stay put — and streams byte-identical
+// experiment records, in the same order.
+func TestRepeatedRequestIsByteIdentical(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	req := Request{Experiments: []string{"T2", "F13", "F15"}, Specs: testSpecs, Scale: testScale}
+	experimentRecords := func() []Record {
+		code, recs := post(t, ts.URL, req)
+		if code != http.StatusOK {
+			t.Fatalf("status %d, want 200", code)
+		}
+		var out []Record
+		for _, r := range recs {
+			if r.Type == "experiment" {
+				out = append(out, r)
+			}
+		}
+		if len(out) != len(req.Experiments) {
+			t.Fatalf("%d experiment records, want %d: %+v", len(out), len(req.Experiments), recs)
+		}
+		return out
+	}
+	first := experimentRecords()
+	before := s.Metrics()
+	second := experimentRecords()
+	after := s.Metrics()
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("record %d diverged on the repeated request:\nfirst:  %+v\nsecond: %+v", i, first[i], second[i])
+		}
+	}
+	if got := after.ProfileCache.Hits - before.ProfileCache.Hits; got != int64(len(testSpecs)) {
+		t.Fatalf("repeated request hit the profile cache %d times, want %d", got, len(testSpecs))
+	}
+	if after.Mem.DecodedEvicted != before.Mem.DecodedEvicted || after.Mem.DecodedHits != before.Mem.DecodedHits {
+		t.Fatalf("repeated request swept a chunk window: mem %+v -> %+v", before.Mem, after.Mem)
+	}
+}
+
 // TestAdmissionControl: with every in-flight slot held and no queue,
 // the next request bounces with 429 and the rejected counter moves.
 func TestAdmissionControl(t *testing.T) {
@@ -254,6 +294,13 @@ func TestPerRequestLimits(t *testing.T) {
 	}
 	if code, e := do(Request{Experiments: []string{"Z9"}}); code != http.StatusBadRequest || e.ID != "Z9" {
 		t.Fatalf("unknown experiment: status %d body %+v, want structured 400", code, e)
+	}
+	// A deadline past time.Duration's range would wrap, to a negative or
+	// a sub-millisecond bound.
+	for _, ms := range []int64{-1, 18446744073710, math.MaxInt64} {
+		if code, e := do(Request{DeadlineMS: ms}); code != http.StatusBadRequest || !strings.Contains(e.Error, "deadline_ms") {
+			t.Fatalf("deadline_ms %d: status %d body %+v, want structured 400", ms, code, e)
+		}
 	}
 	// Every input allocates window+1 histogram bins: an unbounded window
 	// would let one request exhaust the server's memory.

@@ -91,11 +91,12 @@ func TestSuiteRecoversFromCorruptSpill(t *testing.T) {
 	}
 }
 
-// TestSuiteRecoversFromCorruptWindowPageIn damages the spill files
-// under a warm profile cache, so the rerun skips attribution and the
-// damage surfaces in a chunk-window page-in during the sweep: the
-// window's ErrCorruptSpill must reach RunSuiteGroup's quarantine and
-// retry, and the retried run must match the clean one bit for bit.
+// TestSuiteRecoversFromCorruptWindowPageIn damages one chunk-window
+// page-in of each cached recording: the rerun, on a cold profile cache,
+// replays the recording into pass 1 cleanly, and a one-shot bit flip
+// scheduled right after pass 1's page-ins lands in the sweep's window.
+// The window's ErrCorruptSpill must reach RunSuiteGroup's quarantine
+// and retry, and the retried run must match the clean one bit for bit.
 func TestSuiteRecoversFromCorruptWindowPageIn(t *testing.T) {
 	dir := t.TempDir()
 	specs := []workload.Spec{
@@ -114,16 +115,33 @@ func TestSuiteRecoversFromCorruptWindowPageIn(t *testing.T) {
 	if len(baseline.Dropped) != 0 {
 		t.Fatalf("clean baseline dropped inputs: %v", baseline.Dropped)
 	}
+	var fios []*trace.FaultingIO
 	for _, spec := range specs {
-		corruptFile(t, cfg.Cache.SpillPathFor(cfg.cacheKey(spec)))
+		h, ok := cfg.Cache.GetHandle(cfg.cacheKey(spec))
+		if !ok {
+			t.Fatalf("baseline left no recording for %s", spec.Name())
+		}
+		// Pass 1 pages in what a full replay pages in; the next read is
+		// the window's.
+		before := h.PageIns()
+		h.Replay(trace.SinkFunc(func(uint64, bool) {}))
+		pass1 := int(h.PageIns() - before)
+		if pass1 == 0 {
+			t.Fatalf("%s: recording fully resident; pass 1 would read no spilled chunk", spec.Name())
+		}
+		fio := trace.NewFaultingIO(trace.Fault{Op: trace.OpReadAt, Nth: pass1 + 1, Kind: trace.FaultBitFlip})
+		h.SetSpillIO(fio)
+		fios = append(fios, fio)
 	}
-	hits := cfg.Profiles.Stats().Hits
+	cfg.Profiles = NewProfileCache()
 	got := RunSuite(specs, cfg)
 	if len(got.Dropped) != 0 {
 		t.Fatalf("recovery run dropped inputs: %v", got.Dropped)
 	}
-	if cfg.Profiles.Stats().Hits == hits {
-		t.Fatal("rerun missed the profile cache; the damage was not left to the window")
+	for i, fio := range fios {
+		if fio.Fired() != 1 {
+			t.Fatalf("%s: bit flip fired %d times, want once; the damage never reached the window", specs[i].Name(), fio.Fired())
+		}
 	}
 	if q := cfg.Cache.Stats().Quarantined; q == 0 {
 		t.Fatalf("Quarantined = %d, want >= 1 (stats: %+v)", q, cfg.Cache.Stats())

@@ -3,44 +3,45 @@ package sim
 import (
 	"sync"
 
+	"btr/internal/core"
 	"btr/internal/trace"
 )
 
 // DefaultProfileCacheBytes is NewProfileCache's budget. Entries are
-// O(sites) — a few kilobytes for each registry input at any scale — so
-// the budget holds many suites' worth; it bounds a process that
-// profiles an unbounded stream of distinct inputs.
+// O(sites) plus the 32 KiB Miss matrix — under 40 KB for each registry
+// input at any scale — so the budget holds many suites' worth; it
+// bounds a process that runs an unbounded stream of distinct inputs.
 const DefaultProfileCacheBytes = 1 << 28 // 256 MiB
 
-// ProfileCache caches the classified pass-1 result of an input — the
-// InputResult shell sans Miss (profiles, classes, class table, Exec,
+// ProfileCache caches an input's whole result — the InputResult sans
+// Recorded and Mem (profiles, classes, class table, Exec, Miss,
 // hard-distance histogram) — so a later run with a matching key skips
-// the profiling replay and the hard-distance walk, not just the
-// generator run a trace.Cache hit saves. Keys are the (name,
-// fingerprint, scale, chunk) quadruple of trace.CacheKey — which pins a
-// recording (and therefore its derived classification) bit for bit —
-// plus the hard-distance window, which sizes the cached histogram.
-// Callers must pass normalised trace keys (trace.CacheKey.Normalised)
-// so configs that spell the defaults differently share entries.
+// the profiling replay and the bank sweep, not just the generator run a
+// trace.Cache hit saves. Keys are the (name, fingerprint, scale, chunk)
+// quadruple of trace.CacheKey — which pins a recording (and therefore
+// every count derived from it) bit for bit — plus the hard-distance
+// window, which sizes the cached histogram. Callers must pass
+// normalised trace keys (trace.CacheKey.Normalised) so configs that
+// spell the defaults differently share entries.
 //
 // Entries deliberately do NOT hold the recorded trace: the recording's
 // lifetime belongs to the trace.Cache and its LRU byte budget, and a
 // profile entry pinning it would defeat that bound. profileCached re-
-// fetches the recording on a hit and recomputes from scratch in the
-// rare case it was evicted without a spill path. What an entry does
-// retain — the per-branch profile and class maps, the class table and
-// the histogram — is O(sites), independent of the trace's length; the
-// cache still carries its own LRU byte budget, so entries past it are
-// evicted least-recently-used and simply recomputed on the next run,
-// the same degrade-to-recompute contract the trace cache has.
+// fetches the recording on a hit (the ablations replay it) and
+// recomputes from scratch in the rare case it was evicted without a
+// spill path. What an entry does retain is O(sites), independent of
+// the trace's length; the cache still carries its own LRU byte budget,
+// so entries past it are evicted least-recently-used and simply
+// recomputed on the next run, the same degrade-to-recompute contract
+// the trace cache has.
 //
-// Served results share the immutable pass-1 artifacts (Profiles map,
-// ClassMap, class table, histogram) with every other run of the same
-// key; only the returned InputResult struct itself is a fresh copy,
-// whose zero Miss the caller's own sweep fills in. Callers must treat
-// the shared artifacts as read-only — the pipeline does. Eviction never
-// invalidates a served result: the artifacts stay reachable through the
-// result, the cache merely drops its own reference.
+// Served results share the immutable artifacts (Profiles map, ClassMap,
+// class table, histogram) with every other run of the same key; only
+// the returned InputResult struct itself, Miss included, is a fresh
+// copy. Callers must treat the shared artifacts as read-only — the
+// pipeline does. Eviction never invalidates a served result: the
+// artifacts stay reachable through the result, the cache merely drops
+// its own reference.
 type ProfileCache struct {
 	mu       sync.Mutex
 	entries  map[profileKey]*profileEntry
@@ -50,7 +51,7 @@ type ProfileCache struct {
 	stats    ProfileCacheStats
 }
 
-// profileKey pins everything a cached pass-1 result depends on: the
+// profileKey pins everything a cached result depends on: the
 // recording's identity plus the hard-distance window, which shapes the
 // cached histogram's bin count — configs with different windows must
 // not serve each other's histograms.
@@ -60,7 +61,7 @@ type profileKey struct {
 }
 
 type profileEntry struct {
-	tmpl InputResult // Miss all-zero, Recorded nil; the rest filled
+	res  InputResult // Recorded nil, Mem zero; the rest filled
 	size int64       // estimated footprint, charged against the budget
 	used int64       // LRU clock tick of the last touch
 }
@@ -94,23 +95,23 @@ func NewProfileCacheBytes(maxBytes int64) *ProfileCache {
 
 // entrySize estimates an entry's heap footprint: the profile and class
 // maps are charged at rough per-entry costs (bucket + key + value
-// struct), the class table and histogram at their size, plus a fixed
-// overhead for the shell itself.
+// struct), the class table and histogram at their size, plus the shell
+// itself, whose Miss matrix is most of it.
 func entrySize(e *profileEntry) int64 {
-	size := int64(256)
-	if e.tmpl.HardDistances != nil {
-		size += int64(len(e.tmpl.HardDistances.Bins)) * 8
+	size := int64(256 + 8*int(NumKinds)*NumHistories*core.NumClasses*core.NumClasses)
+	if e.res.HardDistances != nil {
+		size += int64(len(e.res.HardDistances.Bins)) * 8
 	}
-	size += int64(len(e.tmpl.Profiles)) * 96
-	size += int64(len(e.tmpl.Classes)) * 24
-	if e.tmpl.Table != nil {
-		size += e.tmpl.Table.SizeBytes()
+	size += int64(len(e.res.Profiles)) * 96
+	size += int64(len(e.res.Classes)) * 24
+	if e.res.Table != nil {
+		size += e.res.Table.SizeBytes()
 	}
 	return size
 }
 
-// get returns a sweep-ready copy of the cached shell for key, with
-// Recorded still nil — the caller supplies the recording.
+// get returns a copy of the cached result for key, with Recorded nil
+// and Mem zero — the caller supplies the recording and its counters.
 func (c *ProfileCache) get(key trace.CacheKey, window int) (*InputResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -122,14 +123,13 @@ func (c *ProfileCache) get(key trace.CacheKey, window int) (*InputResult, bool) 
 	c.stats.Hits++
 	c.tick++
 	e.used = c.tick
-	res := e.tmpl // struct copy: private Miss, shared pass-1 artifacts
+	res := e.res // struct copy: private Miss, shared pass-1 artifacts
 	return &res, true
 }
 
-// put snapshots res (which must not have Miss filled yet — the sweep
-// calls it just before its final fold) under key, dropping the
-// recording reference so the trace.Cache stays the recording's only
-// owner, then evicts least-recently-used entries past the byte budget.
+// put snapshots the finished res under key, dropping the per-run Mem
+// and the recording reference (the trace.Cache stays its only owner),
+// then evicts least-recently-used entries past the byte budget.
 // First writer wins; a concurrent duplicate of the same deterministic
 // result is dropped.
 func (c *ProfileCache) put(key trace.CacheKey, window int, res *InputResult) {
@@ -139,8 +139,8 @@ func (c *ProfileCache) put(key trace.CacheKey, window int, res *InputResult) {
 	if _, ok := c.entries[pk]; ok {
 		return
 	}
-	e := &profileEntry{tmpl: *res}
-	e.tmpl.Recorded = nil
+	e := &profileEntry{res: *res}
+	e.res.Recorded, e.res.Mem = nil, MemStats{}
 	e.size = entrySize(e)
 	c.tick++
 	e.used = c.tick

@@ -80,11 +80,12 @@ type Config struct {
 	// oracle the recorded sweep is tested against, and it needs no
 	// memory for recordings; results are bit-for-bit identical.
 	NoRecord bool
-	// Profiles, when non-nil, caches each input's classified pass-1
-	// result (profiles, classes, Exec, hard distances — everything
-	// except Miss) keyed like Cache. A hit skips the profiling replay
-	// entirely, not just the generator run, so a second experiment
-	// context performs zero pass-1 work. Ignored under NoRecord.
+	// Profiles, when non-nil, caches each input's whole result
+	// (profiles, classes, Exec, Miss, hard distances) keyed like Cache.
+	// A hit whose recording Cache still holds skips the profiling replay
+	// and the bank sweep, not just the generator run, so a second
+	// experiment context performs no pass-1 or sweep work. Ignored under
+	// NoRecord.
 	Profiles *ProfileCache
 	// Cache, when non-nil, is consulted before pass 1: a recording with
 	// a matching (name, scale, chunk) key replays into the profiler
@@ -337,10 +338,10 @@ func RunInput(spec workload.Spec, cfg Config) *InputResult {
 }
 
 // finalizeMem snapshots the input's memory-shape counters off its
-// recording handle and the sweep's chunk window.
-func finalizeMem(res *InputResult, win *chunkWindow) {
+// recording handle and the sweep's chunk-window counters s (zero on a
+// profile-cache hit, which builds no window).
+func finalizeMem(res *InputResult, s trace.WindowStats) {
 	h := res.Recorded
-	s := win.Stats()
 	res.Mem = MemStats{
 		RecordedBytes:    h.EncodedBytes(),
 		ResidentPeak:     h.ResidentPeak(),
@@ -448,16 +449,16 @@ func passOne(spec workload.Spec, cfg Config) *InputResult {
 	return res
 }
 
-// profileCached serves the profile-cache fast path: a cached pass-1
-// shell plus the recording handle re-fetched from the trace cache.
+// profileCached serves the profile-cache fast path: a copy of the
+// cached result plus the recording handle re-fetched from the trace
+// cache.
 //
-// On a hit the cached shell is copied (Miss starts zero in the
-// template, so the copy is sweep-ready), the recording it was derived
-// from comes back from cfg.Cache — the recording's lifetime stays under
-// the trace cache's LRU budget, not pinned by profile entries — and no
-// generator run, profiling replay or hard-distance walk happens at all.
+// On a hit the recording the result was derived from comes back from
+// cfg.Cache — the recording's lifetime stays under the trace cache's LRU
+// budget, not pinned by profile entries — for the ablations that replay
+// it, and no generator run, profiling replay or sweep happens at all.
 // If the recording was evicted without a spill path the hit is unusable
-// (the sweep needs the stream) and the input falls through to a full
+// (the ablations need the stream) and the input falls through to a full
 // recompute.
 func profileCached(spec workload.Spec, cfg Config) (*InputResult, bool) {
 	if cfg.Profiles == nil || cfg.Cache == nil {
@@ -472,6 +473,7 @@ func profileCached(spec workload.Spec, cfg Config) (*InputResult, bool) {
 		return nil, false
 	}
 	res.Recorded = h
+	finalizeMem(res, trace.WindowStats{})
 	return res, true
 }
 

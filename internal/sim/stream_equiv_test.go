@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"btr/internal/sched"
 	"btr/internal/trace"
 	"btr/internal/workload"
 )
@@ -170,6 +171,49 @@ func TestProfileCacheEviction(t *testing.T) {
 	if s := roomy.Stats(); s.Hits == 0 || s.Evicted != 0 || s.Resident != 1 {
 		t.Fatalf("roomy cache stats %+v: want a hit, no evictions", s)
 	}
+}
+
+// TestWarmHitSkipsSweep pins what a profile-cache hit costs: a warm
+// rerun on the same caches equals the cold run and the regenerating
+// oracle bit for bit, builds no chunk window for any input, and runs at
+// most one scheduler task per input — the profile task that publishes
+// the cached result.
+func TestWarmHitSkipsSweep(t *testing.T) {
+	specs := []workload.Spec{
+		testSpec(t, "compress", "bigtest.in"),
+		testSpec(t, "gcc", "genoutput.i"),
+		testSpec(t, "li", "ref.lsp"),
+	}
+	s := sched.New(4)
+	defer s.Close()
+	cfg := Config{
+		Scale:       testScale,
+		ChunkEvents: 256,
+		Sched:       s,
+		Cache:       trace.NewCache(0, "", workload.RegistryFingerprint()),
+		Profiles:    NewProfileCache(),
+	}
+	cold := RunSuite(specs, cfg)
+	executed := s.Stats().Executed
+	warm := RunSuite(specs, cfg)
+	if n := s.Stats().Executed - executed; n > int64(len(specs)) {
+		t.Fatalf("warm run executed %d tasks for %d inputs, want at most one per input", n, len(specs))
+	}
+	if h := cfg.Profiles.Stats().Hits; h != int64(len(specs)) {
+		t.Fatalf("profile cache hits %d, want %d", h, len(specs))
+	}
+	for _, r := range warm.Inputs {
+		if r.Mem.DecodedEvicted != 0 {
+			t.Fatalf("%s: warm run built a chunk window (mem %+v)", r.Spec.Name(), r.Mem)
+		}
+		if r.Recorded == nil {
+			t.Fatalf("%s: warm result has no recording for the ablations", r.Spec.Name())
+		}
+	}
+	oracle := RunSuite(specs, Config{Scale: testScale, NoRecord: true})
+	assertSuitesEqual(t, "warm-vs-cold", cold, warm)
+	assertSuitesEqual(t, "warm-vs-norecord", oracle, warm)
+	assertSuitesEqual(t, "cold-vs-norecord", oracle, cold)
 }
 
 // TestProfileCacheEntryIsPerSite pins a profile-cache entry's size at

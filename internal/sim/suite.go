@@ -92,13 +92,14 @@ type SuiteResult struct {
 // The engine is one work-stealing scheduler over per-input task grids:
 // each input starts as a profile+record task, whose recording fans out
 // as the 34-slot PAs/GAs sweep — one chain of one-chunk tasks per slot
-// but PAs(0), which is GAs(0), plus the hard-distance chain on a cold
-// input — into the same queue, so late-arriving fan-out from a heavy
-// input backfills cores freed by small ones. Every sweep task is a pure function of its input's
-// recorded stream, so scheduling order cannot change results
+// but PAs(0), which is GAs(0), plus the hard-distance chain — into the
+// same queue, so late-arriving fan-out from a heavy input backfills
+// cores freed by small ones. Every sweep task is a pure function of its
+// input's recorded stream, so scheduling order cannot change results
 // (bit-for-bit identical to the NoRecord pipeline; see
-// TestScheduledMatchesLegacy). Under cfg.NoRecord each input is instead
-// one task running the regenerating pipeline.
+// TestScheduledMatchesLegacy). An input with a cfg.Profiles entry is
+// one task that publishes the cached result. Under cfg.NoRecord each
+// input is instead one task running the regenerating pipeline.
 //
 // The run rides cfg.Sched when set; otherwise a private scheduler of
 // cfg.Workers workers is built and stopped around it.
@@ -194,13 +195,13 @@ func recoverInput(errOut *error) {
 }
 
 // profileTask runs one input's pass 1 and launches its sweep over a
-// decode-once chunk window. A profile-cache hit skips pass 1 and the
-// hard-distance walk and sweeps the bank alone. The last sweep task to
-// finish folds the counters and publishes the result — Group.Wait's
-// barrier makes the write visible to the aggregation.
+// decode-once chunk window. A profile-cache hit is the input's whole
+// result: it is published at once, with no pass 1 and no sweep. The
+// last sweep task to finish folds the counters and publishes the result
+// — Group.Wait's barrier makes the write visible to the aggregation.
 func profileTask(w *sched.Worker, spec workload.Spec, cfg Config, out **InputResult, errOut *error) {
 	if res, ok := profileCached(spec, cfg); ok {
-		startChunkSweep(w, res, cfg, false, out, errOut)
+		*out = res
 		return
 	}
 	var res *InputResult
@@ -211,17 +212,16 @@ func profileTask(w *sched.Worker, spec workload.Spec, cfg Config, out **InputRes
 	if res == nil {
 		return
 	}
-	startChunkSweep(w, res, cfg, true, out, errOut)
+	startChunkSweep(w, res, cfg, out, errOut)
 }
 
-// startChunkSweep fans an input's sweep out as numBankChains chains over
-// the chunk window, plus the hard chain when cold (res fresh from pass 1,
-// its hard distances still to walk). Chain heads go out oldest-first:
-// the submitting worker pops the last chain LIFO and rides it chunk by
-// chunk (hot predictor tables), while thieves peel whole un-started
-// chains FIFO.
-func startChunkSweep(w *sched.Worker, res *InputResult, cfg Config, cold bool, out **InputResult, errOut *error) {
-	cs := newChunkSweep(res, cfg, cold, out, errOut)
+// startChunkSweep fans an input's sweep out as numBankChains chains
+// plus the hard chain over the chunk window. Chain heads go out
+// oldest-first: the submitting worker pops the last chain LIFO and
+// rides it chunk by chunk (hot predictor tables), while thieves peel
+// whole un-started chains FIFO.
+func startChunkSweep(w *sched.Worker, res *InputResult, cfg Config, out **InputResult, errOut *error) {
+	cs := newChunkSweep(res, cfg, out, errOut)
 	if cs.live.Load() == 0 {
 		// Empty recording: nothing to sweep, publish immediately.
 		cs.finish()
@@ -239,18 +239,17 @@ func startChunkSweep(w *sched.Worker, res *InputResult, cfg Config, cold bool, o
 // strictly in order (the predictor state hands off from chunk to chunk
 // by living in the chain), so results are bit-identical to a serial
 // sweep, while distinct chains are independent and steal-balanced
-// across every core. On a cold input one more chain, the hard chain,
-// walks the same chunks for the Figure 15 distances: it carries the
-// last hard position from chunk to chunk the way a slot chain carries
-// its predictor. Each task sweeps one chunk: at DefaultChunkEvents
-// events that lands in the tens of microseconds, coarse enough that the
-// deque overhead is noise and fine enough that stealing levels the tail
-// of a single huge input. A chain that runs ahead of the window parks
-// its continuation there instead of holding a worker.
+// across every core. One more chain, the hard chain, walks the same
+// chunks for the Figure 15 distances: it carries the last hard position
+// from chunk to chunk the way a slot chain carries its predictor. Each
+// task sweeps one chunk: at DefaultChunkEvents events that lands in the
+// tens of microseconds, coarse enough that the deque overhead is noise
+// and fine enough that stealing levels the tail of a single huge input.
+// A chain that runs ahead of the window parks its continuation there
+// instead of holding a worker.
 type chunkSweep struct {
 	res      *InputResult
 	cfg      Config
-	cold     bool // the hard chain runs, and the fold publishes a profile-cache entry
 	win      *chunkWindow
 	nchunks  int
 	chains   []sweepChain
@@ -277,16 +276,12 @@ type sweepChain struct {
 	wrong [(trace.DefaultChunkEvents + 63) / 64]uint64
 }
 
-func newChunkSweep(res *InputResult, cfg Config, cold bool, out **InputResult, errOut *error) *chunkSweep {
-	nchains := numBankChains
-	if cold {
-		nchains++
-	}
+func newChunkSweep(res *InputResult, cfg Config, out **InputResult, errOut *error) *chunkSweep {
+	const nchains = numBankChains + 1 // the bank's chains and the hard chain
 	h := res.Recorded
 	cs := &chunkSweep{
 		res:      res,
 		cfg:      cfg,
-		cold:     cold,
 		win:      trace.NewChunkWindow[sched.Task](h, cfg.DecodedBudget, nchains),
 		nchunks:  h.Chunks(),
 		chains:   make([]sweepChain, nchains),
@@ -381,16 +376,15 @@ func (cs *chunkSweep) walkHard(d *trace.DecodedChunk) {
 }
 
 // finish publishes the input once every chain has passed the last
-// chunk. A cold input's pass-1 result — hard distances complete, Miss
-// still zero — goes to the profile cache first; then the bank's
-// counters fold into res. A failed or canceled sweep never gets here,
-// so it publishes nothing.
+// chunk: the bank's counters fold into res, the complete result goes to
+// the profile cache, and the window's counters fill res.Mem. A failed or
+// canceled sweep never gets here, so it publishes nothing.
 func (cs *chunkSweep) finish() {
-	if cs.cold && cs.cfg.Profiles != nil {
+	foldMisses(cs.res, cs.chains)
+	if cs.cfg.Profiles != nil {
 		cs.cfg.Profiles.put(cs.cfg.cacheKey(cs.res.Spec), cs.cfg.window(), cs.res)
 	}
-	foldMisses(cs.res, cs.chains)
-	finalizeMem(cs.res, cs.win)
+	finalizeMem(cs.res, cs.win.Stats())
 	*cs.out = cs.res
 }
 
