@@ -31,6 +31,19 @@ func (d *Distribution) AddProfiles(profiles map[uint64]*Profile) {
 	}
 }
 
+// Add accumulates other into d. Weights are integer-valued and far
+// below 2^53, so the sums are exact: a suite built from per-input
+// distributions equals one built from every input's profiles.
+func (d *Distribution) Add(other *Distribution) {
+	for t := range d.Weight {
+		for tr := range d.Weight[t] {
+			d.Weight[t][tr] += other.Weight[t][tr]
+			d.StaticCount[t][tr] += other.StaticCount[t][tr]
+		}
+	}
+	d.Total += other.Total
+}
+
 // Fraction returns the fraction of dynamic executions in the joint cell.
 func (d *Distribution) Fraction(taken, transition Class) float64 {
 	if d.Total == 0 {

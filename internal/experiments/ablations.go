@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"strconv"
 
 	"btr/internal/bpred"
 	"btr/internal/conf"
@@ -187,7 +188,7 @@ func renderPredictorTable(c *Context, w io.Writer, title string, rows []predicto
 	tbl := report.Table{Title: title, Headers: []string{"predictor", "miss rate", "state bits"}}
 	for i, r := range rows {
 		t := tallies[i]
-		tbl.AddRow(r.name, report.Rate(stats.Ratio(float64(t.misses), float64(t.events))), fmt.Sprintf("%d", t.sizeBits))
+		tbl.AddRow(r.name, report.Rate(stats.Ratio(float64(t.misses), float64(t.events))), strconv.FormatInt(t.sizeBits, 10))
 	}
 	if err := tbl.Render(w); err != nil {
 		return err
@@ -357,9 +358,9 @@ func runOptimalHistoryAblation(c *Context, w io.Writer) error {
 	pasR, _ := suite.OptimalHistoryTransition(sim.KindPAs)
 	gasR, _ := suite.OptimalHistoryTransition(sim.KindGAs)
 	for cl := 0; cl < core.NumClasses; cl++ {
-		tbl.AddRow(fmt.Sprintf("%d", cl),
-			fmt.Sprintf("%d", pasT[cl]), fmt.Sprintf("%d", gasT[cl]),
-			fmt.Sprintf("%d", pasR[cl]), fmt.Sprintf("%d", gasR[cl]))
+		tbl.AddRow(strconv.Itoa(cl),
+			strconv.Itoa(pasT[cl]), strconv.Itoa(gasT[cl]),
+			strconv.Itoa(pasR[cl]), strconv.Itoa(gasR[cl]))
 	}
 	if err := tbl.Render(w); err != nil {
 		return err

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 
 	"btr/internal/core"
 	"btr/internal/report"
@@ -12,7 +14,7 @@ import (
 func classNames() []string {
 	names := make([]string, core.NumClasses)
 	for i := range names {
-		names[i] = fmt.Sprintf("%d", i)
+		names[i] = strconv.Itoa(i)
 	}
 	return names
 }
@@ -32,30 +34,17 @@ func runFig2(c *Context, w io.Writer) error {
 func marginalTable(w io.Writer, title, label string, marg []float64) error {
 	tbl := report.Table{Title: title, Headers: []string{label, "percent of dynamic branches"}}
 	for i, v := range marg {
-		tbl.AddRow(fmt.Sprintf("%d", i), report.Percent(v))
+		tbl.AddRow(strconv.Itoa(i), report.Percent(v))
 	}
 	if err := tbl.Render(w); err != nil {
 		return err
 	}
-	// bar sketch
+	var sketch strings.Builder // one bar per class, capped at 70 columns
 	for i, v := range marg {
-		n := int(v * 100)
-		if n > 70 {
-			n = 70
-		}
-		if _, err := fmt.Fprintf(w, "%2d |%s %s\n", i, barOf(n), report.Percent(v)); err != nil {
-			return err
-		}
+		fmt.Fprintf(&sketch, "%2d |%s %s\n", i, strings.Repeat("#", min(int(v*100), 70)), report.Percent(v))
 	}
-	return nil
-}
-
-func barOf(n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = '#'
-	}
-	return string(b)
+	_, err := io.WriteString(w, sketch.String())
+	return err
 }
 
 func runFig3(c *Context, w io.Writer) error {
@@ -80,9 +69,9 @@ func optimalFig(c *Context, w io.Writer, taken bool, title string) error {
 	tbl := report.Table{Title: title,
 		Headers: []string{"class", "pas miss", "pas k*", "gas miss", "gas k*"}}
 	for cl := 0; cl < core.NumClasses; cl++ {
-		tbl.AddRow(fmt.Sprintf("%d", cl),
-			report.Rate(pasRates[cl]), fmt.Sprintf("%d", pasKs[cl]),
-			report.Rate(gasRates[cl]), fmt.Sprintf("%d", gasKs[cl]))
+		tbl.AddRow(strconv.Itoa(cl),
+			report.Rate(pasRates[cl]), strconv.Itoa(pasKs[cl]),
+			report.Rate(gasRates[cl]), strconv.Itoa(gasKs[cl]))
 	}
 	return tbl.Render(w)
 }
@@ -102,7 +91,7 @@ func heatmapFig(kind sim.Kind, taken bool, title string) func(*Context, io.Write
 				rates = suite.MissRateByTransition(kind, k)
 			}
 			values[k] = append([]float64(nil), rates[:]...)
-			rowNames[k] = fmt.Sprintf("%d", k)
+			rowNames[k] = strconv.Itoa(k)
 		}
 		colLabel := "taken rate class"
 		if !taken {
@@ -139,7 +128,7 @@ func lineFig(kind sim.Kind, taken bool, title, prefix string) func(*Context, io.
 			} else {
 				curve = suite.HistoryCurveTransition(kind, cl)
 			}
-			ls.Names = append(ls.Names, fmt.Sprintf("%s %d", prefix, cl))
+			ls.Names = append(ls.Names, prefix+" "+strconv.Itoa(int(cl)))
 			ls.Series = append(ls.Series, curve)
 		}
 		return ls.Render(w)
@@ -160,7 +149,7 @@ func jointFig(kind sim.Kind, title string) func(*Context, io.Writer) error {
 				row[t] = rates[t][tr]
 			}
 			values[tr] = row
-			rowNames[tr] = fmt.Sprintf("%d", tr)
+			rowNames[tr] = strconv.Itoa(tr)
 		}
 		hm := report.Heatmap{
 			Title:    title,
@@ -175,12 +164,9 @@ func jointFig(kind sim.Kind, title string) func(*Context, io.Writer) error {
 		if err := hm.Render(w); err != nil {
 			return err
 		}
-		hard := rates[5][5]
-		if _, err := fmt.Fprintf(w, "\n5/5 cell miss rate: %s (paper: worst cell, near 50%%), chosen k=%d\n",
-			report.Rate(hard), ks[5][5]); err != nil {
-			return err
-		}
-		return nil
+		_, err := io.WriteString(w, "\n5/5 cell miss rate: "+report.Rate(rates[5][5])+
+			" (paper: worst cell, near 50%), chosen k="+strconv.Itoa(ks[5][5])+"\n")
+		return err
 	}
 }
 
@@ -193,9 +179,9 @@ func runFig15(c *Context, w io.Writer) error {
 	}
 	tbl.Headers = []string{"benchmark"}
 	for d := 1; d < window; d++ {
-		tbl.Headers = append(tbl.Headers, fmt.Sprintf("%d", d))
+		tbl.Headers = append(tbl.Headers, strconv.Itoa(d))
 	}
-	tbl.Headers = append(tbl.Headers, fmt.Sprintf("%d+", window))
+	tbl.Headers = append(tbl.Headers, strconv.Itoa(window)+"+")
 	for _, bench := range suite.Benchmarks() {
 		h := suite.HardByBench[bench]
 		if h == nil || h.Total() == 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"strconv"
 
 	"btr/internal/bpred"
 	"btr/internal/core"
@@ -58,12 +59,12 @@ func runInterferenceAblation(c *Context, w io.Writer) error {
 		Headers: []string{"configuration", "PHT updates", "aliased", "destructive", "hard-branch miss rate"},
 	}
 	tbl.AddRow("all branches in PHT",
-		fmt.Sprintf("%d", full.alias.Updates),
+		strconv.FormatInt(full.alias.Updates, 10),
 		report.Percent(full.alias.AliasedRate()),
 		report.Percent(full.alias.DestructiveRate()),
 		report.Rate(stats.Ratio(float64(full.hardMisses), float64(full.hardEvents))))
 	tbl.AddRow("easy branches filtered out (§5.1)",
-		fmt.Sprintf("%d", filtered.alias.Updates),
+		strconv.FormatInt(filtered.alias.Updates, 10),
 		report.Percent(filtered.alias.AliasedRate()),
 		report.Percent(filtered.alias.DestructiveRate()),
 		report.Rate(stats.Ratio(float64(filtered.hardMisses), float64(filtered.hardEvents))))

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"btr/internal/core"
 	"btr/internal/report"
@@ -36,7 +37,7 @@ func runPerBenchmark(c *Context, w io.Writer) error {
 			byBench[in.Spec.Bench] = a
 			order = append(order, in.Spec.Bench)
 		}
-		a.dist.AddProfiles(in.Profiles)
+		a.dist.Add(in.Distribution)
 		a.exec.Add(&in.Exec)
 		a.missPA.Add(&in.Miss[sim.KindPAs][k])
 		a.missGA.Add(&in.Miss[sim.KindGAs][k])
@@ -53,8 +54,8 @@ func runPerBenchmark(c *Context, w io.Writer) error {
 		a := byBench[bench]
 		cov := core.ComputeCoverage(&a.dist)
 		tbl.AddRow(bench,
-			fmt.Sprintf("%d", a.events),
-			fmt.Sprintf("%d", a.sites),
+			strconv.FormatInt(a.events, 10),
+			strconv.Itoa(a.sites),
 			report.Percent(cov.TakenEasy),
 			report.Percent(cov.TransitionEasyGAs),
 			report.Percent(a.dist.MisclassifiedFraction(true)),

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"btr/internal/core"
 	"btr/internal/report"
@@ -16,9 +17,9 @@ func runTable1(c *Context, w io.Writer) error {
 	}
 	for _, in := range suite.Inputs {
 		tbl.AddRow(in.Spec.Bench, in.Spec.Input,
-			fmt.Sprintf("%d", in.Events), fmt.Sprintf("%d", in.Sites))
+			strconv.FormatInt(in.Events, 10), strconv.Itoa(in.Sites))
 	}
-	tbl.AddRow("total", "", fmt.Sprintf("%d", suite.TotalEvents()), "")
+	tbl.AddRow("total", "", strconv.FormatInt(suite.TotalEvents(), 10), "")
 	return tbl.Render(w)
 }
 
@@ -29,19 +30,22 @@ func runTable2(c *Context, w io.Writer) error {
 		Title: "Table 2 — Percent of dynamic branches per joint class " +
 			"(rows: transition class, cols: taken class; * = misclassified as hard by taken rate alone)",
 	}
-	tbl.Headers = []string{"Trans\\Taken"}
+	const cols = core.NumClasses + 2 // the class label, 11 cells, the total
+	tbl.Headers = append(make([]string, 0, cols), "Trans\\Taken")
+	tbl.Rows = make([][]string, 0, core.NumClasses+1)
 	for t := 0; t < core.NumClasses; t++ {
-		tbl.Headers = append(tbl.Headers, fmt.Sprintf("%d", t))
+		tbl.Headers = append(tbl.Headers, strconv.Itoa(t))
 	}
 	tbl.Headers = append(tbl.Headers, "Total")
 
 	transTotals := d.TransitionMarginal()
 	for tr := 0; tr < core.NumClasses; tr++ {
-		row := []string{fmt.Sprintf("%d", tr)}
+		row := append(make([]string, 0, cols), strconv.Itoa(tr))
 		for t := 0; t < core.NumClasses; t++ {
-			cell := report.Percent(d.Fraction(core.Class(t), core.Class(tr)))
+			f := d.Fraction(core.Class(t), core.Class(tr))
+			cell := report.Percent(f)
 			jc := core.JointClass{Taken: core.Class(t), Transition: core.Class(tr)}
-			if core.Misclassified(jc, true) && d.Fraction(core.Class(t), core.Class(tr)) > 0 {
+			if core.Misclassified(jc, true) && f > 0 {
 				cell += "*"
 			}
 			row = append(row, cell)
@@ -50,7 +54,7 @@ func runTable2(c *Context, w io.Writer) error {
 		tbl.AddRow(row...)
 	}
 	takenTotals := d.TakenMarginal()
-	totalRow := []string{"Total"}
+	totalRow := append(make([]string, 0, cols), "Total")
 	for t := 0; t < core.NumClasses; t++ {
 		totalRow = append(totalRow, report.Percent(takenTotals[t]))
 	}
@@ -59,10 +63,8 @@ func runTable2(c *Context, w io.Writer) error {
 	if err := tbl.Render(w); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w,
-		"\nmisclassified mass (PAs view): %s  (GAs view): %s\n",
-		report.Percent(d.MisclassifiedFraction(true)),
-		report.Percent(d.MisclassifiedFraction(false)))
+	_, err := io.WriteString(w, "\nmisclassified mass (PAs view): "+report.Percent(d.MisclassifiedFraction(true))+
+		"  (GAs view): "+report.Percent(d.MisclassifiedFraction(false))+"\n")
 	return err
 }
 

@@ -1,13 +1,19 @@
 // Package report renders experiment results as aligned ASCII tables,
 // text gray-scale heatmaps (for the paper's colormap figures), and CSV.
 // Everything writes through io.Writer so the cmd tools, examples and tests
-// share one formatting path.
+// share one formatting path. Tables, heatmaps and line series are built
+// in one byte slice with strconv and written once; Percent, Rate and the
+// heatmap's value cells print exactly what fmt's "%.2f%%" (of v·100),
+// "%.3f" and " %.3f" print (TestFormatMatchesFmt, FuzzFormat).
 package report
 
 import (
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a simple column-aligned text table.
@@ -20,7 +26,7 @@ type Table struct {
 // AddRow appends a row of cells.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// Render writes the table with padded columns.
+// Render writes the table with padded columns, in one Write.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
@@ -33,41 +39,57 @@ func (t *Table) Render(w io.Writer) error {
 			}
 		}
 	}
-	if t.Title != "" {
-		if _, err := fmt.Fprintf(w, "%s\n%s\n", t.Title, strings.Repeat("=", len(t.Title))); err != nil {
-			return err
+	b := make([]byte, 0, 2048) // every artifact's table fits
+	b = appendTitle(b, t.Title)
+	b = appendRow(b, t.Headers, widths)
+	for i, wd := range widths {
+		if i > 0 {
+			b = append(b, "  "...)
 		}
+		b = appendRepeat(b, '-', wd)
 	}
-	writeRow := func(cells []string) error {
-		var b strings.Builder
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(c)
-			if i < len(cells)-1 {
-				b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
-			}
-		}
-		_, err := fmt.Fprintln(w, b.String())
-		return err
-	}
-	if err := writeRow(t.Headers); err != nil {
-		return err
-	}
-	sep := make([]string, len(t.Headers))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	if err := writeRow(sep); err != nil {
-		return err
-	}
+	b = append(b, '\n')
 	for _, row := range t.Rows {
-		if err := writeRow(row); err != nil {
-			return err
+		b = appendRow(b, row, widths)
+	}
+	_, err := w.Write(b)
+	return err
+}
+
+// appendRow appends one table line: cells two spaces apart, each but
+// the last padded to its column's width.
+func appendRow(b []byte, cells []string, widths []int) []byte {
+	for i, c := range cells {
+		if i > 0 {
+			b = append(b, "  "...)
+		}
+		b = append(b, c...)
+		if i < len(cells)-1 {
+			b = appendRepeat(b, ' ', widths[i]-len(c))
 		}
 	}
-	return nil
+	return append(b, '\n')
+}
+
+// appendTitle appends title and its "=" underline; nothing if empty.
+func appendTitle(b []byte, title string) []byte {
+	if title == "" {
+		return b
+	}
+	b = append(append(b, title...), '\n')
+	return append(appendRepeat(b, '=', len(title)), '\n')
+}
+
+func appendRepeat(b []byte, c byte, n int) []byte {
+	for ; n > 0; n-- {
+		b = append(b, c)
+	}
+	return b
+}
+
+// appendPadded appends s right-aligned in width runes, as fmt's "%*s".
+func appendPadded(b []byte, s string, width int) []byte {
+	return append(appendRepeat(b, ' ', width-utf8.RuneCountInString(s)), s...)
 }
 
 // RenderCSV writes the table as CSV (no quoting needed for our content,
@@ -96,11 +118,52 @@ func (t *Table) RenderCSV(w io.Writer) error {
 	return nil
 }
 
-// Percent formats a fraction as "12.34%".
-func Percent(v float64) string { return fmt.Sprintf("%.2f%%", v*100) }
+// Percent formats a fraction as "12.34%", as fmt's "%.2f%%" of v·100.
+func Percent(v float64) string {
+	return string(append(appendFixed(make([]byte, 0, 24), v*100, 2), '%'))
+}
 
-// Rate formats a miss rate with three decimals.
-func Rate(v float64) string { return fmt.Sprintf("%.3f", v) }
+// Rate formats a miss rate with three decimals, as fmt's "%.3f".
+func Rate(v float64) string { return string(appendFixed(make([]byte, 0, 24), v, 3)) }
+
+var pow10 = [...]uint64{1, 10, 100, 1000}
+
+// appendFixed appends v with 1 ≤ prec ≤ 3 decimals, byte for byte as
+// strconv.AppendFloat(b, v, 'f', prec, 64) — and so fmt's "%.<prec>f" —
+// does. strconv formats a fixed precision through its multiprecision
+// decimal; finite values below 2^53 take an exact integer path instead.
+// Such a v is mant·2^-s with mant < 2^53 and s ≥ 0, so mant·10^prec
+// fits in 63 bits, and shifting it right by s, rounding half to even as
+// strconv does, gives v·10^prec correctly rounded.
+func appendFixed(b []byte, v float64, prec int) []byte {
+	bits := math.Float64bits(v)
+	mant, exp := bits&(1<<52-1), int(bits>>52&0x7ff)
+	if exp > 1075 { // ≥ 2^53, ±Inf or NaN
+		return strconv.AppendFloat(b, v, 'f', prec, 64)
+	}
+	if exp == 0 {
+		exp = 1 // subnormal
+	} else {
+		mant |= 1 << 52
+	}
+	pow := pow10[prec]
+	var q uint64
+	if s := uint(1075 - exp); s < 64 { // past 63 bits of shift, q rounds to 0
+		x := mant * pow
+		q = x >> s
+		if rem, half := x&(1<<s-1), uint64(1)<<s>>1; rem > half || rem == half && half != 0 && q&1 == 1 {
+			q++
+		}
+	}
+	if bits>>63 != 0 {
+		b = append(b, '-')
+	}
+	b = append(strconv.AppendUint(b, q/pow, 10), '.')
+	for p, frac := pow/10, q%pow; p > 0; p /= 10 {
+		b = append(b, byte('0'+frac/p%10))
+	}
+	return b
+}
 
 // shades orders characters light to dark for text heatmaps.
 const shades = " .:-=+*#%@"
@@ -112,7 +175,7 @@ func Shade(v, lo, hi float64) byte {
 		return shades[0]
 	}
 	t := (v - lo) / (hi - lo)
-	if t < 0 {
+	if !(t >= 0) { // NaN too: int(NaN) would index outside shades
 		t = 0
 	}
 	if t > 1 {
@@ -134,73 +197,61 @@ type Heatmap struct {
 	Annotate bool        // also print the numeric matrix
 }
 
-// Render writes the shaded map and, if Annotate, the numbers.
+// Render writes the shaded map and, if Annotate, the numbers, in one
+// Write.
 func (h *Heatmap) Render(w io.Writer) error {
 	lo, hi := h.Lo, h.Hi
 	if hi <= lo {
 		lo, hi = h.autoRange()
 	}
-	if h.Title != "" {
-		if _, err := fmt.Fprintf(w, "%s\n%s\n", h.Title, strings.Repeat("=", len(h.Title))); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "cols: %s | rows: %s | shade '%s' spans [%.3f, %.3f], darker = higher\n",
-		h.ColLabel, h.RowLabel, shades, lo, hi); err != nil {
-		return err
-	}
 	rowW := 0
 	for _, n := range h.RowNames {
-		if len(n) > rowW {
-			rowW = len(n)
-		}
+		rowW = max(rowW, len(n))
 	}
-	var head strings.Builder
-	head.WriteString(strings.Repeat(" ", rowW+1))
+	b := make([]byte, 0, 4096) // the largest artifact heatmap, 17×11 annotated, is 2.1 KB
+	b = appendTitle(b, h.Title)
+	b = append(b, "cols: "...)
+	b = append(b, h.ColLabel...)
+	b = append(b, " | rows: "...)
+	b = append(b, h.RowLabel...)
+	b = append(b, " | shade '"+shades+"' spans ["...)
+	b = appendFixed(b, lo, 3)
+	b = append(b, ", "...)
+	b = appendFixed(b, hi, 3)
+	b = append(b, "], darker = higher\n"...)
+	b = appendRepeat(b, ' ', rowW+1)
 	for _, c := range h.ColNames {
-		head.WriteString(fmt.Sprintf("%2s ", c))
+		b = append(appendPadded(b, c, 2), ' ')
 	}
-	if _, err := fmt.Fprintln(w, head.String()); err != nil {
-		return err
-	}
+	b = append(b, '\n')
 	for i, row := range h.Values {
-		var b strings.Builder
-		name := ""
-		if i < len(h.RowNames) {
-			name = h.RowNames[i]
-		}
-		b.WriteString(fmt.Sprintf("%*s ", rowW, name))
+		b = append(appendPadded(b, h.rowName(i), rowW), ' ')
 		for _, v := range row {
 			s := Shade(v, lo, hi)
-			b.WriteByte(' ')
-			b.WriteByte(s)
-			b.WriteByte(s)
+			b = append(b, ' ', s, s)
 		}
-		if _, err := fmt.Fprintln(w, b.String()); err != nil {
-			return err
+		b = append(b, '\n')
+	}
+	if h.Annotate {
+		b = append(b, "values:\n"...)
+		for i, row := range h.Values {
+			b = append(appendPadded(b, h.rowName(i), rowW), ' ')
+			for _, v := range row {
+				b = appendFixed(append(b, ' '), v, 3)
+			}
+			b = append(b, '\n')
 		}
 	}
-	if !h.Annotate {
-		return nil
+	_, err := w.Write(b)
+	return err
+}
+
+// rowName labels row i; rows past RowNames are unlabelled.
+func (h *Heatmap) rowName(i int) string {
+	if i < len(h.RowNames) {
+		return h.RowNames[i]
 	}
-	if _, err := fmt.Fprintln(w, "values:"); err != nil {
-		return err
-	}
-	for i, row := range h.Values {
-		var b strings.Builder
-		name := ""
-		if i < len(h.RowNames) {
-			name = h.RowNames[i]
-		}
-		b.WriteString(fmt.Sprintf("%*s ", rowW, name))
-		for _, v := range row {
-			b.WriteString(fmt.Sprintf(" %.3f", v))
-		}
-		if _, err := fmt.Fprintln(w, b.String()); err != nil {
-			return err
-		}
-	}
-	return nil
+	return ""
 }
 
 func (h *Heatmap) autoRange() (lo, hi float64) {
@@ -239,7 +290,7 @@ func (l *LineSeries) Render(w io.Writer) error {
 	tbl := Table{Title: l.Title}
 	tbl.Headers = append([]string{l.XLabel}, l.Names...)
 	for xi, x := range l.XVals {
-		row := []string{fmt.Sprintf("%d", x)}
+		row := []string{strconv.Itoa(x)}
 		for si := range l.Series {
 			row = append(row, Rate(l.Series[si][xi]))
 		}
@@ -266,26 +317,21 @@ func (l *LineSeries) Render(w io.Writer) error {
 			}
 		}
 	}
-	if _, err := fmt.Fprintf(w, "sketch (darker = higher miss rate, range [%.3f, %.3f]):\n", lo, hi); err != nil {
-		return err
-	}
+	b := append(make([]byte, 0, 64+len(l.Names)*64), "sketch (darker = higher miss rate, range ["...)
+	b = append(appendFixed(b, lo, 3), ", "...)
+	b = append(appendFixed(b, hi, 3), "]):\n"...)
 	nameW := 0
 	for _, n := range l.Names {
-		if len(n) > nameW {
-			nameW = len(n)
-		}
+		nameW = max(nameW, len(n))
 	}
 	for si, name := range l.Names {
-		var b strings.Builder
-		b.WriteString(fmt.Sprintf("%*s ", nameW, name))
+		b = append(appendPadded(b, name, nameW), ' ')
 		for xi := range l.XVals {
 			s := Shade(l.Series[si][xi], lo, hi)
-			b.WriteByte(s)
-			b.WriteByte(s)
+			b = append(b, s, s)
 		}
-		if _, err := fmt.Fprintln(w, b.String()); err != nil {
-			return err
-		}
+		b = append(b, '\n')
 	}
-	return nil
+	_, err := w.Write(b)
+	return err
 }

@@ -156,11 +156,11 @@ type Record struct {
 	Spec  string `json:"spec,omitempty"`
 	Error string `json:"error,omitempty"`
 	// Summary fields.
-	Events    int64       `json:"events,omitempty"`
-	Inputs    int         `json:"inputs,omitempty"`
-	Dropped   int         `json:"dropped,omitempty"`
-	ElapsedMS int64       `json:"elapsed_ms,omitempty"`
-	Mem       *MemMetrics `json:"mem,omitempty"`
+	Events    int64         `json:"events,omitempty"`
+	Inputs    int           `json:"inputs,omitempty"`
+	Dropped   int           `json:"dropped,omitempty"`
+	ElapsedMS int64         `json:"elapsed_ms,omitempty"`
+	Mem       *sim.MemStats `json:"mem,omitempty"`
 }
 
 // ErrorResponse is the structured body of every non-streaming failure
@@ -507,14 +507,13 @@ func (s *Server) stream(w http.ResponseWriter, g *sched.Group, ids []string, ctx
 	s.mem.Add(&suite.Mem)
 	s.memMu.Unlock()
 	s.completed.Add(1)
-	mem := memMetrics(suite.Mem)
 	emit(Record{
 		Type:      "summary",
 		Events:    suite.TotalEvents(),
 		Inputs:    len(suite.Inputs),
 		Dropped:   len(suite.Dropped),
 		ElapsedMS: time.Since(start).Milliseconds(),
-		Mem:       &mem,
+		Mem:       &suite.Mem,
 	})
 }
 

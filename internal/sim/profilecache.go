@@ -2,22 +2,23 @@ package sim
 
 import (
 	"sync"
+	"unsafe"
 
-	"btr/internal/core"
 	"btr/internal/trace"
 )
 
 // DefaultProfileCacheBytes is NewProfileCache's budget. Entries are
-// O(sites) plus the 32 KiB Miss matrix — under 40 KB for each registry
-// input at any scale — so the budget holds many suites' worth; it
-// bounds a process that runs an unbounded stream of distinct inputs.
+// O(sites) plus the 32 KiB Miss matrix and the 2 KiB distribution —
+// under 42 KB for each registry input at any scale — so the budget
+// holds many suites' worth; it bounds a process that runs an unbounded
+// stream of distinct inputs.
 const DefaultProfileCacheBytes = 1 << 28 // 256 MiB
 
 // ProfileCache caches an input's whole result — the InputResult sans
-// Recorded and Mem (profiles, classes, class table, Exec, Miss,
-// hard-distance histogram) — so a later run with a matching key skips
-// the profiling replay and the bank sweep, not just the generator run a
-// trace.Cache hit saves. Keys are the (name, fingerprint, scale, chunk)
+// Recorded and Mem (profiles, classes, class table, distribution, Exec,
+// Miss, hard-distance histogram) — so a later run with a matching key
+// skips the profiling replay and the bank sweep, not just the generator
+// run a trace.Cache hit saves. Keys are the (name, fingerprint, scale, chunk)
 // quadruple of trace.CacheKey — which pins a recording (and therefore
 // every count derived from it) bit for bit — plus the hard-distance
 // window, which sizes the cached histogram. Callers must pass
@@ -36,12 +37,14 @@ const DefaultProfileCacheBytes = 1 << 28 // 256 MiB
 // the trace cache has.
 //
 // Served results share the immutable artifacts (Profiles map, ClassMap,
-// class table, histogram) with every other run of the same key; only
-// the returned InputResult struct itself, Miss included, is a fresh
-// copy. Callers must treat the shared artifacts as read-only — the
-// pipeline does. Eviction never invalidates a served result: the
-// artifacts stay reachable through the result, the cache merely drops
-// its own reference.
+// class table, distribution, Miss matrix, histogram) with every other
+// run of the same key, the run that filled the entry included; only the
+// returned InputResult shell — Spec, counts, Exec and the pointers, not
+// what they point at — is a fresh copy, so a hit copies about a
+// kilobyte whatever the matrix's size. Callers must treat the shared
+// artifacts as read-only — the pipeline does. Eviction never
+// invalidates a served result: the artifacts stay reachable through the
+// result, the cache merely drops its own reference.
 type ProfileCache struct {
 	mu       sync.Mutex
 	entries  map[profileKey]*profileEntry
@@ -70,11 +73,11 @@ type profileEntry struct {
 // estimated footprint of the retained entries; Evicted counts entries
 // dropped to respect the byte budget.
 type ProfileCacheStats struct {
-	Hits          int64
-	Misses        int64
-	Evicted       int64
-	Resident      int
-	ResidentBytes int64
+	Hits          int64 `json:"hits"`
+	Misses        int64 `json:"misses"`
+	Evicted       int64 `json:"evicted"`
+	Resident      int   `json:"resident"`
+	ResidentBytes int64 `json:"resident_bytes"`
 }
 
 // NewProfileCache returns an empty profile cache with the default byte
@@ -95,10 +98,10 @@ func NewProfileCacheBytes(maxBytes int64) *ProfileCache {
 
 // entrySize estimates an entry's heap footprint: the profile and class
 // maps are charged at rough per-entry costs (bucket + key + value
-// struct), the class table and histogram at their size, plus the shell
-// itself, whose Miss matrix is most of it.
+// struct), the class table and histogram at their size, plus the shell,
+// its distribution and the Miss matrix, which is most of it.
 func entrySize(e *profileEntry) int64 {
-	size := int64(256 + 8*int(NumKinds)*NumHistories*core.NumClasses*core.NumClasses)
+	size := int64(256 + unsafe.Sizeof(*e.res.Miss) + unsafe.Sizeof(*e.res.Distribution))
 	if e.res.HardDistances != nil {
 		size += int64(len(e.res.HardDistances.Bins)) * 8
 	}
@@ -110,8 +113,9 @@ func entrySize(e *profileEntry) int64 {
 	return size
 }
 
-// get returns a copy of the cached result for key, with Recorded nil
-// and Mem zero — the caller supplies the recording and its counters.
+// get returns a copy of the cached result's shell for key, with
+// Recorded nil and Mem zero — the caller supplies the recording and its
+// counters. The copy points at the entry's artifacts, Miss included.
 func (c *ProfileCache) get(key trace.CacheKey, window int) (*InputResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -123,7 +127,7 @@ func (c *ProfileCache) get(key trace.CacheKey, window int) (*InputResult, bool) 
 	c.stats.Hits++
 	c.tick++
 	e.used = c.tick
-	res := e.res // struct copy: private Miss, shared pass-1 artifacts
+	res := e.res // shell copy: private Recorded and Mem, shared artifacts
 	return &res, true
 }
 

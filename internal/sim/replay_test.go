@@ -40,7 +40,7 @@ func TestReplayMatchesRegenerate(t *testing.T) {
 			if replay.Exec != direct.Exec {
 				t.Fatal("Exec attribution diverged")
 			}
-			if replay.Miss != direct.Miss {
+			if *replay.Miss != *direct.Miss {
 				for kind := Kind(0); kind < NumKinds; kind++ {
 					for k := 0; k < NumHistories; k++ {
 						if replay.Miss[kind][k] != direct.Miss[kind][k] {
@@ -70,7 +70,7 @@ func TestReplayBankWorkerCountIrrelevant(t *testing.T) {
 	base := RunInput(spec, Config{Scale: testScale, Workers: 1})
 	for _, workers := range []int{2, 7, int(NumKinds) * NumHistories} {
 		got := RunInput(spec, Config{Scale: testScale, Workers: workers})
-		if got.Miss != base.Miss || got.Exec != base.Exec {
+		if *got.Miss != *base.Miss || got.Exec != base.Exec {
 			t.Fatalf("Workers=%d changed results", workers)
 		}
 	}
@@ -87,7 +87,7 @@ func TestReplayChunkSizeIrrelevant(t *testing.T) {
 		oracle := RunInput(spec, Config{Scale: testScale, NoRecord: true})
 		for _, chunk := range []int{64, 1000, 1 << 20} {
 			got := RunInput(spec, Config{Scale: testScale, ChunkEvents: chunk})
-			if got.Miss != oracle.Miss || got.Exec != oracle.Exec {
+			if *got.Miss != *oracle.Miss || got.Exec != oracle.Exec {
 				t.Fatalf("%s: ChunkEvents=%d diverged from the NoRecord oracle", spec.Name(), chunk)
 			}
 			if !reflect.DeepEqual(got.HardDistances.Bins, oracle.HardDistances.Bins) {

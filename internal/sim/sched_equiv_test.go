@@ -57,8 +57,11 @@ func assertSuitesEqual(t *testing.T, label string, want, got *SuiteResult) {
 		if w.Exec != g.Exec {
 			t.Fatalf("%s/%s: Exec attribution diverged", label, w.Spec.Name())
 		}
-		if w.Miss != g.Miss {
+		if *w.Miss != *g.Miss {
 			t.Fatalf("%s/%s: Miss counts diverged", label, w.Spec.Name())
+		}
+		if *w.Distribution != *g.Distribution {
+			t.Fatalf("%s/%s: distributions diverged", label, w.Spec.Name())
 		}
 		if !reflect.DeepEqual(w.HardDistances.Bins, g.HardDistances.Bins) {
 			t.Fatalf("%s/%s: hard distances diverged", label, w.Spec.Name())
@@ -86,7 +89,7 @@ func TestScheduledSingleInputManyWorkers(t *testing.T) {
 		t.Fatalf("inputs %d", len(suite.Inputs))
 	}
 	got := suite.Inputs[0]
-	if got.Exec != direct.Exec || got.Miss != direct.Miss {
+	if got.Exec != direct.Exec || *got.Miss != *direct.Miss {
 		t.Fatal("single-input scheduled run diverged from RunInput")
 	}
 }

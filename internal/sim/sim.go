@@ -232,11 +232,17 @@ type InputResult struct {
 	// instead of the map. Shared read-only.
 	Table *core.ClassTable
 
+	// Distribution is the input's Table 2 distribution, computed once
+	// from Profiles in pass 1 so aggregation sums cells instead of
+	// walking the map. Shared read-only.
+	Distribution *core.Distribution
+
 	// Exec attributes every dynamic execution to its branch's joint class.
 	Exec JointCounts
 	// Miss[kind][k] attributes mispredictions of predictor kind with
-	// history length k to joint classes.
-	Miss [NumKinds][NumHistories]JointCounts
+	// history length k to joint classes. The sweep fills it once; then
+	// it is shared read-only, with every profile-cache hit on the input.
+	Miss *[NumKinds][NumHistories]JointCounts
 
 	// HardDistances histograms the dynamic-branch distance between
 	// consecutive executions of hard (5/5) branches: bins 1..window,
@@ -261,26 +267,26 @@ type InputResult struct {
 type MemStats struct {
 	// RecordedBytes is the recording's full encoded footprint (what
 	// retaining it all would cost).
-	RecordedBytes int64
+	RecordedBytes int64 `json:"recorded_bytes"`
 	// ResidentPeak is the high-water mark of the recording's resident
 	// chunk columns (== RecordedBytes when fully retained).
-	ResidentPeak int64
+	ResidentPeak int64 `json:"resident_peak"`
 	// PageIns counts chunks re-read from the spill file.
-	PageIns int64
+	PageIns int64 `json:"page_ins"`
 	// DecodedHits / DecodedRedecodes / DecodedEvicted / DecodedPeak are
 	// the sweep's chunk-window counters (see trace.WindowStats):
 	// checkouts served by a resident chunk, decodes beyond one per chunk
 	// (0 by construction of the window), chunks dropped after their last
 	// chain passed them, and the resident decoded high-water mark.
-	DecodedHits      int64
-	DecodedRedecodes int64
-	DecodedEvicted   int64
-	DecodedPeak      int64
+	DecodedHits      int64 `json:"decoded_hits"`
+	DecodedRedecodes int64 `json:"decoded_redecodes"`
+	DecodedEvicted   int64 `json:"decoded_evicted"`
+	DecodedPeak      int64 `json:"decoded_peak"`
 	// PrefetchHits and PrefetchWasted are always 0. They described the
 	// read-ahead prefetcher the decode-once window replaced, and stay so
-	// reports that read them keep working.
-	PrefetchHits   int64
-	PrefetchWasted int64
+	// reports that read them keep working; they are not on the wire.
+	PrefetchHits   int64 `json:"-"`
+	PrefetchWasted int64 `json:"-"`
 }
 
 // Add accumulates other into m: counters sum, peaks take the max (the
@@ -425,13 +431,10 @@ func streamRecord(spec workload.Spec, cfg Config, profiler *core.Profiler) (*tra
 // core.ClassTable stores classes.
 const hardIdx = 5*core.NumClasses + 5
 
-// passOne profiles, records and classifies one input. Exec is each
-// site's execution count summed into its joint class, so it needs no
-// pass over the trace; the hard distances, which need event order, are
-// still empty — the sweep's hard chain fills them.
-func passOne(spec workload.Spec, cfg Config) *InputResult {
-	profiler, recorded := profileRecorded(spec, cfg)
-	classes := core.Classify(profiler.Profiles())
+// newInputResult is the pass-1 part of an input's result: the profiles,
+// their classes and distribution, and an empty miss matrix and
+// histogram for pass 2 to fill.
+func newInputResult(spec workload.Spec, profiler *core.Profiler, classes core.ClassMap, cfg Config) *InputResult {
 	res := &InputResult{
 		Spec:          spec,
 		Events:        profiler.Events(),
@@ -439,9 +442,23 @@ func passOne(spec workload.Spec, cfg Config) *InputResult {
 		Profiles:      profiler.Profiles(),
 		Classes:       classes,
 		Table:         core.NewClassTable(classes),
+		Distribution:  new(core.Distribution),
+		Miss:          new([NumKinds][NumHistories]JointCounts),
 		HardDistances: stats.NewHistogram(cfg.window() + 1),
-		Recorded:      recorded,
 	}
+	res.Distribution.AddProfiles(res.Profiles)
+	return res
+}
+
+// passOne profiles, records and classifies one input. Exec is each
+// site's execution count summed into its joint class, so it needs no
+// pass over the trace; the hard distances, which need event order, are
+// still empty — the sweep's hard chain fills them.
+func passOne(spec workload.Spec, cfg Config) *InputResult {
+	profiler, recorded := profileRecorded(spec, cfg)
+	classes := core.Classify(profiler.Profiles())
+	res := newInputResult(spec, profiler, classes, cfg)
+	res.Recorded = recorded
 	for pc, p := range res.Profiles {
 		ci := classOf(res.Table, pc)
 		res.Exec[ci/core.NumClasses][ci%core.NumClasses] += p.Execs
@@ -577,16 +594,7 @@ func sweepDecodedChunk(p bpred.ChunkSweeper, d *trace.DecodedChunk, table *core.
 // (see TestReplayMatchesRegenerate and TestScheduledMatchesLegacy).
 func runInputRegenerate(spec workload.Spec, cfg Config) *InputResult {
 	profiler, classes := ProfileInput(spec, cfg.Scale)
-
-	res := &InputResult{
-		Spec:          spec,
-		Events:        profiler.Events(),
-		Sites:         profiler.Sites(),
-		Profiles:      profiler.Profiles(),
-		Classes:       classes,
-		Table:         core.NewClassTable(classes),
-		HardDistances: stats.NewHistogram(cfg.window() + 1),
-	}
+	res := newInputResult(spec, profiler, classes, cfg)
 
 	// Build the predictor bank: PAs(k) and GAs(k), k = 0..MaxHistory.
 	var pas [NumHistories]*bpred.PAs

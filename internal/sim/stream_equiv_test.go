@@ -159,7 +159,7 @@ func TestProfileCacheEviction(t *testing.T) {
 	if pc.Stats().Misses == misses {
 		t.Fatal("rerun of the evicted input should have missed the profile cache")
 	}
-	if first.Exec != again.Exec || first.Miss != again.Miss {
+	if first.Exec != again.Exec || *first.Miss != *again.Miss {
 		t.Fatal("recomputed result diverged from the original")
 	}
 

@@ -426,7 +426,7 @@ func aggregate(results []*InputResult, specs []workload.Spec, errs []error, cfg 
 			continue
 		}
 		suite.Inputs = append(suite.Inputs, r)
-		suite.Distribution.AddProfiles(r.Profiles)
+		suite.Distribution.Add(r.Distribution)
 		suite.Exec.Add(&r.Exec)
 		suite.Mem.Add(&r.Mem)
 		for kind := Kind(0); kind < NumKinds; kind++ {

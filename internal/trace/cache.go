@@ -65,15 +65,15 @@ func (k CacheKey) Normalised() CacheKey {
 // CacheStats counts cache traffic; all cumulative except the Resident
 // pair, which snapshot current occupancy.
 type CacheStats struct {
-	Hits          int64 // Gets served, from memory or disk
-	Misses        int64 // Gets that found nothing
-	Loads         int64 // hits that re-read a spill file
-	Spills        int64 // traces written to the spill directory
-	SpillFailures int64 // spill writes that failed (persistence lost, memory reuse kept)
-	Evicted       int64 // entries whose columns were released from memory
-	Quarantined   int64 // corrupt spill files renamed aside (entry dropped, caller re-records)
-	Resident      int   // entries currently holding columns in memory
-	ResidentBytes int64 // bytes of resident columns
+	Hits          int64 `json:"hits"`           // Gets served, from memory or disk
+	Misses        int64 `json:"misses"`         // Gets that found nothing
+	Loads         int64 `json:"loads"`          // hits that re-read a spill file
+	Spills        int64 `json:"spills"`         // traces written to the spill directory
+	SpillFailures int64 `json:"spill_failures"` // spill writes that failed (persistence lost, memory reuse kept)
+	Evicted       int64 `json:"evicted"`        // entries whose columns were released from memory
+	Quarantined   int64 `json:"quarantined"`    // corrupt spill files renamed aside (entry dropped, caller re-records)
+	Resident      int   `json:"resident"`       // entries currently holding columns in memory
+	ResidentBytes int64 `json:"resident_bytes"` // bytes of resident columns
 }
 
 // Cache is safe for concurrent use.

@@ -19,7 +19,9 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"btr/internal/rng"
 	"btr/internal/trace"
@@ -156,19 +158,27 @@ func NewSpec(bench, input string, target int64, seed uint64, run func(t *T, r *r
 	return Spec{Bench: bench, Input: input, Target: target, Seed: seed, run: run}
 }
 
-// Suite returns every benchmark/input spec, in Table 1 order (benchmarks
-// alphabetical, inputs in the paper's listed order).
-func Suite() []Spec {
+// registry builds the spec table once, for Suite and Find, which run
+// per request. Callers must not modify the slice.
+var registry = sync.OnceValues(func() ([]Spec, map[[2]string]Spec) {
 	var specs []Spec
-	specs = append(specs, compressSpecs()...)
-	specs = append(specs, gccSpecs()...)
-	specs = append(specs, goSpecs()...)
-	specs = append(specs, ijpegSpecs()...)
-	specs = append(specs, lispSpecs()...)
-	specs = append(specs, m88kSpecs()...)
-	specs = append(specs, perlSpecs()...)
-	specs = append(specs, vortexSpecs()...)
-	return specs
+	for _, b := range [][]Spec{compressSpecs(), gccSpecs(), goSpecs(), ijpegSpecs(),
+		lispSpecs(), m88kSpecs(), perlSpecs(), vortexSpecs()} {
+		specs = append(specs, b...)
+	}
+	byName := make(map[[2]string]Spec, len(specs)) // {bench, input}
+	for _, s := range specs {
+		byName[[2]string{s.Bench, s.Input}] = s
+	}
+	return specs, byName
+})
+
+// Suite returns every benchmark/input spec, in Table 1 order (benchmarks
+// alphabetical, inputs in the paper's listed order). The slice is the
+// caller's own copy.
+func Suite() []Spec {
+	specs, _ := registry()
+	return slices.Clone(specs)
 }
 
 // Benchmarks returns the distinct benchmark names in Table 1 order.
@@ -186,10 +196,9 @@ func Benchmarks() []string {
 
 // Find returns the spec named bench/input.
 func Find(bench, input string) (Spec, error) {
-	for _, s := range Suite() {
-		if s.Bench == bench && s.Input == input {
-			return s, nil
-		}
+	_, byName := registry()
+	if s, ok := byName[[2]string{bench, input}]; ok {
+		return s, nil
 	}
 	return Spec{}, fmt.Errorf("workload: no spec %s/%s", bench, input)
 }

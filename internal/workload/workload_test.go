@@ -69,6 +69,36 @@ func TestFind(t *testing.T) {
 	}
 }
 
+// TestSuiteReturnsACopy: the registry is built once and shared, so a
+// caller that re-seeds or reorders the slice Suite returned (perfbench
+// re-seeds every spec) must not change what later Suite and Find calls
+// see.
+func TestSuiteReturnsACopy(t *testing.T) {
+	want := Suite()
+	mutated := Suite()
+	for i := range mutated {
+		mutated[i].Seed ^= 0x5eed
+		mutated[i].Input = "changed"
+	}
+	mutated[0], mutated[1] = mutated[1], mutated[0]
+	got := Suite()
+	if len(got) != len(want) {
+		t.Fatalf("Suite has %d specs after mutation, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Name() != want[i].Name() || got[i].Seed != want[i].Seed || got[i].Target != want[i].Target {
+			t.Fatalf("Suite()[%d] = %s seed %d, want %s seed %d", i, got[i].Name(), got[i].Seed, want[i].Name(), want[i].Seed)
+		}
+		s, err := Find(want[i].Bench, want[i].Input)
+		if err != nil || s.Seed != want[i].Seed || s.Fingerprint() != want[i].Fingerprint() {
+			t.Fatalf("Find(%s) = %+v, %v after mutation, want seed %d", want[i].Name(), s, err, want[i].Seed)
+		}
+	}
+	if _, err := Find(want[0].Bench, "changed"); err == nil {
+		t.Fatal("Find resolved a name that only a mutated copy holds")
+	}
+}
+
 func TestEveryWorkloadRunsAndMeetsTarget(t *testing.T) {
 	for _, spec := range Suite() {
 		spec := spec
