@@ -201,23 +201,13 @@ func BenchmarkAblationRows(b *testing.B) {
 	}
 }
 
-// BenchmarkSuiteSweepRegenerate measures the original pipeline — the
-// generator re-runs for pass 2 and the bank is driven serially — as the
-// baseline the replay engine is compared against. Scale 1.0 is the
-// registry-default input sizing, so the measurement reflects the
-// pipeline as experiments actually run it.
-func BenchmarkSuiteSweepRegenerate(b *testing.B) {
-	benchSweep(b, SimConfig{Scale: 1.0, NoRecord: true})
-}
-
-// BenchmarkSuiteSweepScheduled measures the recorded pipeline on the
-// same input (RunSuite, and RunInput, run nothing else): the profile
+// BenchmarkSuiteSweepScheduled measures the recorded pipeline on gcc's
+// genoutput.i (RunSuite, and RunInput, run nothing else): the profile
 // task fans its 34-slot bank sweep out as 33 per-slot chains (PAs(0) is
 // GAs(0)) of one-chunk tasks over a decode-once chunk window, so even
 // this single-input suite fills every core and never decodes the trace
-// twice. It must beat BenchmarkSuiteSweepRegenerate wall-clock. It
-// reports bytes and allocations per op: the chains' tables come from
-// the predictor pools.
+// twice. It reports bytes and allocations per op: the chains' tables
+// come from the predictor pools.
 func BenchmarkSuiteSweepScheduled(b *testing.B) {
 	b.ReportAllocs()
 	benchSweepSuite(b, SimConfig{Scale: 1.0})
@@ -332,20 +322,6 @@ func benchSingleInput(b *testing.B, cfg SimConfig) {
 	for i := 0; i < b.N; i++ {
 		suite := RunSuite(specs, cfg)
 		events += suite.TotalEvents()
-	}
-	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-}
-
-func benchSweep(b *testing.B, cfg SimConfig) {
-	spec, err := FindWorkload("gcc", "genoutput.i")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var events int64
-	for i := 0; i < b.N; i++ {
-		res := RunInput(spec, cfg)
-		events += res.Events
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }

@@ -215,10 +215,8 @@ func RunInput(spec WorkloadSpec, cfg SimConfig) *InputResult {
 
 // RunSuite runs the two-pass pipeline over the given specs and aggregates
 // (dynamic-occurrence weighted) exactly as the paper reports. Every input
-// runs as tasks on one work-stealing scheduler — the recorded 34-slot
-// sweep as 33 per-slot chains of one-chunk tasks (PAs(0) is GAs(0)), or
-// under cfg.NoRecord
-// the regenerating pipeline as one task — bit-identically either way.
+// runs as tasks on one work-stealing scheduler: the recorded 34-slot
+// sweep as 33 per-slot chains of one-chunk tasks (PAs(0) is GAs(0)).
 func RunSuite(specs []WorkloadSpec, cfg SimConfig) *SuiteResult {
 	return sim.RunSuite(specs, cfg)
 }

@@ -10,7 +10,7 @@
 // Each benchmark line contributes one record with its name, worker
 // count (the -N GOMAXPROCS suffix Go appends), ns/op, and any custom
 // metrics such as events/op, so -count 5 keeps five records per
-// benchmark: every sample, for benchtrend's median and spread.
+// benchmark: every sample, which benchtrend pairs round by round.
 // Non-benchmark lines (goos/goarch/cpu headers, PASS trailers) annotate
 // or are skipped.
 package main

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	brexp [-scale 1.0] [-workers N] [-out results] [-run all|T1,F13,...]
-//	      [-chunk N] [-norecord] [-cachedir dir]
+//	      [-chunk N] [-cachedir dir]
 //	      [-membudget bytes] [-decodedbudget bytes]
 //
 // Each experiment is written to <out>/<id>.txt; -list shows the catalog.
@@ -26,7 +26,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "workload scale; 1.0 = Table 1 counts /1000")
 	workers := flag.Int("workers", 0, "scheduler workers (0 = GOMAXPROCS)")
 	chunk := flag.Int("chunk", 0, "recorded-trace chunk size in events (0 = default)")
-	noRecord := flag.Bool("norecord", false, "regenerate workloads per pass instead of record/replay (slower, lower memory)")
 	memBudget := flag.Int64("membudget", 0, "stream each recording to a BTR2 spill file during pass 1, keeping at most about this many resident bytes per input; replays page the rest back in (0 = retain recordings whole)")
 	decodedBudget := flag.Int64("decodedbudget", 0, "byte budget for each input's decode-once chunk window during the bank sweep: every chunk is decoded once and dropped when the last sweep chain passes it, and at most max(2, budget/decoded-chunk bytes) chunks are admitted ahead of the slowest chain (0 = admit the whole recording, negative = one chunk at a time)")
 	cachedir := flag.String("cachedir", "", "spill recorded traces to BTR2 files here and reuse them across runs (filenames carry the workload-registry fingerprint, so a dir written by older workloads self-invalidates)")
@@ -63,7 +62,6 @@ func main() {
 		Scale:         *scale,
 		Workers:       *workers,
 		ChunkEvents:   *chunk,
-		NoRecord:      *noRecord,
 		MemBudget:     *memBudget,
 		DecodedBudget: *decodedBudget,
 	}

@@ -57,7 +57,7 @@ func main() {
 	}
 
 	estimators := []conf.Estimator{
-		conf.NewClassStatic(classes, missRate, 0.08),
+		conf.NewClassStaticTable(core.NewClassTable(classes), missRate, 0.08),
 		conf.NewOneLevel(12, 15, 8),
 		conf.NewTwoLevel(12, 10, 15, 8),
 	}

@@ -75,22 +75,6 @@ func (b *BiMode) Update(pc uint64, taken bool) {
 	}
 }
 
-// PredictUpdate implements PredictUpdater: the bank choice and the bank
-// index are computed once, and the bank counter is loaded once.
-func (b *BiMode) PredictUpdate(pc uint64, taken bool) bool {
-	idx := b.index(pc)
-	predicted := b.banks.PredictUpdate(idx, taken)
-	choiceAgrees := (idx>>uint(b.phtBits) == 1) == taken
-	if !(predicted == taken && !choiceAgrees) {
-		b.choice.Update(pcIndex(pc), taken)
-	}
-	b.ghr <<= 1
-	if taken {
-		b.ghr |= 1
-	}
-	return predicted
-}
-
 // SweepChunk implements ChunkSweeper in the shape of GAs.SweepChunk: the
 // choice counter's bit is the bank's index bit, and the choice trains
 // through a store masked by the partial-update rule.
@@ -224,32 +208,6 @@ func (y *YAGS) Update(pc uint64, taken bool) {
 	}
 }
 
-// PredictUpdate implements PredictUpdater: the bias, cache slot and tag
-// are computed once for the prediction and the training.
-func (y *YAGS) PredictUpdate(pc uint64, taken bool) bool {
-	ci := pcIndex(pc)
-	bias := y.choice.Predict(ci)
-	i := y.entry(pc, bias)
-	tag := y.tag(pc)
-	hit := y.tags[i] == tag
-	predicted := bias
-	if hit {
-		predicted = y.counters[i].Predict()
-		y.counters[i] = y.counters[i].Update(taken)
-	} else if taken != bias {
-		y.tags[i] = tag
-		y.counters[i] = Counter2(1).Update(taken)
-	}
-	if !(hit && y.counters[i].Predict() == taken && bias != taken) {
-		y.choice.Update(ci, taken)
-	}
-	y.ghr <<= 1
-	if taken {
-		y.ghr |= 1
-	}
-	return predicted
-}
-
 // SweepChunk implements ChunkSweeper in the shape of GAs.SweepChunk. A
 // tag hit or an allocation, the rare exception-cache traffic, is a
 // branch; the choice trains through a store masked by the
@@ -360,18 +318,6 @@ func (f *Filter) Update(pc uint64, taken bool) {
 		f.dynamic.p.Update(pc, taken)
 	}
 	f.run(i, taken)
-}
-
-// PredictUpdate implements PredictUpdater: a filtered branch predicts
-// its run direction; any other steps the dynamic predictor once.
-func (f *Filter) PredictUpdate(pc uint64, taken bool) bool {
-	i := f.slot(pc)
-	predicted := f.dirs[i] == 1
-	if f.counts[i] < f.threshold {
-		predicted = f.dynamic.step(pc, taken)
-	}
-	f.run(i, taken)
-	return predicted
 }
 
 // SweepChunk implements ChunkSweeper. Over a gshare it runs in the shape
@@ -506,20 +452,6 @@ func (g *GSkew) Update(pc uint64, taken bool) {
 	if taken {
 		g.ghr |= 1
 	}
-}
-
-// PredictUpdate implements PredictUpdater: each bank's counter is read
-// for the vote and trained in one step.
-func (g *GSkew) PredictUpdate(pc uint64, taken bool) bool {
-	i0, i1, i2 := g.skews(pc)
-	v0 := g.banks[0].PredictUpdate(i0, taken)
-	v1 := g.banks[1].PredictUpdate(i1, taken)
-	v2 := g.banks[2].PredictUpdate(i2, taken)
-	g.ghr <<= 1
-	if taken {
-		g.ghr |= 1
-	}
-	return majority(v0, v1, v2)
 }
 
 // SweepChunk implements ChunkSweeper in the shape of GAs.SweepChunk; the

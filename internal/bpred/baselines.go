@@ -23,9 +23,6 @@ func (AlwaysTaken) Predict(pc uint64) bool { return true }
 // Update implements Predictor.
 func (AlwaysTaken) Update(pc uint64, taken bool) {}
 
-// PredictUpdate implements PredictUpdater.
-func (AlwaysTaken) PredictUpdate(pc uint64, taken bool) bool { return true }
-
 // SizeBits implements Predictor.
 func (AlwaysTaken) SizeBits() int64 { return 0 }
 
@@ -82,9 +79,6 @@ func (s *StaticBias) Predict(pc uint64) bool {
 // Update implements Predictor.
 func (s *StaticBias) Update(pc uint64, taken bool) {}
 
-// PredictUpdate implements PredictUpdater.
-func (s *StaticBias) PredictUpdate(pc uint64, taken bool) bool { return s.Predict(pc) }
-
 // SweepChunk implements ChunkSweeper with the shape of GAs.SweepChunk:
 // each dirs word read once, the miss bit prediction^t collected in a
 // register and OR-ed into wrong once per 64 events.
@@ -135,15 +129,6 @@ func (l *LastTime) Predict(pc uint64) bool { return l.bits[pcIndex(pc)&l.mask] =
 // Update implements Predictor.
 func (l *LastTime) Update(pc uint64, taken bool) { l.bits[pcIndex(pc)&l.mask] = uint8(bit(taken)) }
 
-// PredictUpdate implements PredictUpdater: one table index for the fused
-// predict-then-update step.
-func (l *LastTime) PredictUpdate(pc uint64, taken bool) bool {
-	i := pcIndex(pc) & l.mask
-	predicted := l.bits[i] == 1
-	l.bits[i] = uint8(bit(taken))
-	return predicted
-}
-
 // SweepChunk implements ChunkSweeper with the shape of GAs.SweepChunk.
 func (l *LastTime) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
 	last, mask := l.bits, l.mask
@@ -186,11 +171,6 @@ func (b *Bimodal) Predict(pc uint64) bool { return b.pht.Predict(pcIndex(pc)) }
 
 // Update implements Predictor.
 func (b *Bimodal) Update(pc uint64, taken bool) { b.pht.Update(pcIndex(pc), taken) }
-
-// PredictUpdate implements PredictUpdater.
-func (b *Bimodal) PredictUpdate(pc uint64, taken bool) bool {
-	return b.pht.PredictUpdate(pcIndex(pc), taken)
-}
 
 // SweepChunk implements ChunkSweeper with the shape of GAs.SweepChunk.
 func (b *Bimodal) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
@@ -263,17 +243,6 @@ func (g *GShare) Update(pc uint64, taken bool) {
 	if taken {
 		g.ghr |= 1
 	}
-}
-
-// PredictUpdate implements PredictUpdater: the XORed index is computed
-// once for the fused predict-then-update step.
-func (g *GShare) PredictUpdate(pc uint64, taken bool) bool {
-	predicted := g.pht.PredictUpdate(g.index(pc), taken)
-	g.ghr <<= 1
-	if taken {
-		g.ghr |= 1
-	}
-	return predicted
 }
 
 // SweepChunk implements ChunkSweeper with the shape of GAs.SweepChunk;
@@ -366,28 +335,6 @@ func (a *Agree) Update(pc uint64, taken bool) {
 	}
 }
 
-// PredictUpdate implements PredictUpdater. The prediction uses the
-// pre-update bias/seen state, exactly as a Predict-then-Update pair does;
-// the agreement counter is loaded and stored once.
-func (a *Agree) PredictUpdate(pc uint64, taken bool) bool {
-	i := pcIndex(pc) & a.biasMask
-	// An unseen branch predicts against a taken bias and trains against
-	// its first outcome, which becomes its bias.
-	predBias, trainBias := true, taken
-	if a.bias[i] != 0 {
-		predBias = a.bias[i]&1 == 1
-		trainBias = predBias
-	} else {
-		a.bias[i] = 2 | uint8(bit(taken))
-	}
-	agree := a.inner.pht.PredictUpdate(a.inner.index(pc), taken == trainBias)
-	a.inner.ghr <<= 1
-	if taken {
-		a.inner.ghr |= 1
-	}
-	return agree == predBias
-}
-
 // SweepChunk implements ChunkSweeper with the shape of GAs.SweepChunk.
 // The bias entry s is read as integers: seen = s>>1, the predicting
 // bias is s's bit when seen and 1 otherwise, and the agreement the
@@ -428,19 +375,12 @@ type Tournament struct {
 	name    string
 	a, b    part
 	chooser *CounterTable
-	// fused is set when a and b are distinct default-type components:
-	// each then predicts and trains in one step, which is the same as
-	// predicting both before training either. Other components keep
-	// separate Predict and Update calls.
-	fused bool
 }
 
 // NewTournament combines a and b; the chooser has 2^chooserBits counters.
 // Chooser counter >= 2 selects component a.
 func NewTournament(name string, a, b Predictor, chooserBits int) *Tournament {
-	t := &Tournament{name: name, a: newPart(a), b: newPart(b), chooser: NewCounterTable(chooserBits)}
-	t.fused = t.a.concrete() && t.b.concrete() && a != b
-	return t
+	return &Tournament{name: name, a: newPart(a), b: newPart(b), chooser: NewCounterTable(chooserBits)}
 }
 
 // Name implements Predictor.
@@ -464,33 +404,6 @@ func (t *Tournament) Update(pc uint64, taken bool) {
 	}
 	t.a.p.Update(pc, taken)
 	t.b.p.Update(pc, taken)
-}
-
-// PredictUpdate implements PredictUpdater: each component predicts once,
-// serving both the output selection and the chooser training that separate
-// Predict/Update calls would recompute.
-func (t *Tournament) PredictUpdate(pc uint64, taken bool) bool {
-	var aPred, bPred bool
-	if t.fused {
-		aPred = t.a.step(pc, taken)
-		bPred = t.b.step(pc, taken)
-	} else {
-		aPred = t.a.p.Predict(pc)
-		bPred = t.b.p.Predict(pc)
-	}
-	i := pcIndex(pc)
-	predicted := bPred
-	if t.chooser.Predict(i) {
-		predicted = aPred
-	}
-	if (aPred == taken) != (bPred == taken) {
-		t.chooser.Update(i, aPred == taken)
-	}
-	if !t.fused {
-		t.a.p.Update(pc, taken)
-		t.b.p.Update(pc, taken)
-	}
-	return predicted
 }
 
 // SweepChunk implements ChunkSweeper. Over the default pair, a PAs

@@ -270,7 +270,7 @@ func compositeCases(classes core.ClassMap, profiles map[uint64]*core.Profile) []
 }
 
 // TestCompositesMatchReference drives each composite through
-// PredictUpdate and through SweepChunk, over every test stream and chunk
+// Predict+Update and through SweepChunk, over every test stream and chunk
 // lengths around the 64-event word boundary with garbage past each
 // chunk's events and bits preset in wrong, against the reference.
 func TestCompositesMatchReference(t *testing.T) {
@@ -289,10 +289,10 @@ func TestCompositesMatchReference(t *testing.T) {
 			for i, ev := range stream {
 				want[i] = ref.step(ev.pc, ev.taken) != ev.taken
 			}
-			scalar := c.build().(PredictUpdater)
+			scalar := c.build()
 			for i, ev := range stream {
-				if miss := scalar.PredictUpdate(ev.pc, ev.taken) != ev.taken; miss != want[i] {
-					t.Fatalf("%s: PredictUpdate: event %d miss=%v, reference %v", name, i, miss, want[i])
+				if miss := Step(scalar, ev.pc, ev.taken) != ev.taken; miss != want[i] {
+					t.Fatalf("%s: Predict+Update: event %d miss=%v, reference %v", name, i, miss, want[i])
 				}
 			}
 			for _, l := range lengths {

@@ -86,16 +86,6 @@ func (t *CounterTable) Update(index uint64, taken bool) {
 	t.counters[i] = t.counters[i].Update(taken)
 }
 
-// PredictUpdate performs one fused predict-then-update step at index,
-// returning the pre-update prediction. It masks and loads the counter
-// once, where separate Predict/Update calls index the table twice.
-func (t *CounterTable) PredictUpdate(index uint64, taken bool) bool {
-	i := index & t.mask
-	c := t.counters[i]
-	t.counters[i] = c.Update(taken)
-	return c.Predict()
-}
-
 // Counter returns the raw counter value at index (for tests/inspection).
 func (t *CounterTable) Counter(index uint64) Counter2 {
 	return t.counters[index&t.mask]

@@ -101,15 +101,6 @@ func (d *DynamicClassHybrid) Update(pc uint64, taken bool) {
 	d.monitor(e, bit(taken))
 }
 
-// PredictUpdate implements PredictUpdater: one monitor-entry lookup
-// serves the routing, the component's fused step and the monitor update.
-func (d *DynamicClassHybrid) PredictUpdate(pc uint64, taken bool) bool {
-	e := d.entry(pc)
-	predicted := d.parts[e.route].step(pc, taken)
-	d.monitor(e, bit(taken))
-	return predicted
-}
-
 // SweepChunk implements ChunkSweeper. Over the default components it is
 // ClassHybrid.SweepChunk's loop with the route read from the branch's
 // monitor entry, which then takes the outcome bit; any other components

@@ -115,7 +115,7 @@ func TestDynamicHybridWindow(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		pc := uint64(0x400000 + (r.next()%32)*4)
 		taken := r.next()%3 != 0
-		if def.PredictUpdate(pc, taken) != explicit.PredictUpdate(pc, taken) {
+		if Step(def, pc, taken) != Step(explicit, pc, taken) {
 			t.Fatalf("window 0 and window 64 diverge at event %d", i)
 		}
 	}

@@ -169,16 +169,6 @@ func (h *ClassHybrid) Update(pc uint64, taken bool) {
 	}
 }
 
-// PredictUpdate implements PredictUpdater: one steering lookup serves
-// the prediction and the owning component's training.
-func (h *ClassHybrid) PredictUpdate(pc uint64, taken bool) bool {
-	s := h.steerOf(pc)
-	if c := s & compMask; c != compStatic {
-		return h.parts[c].step(pc, taken)
-	}
-	return s&steerTaken != 0
-}
-
 // SweepChunk implements ChunkSweeper. Over the default components, a
 // bimodal bias table, a PAs (k ≥ 1) and a gshare, the owning component
 // steps inline in the shape of GAs.SweepChunk, and a static route's

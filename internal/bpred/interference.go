@@ -90,7 +90,7 @@ func (a *AliasTracker) Stats() AliasStats { return a.stats }
 
 // SweepChunkTracked is SweepChunk that also records every event's
 // counter update in tr, exactly as calling tr.Observe(g.Index(pc), pc,
-// taken) before each PredictUpdate would. It keeps SweepChunk's shape:
+// taken) before each Step would. It keeps SweepChunk's shape:
 // the aliasing test is integer arithmetic on the tracker's last PC and
 // direction byte, and the counts collect in registers.
 func (g *GShare) SweepChunkTracked(pcs, dirs []uint64, n int, wrong []uint64, tr *AliasTracker) {

@@ -87,7 +87,7 @@ func TestIndexExposure(t *testing.T) {
 
 // TestSweepChunkTrackedMatchesObserve: the tracked gshare kernel must
 // leave the same miss bits and alias statistics as Observe on the
-// scalar index before each PredictUpdate, across chunk lengths around
+// scalar index before each Predict+Update step, across chunk lengths around
 // the word boundary.
 func TestSweepChunkTrackedMatchesObserve(t *testing.T) {
 	stream := personalityStream(20000, densePC)
@@ -95,7 +95,7 @@ func TestSweepChunkTrackedMatchesObserve(t *testing.T) {
 	want := make([]bool, len(stream))
 	for i, ev := range stream {
 		str.Observe(scalar.Index(ev.pc), ev.pc, ev.taken)
-		want[i] = scalar.PredictUpdate(ev.pc, ev.taken) != ev.taken
+		want[i] = Step(scalar, ev.pc, ev.taken) != ev.taken
 	}
 	if s := str.Stats(); s.Aliased == 0 || s.Destructive == 0 {
 		t.Fatalf("stream never aliases a 2^12 table: %+v", s)

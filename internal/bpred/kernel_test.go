@@ -8,20 +8,18 @@ import (
 	"btr/internal/workload"
 )
 
-// The PredictUpdater contract: a fused step must be indistinguishable from
-// a Predict-then-Update pair, and the ChunkSweeper contract: a chunk
-// kernel must be indistinguishable from fused steps. Each implementation
-// is driven against a freshly-built twin over the same streams, comparing
-// every prediction.
+// The ChunkSweeper contract: a chunk kernel must be indistinguishable
+// from Predict-then-Update steps. Each implementation is driven against a
+// freshly-built twin over the same streams, comparing every prediction.
 
 type testEvent struct {
 	pc    uint64
 	taken bool
 }
 
-// fusedStream is n events over 1024 word-aligned sites with random
+// randomStream is n events over 1024 word-aligned sites with random
 // outcomes.
-func fusedStream(n int) []testEvent {
+func randomStream(n int) []testEvent {
 	out := make([]testEvent, n)
 	r := uint64(0x1234567)
 	for i := range out {
@@ -176,7 +174,7 @@ func allPredictors(classes core.ClassMap, profiles map[uint64]*core.Profile) map
 }
 
 // ablationKernels are the predictors the §5 ablations build; each must
-// bring its own fused step and chunk kernel.
+// bring its own chunk kernel.
 var ablationKernels = []string{
 	"TransitionHybrid", "TakenHybrid", "DynamicClassHybrid", "gshare(17,12)",
 	"PAs(8)", "GAs(10)", "bimodal(17)", "agree(17,10)", "tournament",
@@ -184,13 +182,9 @@ var ablationKernels = []string{
 }
 
 func TestAblationPredictorsHaveKernels(t *testing.T) {
-	builders := allPredictors(profileOf(fusedStream(100)))
+	builders := allPredictors(profileOf(randomStream(100)))
 	for _, name := range ablationKernels {
-		p := builders[name]()
-		if _, ok := p.(PredictUpdater); !ok {
-			t.Errorf("%s: no fused PredictUpdate", name)
-		}
-		if _, ok := p.(ChunkSweeper); !ok {
+		if _, ok := builders[name]().(ChunkSweeper); !ok {
 			t.Errorf("%s: no SweepChunk kernel", name)
 		}
 	}
@@ -199,31 +193,9 @@ func TestAblationPredictorsHaveKernels(t *testing.T) {
 // testStreams are the synthetic streams every differential test covers.
 func testStreams() map[string][]testEvent {
 	return map[string][]testEvent{
-		"random":      fusedStream(20000),
+		"random":      randomStream(20000),
 		"personality": personalityStream(20000, densePC),
 		"sparse":      personalityStream(20000, sparsePC),
-	}
-}
-
-func TestPredictUpdateMatchesSeparate(t *testing.T) {
-	streams := testStreams()
-	streams["recorded"], _ = recordedStream(t)
-	for sname, stream := range streams {
-		for name, build := range allPredictors(profileOf(stream)) {
-			fused, separate := build(), build()
-			pu, ok := fused.(PredictUpdater)
-			if !ok {
-				t.Errorf("%s: does not implement PredictUpdater", name)
-				continue
-			}
-			for i, ev := range stream {
-				want := separate.Predict(ev.pc)
-				separate.Update(ev.pc, ev.taken)
-				if got := pu.PredictUpdate(ev.pc, ev.taken); got != want {
-					t.Fatalf("%s/%s: event %d: fused=%v separate=%v", sname, name, i, got, want)
-				}
-			}
-		}
 	}
 }
 
@@ -232,7 +204,8 @@ func TestPredictUpdateMatchesSeparate(t *testing.T) {
 const chunkPrefill = 0x8000000000000001
 
 // checkChunk sweeps one chunk through batch's kernel and the same events
-// through scalar's fused step, and compares the miss bitmaps.
+// through scalar's Predict-then-Update steps, and compares the miss
+// bitmaps.
 func checkChunk(t *testing.T, name string, batch ChunkSweeper, scalar Predictor, pcs, dirs []uint64, n int, base int) {
 	t.Helper()
 	wrong := make([]uint64, (n+63)/64)
@@ -255,11 +228,11 @@ func checkChunk(t *testing.T, name string, batch ChunkSweeper, scalar Predictor,
 	}
 }
 
-// TestSweepChunkMatchesPredictUpdate pins the batch protocol: SweepChunk
-// over decoded columns must be indistinguishable from per-event fused
-// calls, including across chunk boundaries (state persists) and over
-// chunks whose length is not a multiple of 64.
-func TestSweepChunkMatchesPredictUpdate(t *testing.T) {
+// TestSweepChunkMatchesPredictThenUpdate pins the batch protocol:
+// SweepChunk over decoded columns must be indistinguishable from
+// per-event Predict-then-Update calls, including across chunk boundaries
+// (state persists) and over chunks whose length is not a multiple of 64.
+func TestSweepChunkMatchesPredictThenUpdate(t *testing.T) {
 	for sname, stream := range testStreams() {
 		for name, build := range allPredictors(profileOf(stream)) {
 			batch, ok := build().(ChunkSweeper)
@@ -357,21 +330,8 @@ func TestClassHybridSparseSites(t *testing.T) {
 	}
 }
 
-func TestStepFallsBackWithoutFusedPath(t *testing.T) {
-	// A predictor implementing only the base interface must still work
-	// through Step.
-	type bare struct{ LastTime }
-	p := &bare{*NewLastTime(8)}
-	var plain Predictor = plainOnly{p}
-	if got := Step(plain, 0x400000, true); got != false {
-		t.Fatal("first prediction of a fresh last-time table must be not-taken")
-	}
-	if got := Step(plain, 0x400000, false); got != true {
-		t.Fatal("second prediction must reflect the first update")
-	}
-}
-
-// plainOnly hides any fused method so Step takes the fallback path.
+// plainOnly hides a predictor's concrete type, so a composite over it
+// cannot step its tables inline and its kernel runs sweepSteps.
 type plainOnly struct{ p Predictor }
 
 func (w plainOnly) Name() string                 { return w.p.Name() }

@@ -73,10 +73,9 @@ func (r *refTwoLevel) step(pc uint64, taken bool) bool {
 	return predicted
 }
 
-// twoLevel is what a bank slot offers: all three stepping protocols.
+// twoLevel is what a bank slot offers: both stepping protocols.
 type twoLevel interface {
 	Predictor
-	PredictUpdater
 	ChunkSweeper
 }
 
@@ -125,9 +124,9 @@ func oracleChunks(stream []testEvent, l int) []oracleChunk {
 	return out
 }
 
-// TestBankMatchesReference drives all 34 slots through SweepChunk,
-// PredictUpdate and Predict+Update against the reference, over every
-// test stream and chunk lengths around the 64-event word boundary.
+// TestBankMatchesReference drives all 34 slots through SweepChunk and
+// Predict+Update against the reference, over every test stream and
+// chunk lengths around the 64-event word boundary.
 func TestBankMatchesReference(t *testing.T) {
 	streams := testStreams()
 	streams["recorded"], _ = recordedStream(t)
@@ -144,14 +143,8 @@ func TestBankMatchesReference(t *testing.T) {
 			for i, ev := range stream {
 				want[i] = ref.step(ev.pc, ev.taken) != ev.taken
 			}
-			separate, _ := bankSlot(s)
 			for i, ev := range stream {
-				if miss := p.PredictUpdate(ev.pc, ev.taken) != ev.taken; miss != want[i] {
-					t.Fatalf("%s: PredictUpdate: event %d miss=%v, reference %v", name, i, miss, want[i])
-				}
-				miss := separate.Predict(ev.pc) != ev.taken
-				separate.Update(ev.pc, ev.taken)
-				if miss != want[i] {
+				if miss := Step(p, ev.pc, ev.taken) != ev.taken; miss != want[i] {
 					t.Fatalf("%s: Predict+Update: event %d miss=%v, reference %v", name, i, miss, want[i])
 				}
 			}

@@ -24,22 +24,9 @@ type Predictor interface {
 	SizeBits() int64
 }
 
-// PredictUpdater is the optional fused fast path: one call performs the
-// predict-then-update protocol and returns the pre-update prediction,
-// letting implementations compute each table index once instead of twice.
-// Fused and separate calls must be behaviourally identical; the sweep
-// harness and Step rely on that equivalence.
-type PredictUpdater interface {
-	// PredictUpdate returns Predict(pc), then applies Update(pc, taken).
-	PredictUpdate(pc uint64, taken bool) bool
-}
-
-// Step performs one predict-then-update step, using the fused path when
-// the predictor provides one.
+// Step performs one predict-then-update step and returns the
+// prediction: the definition every chunk kernel is tested against.
 func Step(p Predictor, pc uint64, taken bool) bool {
-	if pu, ok := p.(PredictUpdater); ok {
-		return pu.PredictUpdate(pc, taken)
-	}
 	predicted := p.Predict(pc)
 	p.Update(pc, taken)
 	return predicted
@@ -100,34 +87,34 @@ func (s *Sink) Branch(pc uint64, taken bool) {
 	s.Res.Events++
 }
 
-// ChunkSweeper is the batch form of PredictUpdate, the column kernel
-// the simulator's sweeps and the ablation grids drive; every predictor
-// the §5 ablations build has one. SweepChunk runs
-// the fused step over one decoded chunk — pcs and the direction bitmap
-// dirs (event i's outcome is bit i&63 of word i>>6) hold n events — and
-// sets bit i of wrong for every misprediction, leaving the other bits
-// alone: callers clear wrong between chunks and count misses by
-// popcount. Sweeping a stream's chunks in order is identical to calling
-// PredictUpdate on each event. The kernels do not call it: each reads a
-// dirs word once, takes the outcomes as integer bits, trains its raw
-// tables and ORs a register of miss bits into wrong once per 64 events
-// (see GAs.SweepChunk). Only composites over custom components step
-// their parts per event, through sweepSteps.
+// ChunkSweeper is the batch form of Step, the column kernel the
+// simulator's sweeps and the ablation grids drive; every predictor the
+// §5 ablations build has one. SweepChunk runs the predict-then-update
+// protocol over one decoded chunk — pcs and the direction bitmap dirs
+// (event i's outcome is bit i&63 of word i>>6) hold n events — and sets
+// bit i of wrong for every misprediction, leaving the other bits alone:
+// callers clear wrong between chunks and count misses by popcount.
+// Sweeping a stream's chunks in order is identical to calling Step on
+// each event. The kernels do not call it: each reads a dirs word once,
+// takes the outcomes as integer bits, trains its raw tables and ORs a
+// register of miss bits into wrong once per 64 events (see
+// GAs.SweepChunk). Only composites over custom components step their
+// parts per event, through sweepSteps.
 type ChunkSweeper interface {
 	SweepChunk(pcs, dirs []uint64, n int, wrong []uint64)
 }
 
 // sweepSteps is the chunk kernel of a composite over components it
-// cannot reach into: the shape of GAs.SweepChunk around one fused step
-// per event. Composites over their default components have their own
+// cannot reach into: the shape of GAs.SweepChunk around one Step per
+// event. Composites over their default components have their own
 // inlined loops.
-func sweepSteps(p PredictUpdater, pcs, dirs []uint64, n int, wrong []uint64) {
+func sweepSteps(p Predictor, pcs, dirs []uint64, n int, wrong []uint64) {
 	for base := 0; base < n; base += 64 {
 		d := dirs[base>>6]
 		var miss uint64
 		for j, pc := range pcs[base:min(base+64, n)] {
 			t := d >> (uint(j) & 63) & 1
-			miss |= (bit(p.PredictUpdate(pc, t == 1)) ^ t) << (uint(j) & 63)
+			miss |= (bit(Step(p, pc, t == 1)) ^ t) << (uint(j) & 63)
 		}
 		wrong[base>>6] |= miss
 	}
@@ -135,8 +122,8 @@ func sweepSteps(p PredictUpdater, pcs, dirs []uint64, n int, wrong []uint64) {
 
 // part is one component of a composite predictor. The component types
 // the defaults use are resolved to concrete pointers once, at
-// construction, so a composite's step reaches them with a direct call;
-// any other Predictor steps through the interface.
+// construction, so a composite's chunk kernel can step their tables
+// inline; every other use goes through p.
 type part struct {
 	p       Predictor
 	bimodal *Bimodal
@@ -155,20 +142,4 @@ func newPart(p Predictor) part {
 		c.gshare = q
 	}
 	return c
-}
-
-// concrete reports whether the part steps without an interface call.
-func (c *part) concrete() bool { return c.bimodal != nil || c.pas != nil || c.gshare != nil }
-
-// step is the component's fused predict-then-update step.
-func (c *part) step(pc uint64, taken bool) bool {
-	switch {
-	case c.gshare != nil:
-		return c.gshare.PredictUpdate(pc, taken)
-	case c.pas != nil:
-		return c.pas.PredictUpdate(pc, taken)
-	case c.bimodal != nil:
-		return c.bimodal.PredictUpdate(pc, taken)
-	}
-	return Step(c.p, pc, taken)
 }

@@ -88,21 +88,13 @@ func (g *GAs) Update(pc uint64, taken bool) {
 	g.ghr = g.ghr<<1 | bit(taken)
 }
 
-// PredictUpdate implements PredictUpdater: the PHT index is computed once
-// for the fused predict-then-update step.
-func (g *GAs) PredictUpdate(pc uint64, taken bool) bool {
-	predicted := g.pht.PredictUpdate(g.index(pc), taken)
-	g.ghr = g.ghr<<1 | bit(taken)
-	return predicted
-}
-
 // SizeBits implements Predictor.
 func (g *GAs) SizeBits() int64 { return g.pht.SizeBits() + int64(g.k) }
 
 // Release returns the PHT to its slab.
 func (g *GAs) Release() { g.pht.Release() }
 
-// SweepChunk runs the fused predict-then-update protocol over one decoded
+// SweepChunk runs the predict-then-update protocol over one decoded
 // trace chunk — pcs and the direction bitmap dirs (event i's outcome is
 // bit i&63 of word i>>6) hold n events — OR-ing bit i into wrong for every
 // misprediction and leaving wrong's other bits as they were. It is the
@@ -112,7 +104,7 @@ func (g *GAs) Release() { g.pht.Release() }
 // bit (c>>1)^t collects in a register that is OR-ed into wrong once per 64
 // events, and the history shifts as h<<1|t. So the simulated trace's
 // hard-to-predict branches do not become host mispredictions.
-// Behaviour is identical to n PredictUpdate calls.
+// Behaviour is identical to n Step calls.
 func (g *GAs) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
 	g.ghr = sweepGlobal((*[1 << GAsPHTBits]Counter2)(g.pht.counters),
 		g.addrMask, g.histMask, uint(g.k), g.ghr, pcs, dirs, n, wrong)
@@ -208,20 +200,6 @@ func (p *PAs) Update(pc uint64, taken bool) {
 	p.bht[i] = p.bht[i]<<1 | uint16(bit(taken))
 }
 
-// PredictUpdate implements PredictUpdater: the BHT entry is loaded and the
-// PHT index computed once for the fused predict-then-update step.
-func (p *PAs) PredictUpdate(pc uint64, taken bool) bool {
-	if p.k == 0 {
-		return p.pht.PredictUpdate(pcIndex(pc)&p.addrMask, taken)
-	}
-	i := pcIndex(pc) & p.bhtMask
-	hist := uint64(p.bht[i])
-	idx := (pcIndex(pc)&p.addrMask)<<uint(p.k) | (hist & p.histMask)
-	predicted := p.pht.PredictUpdate(idx, taken)
-	p.bht[i] = uint16(hist<<1 | bit(taken))
-	return predicted
-}
-
 // SizeBits implements Predictor.
 func (p *PAs) SizeBits() int64 {
 	return p.pht.SizeBits() + int64(len(p.bht))*int64(p.k)
@@ -233,10 +211,10 @@ func (p *PAs) Release() {
 	u16Slab.Put(&p.bht)
 }
 
-// SweepChunk is the batch fused step over one decoded trace chunk, with
+// SweepChunk is the batch step over one decoded trace chunk, with
 // the same branch-free body and OR-into-wrong contract as GAs.SweepChunk;
 // the history it shifts is the BHT entry of the event's address. k = 0
-// runs the GAs(0) kernel. Behaviour is identical to n PredictUpdate calls.
+// runs the GAs(0) kernel. Behaviour is identical to n Step calls.
 func (p *PAs) SweepChunk(pcs, dirs []uint64, n int, wrong []uint64) {
 	if p.k == 0 {
 		sweepGlobal((*[1 << GAsPHTBits]Counter2)(p.pht.counters), p.addrMask, 0, 0, 0, pcs, dirs, n, wrong)
@@ -320,13 +298,6 @@ func (g *GAg) Update(pc uint64, taken bool) {
 	g.ghr = g.ghr<<1 | bit(taken)
 }
 
-// PredictUpdate implements PredictUpdater.
-func (g *GAg) PredictUpdate(pc uint64, taken bool) bool {
-	predicted := g.pht.PredictUpdate(g.ghr&g.mask, taken)
-	g.ghr = g.ghr<<1 | bit(taken)
-	return predicted
-}
-
 // SizeBits implements Predictor.
 func (g *GAg) SizeBits() int64 { return g.pht.SizeBits() + int64(g.k) }
 
@@ -374,15 +345,6 @@ func (p *PAg) Update(pc uint64, taken bool) {
 	i := pcIndex(pc) & p.bhtMask
 	p.pht.Update(p.bht[i]&p.mask, taken)
 	p.bht[i] = p.bht[i]<<1 | bit(taken)
-}
-
-// PredictUpdate implements PredictUpdater.
-func (p *PAg) PredictUpdate(pc uint64, taken bool) bool {
-	i := pcIndex(pc) & p.bhtMask
-	hist := p.bht[i]
-	predicted := p.pht.PredictUpdate(hist&p.mask, taken)
-	p.bht[i] = hist<<1 | bit(taken)
-	return predicted
 }
 
 // SizeBits implements Predictor.

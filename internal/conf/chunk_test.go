@@ -39,8 +39,7 @@ func TestObserveChunkMatchesPerEvent(t *testing.T) {
 			missRate[jc.Taken][jc.Transition] = float64(s) / sites
 		}
 		builders := map[string]func() Estimator{
-			"class-static": func() Estimator { return NewClassStatic(classes, missRate, 0.3) },
-			"class-static(table)": func() Estimator {
+			"class-static": func() Estimator {
 				return NewClassStaticTable(core.NewClassTable(classes), missRate, 0.3)
 			},
 			"1level": func() Estimator { return NewOneLevel(6, 15, 8) },

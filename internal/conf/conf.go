@@ -206,14 +206,9 @@ type ClassStatic struct {
 	high [256]bool
 }
 
-// NewClassStatic builds the estimator from a profiling classification and
-// a per-joint-class expected miss rate matrix.
-func NewClassStatic(classes core.ClassMap, missRate [core.NumClasses][core.NumClasses]float64, threshold float64) *ClassStatic {
-	return NewClassStaticTable(core.NewClassTable(classes), missRate, threshold)
-}
-
-// NewClassStaticTable is NewClassStatic over a class table already built
-// for the input, which the estimator shares read-only.
+// NewClassStaticTable builds the estimator from an input's class table,
+// which it shares read-only, and a per-joint-class expected miss rate
+// matrix.
 func NewClassStaticTable(tbl *core.ClassTable, missRate [core.NumClasses][core.NumClasses]float64, threshold float64) *ClassStatic {
 	c := &ClassStatic{table: tbl}
 	for t := range missRate {

@@ -81,7 +81,7 @@ func TestClassStatic(t *testing.T) {
 	var missRate [core.NumClasses][core.NumClasses]float64
 	missRate[10][0] = 0.01
 	missRate[5][5] = 0.45
-	e := NewClassStatic(classes, missRate, 0.08)
+	e := NewClassStaticTable(core.NewClassTable(classes), missRate, 0.08)
 	if !e.HighConfidence(0x10) {
 		t.Fatal("easy-class branch must be high confidence")
 	}

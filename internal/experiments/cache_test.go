@@ -134,8 +134,8 @@ func TestSecondContextSkipsProfilingReplay(t *testing.T) {
 }
 
 // TestNewContextDefaultsToSharedCache pins that contexts built through
-// NewContext participate in the process-wide caches (unless recording
-// is off or private caches are supplied).
+// NewContext participate in the process-wide caches (unless private
+// caches are supplied).
 func TestNewContextDefaultsToSharedCache(t *testing.T) {
 	c1 := NewContext(sim.Config{Scale: 0.01})
 	c2 := NewContext(sim.Config{Scale: 0.01})
@@ -144,9 +144,6 @@ func TestNewContextDefaultsToSharedCache(t *testing.T) {
 	}
 	if c1.Cfg.Profiles == nil || c1.Cfg.Profiles != c2.Cfg.Profiles {
 		t.Fatal("contexts must share the process-wide profile cache by default")
-	}
-	if noRec := NewContext(sim.Config{NoRecord: true}); noRec.Cfg.Cache != nil || noRec.Cfg.Profiles != nil {
-		t.Fatal("NoRecord context must not get caches")
 	}
 	private := trace.NewCache(0, "", 0)
 	if NewContext(sim.Config{Cache: private}).Cfg.Cache != private {

@@ -112,24 +112,22 @@ func NewContext(cfg sim.Config) *Context {
 // to the same number, so the private bundle as a whole stays within
 // it. An explicit bundle is used as given — its owner (a server
 // applying per-request budgets over one substrate) has already chosen
-// the sizes. cfg.NoRecord disables caching entirely.
+// the sizes.
 func NewContextShared(cfg sim.Config, sh *Shared) *Context {
-	if !cfg.NoRecord {
-		if sh == nil {
-			if cfg.MemBudget > 0 && cfg.Cache == nil {
-				cfg.Cache = trace.NewCache(cfg.MemBudget, "", workload.RegistryFingerprint())
-				if cfg.Profiles == nil {
-					cfg.Profiles = sim.NewProfileCacheBytes(cfg.MemBudget)
-				}
+	if sh == nil {
+		if cfg.MemBudget > 0 && cfg.Cache == nil {
+			cfg.Cache = trace.NewCache(cfg.MemBudget, "", workload.RegistryFingerprint())
+			if cfg.Profiles == nil {
+				cfg.Profiles = sim.NewProfileCacheBytes(cfg.MemBudget)
 			}
-			sh = SharedFor("")
 		}
-		if cfg.Cache == nil {
-			cfg.Cache = sh.Traces
-		}
-		if cfg.Profiles == nil {
-			cfg.Profiles = sh.Profiles
-		}
+		sh = SharedFor("")
+	}
+	if cfg.Cache == nil {
+		cfg.Cache = sh.Traces
+	}
+	if cfg.Profiles == nil {
+		cfg.Profiles = sh.Profiles
 	}
 	return &Context{Cfg: cfg, Specs: workload.Suite()}
 }
@@ -149,7 +147,7 @@ func (c *Context) Suite() *sim.SuiteResult {
 // dropped by the cancellation carry sim.ErrCanceled in
 // SuiteResult.Dropped. If the suite was already computed (by Suite or
 // an earlier SuiteGroup), the cached result is returned and no task
-// joins g. NoRecord configs join g too: each input is one task.
+// joins g.
 //
 // Either way the context remembers g: once it is canceled, the
 // ablations (A1, A2, A4, A5) skip their remaining work and return

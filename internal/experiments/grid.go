@@ -28,8 +28,7 @@ type gridRow[P any] interface {
 // fill the tail. A task reads its input's recording once, through its
 // own Handle.ChunkReader, and runs every row's kernel on each chunk
 // before reading the next: one decode (or page-in) per chunk however
-// many rows the ablation has. Without a recording (Config.NoRecord) each
-// row regenerates the input on its own. Callers fold out in (row, input)
+// many rows the ablation has. Callers fold out in (row, input)
 // order; every fold is a sum of integer counts, so the result does not
 // depend on which worker ran which input.
 //
@@ -74,20 +73,14 @@ func runGrid[P any](c *Context, rows int, start func(row int, in *sim.InputResul
 			for r := range kernels {
 				kernels[r] = start(r, in)
 			}
-			if in.Recorded != nil {
-				rd := in.Recorded.ChunkReader()
-				for !c.canceled() {
-					pcs, dirs, n, ok := rd.NextChunk()
-					if !ok {
-						break
-					}
-					for _, k := range kernels {
-						k.chunk(pcs, dirs, n)
-					}
+			rd := in.Recorded.ChunkReader()
+			for !c.canceled() {
+				pcs, dirs, n, ok := rd.NextChunk()
+				if !ok {
+					break
 				}
-			} else {
 				for _, k := range kernels {
-					regenerate(in, c.Cfg.Scale, k)
+					k.chunk(pcs, dirs, n)
 				}
 			}
 			for r, k := range kernels {
@@ -101,48 +94,6 @@ func runGrid[P any](c *Context, rows int, start func(row int, in *sim.InputResul
 		return nil, sim.ErrCanceled
 	}
 	return out, nil
-}
-
-// regenChunkEvents is the chunk size regenerate batches events into.
-const regenChunkEvents = 1 << 12
-
-// regenerate re-runs the input's generator and feeds its events to k in
-// chunks, for inputs without a recording.
-func regenerate[P any](in *sim.InputResult, scale float64, k gridRow[P]) {
-	b := &chunkBatcher{
-		pcs:   make([]uint64, regenChunkEvents),
-		dirs:  make([]uint64, regenChunkEvents/64),
-		flush: k.chunk,
-	}
-	in.Replay(b, scale)
-	b.emit()
-}
-
-// chunkBatcher is a trace.Sink that collects events into chunk columns
-// and hands each full chunk to flush.
-type chunkBatcher struct {
-	pcs, dirs []uint64
-	n         int
-	flush     func(pcs, dirs []uint64, n int)
-}
-
-func (b *chunkBatcher) Branch(pc uint64, taken bool) {
-	b.pcs[b.n] = pc
-	if taken {
-		b.dirs[b.n>>6] |= 1 << (uint(b.n) & 63)
-	}
-	if b.n++; b.n == len(b.pcs) {
-		b.emit()
-	}
-}
-
-// emit flushes the collected events, if any, and starts a new chunk.
-func (b *chunkBatcher) emit() {
-	if b.n > 0 {
-		b.flush(b.pcs, b.dirs, b.n)
-	}
-	clear(b.dirs)
-	b.n = 0
 }
 
 // canceled reports whether the group last passed to SuiteGroup has been

@@ -74,18 +74,42 @@ func TestAblationGridDeterministic(t *testing.T) {
 	check("streamed", streamed)
 }
 
-// TestAblationCanceledSkipsReplays: once the group handed to SuiteGroup
-// is canceled, an ablation returns sim.ErrCanceled without replaying a
-// single input. NoRecord makes every replay a generator run, so the
-// generator counter counts replays.
-func TestAblationCanceledSkipsReplays(t *testing.T) {
+// pagedContext is a context over countingSpecs whose recordings page:
+// under a 1-byte MemBudget every input keeps only its first 64-event
+// chunk resident, so a whole read of an input's recording pages in its
+// other chunks, and reads counts those reads off the handles.
+func pagedContext() *Context {
 	var runs atomic.Int64
-	ctx := &Context{Cfg: sim.Config{Scale: 1, NoRecord: true}, Specs: countingSpecs(&runs)}
+	return &Context{Cfg: sim.Config{Scale: 1, MemBudget: 1, ChunkEvents: 64}, Specs: countingSpecs(&runs)}
+}
+
+// reads returns how many whole reads of each input's recording have
+// paged in so far, summed over the suite's inputs.
+func reads(t *testing.T, ctx *Context) int64 {
+	t.Helper()
+	var n int64
+	for _, in := range ctx.Suite().Inputs {
+		h := in.Recorded
+		per := int64(h.Chunks() - 1)
+		if !h.Spilled() || per < 1 || h.PageIns()%per != 0 {
+			t.Fatalf("%s: %d page-ins over %d chunks: not a whole number of paged reads",
+				in.Spec.Name(), h.PageIns(), h.Chunks())
+		}
+		n += h.PageIns() / per
+	}
+	return n
+}
+
+// TestAblationCanceledSkipsReplays: once the group handed to SuiteGroup
+// is canceled, an ablation returns sim.ErrCanceled without reading a
+// single input's recording.
+func TestAblationCanceledSkipsReplays(t *testing.T) {
+	ctx := pagedContext()
 	s := sched.New(2)
 	defer s.Close()
 	g := s.NewGroup()
 	ctx.SuiteGroup(g)
-	before := runs.Load()
+	before := reads(t, ctx)
 
 	g.Cancel()
 	e, err := Find("A1")
@@ -96,8 +120,8 @@ func TestAblationCanceledSkipsReplays(t *testing.T) {
 	if err := e.Run(ctx, &buf); !errors.Is(err, sim.ErrCanceled) {
 		t.Fatalf("A1 on a canceled context returned %v, want sim.ErrCanceled", err)
 	}
-	if got := runs.Load() - before; got != 0 {
-		t.Fatalf("canceled A1 replayed %d inputs, want 0", got)
+	if got := reads(t, ctx) - before; got != 0 {
+		t.Fatalf("canceled A1 read %d recordings, want 0", got)
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("canceled A1 wrote output:\n%s", buf.String())
@@ -108,26 +132,35 @@ func TestAblationCanceledSkipsReplays(t *testing.T) {
 // rows, since PAs(k=8) and GAs(k=10) read the suite sweep's own bank
 // slots; A5 after A1 replays only the four constructors A1 did not
 // run, and TransitionHybrid and gshare(17,k=12) come from the
-// context's memo.
+// context's memo. A run with rows to replay reads every input's
+// recording once for all of them; a run with none reads nothing.
 func TestSharedPredictorRowsReplayOnce(t *testing.T) {
-	var runs atomic.Int64
-	ctx := &Context{Cfg: sim.Config{Scale: 1, NoRecord: true}, Specs: countingSpecs(&runs)}
+	ctx := pagedContext()
 	inputs := int64(len(ctx.Specs))
 	ctx.Suite()
+	memo := 0
 	for _, tc := range []struct {
 		id   string
-		rows int64
+		rows int
 	}{{"A1", 9}, {"A5", 4}, {"A1", 0}} {
 		e, err := Find(tc.id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := runs.Load()
+		before := reads(t, ctx)
 		if err := e.Run(ctx, &bytes.Buffer{}); err != nil {
 			t.Fatal(err)
 		}
-		if got := runs.Load() - before; got != tc.rows*inputs {
-			t.Fatalf("%s replayed %d inputs, want %d (%d rows × %d inputs)", tc.id, got, tc.rows*inputs, tc.rows, inputs)
+		if got := len(ctx.predMemo) - memo; got != tc.rows {
+			t.Fatalf("%s replayed %d rows, want %d", tc.id, got, tc.rows)
+		}
+		memo = len(ctx.predMemo)
+		want := inputs
+		if tc.rows == 0 {
+			want = 0
+		}
+		if got := reads(t, ctx) - before; got != want {
+			t.Fatalf("%s read %d recordings, want %d", tc.id, got, want)
 		}
 	}
 }

@@ -2,13 +2,11 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"runtime"
 	"testing"
 	"time"
 
-	"btr/internal/rng"
 	"btr/internal/sched"
 	"btr/internal/trace"
 	"btr/internal/workload"
@@ -221,59 +219,6 @@ func TestSuiteGroupCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestNoRecordSuiteJoinsGroup pins that NoRecord inputs are ordinary
-// tasks of the caller's group on the shared scheduler. A group canceled
-// before the call drops every input with ErrCanceled. Mid-run, every
-// input's generator cancels the group, so on one worker exactly one
-// input runs and every later one is dropped with ErrCanceled. Either
-// way the scheduler has nothing pending once the call returns.
-func TestNoRecordSuiteJoinsGroup(t *testing.T) {
-	s := sched.New(1)
-	defer s.Close()
-	cfg := Config{Scale: testScale, NoRecord: true, Sched: s}
-
-	g := s.NewGroup()
-	g.Cancel()
-	specs := []workload.Spec{testSpec(t, "perl", "primes.pl"), testSpec(t, "li", "ref.lsp")}
-	res := RunSuiteGroup(g, specs, cfg)
-	if len(res.Inputs) != 0 || len(res.Dropped) != len(specs) {
-		t.Fatalf("pre-canceled: %d inputs, %d dropped; want 0 and %d", len(res.Inputs), len(res.Dropped), len(specs))
-	}
-	for _, d := range res.Dropped {
-		if !errors.Is(d.Err, ErrCanceled) {
-			t.Fatalf("pre-canceled: dropped %s with %v, want ErrCanceled", d.Spec.Name(), d.Err)
-		}
-	}
-	if p := s.Stats().Pending; p != 0 {
-		t.Fatalf("pre-canceled: %d tasks pending after return", p)
-	}
-
-	g = s.NewGroup()
-	specs = specs[:0]
-	for i := 0; i < 4; i++ {
-		specs = append(specs, workload.NewSpec("synthetic", fmt.Sprintf("cancels-%d", i), 500, uint64(i+1),
-			func(tr *workload.T, r *rng.Rand, target int64) {
-				g.Cancel()
-				for tr.N() < target {
-					tr.B(0, r.Uint64()&1 == 0)
-				}
-			}))
-	}
-	executed := s.Stats().Executed
-	res = RunSuiteGroup(g, specs, cfg)
-	if len(res.Inputs) != 1 || len(res.Dropped) != len(specs)-1 {
-		t.Fatalf("mid-run: %d inputs, %d dropped; want 1 and %d", len(res.Inputs), len(res.Dropped), len(specs)-1)
-	}
-	for _, d := range res.Dropped {
-		if !errors.Is(d.Err, ErrCanceled) {
-			t.Fatalf("mid-run: dropped %s with %v, want ErrCanceled", d.Spec.Name(), d.Err)
-		}
-	}
-	if st := s.Stats(); st.Pending != 0 || st.Executed-executed != int64(len(specs)) {
-		t.Fatalf("mid-run: stats %+v: want one executed task per input and none pending", st)
-	}
-}
-
 // settleGoroutines waits for the goroutine count to return to base.
 func settleGoroutines(t *testing.T, label string, base int) {
 	t.Helper()
@@ -288,8 +233,8 @@ func settleGoroutines(t *testing.T, label string, base int) {
 
 // TestSuiteRunsLeaveNoGoroutines counts goroutines around the run
 // shapes that build or borrow schedulers: RunInput and RunSuite stop
-// their private schedulers, and a canceled NoRecord RunSuiteGroup
-// leaves the caller's scheduler exactly as it found it.
+// their private schedulers, and a canceled RunSuiteGroup leaves the
+// caller's scheduler exactly as it found it.
 func TestSuiteRunsLeaveNoGoroutines(t *testing.T) {
 	spec := testSpec(t, "perl", "primes.pl")
 	base := runtime.NumGoroutine()
@@ -302,8 +247,8 @@ func TestSuiteRunsLeaveNoGoroutines(t *testing.T) {
 	withSched := runtime.NumGoroutine()
 	g := s.NewGroup()
 	g.Cancel()
-	RunSuiteGroup(g, []workload.Spec{spec}, Config{Scale: testScale, NoRecord: true})
-	settleGoroutines(t, "canceled NoRecord RunSuiteGroup", withSched)
+	RunSuiteGroup(g, []workload.Spec{spec}, Config{Scale: testScale})
+	settleGoroutines(t, "canceled RunSuiteGroup", withSched)
 	s.Close()
 	settleGoroutines(t, "scheduler close", base)
 }

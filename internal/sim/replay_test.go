@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"reflect"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,9 +10,10 @@ import (
 )
 
 // TestReplayMatchesRegenerate is the golden equivalence test for the
-// record-once/replay-many engine: for several real workloads, the sharded
-// replay pipeline must reproduce the regenerate-twice pipeline's Exec,
-// Miss, and HardDistances counts bit-for-bit.
+// record-once/replay-many engine: for several real workloads, the
+// recorded sweep must reproduce the reference simulator, which
+// regenerates the workload for its serial Predict+Update pass, in
+// Exec, Miss, HardDistances and the class map, bit for bit.
 func TestReplayMatchesRegenerate(t *testing.T) {
 	workloads := []struct{ bench, input string }{
 		{"compress", "bigtest.in"},
@@ -21,43 +22,11 @@ func TestReplayMatchesRegenerate(t *testing.T) {
 		{"perl", "primes.pl"},
 	}
 	for _, wl := range workloads {
-		wl := wl
 		t.Run(wl.bench+"/"+wl.input, func(t *testing.T) {
 			t.Parallel()
 			spec := testSpec(t, wl.bench, wl.input)
 			cfg := Config{Scale: testScale}
-
-			replay := RunInput(spec, cfg)
-
-			legacy := cfg
-			legacy.NoRecord = true
-			direct := RunInput(spec, legacy)
-
-			if replay.Events != direct.Events || replay.Sites != direct.Sites {
-				t.Fatalf("events/sites diverged: %d/%d vs %d/%d",
-					replay.Events, replay.Sites, direct.Events, direct.Sites)
-			}
-			if replay.Exec != direct.Exec {
-				t.Fatal("Exec attribution diverged")
-			}
-			if *replay.Miss != *direct.Miss {
-				for kind := Kind(0); kind < NumKinds; kind++ {
-					for k := 0; k < NumHistories; k++ {
-						if replay.Miss[kind][k] != direct.Miss[kind][k] {
-							t.Fatalf("Miss diverged at %v k=%d: replay total %d, direct total %d",
-								kind, k, replay.Miss[kind][k].Total(), direct.Miss[kind][k].Total())
-						}
-					}
-				}
-				t.Fatal("Miss diverged")
-			}
-			if !reflect.DeepEqual(replay.HardDistances.Bins, direct.HardDistances.Bins) {
-				t.Fatalf("HardDistances diverged: %v vs %v",
-					replay.HardDistances.Bins, direct.HardDistances.Bins)
-			}
-			if !reflect.DeepEqual(replay.Classes, direct.Classes) {
-				t.Fatal("class maps diverged")
-			}
+			assertMatchesReference(t, "replay", referenceFor(spec, cfg), RunInput(spec, cfg))
 		})
 	}
 }
@@ -78,67 +47,53 @@ func TestReplayBankWorkerCountIrrelevant(t *testing.T) {
 
 // TestReplayChunkSizeIrrelevant pins that chunk granularity is invisible
 // in results, including chunk sizes that leave a partial final chunk.
-// Each leg is checked against the regenerating NoRecord pipeline, which
-// shares no code with the chunked sweep: the hard chain's carry across
-// chunk boundaries is checked against a walk that has no chunks.
-// vortex runs hard (5/5) branches at test scale, li none.
+// Each leg is checked against the reference simulator, which has no
+// chunks: the hard chain's carry across chunk boundaries is checked
+// against a walk over the whole stream. vortex runs hard (5/5) branches
+// at test scale (TestReferenceSeesHardBranches), li none.
 func TestReplayChunkSizeIrrelevant(t *testing.T) {
-	for _, spec := range []workload.Spec{testSpec(t, "li", "ref.lsp"), testSpec(t, "vortex", "vortex.lit")} {
-		oracle := RunInput(spec, Config{Scale: testScale, NoRecord: true})
+	for _, spec := range []workload.Spec{
+		testSpec(t, "li", "ref.lsp"),
+		testSpec(t, "vortex", "vortex.lit"),
+		testSpec(t, "compress", "bigtest.in"),
+		testSpec(t, "perl", "primes.pl"),
+	} {
+		ref := referenceFor(spec, Config{Scale: testScale})
 		for _, chunk := range []int{64, 1000, 1 << 20} {
 			got := RunInput(spec, Config{Scale: testScale, ChunkEvents: chunk})
-			if *got.Miss != *oracle.Miss || got.Exec != oracle.Exec {
-				t.Fatalf("%s: ChunkEvents=%d diverged from the NoRecord oracle", spec.Name(), chunk)
-			}
-			if !reflect.DeepEqual(got.HardDistances.Bins, oracle.HardDistances.Bins) {
-				t.Fatalf("%s: ChunkEvents=%d: hard distances %v, NoRecord oracle %v",
-					spec.Name(), chunk, got.HardDistances.Bins, oracle.HardDistances.Bins)
-			}
-		}
-		if spec.Bench == "vortex" && oracle.HardDistances.Total() == 0 {
-			t.Fatal("vortex ran no hard branches: the distance check is vacuous")
+			assertMatchesReference(t, fmt.Sprintf("ChunkEvents=%d", chunk), ref, got)
 		}
 	}
 }
 
 // TestRunSuitePanickingWorkloadDropped pins suite resilience: a workload
 // whose generator panics is dropped and reported — spec and recovered
-// panic value included — and the rest of the suite completes. The
-// recorded sweep and the NoRecord pipeline must behave identically.
+// panic value included — and the rest of the suite completes.
 func TestRunSuitePanickingWorkloadDropped(t *testing.T) {
-	cases := []struct {
-		label string
-		cfg   Config
-	}{
-		{"chunked", Config{Scale: testScale, Workers: 2}},
-		{"norecord", Config{Scale: testScale, Workers: 2, NoRecord: true}},
+	bad := workload.NewSpec("synthetic", "panics", 100, 1,
+		func(tr *workload.T, r *rng.Rand, target int64) {
+			panic("synthetic workload failure")
+		})
+	good := testSpec(t, "perl", "primes.pl")
+	suite := RunSuite([]workload.Spec{bad, good}, Config{Scale: testScale, Workers: 2})
+	if len(suite.Dropped) != 1 {
+		t.Fatalf("Dropped = %v, want 1 entry", suite.Dropped)
 	}
-	for _, tc := range cases {
-		bad := workload.NewSpec("synthetic", "panics", 100, 1,
-			func(tr *workload.T, r *rng.Rand, target int64) {
-				panic("synthetic workload failure")
-			})
-		good := testSpec(t, "perl", "primes.pl")
-		suite := RunSuite([]workload.Spec{bad, good}, tc.cfg)
-		if len(suite.Dropped) != 1 {
-			t.Fatalf("%s: Dropped = %v, want 1 entry", tc.label, suite.Dropped)
-		}
-		d := suite.Dropped[0]
-		if d.Spec.Bench != "synthetic" || d.Spec.Input != "panics" {
-			t.Fatalf("%s: dropped spec %q, want synthetic/panics", tc.label, d.Spec.Name())
-		}
-		if d.Err == nil || !strings.Contains(d.Err.Error(), "synthetic workload failure") {
-			t.Fatalf("%s: dropped err %v must carry the panic value", tc.label, d.Err)
-		}
-		if !strings.Contains(d.Error(), "synthetic/panics") {
-			t.Fatalf("%s: Error() = %q must name the input", tc.label, d.Error())
-		}
-		if len(suite.Inputs) != 1 || suite.Inputs[0].Spec.Bench != "perl" {
-			t.Fatalf("%s: surviving inputs wrong: %d", tc.label, len(suite.Inputs))
-		}
-		if suite.TotalEvents() == 0 {
-			t.Fatalf("%s: surviving workload's events lost", tc.label)
-		}
+	d := suite.Dropped[0]
+	if d.Spec.Bench != "synthetic" || d.Spec.Input != "panics" {
+		t.Fatalf("dropped spec %q, want synthetic/panics", d.Spec.Name())
+	}
+	if d.Err == nil || !strings.Contains(d.Err.Error(), "synthetic workload failure") {
+		t.Fatalf("dropped err %v must carry the panic value", d.Err)
+	}
+	if !strings.Contains(d.Error(), "synthetic/panics") {
+		t.Fatalf("Error() = %q must name the input", d.Error())
+	}
+	if len(suite.Inputs) != 1 || suite.Inputs[0].Spec.Bench != "perl" {
+		t.Fatalf("surviving inputs wrong: %d", len(suite.Inputs))
+	}
+	if suite.TotalEvents() == 0 {
+		t.Fatal("surviving workload's events lost")
 	}
 }
 

@@ -11,11 +11,12 @@ import (
 
 // TestScheduledMatchesLegacy is the golden equivalence test for the
 // scheduled sweep: over several real workloads and worker counts
-// {1, 4, GOMAXPROCS}, the scheduled engine must reproduce the NoRecord
-// regenerating pipeline — the independent oracle — bit-for-bit, per
-// input and in aggregate. One more config shrinks ChunkEvents to 256 so
-// the inputs record many chunks and every slot chain genuinely runs as
-// a chain of tasks over the chunk window.
+// {1, 4, GOMAXPROCS}, the scheduled engine must reproduce the reference
+// simulator — the independent oracle, a serial Predict+Update walk over
+// a regenerated stream — bit-for-bit, per input and in aggregate. One
+// more config shrinks ChunkEvents to 256 so the inputs record many
+// chunks and every slot chain genuinely runs as a chain of tasks over
+// the chunk window.
 func TestScheduledMatchesLegacy(t *testing.T) {
 	specs := []workload.Spec{
 		testSpec(t, "compress", "bigtest.in"),
@@ -25,19 +26,19 @@ func TestScheduledMatchesLegacy(t *testing.T) {
 		testSpec(t, "li", "ref.lsp"),
 	}
 	base := Config{Scale: testScale}
-
-	norecCfg := base
-	norecCfg.NoRecord = true
-	norec := RunSuite(specs, norecCfg)
+	refs := make([]*refResult, len(specs))
+	for i, spec := range specs {
+		refs[i] = referenceFor(spec, base)
+	}
 
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		cfg := base
 		cfg.Workers = workers
-		assertSuitesEqual(t, fmt.Sprintf("scheduled/workers=%d", workers), norec, RunSuite(specs, cfg))
+		assertSuiteMatchesReference(t, fmt.Sprintf("scheduled/workers=%d", workers), refs, RunSuite(specs, cfg))
 	}
 	chunked := base
 	chunked.ChunkEvents = 256
-	assertSuitesEqual(t, "scheduled/chunk=256", norec, RunSuite(specs, chunked))
+	assertSuiteMatchesReference(t, "scheduled/chunk=256", refs, RunSuite(specs, chunked))
 }
 
 func assertSuitesEqual(t *testing.T, label string, want, got *SuiteResult) {

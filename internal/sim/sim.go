@@ -14,8 +14,9 @@
 // Because every predictor is a pure function of the event stream
 // (bpred's contract), the bank sweep runs each (kind, k) slot as its own
 // chain of one-chunk tasks on a work-stealing scheduler; the result is
-// bit-for-bit identical to driving the bank serially, which the
-// regenerating NoRecord pipeline still does as the oracle.
+// bit-for-bit identical to driving the bank serially through
+// Predict+Update, which the package's test-side reference simulator does
+// as the oracle.
 package sim
 
 import (
@@ -74,24 +75,16 @@ type Config struct {
 	// ChunkEvents sets the recorded trace's chunk granularity in events;
 	// 0 means trace.DefaultChunkEvents.
 	ChunkEvents int
-	// NoRecord disables the record-once/replay-many engine: every pass
-	// regenerates the workload and the bank runs serially in one task
-	// per input, as the original pipeline did. It is the independent
-	// oracle the recorded sweep is tested against, and it needs no
-	// memory for recordings; results are bit-for-bit identical.
-	NoRecord bool
 	// Profiles, when non-nil, caches each input's whole result
 	// (profiles, classes, Exec, Miss, hard distances) keyed like Cache.
 	// A hit whose recording Cache still holds skips the profiling replay
 	// and the bank sweep, not just the generator run, so a second
-	// experiment context performs no pass-1 or sweep work. Ignored under
-	// NoRecord.
+	// experiment context performs no pass-1 or sweep work.
 	Profiles *ProfileCache
 	// Cache, when non-nil, is consulted before pass 1: a recording with
 	// a matching (name, scale, chunk) key replays into the profiler
 	// instead of running the generator, and fresh recordings are
-	// published for later runs and other experiment contexts. Ignored
-	// under NoRecord.
+	// published for later runs and other experiment contexts.
 	Cache *trace.Cache
 	// MemBudget, when > 0, streams pass 1 through a bounded window
 	// instead of retaining the whole recording: events are written to a
@@ -101,8 +94,7 @@ type Config struct {
 	// stay resident; replays page the remainder back in sequentially.
 	// Peak recording memory becomes O(MemBudget), not O(trace), and
 	// results are bit-for-bit identical (TestStreamedMatrixMatchesRetained).
-	// 0 keeps recordings fully resident, the default. Ignored under
-	// NoRecord.
+	// 0 keeps recordings fully resident, the default.
 	MemBudget int64
 	// Sched, when non-nil, is a long-lived shared scheduler the suite
 	// run submits onto as one completion-tracked task group instead of
@@ -110,8 +102,7 @@ type Config struct {
 	// calls — brserve sessions — interleave their task grids over one
 	// worker pool, steal-balancing across requests. The scheduler is
 	// left running for the next caller, and Workers is ignored in
-	// favour of its worker count. NoRecord inputs run on it too, one
-	// task each.
+	// favour of its worker count.
 	Sched *sched.Scheduler
 	// DecodedBudget bounds the decode-once chunk window the scheduled
 	// sweep reads through (trace.ChunkWindow): every chunk is decoded
@@ -253,11 +244,11 @@ type InputResult struct {
 	// a handle that may be memory-resident, spill-backed (under
 	// Config.MemBudget), or both; downstream analyses (ablations,
 	// confidence studies) replay it instead of re-running the
-	// generator. Nil when Config.NoRecord.
+	// generator.
 	Recorded *trace.Handle
 
 	// Mem reports the input's memory-shape counters (recording
-	// footprint, page-ins, chunk-window traffic). Zero under NoRecord.
+	// footprint, page-ins, chunk-window traffic).
 	Mem MemStats
 }
 
@@ -305,16 +296,6 @@ func (m *MemStats) Add(other *MemStats) {
 	}
 }
 
-// Replay drives the input's event stream through sink: the recorded trace
-// when present, otherwise a fresh generator run at the given scale.
-func (r *InputResult) Replay(sink trace.Sink, scale float64) {
-	if r.Recorded != nil {
-		r.Recorded.Replay(sink)
-		return
-	}
-	r.Spec.Run(sink, scale)
-}
-
 // ProfileInput runs pass 1 only: profile and classify one input.
 func ProfileInput(spec workload.Spec, scale float64) (*core.Profiler, core.ClassMap) {
 	profiler := core.NewProfiler()
@@ -322,19 +303,13 @@ func ProfileInput(spec workload.Spec, scale float64) (*core.Profiler, core.Class
 	return profiler, core.Classify(profiler.Profiles())
 }
 
-// RunInput runs the full two-pass pipeline for one input.
-//
-// By default it is RunSuite over a one-input suite, on a private
-// scheduler of cfg.Workers workers (cfg.Sched is not used): pass 1
-// records the stream once, and pass 2 sweeps the recorded chunks
-// through the predictor bank. A panicking workload generator panics the
-// caller, with the cause the suite run recorded. Set cfg.NoRecord to
-// regenerate the workload per pass with a serial bank in the calling
-// goroutine instead; both paths produce identical results.
+// RunInput runs the full two-pass pipeline for one input: RunSuite over
+// a one-input suite, on a private scheduler of cfg.Workers workers
+// (cfg.Sched is not used). Pass 1 records the stream once, and pass 2
+// sweeps the recorded chunks through the predictor bank. A panicking
+// workload generator panics the caller, with the cause the suite run
+// recorded.
 func RunInput(spec workload.Spec, cfg Config) *InputResult {
-	if cfg.NoRecord {
-		return runInputRegenerate(spec, cfg)
-	}
 	cfg.Sched = nil
 	suite := RunSuite([]workload.Spec{spec}, cfg)
 	if len(suite.Dropped) > 0 {
@@ -431,10 +406,15 @@ func streamRecord(spec workload.Spec, cfg Config, profiler *core.Profiler) (*tra
 // core.ClassTable stores classes.
 const hardIdx = 5*core.NumClasses + 5
 
-// newInputResult is the pass-1 part of an input's result: the profiles,
+// passOne profiles, records and classifies one input: the profiles,
 // their classes and distribution, and an empty miss matrix and
-// histogram for pass 2 to fill.
-func newInputResult(spec workload.Spec, profiler *core.Profiler, classes core.ClassMap, cfg Config) *InputResult {
+// histogram for pass 2 to fill. Exec is each site's execution count
+// summed into its joint class, so it needs no pass over the trace; the
+// hard distances, which need event order, are still empty — the sweep's
+// hard chain fills them.
+func passOne(spec workload.Spec, cfg Config) *InputResult {
+	profiler, recorded := profileRecorded(spec, cfg)
+	classes := core.Classify(profiler.Profiles())
 	res := &InputResult{
 		Spec:          spec,
 		Events:        profiler.Events(),
@@ -445,20 +425,9 @@ func newInputResult(spec workload.Spec, profiler *core.Profiler, classes core.Cl
 		Distribution:  new(core.Distribution),
 		Miss:          new([NumKinds][NumHistories]JointCounts),
 		HardDistances: stats.NewHistogram(cfg.window() + 1),
+		Recorded:      recorded,
 	}
 	res.Distribution.AddProfiles(res.Profiles)
-	return res
-}
-
-// passOne profiles, records and classifies one input. Exec is each
-// site's execution count summed into its joint class, so it needs no
-// pass over the trace; the hard distances, which need event order, are
-// still empty — the sweep's hard chain fills them.
-func passOne(spec workload.Spec, cfg Config) *InputResult {
-	profiler, recorded := profileRecorded(spec, cfg)
-	classes := core.Classify(profiler.Profiles())
-	res := newInputResult(spec, profiler, classes, cfg)
-	res.Recorded = recorded
 	for pc, p := range res.Profiles {
 		ci := classOf(res.Table, pc)
 		res.Exec[ci/core.NumClasses][ci%core.NumClasses] += p.Execs
@@ -586,49 +555,4 @@ func sweepDecodedChunk(p bpred.ChunkSweeper, d *trace.DecodedChunk, table *core.
 			cell[classOf(&tab, pcs[w*64+mathbits.TrailingZeros64(bits)])]++
 		}
 	}
-}
-
-// runInputRegenerate is the original regenerate-twice pipeline: pass 2
-// re-runs the workload generator and drives the whole predictor bank
-// serially from one sink. The recorded sweep must match it bit-for-bit
-// (see TestReplayMatchesRegenerate and TestScheduledMatchesLegacy).
-func runInputRegenerate(spec workload.Spec, cfg Config) *InputResult {
-	profiler, classes := ProfileInput(spec, cfg.Scale)
-	res := newInputResult(spec, profiler, classes, cfg)
-
-	// Build the predictor bank: PAs(k) and GAs(k), k = 0..MaxHistory.
-	var pas [NumHistories]*bpred.PAs
-	var gas [NumHistories]*bpred.GAs
-	for k := 0; k < NumHistories; k++ {
-		pas[k] = bpred.NewPAs(k)
-		gas[k] = bpred.NewGAs(k)
-	}
-
-	var pos, lastHard int64
-	sawHard := false
-	sink := trace.SinkFunc(func(pc uint64, taken bool) {
-		jc := classes[pc]
-		t, tr := jc.Taken, jc.Transition
-		res.Exec[t][tr]++
-		for k := 0; k < NumHistories; k++ {
-			if pas[k].Predict(pc) != taken {
-				res.Miss[KindPAs][k][t][tr]++
-			}
-			pas[k].Update(pc, taken)
-			if gas[k].Predict(pc) != taken {
-				res.Miss[KindGAs][k][t][tr]++
-			}
-			gas[k].Update(pc, taken)
-		}
-		pos++
-		if jc.Hard() {
-			if sawHard {
-				res.HardDistances.Add(int(pos - lastHard))
-			}
-			sawHard = true
-			lastHard = pos
-		}
-	})
-	spec.Run(sink, cfg.Scale)
-	return res
 }

@@ -174,8 +174,8 @@ func TestProfileCacheEviction(t *testing.T) {
 }
 
 // TestWarmHitSkipsSweep pins what a profile-cache hit costs: a warm
-// rerun on the same caches equals the cold run and the regenerating
-// oracle bit for bit, builds no chunk window for any input, and runs at
+// rerun on the same caches equals the cold run and the reference
+// simulator bit for bit, builds no chunk window for any input, and runs at
 // most one scheduler task per input — the profile task that publishes
 // the cached result.
 func TestWarmHitSkipsSweep(t *testing.T) {
@@ -210,10 +210,13 @@ func TestWarmHitSkipsSweep(t *testing.T) {
 			t.Fatalf("%s: warm result has no recording for the ablations", r.Spec.Name())
 		}
 	}
-	oracle := RunSuite(specs, Config{Scale: testScale, NoRecord: true})
+	refs := make([]*refResult, len(specs))
+	for i, spec := range specs {
+		refs[i] = referenceFor(spec, cfg)
+	}
 	assertSuitesEqual(t, "warm-vs-cold", cold, warm)
-	assertSuitesEqual(t, "warm-vs-norecord", oracle, warm)
-	assertSuitesEqual(t, "cold-vs-norecord", oracle, cold)
+	assertSuiteMatchesReference(t, "warm", refs, warm)
+	assertSuiteMatchesReference(t, "cold", refs, cold)
 }
 
 // TestProfileCacheEntryIsPerSite pins a profile-cache entry's size at

@@ -96,10 +96,9 @@ type SuiteResult struct {
 // same queue, so late-arriving fan-out from a heavy input backfills
 // cores freed by small ones. Every sweep task is a pure function of its
 // input's recorded stream, so scheduling order cannot change results
-// (bit-for-bit identical to the NoRecord pipeline; see
+// (bit-for-bit identical to a serial Predict+Update walk; see
 // TestScheduledMatchesLegacy). An input with a cfg.Profiles entry is
-// one task that publishes the cached result. Under cfg.NoRecord each
-// input is instead one task running the regenerating pipeline.
+// one task that publishes the cached result.
 //
 // The run rides cfg.Sched when set; otherwise a private scheduler of
 // cfg.Workers workers is built and stopped around it.
@@ -133,7 +132,7 @@ func RunSuiteOn(s *sched.Scheduler, specs []workload.Spec, cfg Config) *SuiteRes
 }
 
 // RunSuiteGroup is RunSuiteOn with a caller-owned group: the suite's
-// whole task grid — NoRecord inputs included — joins g, so the caller
+// whole task grid joins g, so the caller
 // can Cancel it mid-run (a disconnected client, a deadline). Canceled
 // inputs land in SuiteResult.Dropped with ErrCanceled and the call
 // returns once the queued tasks drain, in bounded time because every
@@ -153,11 +152,6 @@ func RunSuiteGroup(g *sched.Group, specs []workload.Spec, cfg Config) *SuiteResu
 		g.Submit(func(w *sched.Worker) {
 			if w.Canceled() {
 				errs[i] = ErrCanceled
-				return
-			}
-			if cfg.NoRecord {
-				defer recoverInput(&errs[i])
-				results[i] = runInputRegenerate(specs[i], cfg)
 				return
 			}
 			profileTask(w, specs[i], cfg, &results[i], &errs[i])
