@@ -11,7 +11,7 @@ package btr
 
 import (
 	"io"
-	"slices"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -119,13 +119,12 @@ func ablationRowsSuite() ([]ablationRowInput, int64) {
 	ablationRowsOnce.Do(func() {
 		for _, in := range RunSuite(Workloads(), SimConfig{Scale: 0.05}).Inputs {
 			ri := ablationRowInput{in: in}
-			rd := in.Recorded.ChunkReader()
-			for {
-				pcs, dirs, n, ok := rd.NextChunk()
-				if !ok {
-					break
+			for k := range in.Recorded.Chunks() {
+				d, err := in.Recorded.DecodeChunk(k)
+				if err != nil {
+					panic(err)
 				}
-				ri.chunks = append(ri.chunks, trace.DecodedChunk{PCs: slices.Clone(pcs), Dirs: slices.Clone(dirs), N: n})
+				ri.chunks = append(ri.chunks, d)
 			}
 			ablationRowsInputs = append(ablationRowsInputs, ri)
 			ablationRowsEvents += in.Events
@@ -234,7 +233,7 @@ func BenchmarkSuiteWarm(b *testing.B) {
 
 // BenchmarkSuiteSweepStreaming is the out-of-core pipeline on the same
 // input: pass 1 streams the recording to a spill file keeping at most
-// ~4 KiB of chunk columns resident (the recording is ~30 KiB, so the
+// ~4 KiB of chunk frames resident (the recording is ~30 KiB, so the
 // run genuinely pages), and the sweep's chunk window is capped below
 // the decoded trace. The gap to BenchmarkSuiteSweepScheduled is the
 // price of bounded memory — a page-in per chunk, and chains held within
@@ -281,14 +280,14 @@ func BenchmarkBankSweep(b *testing.B) {
 	rec := trace.NewChunkRecorder(trace.DefaultChunkEvents)
 	spec.Run(rec, singleInputScale)
 	tr := rec.Trace()
+	h := trace.NewResidentHandle(tr)
 	var chunks []trace.DecodedChunk
-	rep := tr.NewReplayer()
-	for {
-		pcs, dirs, n, ok := rep.NextChunk()
-		if !ok {
-			break
+	for k := range h.Chunks() {
+		d, err := h.DecodeChunk(k)
+		if err != nil {
+			b.Fatal(err)
 		}
-		chunks = append(chunks, trace.DecodedChunk{PCs: slices.Clone(pcs), Dirs: dirs, N: n})
+		chunks = append(chunks, d)
 	}
 	const slots = 2 * (bpred.MaxHistory + 1)
 	wrong := make([]uint64, (trace.DefaultChunkEvents+63)/64)
@@ -402,23 +401,96 @@ func BenchmarkWorkloadCompress(b *testing.B) {
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
-// BenchmarkTraceEncode times BTR2 encoding as the streaming recorder
-// does it: frames cut, checksummed and written to an unlinked temp
-// file, nothing kept resident.
-func BenchmarkTraceEncode(b *testing.B) {
-	w, err := trace.NewStreamRecorder("", 0, 0)
+// traceBenchEvents is one BenchmarkTraceEncode/BenchmarkTraceDecode op:
+// the first 1<<16 events (four default chunks) of compress/bigtest.in, a
+// real stream whose deltas are mostly one varint byte.
+func traceBenchEvents(b *testing.B) []trace.Event {
+	spec, err := FindWorkload("compress", "bigtest.in")
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer w.Discard()
-	r := uint64(7)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r ^= r << 13
-		r ^= r >> 7
-		r ^= r << 17
-		w.Branch(0x400000+(r%256)*4, r&2 != 0)
+	var rec trace.Recorder
+	spec.Run(&rec, 0.05)
+	if rec.Len() < 1<<16 {
+		b.Fatalf("compress/bigtest.in recorded %d events, want at least %d", rec.Len(), 1<<16)
+	}
+	return rec.Events[:1<<16]
+}
+
+// BenchmarkTraceEncode times BTR2 encoding, one op a pass over
+// traceBenchEvents: into resident frames, as a ChunkRecorder keeps
+// them, and spilled, as the streaming recorder cuts, checksums and
+// writes frames to an unlinked temp file with nothing kept resident.
+// The spill file is discarded unsynced, so no fsync is timed.
+func BenchmarkTraceEncode(b *testing.B) {
+	events := traceBenchEvents(b)
+	b.Run("resident", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rec := trace.NewChunkRecorder(0)
+			for _, e := range events {
+				rec.Branch(e.PC, e.Taken)
+			}
+			rec.Trace()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(len(events))), "ns/event")
+	})
+	b.Run("spilled", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w, err := trace.NewStreamRecorder("", 0, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, e := range events {
+				w.Branch(e.PC, e.Taken)
+			}
+			w.Discard()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(len(events))), "ns/event")
+	})
+}
+
+// BenchmarkTraceDecode times one pass of a reader over traceBenchEvents'
+// recording, every chunk checksummed and decoded into the reader's
+// buffers: from resident frames, and paged in from a spill file.
+func BenchmarkTraceDecode(b *testing.B) {
+	events := traceBenchEvents(b)
+	rec := trace.NewChunkRecorder(0)
+	sr, err := trace.NewStreamRecorder(filepath.Join(b.TempDir(), "decode.btr"), 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, e := range events {
+		rec.Branch(e.PC, e.Taken)
+		sr.Branch(e.PC, e.Taken)
+	}
+	spilled, err := sr.Seal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		h    *trace.Handle
+	}{{"resident", trace.NewResidentHandle(rec.Trace())}, {"spilled", spilled}} {
+		b.Run(bc.name, func(b *testing.B) {
+			rd := bc.h.NewReader()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rd.Open(bc.h)
+				for {
+					_, ok, err := rd.Next()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !ok {
+						break
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(len(events))), "ns/event")
+		})
 	}
 }
 

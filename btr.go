@@ -256,12 +256,12 @@ var ErrCorruptSpill = trace.ErrCorruptSpill
 // event counts, and (BTR2) every chunk's checksum and decodability.
 func VerifySpillFile(path string) SpillVerifyReport { return trace.VerifySpill(path) }
 
-// DefaultTraceCacheBytes is the resident-column budget for callers with
+// DefaultTraceCacheBytes is the resident-frame budget for callers with
 // no better number (1 GiB).
 const DefaultTraceCacheBytes = trace.DefaultCacheBytes
 
 // NewTraceCache builds a recorded-trace cache bounded to maxBytes of
-// resident columns (<= 0 means unbounded). A non-empty spillDir makes it
+// resident frames (<= 0 means unbounded). A non-empty spillDir makes it
 // persistent: traces are written through as BTR2 files and reloaded on
 // demand, including by later processes pointed at the same directory.
 // Spill filenames embed the workload registry's fingerprint (a hash of

@@ -66,7 +66,7 @@ func main() {
 		DecodedBudget: *decodedBudget,
 	}
 	if *cachedir != "" {
-		// Under a memory budget the cache's resident columns are bounded
+		// Under a memory budget the cache's resident frames are bounded
 		// to it too; otherwise a full-resident cache would undo -membudget.
 		cacheBytes := int64(btr.DefaultTraceCacheBytes)
 		if *memBudget > 0 {

@@ -70,7 +70,7 @@ func main() {
 				cacheBytes = *memBudget
 			}
 			cache = btr.NewTraceCache(cacheBytes, *cachedir)
-			if h, ok := cache.GetHandle(key); ok {
+			if h, ok := cache.Get(key); ok {
 				recorded = h
 				fromCache = true
 			}
@@ -98,7 +98,7 @@ func main() {
 				h = trace.NewResidentHandle(rec.Trace())
 			}
 			if cache != nil {
-				if err := cache.PutHandle(key, h); err != nil {
+				if err := cache.Put(key, h); err != nil {
 					fmt.Fprintln(os.Stderr, "brsim: warning:", err)
 				}
 			}
@@ -132,8 +132,8 @@ func main() {
 			return err
 		}
 		if cs, ok := p.(bpred.ChunkSweeper); ok {
-			res = sweepRecorded(p.Name(), cs, recorded)
-			return nil
+			res, err = sweepRecorded(p.Name(), cs, recorded)
+			return err
 		}
 		res, err = bpred.Run(p, recorded.Source())
 		return err
@@ -164,26 +164,25 @@ func main() {
 // sweepRecorded replays a recording chunk by chunk through p's column
 // kernel and counts the misses by popcount: the same result as
 // bpred.Run over the recording, without an interface call per event.
-// Paging errors panic, as they do in every Handle replay.
-func sweepRecorded(name string, p bpred.ChunkSweeper, h *trace.Handle) bpred.Result {
+func sweepRecorded(name string, p bpred.ChunkSweeper, h *trace.Handle) (bpred.Result, error) {
 	res := bpred.Result{Name: name}
-	r := h.ChunkReader()
+	r := h.NewReader()
 	var wrong []uint64
 	for {
-		pcs, dirs, n, ok := r.NextChunk()
+		d, ok, err := r.Next()
 		if !ok {
-			return res
+			return res, err
 		}
-		words := (n + 63) / 64
+		words := (d.N + 63) / 64
 		if len(wrong) < words {
 			wrong = make([]uint64, words)
 		}
 		clear(wrong[:words])
-		p.SweepChunk(pcs, dirs, n, wrong[:words])
+		p.SweepChunk(d.PCs, d.Dirs, d.N, wrong[:words])
 		for _, w := range wrong[:words] {
 			res.Misses += int64(bits.OnesCount64(w))
 		}
-		res.Events += int64(n)
+		res.Events += int64(d.N)
 	}
 }
 

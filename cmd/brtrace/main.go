@@ -12,10 +12,10 @@
 //
 // Recording streams events straight into a BTR2 file through the
 // out-of-core recorder, keeping about -membudget bytes of leading chunk
-// columns resident, then audit-replays the file and reports the memory
+// frames resident, then audit-replays the file and reports the memory
 // shape: peak resident chunk bytes, and the page-ins of the replay.
-// -info reports the file's size alongside the in-memory chunked
-// format's stats (chunks, events, encoded bytes, bytes/event).
+// -info reports the file's size alongside its chunk count and encoded
+// frame bytes, which are also what the recording costs held resident.
 //
 // -verify audits spill files — one file, or every *.btr under a
 // directory (a trace-cache dir): header, frame structure, event counts,
@@ -42,7 +42,7 @@ func main() {
 	input := flag.String("input", "", "input set name")
 	scale := flag.Float64("scale", 0.1, "workload scale")
 	out := flag.String("o", "", "record the workload to this BTR2 trace file, then audit-replay it")
-	memBudget := flag.Int64("membudget", 0, "keep about this many bytes of the recording's leading chunk columns resident while recording (0 = none; the audit replay pages everything from the file)")
+	memBudget := flag.Int64("membudget", 0, "keep about this many bytes of the recording's leading chunk frames resident while recording (0 = none; the audit replay pages everything from the file)")
 	info := flag.String("info", "", "summarise an existing trace file")
 	text := flag.String("text", "", "dump an existing trace file as text")
 	verify := flag.String("verify", "", "audit a spill file, or every *.btr under a directory; exits nonzero if any file fails")
@@ -58,20 +58,19 @@ func main() {
 		}
 	case *info != "":
 		h := openTrace(*info)
-		// One pass feeds both the stream summary and a model of the
-		// in-memory chunked recording (columns are never retained, so
-		// arbitrarily large traces audit in O(1) memory), reporting
-		// the file and the simulator's resident format side by side.
+		// One pass summarises the stream, one chunk resident at a time,
+		// so arbitrarily large traces audit in O(1) memory. The
+		// simulator holds the same frames in memory, so the handle's
+		// encoded bytes are what retaining the recording would cost.
 		sink := trace.NewStatsSink()
-		mem := trace.NewChunkStatsSink(h.ChunkEvents())
-		if _, err := trace.Copy(trace.Tee(sink, mem), h.Source()); err != nil {
+		if _, err := trace.Copy(sink, h.Source()); err != nil {
 			fatal(err)
 		}
 		fmt.Println(sink.Stats())
 		if fi, err := os.Stat(*info); err == nil {
 			fmt.Printf("btr2: file_bytes=%d\n", fi.Size())
 		}
-		fmt.Printf("chunked: %s\n", mem.Stats())
+		fmt.Printf("chunked: chunks=%d encoded_bytes=%d\n", h.Chunks(), h.EncodedBytes())
 	case *text != "":
 		if _, err := trace.WriteText(os.Stdout, openTrace(*text).Source()); err != nil {
 			fatal(err)

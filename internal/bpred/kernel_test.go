@@ -270,15 +270,18 @@ func TestSweepChunkOverRecordedTrace(t *testing.T) {
 			continue
 		}
 		scalar := build()
-		rep := tr.NewReplayer()
+		rd := trace.NewResidentHandle(tr).NewReader()
 		base := 0
 		for {
-			pcs, dirs, n, ok := rep.NextChunk()
+			d, ok, err := rd.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !ok {
 				break
 			}
-			checkChunk(t, name, batch, scalar, pcs, dirs, n, base)
-			base += n
+			checkChunk(t, name, batch, scalar, d.PCs, d.Dirs, d.N, base)
+			base += d.N
 		}
 		if base != len(events) {
 			t.Fatalf("%s: swept %d events, recorded %d", name, base, len(events))

@@ -56,7 +56,7 @@ type Shared struct {
 }
 
 // NewShared builds an explicit bundle: a trace cache bounded to
-// cacheBytes of resident columns (<= 0 means trace.DefaultCacheBytes)
+// cacheBytes of resident frames (<= 0 means trace.DefaultCacheBytes)
 // spilling BTR2 files to spillDir ("" = memory only), plus a
 // default-budget profile cache. Servers construct one of these and
 // hand it to every session; CLIs usually go through SharedFor.
@@ -107,7 +107,7 @@ func NewContext(cfg sim.Config) *Context {
 // does not bring itself. A nil bundle selects the process default —
 // except under a memory budget (cfg.MemBudget > 0), where a cache-less
 // config gets a private trace cache bounded to that budget instead: the
-// shared cache's default 1 GiB of resident columns would defeat the
+// shared cache's default 1 GiB of resident frames would defeat the
 // bound the caller just asked for, and the profile cache is tightened
 // to the same number, so the private bundle as a whole stays within
 // it. An explicit bundle is used as given — its owner (a server

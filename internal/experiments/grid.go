@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"cmp"
 	"sort"
+	"sync"
 
 	"btr/internal/sched"
 	"btr/internal/sim"
+	"btr/internal/trace"
 )
 
 // gridRow is one row of a grid ablation over one input: a column kernel
@@ -25,10 +28,11 @@ type gridRow[P any] interface {
 // The grid is one sched.Group on c.Cfg.Sched, or on a private
 // GOMAXPROCS scheduler when the config brings none, with one task per
 // input, largest first, so the long inputs start before the short ones
-// fill the tail. A task reads its input's recording once, through its
-// own Handle.ChunkReader, and runs every row's kernel on each chunk
-// before reading the next: one decode (or page-in) per chunk however
-// many rows the ablation has. Callers fold out in (row, input)
+// fill the tail. A task reads its input's recording once, through a
+// trace.Reader taken from gridReaders, and runs every row's kernel on
+// each chunk before reading the next: one decode (or page-in) per chunk
+// however many rows the ablation has. A recording that fails to decode
+// fails the grid with the cause. Callers fold out in (row, input)
 // order; every fold is a sum of integer counts, so the result does not
 // depend on which worker ran which input.
 //
@@ -62,6 +66,8 @@ func runGrid[P any](c *Context, rows int, start func(row int, in *sim.InputResul
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return inputs[order[a]].Events > inputs[order[b]].Events })
+	var errMu sync.Mutex
+	var readErr error
 	g := s.NewGroup()
 	for _, i := range order {
 		g.Submit(func(*sched.Worker) {
@@ -73,14 +79,21 @@ func runGrid[P any](c *Context, rows int, start func(row int, in *sim.InputResul
 			for r := range kernels {
 				kernels[r] = start(r, in)
 			}
-			rd := in.Recorded.ChunkReader()
+			rd := gridReaders.Get().(*trace.Reader)
+			defer gridReaders.Put(rd)
+			rd.Open(in.Recorded)
 			for !c.canceled() {
-				pcs, dirs, n, ok := rd.NextChunk()
+				d, ok, err := rd.Next()
+				if err != nil {
+					errMu.Lock()
+					readErr = cmp.Or(readErr, err)
+					errMu.Unlock()
+				}
 				if !ok {
 					break
 				}
 				for _, k := range kernels {
-					k.chunk(pcs, dirs, n)
+					k.chunk(d.PCs, d.Dirs, d.N)
 				}
 			}
 			for r, k := range kernels {
@@ -93,8 +106,17 @@ func runGrid[P any](c *Context, rows int, start func(row int, in *sim.InputResul
 	if c.canceled() {
 		return nil, sim.ErrCanceled
 	}
+	if readErr != nil {
+		return nil, readErr
+	}
 	return out, nil
 }
+
+// gridReaders recycles grid tasks' chunk readers, and with them their
+// column buffers: a task takes one for its input and returns it when
+// done, so a pass holds about one reader per running task rather than
+// allocating one per (grid, input).
+var gridReaders = sync.Pool{New: func() any { return new(trace.Reader) }}
 
 // canceled reports whether the group last passed to SuiteGroup has been
 // canceled.

@@ -52,7 +52,7 @@ type Config struct {
 	// with 429 rather than silently clamped.
 	MaxMemBudget     int64
 	MaxDecodedBudget int64
-	// CacheBytes bounds the shared trace cache's resident columns
+	// CacheBytes bounds the shared trace cache's resident frames
 	// (0 = trace.DefaultCacheBytes). Ignored when Shared is set.
 	CacheBytes int64
 	// CacheDir, when non-empty, makes the shared trace cache persistent

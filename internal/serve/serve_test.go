@@ -238,6 +238,40 @@ func TestRepeatedRequestIsByteIdentical(t *testing.T) {
 	}
 }
 
+// TestMetricsMemCountsEachRunOnce: /metrics' mem block sums what each
+// request's runs did. A budgeted cold request pages its spilled chunks
+// in once, for the sweep; an identical second request is all
+// profile-cache hits and adds nothing; a request that misses the
+// profile cache (another window) but replays the cached recordings
+// adds their footprint once and its own page-ins — pass 1's replay and
+// the sweep's, twice the first request's — not the recordings'
+// lifetime counts.
+func TestMetricsMemCountsEachRunOnce(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	req := Request{Experiments: []string{"T2"}, Specs: testSpecs, Scale: testScale, MemBudget: 4096, DecodedBudget: 1 << 16}
+	run := func(req Request) sim.MemStats {
+		if code, _ := post(t, ts.URL, req); code != http.StatusOK {
+			t.Fatalf("status %d, want 200", code)
+		}
+		return s.Metrics().Mem
+	}
+	first := run(req)
+	if first.RecordedBytes == 0 || first.PageIns == 0 {
+		t.Fatalf("budgeted cold request recorded or paged nothing: %+v", first)
+	}
+	if second := run(req); second != first {
+		t.Fatalf("a warm request changed mem: %+v -> %+v", first, second)
+	}
+	req.Window = 12
+	third := run(req)
+	if got := third.RecordedBytes - first.RecordedBytes; got != first.RecordedBytes {
+		t.Fatalf("replaying cold request added %d recorded bytes, want %d", got, first.RecordedBytes)
+	}
+	if got := third.PageIns - first.PageIns; got != 2*first.PageIns {
+		t.Fatalf("replaying cold request added %d page-ins, want %d (pass 1 and the sweep)", got, 2*first.PageIns)
+	}
+}
+
 // TestAdmissionControl: with every in-flight slot held and no queue,
 // the next request bounces with 429 and the rejected counter moves.
 func TestAdmissionControl(t *testing.T) {

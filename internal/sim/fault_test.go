@@ -115,7 +115,7 @@ func TestSuiteRecoversFromCorruptWindowPageIn(t *testing.T) {
 	}
 	var fios []*trace.FaultingIO
 	for _, spec := range specs {
-		h, ok := cfg.Cache.GetHandle(cfg.cacheKey(spec))
+		h, ok := cfg.Cache.Get(cfg.cacheKey(spec))
 		if !ok {
 			t.Fatalf("baseline left no recording for %s", spec.Name())
 		}

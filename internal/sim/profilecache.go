@@ -114,8 +114,9 @@ func entrySize(e *profileEntry) int64 {
 }
 
 // get returns a copy of the cached result's shell for key, with
-// Recorded nil and Mem zero — the caller supplies the recording and its
-// counters. The copy points at the entry's artifacts, Miss included.
+// Recorded nil and Mem zero — the caller supplies the recording, and a
+// hit, which reads no trace, keeps Mem zero. The copy points at the
+// entry's artifacts, Miss included.
 func (c *ProfileCache) get(key trace.CacheKey, window int) (*InputResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -90,7 +90,7 @@ type Config struct {
 	// instead of retaining the whole recording: events are written to a
 	// BTR2 spill file as they are generated (the trace cache's spill
 	// directory when one is configured, otherwise an anonymous temp
-	// file) and at most about MemBudget bytes of leading chunk columns
+	// file) and at most about MemBudget bytes of leading chunk frames
 	// stay resident; replays page the remainder back in sequentially.
 	// Peak recording memory becomes O(MemBudget), not O(trace), and
 	// results are bit-for-bit identical (TestStreamedMatrixMatchesRetained).
@@ -248,8 +248,15 @@ type InputResult struct {
 	Recorded *trace.Handle
 
 	// Mem reports the input's memory-shape counters (recording
-	// footprint, page-ins, chunk-window traffic).
+	// footprint, page-ins, chunk-window traffic). It is zero on a
+	// profile-cache hit, which records, reads and sweeps nothing.
 	Mem MemStats
+
+	// pageInsBefore is the recording's lifetime page-in count when this
+	// run took it, so Mem.PageIns counts only the page-ins made during
+	// the run (a concurrent run over the same recording counts into
+	// both).
+	pageInsBefore int64
 }
 
 // MemStats describes how an input's trace data moved through the
@@ -260,9 +267,9 @@ type MemStats struct {
 	// retaining it all would cost).
 	RecordedBytes int64 `json:"recorded_bytes"`
 	// ResidentPeak is the high-water mark of the recording's resident
-	// chunk columns (== RecordedBytes when fully retained).
+	// frames (== RecordedBytes when fully retained).
 	ResidentPeak int64 `json:"resident_peak"`
-	// PageIns counts chunks re-read from the spill file.
+	// PageIns counts chunks the run read back from the spill file.
 	PageIns int64 `json:"page_ins"`
 	// DecodedHits / DecodedRedecodes / DecodedEvicted / DecodedPeak are
 	// the sweep's chunk-window counters (see trace.WindowStats):
@@ -319,14 +326,13 @@ func RunInput(spec workload.Spec, cfg Config) *InputResult {
 }
 
 // finalizeMem snapshots the input's memory-shape counters off its
-// recording handle and the sweep's chunk-window counters s (zero on a
-// profile-cache hit, which builds no window).
+// recording handle and the sweep's chunk-window counters s.
 func finalizeMem(res *InputResult, s trace.WindowStats) {
 	h := res.Recorded
 	res.Mem = MemStats{
 		RecordedBytes:    h.EncodedBytes(),
 		ResidentPeak:     h.ResidentPeak(),
-		PageIns:          h.PageIns(),
+		PageIns:          h.PageIns() - res.pageInsBefore,
 		DecodedHits:      s.Hits,
 		DecodedRedecodes: max(0, s.Decodes-int64(h.Chunks())),
 		DecodedEvicted:   s.Released,
@@ -337,20 +343,22 @@ func finalizeMem(res *InputResult, s trace.WindowStats) {
 // profileRecorded runs pass 1 — profile and record in one generator run
 // — consulting cfg.Cache first: on a hit the cached recording replays
 // into the profiler and the generator never runs. Either way the
-// returned handle is the input's exact event stream. Under
-// cfg.MemBudget the recording streams straight to a spill file with a
-// bounded resident prefix instead of being retained whole.
-func profileRecorded(spec workload.Spec, cfg Config) (*core.Profiler, *trace.Handle) {
-	profiler := core.NewProfiler()
+// returned handle is the input's exact event stream, and pageIns its
+// lifetime page-in count before this run read it. Under cfg.MemBudget
+// the recording streams straight to a spill file with a bounded
+// resident prefix instead of being retained whole.
+func profileRecorded(spec workload.Spec, cfg Config) (profiler *core.Profiler, h *trace.Handle, pageIns int64) {
+	profiler = core.NewProfiler()
 	if cfg.Cache != nil {
-		if h, ok := cfg.Cache.GetHandle(cfg.cacheKey(spec)); ok {
+		if h, ok := cfg.Cache.Get(cfg.cacheKey(spec)); ok {
+			pageIns = h.PageIns()
 			h.Replay(profiler)
-			return profiler, h
+			return profiler, h, pageIns
 		}
 	}
 	if cfg.MemBudget > 0 {
 		if h, ok := streamRecord(spec, cfg, profiler); ok {
-			return profiler, h
+			return profiler, h, 0
 		}
 		// The spill file could not be created or sealed: fall back to the
 		// fully resident path with a fresh profiler (the failed attempt
@@ -359,14 +367,14 @@ func profileRecorded(spec workload.Spec, cfg Config) (*core.Profiler, *trace.Han
 	}
 	recorder := trace.NewChunkRecorder(cfg.ChunkEvents)
 	spec.Run(trace.Tee(profiler, recorder), cfg.Scale)
-	h := trace.NewResidentHandle(recorder.Trace())
+	h = trace.NewResidentHandle(recorder.Trace())
 	if cfg.Cache != nil {
 		// A failed spill loses persistence only — the recording is
 		// still cached in memory — and is counted in the cache stats
 		// (CacheStats.SpillFailures) for the CLIs to report.
-		_ = cfg.Cache.PutHandle(cfg.cacheKey(spec), h)
+		_ = cfg.Cache.Put(cfg.cacheKey(spec), h)
 	}
-	return profiler, h
+	return profiler, h, 0
 }
 
 // streamRecord is the bounded-window pass 1: the generator's stream is
@@ -397,7 +405,7 @@ func streamRecord(spec workload.Spec, cfg Config, profiler *core.Profiler) (*tra
 		return nil, false
 	}
 	if cfg.Cache != nil {
-		_ = cfg.Cache.PutHandle(cfg.cacheKey(spec), h)
+		_ = cfg.Cache.Put(cfg.cacheKey(spec), h)
 	}
 	return h, true
 }
@@ -413,7 +421,7 @@ const hardIdx = 5*core.NumClasses + 5
 // hard distances, which need event order, are still empty — the sweep's
 // hard chain fills them.
 func passOne(spec workload.Spec, cfg Config) *InputResult {
-	profiler, recorded := profileRecorded(spec, cfg)
+	profiler, recorded, pageIns := profileRecorded(spec, cfg)
 	classes := core.Classify(profiler.Profiles())
 	res := &InputResult{
 		Spec:          spec,
@@ -426,6 +434,7 @@ func passOne(spec workload.Spec, cfg Config) *InputResult {
 		Miss:          new([NumKinds][NumHistories]JointCounts),
 		HardDistances: stats.NewHistogram(cfg.window() + 1),
 		Recorded:      recorded,
+		pageInsBefore: pageIns,
 	}
 	res.Distribution.AddProfiles(res.Profiles)
 	for pc, p := range res.Profiles {
@@ -442,7 +451,8 @@ func passOne(spec workload.Spec, cfg Config) *InputResult {
 // On a hit the recording the result was derived from comes back from
 // cfg.Cache — the recording's lifetime stays under the trace cache's LRU
 // budget, not pinned by profile entries — for the ablations that replay
-// it, and no generator run, profiling replay or sweep happens at all.
+// it, and no generator run, profiling replay or sweep happens at all,
+// so the result's Mem stays zero.
 // If the recording was evicted without a spill path the hit is unusable
 // (the ablations need the stream) and the input falls through to a full
 // recompute.
@@ -454,12 +464,11 @@ func profileCached(spec workload.Spec, cfg Config) (*InputResult, bool) {
 	if !ok {
 		return nil, false
 	}
-	h, ok := cfg.Cache.GetHandle(cfg.cacheKey(spec))
+	h, ok := cfg.Cache.Get(cfg.cacheKey(spec))
 	if !ok {
 		return nil, false
 	}
 	res.Recorded = h
-	finalizeMem(res, trace.WindowStats{})
 	return res, true
 }
 

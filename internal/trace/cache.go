@@ -15,18 +15,18 @@ import (
 // share one recording instead of re-running the generator per context.
 //
 // Entries are recording Handles, so the cache bounds bytes, not
-// recordings: eviction releases a spill-backed handle's resident
-// columns while the handle itself — and every replay already paging
-// through it — stays valid, re-reading chunks from its BTR2 file on
-// demand. With a spill directory configured, stored traces are written
-// through as BTR2 files and transparently re-loaded on the next Get —
-// so a memory-constrained run degrades to disk instead of
-// regenerating, and a later process pointed at the same directory
-// starts warm. Spill filenames carry the workload-registry fingerprint
+// recordings: eviction releases a spill-backed handle's resident BTR2
+// frames while the handle itself — and every replay already paging
+// through it — stays valid, re-reading frames from its BTR2 file on
+// demand. With a spill directory configured, memory-only recordings
+// are written through as BTR2 files (their frames verbatim) and found
+// again by the next process's Get — so a memory-constrained run
+// degrades to disk instead of regenerating, and a later process
+// pointed at the same directory starts warm. Spill filenames carry the workload-registry fingerprint
 // the cache was built with, so files left by a different workload
 // generation are invisible rather than silently wrong.
 
-// DefaultCacheBytes is the resident-column budget used by callers that
+// DefaultCacheBytes is the resident-frame budget used by callers that
 // have no better number: 1 GiB, comfortably above a full Table 1 suite
 // at scale 1.0 (~1.2 bytes/event).
 const DefaultCacheBytes = 1 << 30
@@ -67,13 +67,13 @@ func (k CacheKey) Normalised() CacheKey {
 type CacheStats struct {
 	Hits          int64 `json:"hits"`           // Gets served, from memory or disk
 	Misses        int64 `json:"misses"`         // Gets that found nothing
-	Loads         int64 `json:"loads"`          // hits that re-read a spill file
+	Loads         int64 `json:"loads"`          // hits served by probing the spill directory
 	Spills        int64 `json:"spills"`         // traces written to the spill directory
 	SpillFailures int64 `json:"spill_failures"` // spill writes that failed (persistence lost, memory reuse kept)
-	Evicted       int64 `json:"evicted"`        // entries whose columns were released from memory
+	Evicted       int64 `json:"evicted"`        // entries whose frames were released from memory
 	Quarantined   int64 `json:"quarantined"`    // corrupt spill files renamed aside (entry dropped, caller re-records)
-	Resident      int   `json:"resident"`       // entries currently holding columns in memory
-	ResidentBytes int64 `json:"resident_bytes"` // bytes of resident columns
+	Resident      int   `json:"resident"`       // entries currently holding frames in memory
+	ResidentBytes int64 `json:"resident_bytes"` // payload bytes of resident frames
 }
 
 // Cache is safe for concurrent use.
@@ -97,7 +97,7 @@ type cacheEntry struct {
 	used    int64
 }
 
-// NewCache builds a cache bounded to maxBytes of resident trace columns
+// NewCache builds a cache bounded to maxBytes of resident trace frames
 // (<= 0 means unbounded). A non-empty spillDir enables the BTR2 spill
 // mode: stored traces are written through to the directory (created if
 // missing), evictions keep their file, and Get probes the directory
@@ -119,119 +119,46 @@ func NewCache(maxBytes int64, spillDir string, fingerprint uint64) *Cache {
 	}
 }
 
-// handleFor is the shared lookup core: an existing entry, else a
-// spill-directory probe (scanning the file into a cold handle, no
-// columns read). probed reports that a probe built the handle. Counts
-// nothing — the public wrappers own the stats.
-func (c *Cache) handleFor(key CacheKey) (h *Handle, probed, ok bool) {
+// Get returns the recording handle for key: an existing entry, else a
+// handle over a spill file an earlier process left in the spill
+// directory (one scan builds its chunk index; no frame is read). The
+// probe runs outside the cache lock, so it never stalls other callers'
+// in-memory traffic. The handle stays valid across evictions, which
+// only release the resident frames of spill-backed handles; readers
+// page through it within their own memory budget.
+func (c *Cache) Get(key CacheKey) (*Handle, bool) {
+	key = key.Normalised()
 	c.mu.Lock()
 	if e := c.entries[key]; e != nil {
 		c.tick++
 		e.used = c.tick
-		h := e.h
+		c.stats.Hits++
 		c.mu.Unlock()
-		return h, false, true
+		return e.h, true
 	}
 	dir := c.dir
 	c.mu.Unlock()
-	if dir == "" {
-		return nil, false, false
-	}
 	// Probe the spill dir: a previous process may have left the file;
 	// an open failure is simply a miss. A file the scan rejects as
 	// corrupt (torn BTR2 structure, bad trailer) is moved aside so the
 	// miss does not repeat the doomed scan on every later probe.
-	h, err := OpenSpillHandle(c.spillPath(key), key.ChunkEvents)
-	if err != nil {
+	if dir != "" {
+		h, err := OpenSpillHandle(c.spillPath(key), key.ChunkEvents)
+		if err == nil {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			c.stats.Hits++
+			c.stats.Loads++
+			return c.adoptLocked(key, h), true
+		}
 		if errors.Is(err, ErrCorruptSpill) {
 			c.Quarantine(key)
 		}
-		return nil, false, false
 	}
-	c.mu.Lock()
-	h = c.adoptLocked(key, h)
-	c.mu.Unlock()
-	return h, true, true
-}
-
-// GetHandle returns the recording handle for key without materialising
-// its columns — the entry point for streaming replays, which page
-// through the handle within their own memory budget. The handle stays
-// valid across evictions (eviction only releases resident columns of
-// spill-backed handles).
-func (c *Cache) GetHandle(key CacheKey) (*Handle, bool) {
-	key = key.Normalised()
-	h, probed, ok := c.handleFor(key)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !ok {
-		c.stats.Misses++
-		return nil, false
-	}
-	c.stats.Hits++
-	if probed {
-		c.stats.Loads++ // the probe scanned the spill file
-	}
-	return h, true
-}
-
-// Get returns the recording for key as a fully resident trace,
-// re-reading a spill file if the columns are no longer in memory. All
-// disk I/O happens outside the cache lock, so a reload (or a spill-dir
-// probe) never stalls other callers' in-memory traffic.
-func (c *Cache) Get(key CacheKey) (*ChunkedTrace, bool) {
-	key = key.Normalised()
-	h, probed, ok := c.handleFor(key)
-	if !ok {
-		c.countMiss()
-		return nil, false
-	}
-	tr, paged, err := h.materialise()
-	if err != nil {
-		// The file is missing, vanished or corrupt: forget the entry and
-		// report a miss so the caller regenerates. Detected corruption
-		// additionally moves the file aside — otherwise the next Get
-		// would probe the same damaged bytes forever.
-		if errors.Is(err, ErrCorruptSpill) {
-			c.Quarantine(key)
-		}
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if e := c.entries[key]; e != nil && e.h == h {
-			c.bytes -= e.charged
-			delete(c.entries, key)
-		}
-		c.stats.Misses++
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats.Hits++
-	if probed || paged {
-		c.stats.Loads++
-	}
-	c.rechargeLocked(key, h)
-	return tr, true
-}
-
-func (c *Cache) countMiss() {
 	c.mu.Lock()
 	c.stats.Misses++
 	c.mu.Unlock()
-}
-
-// rechargeLocked re-syncs the budget charge for key's entry after its
-// handle's residency changed (a materialise or re-adoption), evicting
-// if the growth pushed the cache past its budget.
-func (c *Cache) rechargeLocked(key CacheKey, h *Handle) {
-	e := c.entries[key]
-	if e == nil || e.h != h {
-		return
-	}
-	now := h.ResidentBytes()
-	c.bytes += now - e.charged
-	e.charged = now
-	c.evictLocked()
+	return nil, false
 }
 
 // adoptLocked installs (or refreshes) the entry for key. If another
@@ -252,37 +179,21 @@ func (c *Cache) adoptLocked(key CacheKey, h *Handle) *Handle {
 	return e.h
 }
 
-// Put stores a recording under key. With a spill directory the trace is
-// written through immediately (outside the cache lock, so concurrent
-// workers' cache traffic never waits on disk), making it durable across
-// evictions and processes; a failed spill is reported but the trace is
-// still cached in memory — an unwritable directory only loses
-// persistence, never reuse. Storing an already-present key refreshes
-// recency; if that entry's columns were evicted, the offered trace is
-// re-adopted so the next Get is served from memory (recordings are
-// deterministic, so the two are identical).
-func (c *Cache) Put(key CacheKey, tr *ChunkedTrace) error {
-	return c.putHandle(key.Normalised(), NewResidentHandle(tr), tr)
-}
-
-// PutHandle stores an already-built recording handle — e.g. a
-// StreamRecorder's spill-backed result — under key. No write-through
-// happens for handles that already carry a spill file.
-func (c *Cache) PutHandle(key CacheKey, h *Handle) error {
-	return c.putHandle(key.Normalised(), h, nil)
-}
-
-func (c *Cache) putHandle(key CacheKey, h *Handle, offered *ChunkedTrace) error {
+// Put stores a recording handle under key. With a spill directory a
+// memory-only handle is written through at once, its frames verbatim
+// (outside the cache lock, so concurrent workers' cache traffic never
+// waits on disk), making it durable across evictions and processes; a
+// failed spill is reported but the handle is still cached in memory —
+// an unwritable directory only loses persistence, never reuse. A
+// handle that already carries a spill file (a StreamRecorder's) is not
+// written again. Storing an already-present key only refreshes its
+// recency: recordings are deterministic, so the two are identical.
+func (c *Cache) Put(key CacheKey, h *Handle) error {
+	key = key.Normalised()
 	c.mu.Lock()
 	if e := c.entries[key]; e != nil {
-		// Refresh recency; re-adopt the offered columns if the entry's
-		// were evicted.
 		c.tick++
 		e.used = c.tick
-		if offered != nil {
-			e.h.adoptResident(offered)
-		}
-		c.rechargeLocked(key, e.h)
 		c.mu.Unlock()
 		return nil
 	}
@@ -294,20 +205,10 @@ func (c *Cache) putHandle(key CacheKey, h *Handle, offered *ChunkedTrace) error 
 	var spillErr error
 	spilled := h.SpillPath() != "" // stream-recorded straight to a durable file
 	if dir != "" && !h.Spilled() {
-		if offered == nil {
-			// A handle without resident columns and without a spill file
-			// cannot exist (it would have no backing at all), so offered
-			// is only nil here for already-spilled handles.
-			offered, spillErr = h.Materialise()
-		}
-		if spillErr == nil {
-			path := c.spillPath(key)
-			if err := writeSpill(path, offered); err != nil {
-				spillErr = fmt.Errorf("trace: spilling %s: %w", key.Name, err)
-			} else {
-				h.attachSpill(path)
-				spilled = true
-			}
+		if err := h.spillTo(c.spillPath(key)); err != nil {
+			spillErr = fmt.Errorf("trace: spilling %s: %w", key.Name, err)
+		} else {
+			spilled = true
 		}
 	}
 
@@ -367,7 +268,7 @@ func (c *Cache) SpillPathFor(key CacheKey) string {
 	return c.spillPath(key.Normalised())
 }
 
-// Flush releases every resident trace column (spill files are kept), so
+// Flush releases every resident trace frame (spill files are kept), so
 // a long-lived process can return the cache's memory without losing the
 // disk-backed recordings. Counters are preserved.
 func (c *Cache) Flush() {
@@ -378,9 +279,9 @@ func (c *Cache) Flush() {
 	}
 }
 
-// releaseLocked evicts one entry's resident columns: spill-backed
+// releaseLocked evicts one entry's resident frames: spill-backed
 // handles stay (and reload on demand), memory-only entries are dropped
-// entirely — without a file the columns were the recording.
+// entirely — without a file the frames were the recording.
 func (c *Cache) releaseLocked(key CacheKey, e *cacheEntry) {
 	if e.h.Spilled() {
 		if freed := e.h.Release(); freed > 0 || e.charged > 0 {
@@ -409,7 +310,7 @@ func (c *Cache) Stats() CacheStats {
 	return s
 }
 
-// evictLocked releases least-recently-used resident columns until the
+// evictLocked releases least-recently-used resident frames until the
 // budget is met. Recordings are immutable and callers keep their own
 // references, so even a just-stored or just-returned entry may be
 // released: the caller's pointer stays valid, only the cache forgets.

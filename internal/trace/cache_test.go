@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -20,25 +21,24 @@ func recordSynthetic(n int, chunkEvents int, seed uint64) *ChunkedTrace {
 	return rec.Trace()
 }
 
-func collect(t *ChunkedTrace) []Event {
-	var rec Recorder
-	t.Replay(&rec)
-	return rec.Events
+// residentSynthetic wraps recordSynthetic's trace as a resident handle.
+func residentSynthetic(n int, chunkEvents int, seed uint64) *Handle {
+	return NewResidentHandle(recordSynthetic(n, chunkEvents, seed))
 }
 
 func TestCacheHitMissKeying(t *testing.T) {
 	c := NewCache(0, "", 0)
-	tr := recordSynthetic(1000, 0, 7)
+	h := residentSynthetic(1000, 0, 7)
 	key := CacheKey{Name: "gcc/genoutput.i", Scale: 0.5}
 	if _, ok := c.Get(key); ok {
 		t.Fatal("empty cache must miss")
 	}
-	if err := c.Put(key, tr); err != nil {
+	if err := c.Put(key, h); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := c.Get(key)
-	if !ok || got != tr {
-		t.Fatal("exact-key Get must return the stored trace")
+	if !ok || got != h {
+		t.Fatal("exact-key Get must return the stored handle")
 	}
 	// Each key dimension must miss independently.
 	for _, miss := range []CacheKey{
@@ -66,8 +66,7 @@ func TestCacheHitMissKeying(t *testing.T) {
 // runner treats it.
 func TestCacheKeyFingerprintAndScaleNormalisation(t *testing.T) {
 	c := NewCache(0, "", 0)
-	tr := recordSynthetic(500, 0, 3)
-	if err := c.Put(CacheKey{Name: "x/in", Fingerprint: 1, Scale: 1}, tr); err != nil {
+	if err := c.Put(CacheKey{Name: "x/in", Fingerprint: 1, Scale: 1}, residentSynthetic(500, 0, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get(CacheKey{Name: "x/in", Fingerprint: 2, Scale: 1}); ok {
@@ -90,22 +89,22 @@ func TestCachePutSpillFailureStillCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCache(0, dir, 0) // spill writes into a path that is a file: they fail
-	tr := recordSynthetic(1000, 0, 21)
+	h := residentSynthetic(1000, 0, 21)
 	key := CacheKey{Name: "y", Scale: 1}
-	if err := c.Put(key, tr); err == nil {
+	if err := c.Put(key, h); err == nil {
 		t.Fatal("Put must report the spill failure")
 	}
 	got, ok := c.Get(key)
-	if !ok || got != tr {
+	if !ok || got != h {
 		t.Fatal("recording must still be served from memory after a failed spill")
 	}
 }
 
 func TestCacheEvictionUnderBudget(t *testing.T) {
-	a := recordSynthetic(4000, 0, 1)
-	b := recordSynthetic(4000, 0, 2)
+	a := residentSynthetic(4000, 0, 1)
+	b := residentSynthetic(4000, 0, 2)
 	// Budget fits one trace, not two.
-	c := NewCache(a.SizeBytes()+b.SizeBytes()/2, "", 0)
+	c := NewCache(a.EncodedBytes()+b.EncodedBytes()/2, "", 0)
 	if err := c.Put(CacheKey{Name: "a", Scale: 1}, a); err != nil {
 		t.Fatal(err)
 	}
@@ -123,15 +122,15 @@ func TestCacheEvictionUnderBudget(t *testing.T) {
 	if s.Evicted != 1 {
 		t.Fatalf("Evicted = %d, want 1", s.Evicted)
 	}
-	if s.ResidentBytes > a.SizeBytes()+b.SizeBytes()/2 {
+	if s.ResidentBytes > a.EncodedBytes()+b.EncodedBytes()/2 {
 		t.Fatalf("resident %d bytes exceeds budget", s.ResidentBytes)
 	}
 }
 
 func TestCacheLRUOrder(t *testing.T) {
-	a := recordSynthetic(4000, 0, 1)
-	b := recordSynthetic(4000, 0, 2)
-	c := NewCache(a.SizeBytes()+b.SizeBytes()+1, "", 0)
+	a := residentSynthetic(4000, 0, 1)
+	b := residentSynthetic(4000, 0, 2)
+	c := NewCache(a.EncodedBytes()+b.EncodedBytes()+1, "", 0)
 	ka, kb := CacheKey{Name: "a", Scale: 1}, CacheKey{Name: "b", Scale: 1}
 	if err := c.Put(ka, a); err != nil {
 		t.Fatal(err)
@@ -141,7 +140,7 @@ func TestCacheLRUOrder(t *testing.T) {
 	}
 	// Touch a, then overflow: b must be the victim.
 	c.Get(ka)
-	if err := c.Put(CacheKey{Name: "c", Scale: 1}, recordSynthetic(4000, 0, 3)); err != nil {
+	if err := c.Put(CacheKey{Name: "c", Scale: 1}, residentSynthetic(4000, 0, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get(ka); !ok {
@@ -152,35 +151,37 @@ func TestCacheLRUOrder(t *testing.T) {
 	}
 }
 
-// TestCacheSpillRoundTrip pins the spill mode: an evicted trace
-// reloads from disk and replays bit-identically to the original.
+// TestCacheSpillRoundTrip pins the spill mode: an evicted recording
+// keeps its handle, pages back in from disk and replays bit-identically
+// to the original.
 func TestCacheSpillRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	orig := recordSynthetic(5000, 100, 9) // odd chunk size, partial final chunk
+	events := syntheticEvents(5000, 9)
+	orig := residentSynthetic(5000, 100, 9) // odd chunk size, partial final chunk
 	key := CacheKey{Name: "vortex/vortex.lit", Scale: 0.1, ChunkEvents: 100}
 	// Budget below one trace: the entry spills and is dropped from memory.
 	c := NewCache(1, dir, 0)
 	if err := c.Put(key, orig); err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Stats(); s.Spills != 1 {
-		t.Fatalf("Spills = %d, want 1", s.Spills)
+	if s := c.Stats(); s.Spills != 1 || s.Evicted != 1 {
+		t.Fatalf("stats %+v: want 1 spill, 1 eviction", s)
 	}
 	got, ok := c.Get(key)
-	if !ok {
-		t.Fatal("spilled entry must reload")
+	if !ok || got != orig {
+		t.Fatal("a spilled entry must keep its handle")
 	}
-	if got == orig {
-		t.Fatal("expected a reloaded trace, not the original pointer")
+	if got.ResidentBytes() != 0 {
+		t.Fatalf("evicted handle still holds %d resident bytes", got.ResidentBytes())
 	}
-	if !reflect.DeepEqual(collect(got), collect(orig)) {
+	if !reflect.DeepEqual(replayHandle(got), events) {
 		t.Fatal("spill round-trip changed the event stream")
 	}
-	if got.Events() != orig.Events() {
-		t.Fatalf("events %d != %d", got.Events(), orig.Events())
+	if got.PageIns() != int64(got.Chunks()) {
+		t.Fatalf("replay paged in %d of %d chunks", got.PageIns(), got.Chunks())
 	}
-	if s := c.Stats(); s.Loads != 1 || s.Hits != 1 {
-		t.Fatalf("stats %+v: want 1 load, 1 hit", s)
+	if s := c.Stats(); s.Loads != 0 || s.Hits != 1 {
+		t.Fatalf("stats %+v: want 1 hit and no probe", s)
 	}
 }
 
@@ -188,10 +189,9 @@ func TestCacheSpillRoundTrip(t *testing.T) {
 // over the same directory finds recordings the first one wrote.
 func TestCacheCrossProcessProbe(t *testing.T) {
 	dir := t.TempDir()
-	orig := recordSynthetic(3000, 0, 11)
 	key := CacheKey{Name: "perl/primes.pl", Scale: 1}
 	first := NewCache(0, dir, 0)
-	if err := first.Put(key, orig); err != nil {
+	if err := first.Put(key, residentSynthetic(3000, 0, 11)); err != nil {
 		t.Fatal(err)
 	}
 	second := NewCache(0, dir, 0)
@@ -199,7 +199,10 @@ func TestCacheCrossProcessProbe(t *testing.T) {
 	if !ok {
 		t.Fatal("fresh cache over the same dir must find the spill file")
 	}
-	if !reflect.DeepEqual(collect(got), collect(orig)) {
+	if s := second.Stats(); s.Loads != 1 {
+		t.Fatalf("Loads = %d, want 1 probe", s.Loads)
+	}
+	if !reflect.DeepEqual(replayHandle(got), syntheticEvents(3000, 11)) {
 		t.Fatal("cross-process reload changed the event stream")
 	}
 	if _, ok := second.Get(CacheKey{Name: "perl/primes.pl", Scale: 2}); ok {
@@ -215,9 +218,8 @@ func TestCacheCrossProcessProbe(t *testing.T) {
 func TestCacheFingerprintSelfInvalidates(t *testing.T) {
 	dir := t.TempDir()
 	key := CacheKey{Name: "gcc/genoutput.i", Scale: 1}
-	oldGen := recordSynthetic(2000, 0, 19)
 	first := NewCache(0, dir, 0xaaaa)
-	if err := first.Put(key, oldGen); err != nil {
+	if err := first.Put(key, residentSynthetic(2000, 0, 19)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -227,8 +229,7 @@ func TestCacheFingerprintSelfInvalidates(t *testing.T) {
 	if _, ok := second.Get(key); ok {
 		t.Fatal("stale-generation spill file must not be served")
 	}
-	newGen := recordSynthetic(2500, 0, 23)
-	if err := second.Put(key, newGen); err != nil {
+	if err := second.Put(key, residentSynthetic(2500, 0, 23)); err != nil {
 		t.Fatal(err)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.btr"))
@@ -239,24 +240,28 @@ func TestCacheFingerprintSelfInvalidates(t *testing.T) {
 	// Each generation still round-trips through its own file.
 	for _, tc := range []struct {
 		fp   uint64
-		want *ChunkedTrace
-	}{{0xaaaa, oldGen}, {0xbbbb, newGen}} {
+		want []Event
+	}{{0xaaaa, syntheticEvents(2000, 19)}, {0xbbbb, syntheticEvents(2500, 23)}} {
 		c := NewCache(0, dir, tc.fp)
 		got, ok := c.Get(key)
 		if !ok {
 			t.Fatalf("fingerprint %#x: own spill file must hit", tc.fp)
 		}
-		if !reflect.DeepEqual(collect(got), collect(tc.want)) {
+		if !reflect.DeepEqual(replayHandle(got), tc.want) {
 			t.Fatalf("fingerprint %#x: reloaded stream diverged", tc.fp)
 		}
 	}
 }
 
+// TestCacheCorruptSpillIsAMiss pins both sides of a spill file
+// overwritten with junk: another process's probe misses, and the
+// evicted entry's reads fail, after which the caller's Quarantine makes
+// the next Get miss too.
 func TestCacheCorruptSpillIsAMiss(t *testing.T) {
 	dir := t.TempDir()
 	key := CacheKey{Name: "x", Scale: 1}
-	c := NewCache(1, dir, 0) // evict immediately so Get must reload
-	if err := c.Put(key, recordSynthetic(1000, 0, 5)); err != nil {
+	c := NewCache(1, dir, 0) // evict immediately so reads must page in
+	if err := c.Put(key, residentSynthetic(1000, 0, 5)); err != nil {
 		t.Fatal(err)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.btr"))
@@ -266,11 +271,19 @@ func TestCacheCorruptSpillIsAMiss(t *testing.T) {
 	if err := os.WriteFile(files[0], []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(key); ok {
+	if _, ok := NewCache(1, dir, 0).Get(key); ok {
 		t.Fatal("corrupt spill must read as a miss")
 	}
+	h, ok := c.Get(key)
+	if !ok {
+		t.Fatal("the evicted entry keeps its handle")
+	}
+	if _, err := h.DecodeChunk(0); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("paging from the junk file: err = %v, want ErrBadMagic", err)
+	}
+	c.Quarantine(key)
 	if _, ok := c.Get(key); ok {
-		t.Fatal("entry must be forgotten after a corrupt read")
+		t.Fatal("entry must be forgotten after its quarantine")
 	}
 }
 
@@ -288,7 +301,7 @@ func TestCacheLegacyBTR1FileIsACleanMiss(t *testing.T) {
 	if err := os.WriteFile(path, []byte{'B', 'T', 'R', '1', 0x01, 0x08, 0x00}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.GetHandle(key); ok {
+	if _, ok := c.Get(key); ok {
 		t.Fatal("a BTR1 file must not be served")
 	}
 	if s := c.Stats(); s.Misses != 1 || s.Hits != 0 {
@@ -301,39 +314,15 @@ func TestCacheLegacyBTR1FileIsACleanMiss(t *testing.T) {
 		t.Fatalf("the BTR1 file must stay in place until replaced: %v", err)
 	}
 
-	orig := recordSynthetic(3000, 0, 31)
-	if err := c.Put(key, orig); err != nil {
+	if err := c.Put(key, residentSynthetic(3000, 0, 31)); err != nil {
 		t.Fatal(err)
 	}
-	h, ok := NewCache(0, dir, 0).GetHandle(key)
+	h, ok := NewCache(0, dir, 0).Get(key)
 	if !ok {
 		t.Fatal("fresh cache must hit the file Put wrote over the BTR1 one")
 	}
-	if !reflect.DeepEqual(replayHandle(h), collect(orig)) {
+	if !reflect.DeepEqual(replayHandle(h), syntheticEvents(3000, 31)) {
 		t.Fatal("replay after replacing the BTR1 file diverged")
-	}
-}
-
-// TestCachePutReadoptsEvictedEntry pins that re-storing a key whose
-// columns were evicted makes the next Get free again (no disk reload).
-func TestCachePutReadoptsEvictedEntry(t *testing.T) {
-	dir := t.TempDir()
-	tr := recordSynthetic(4000, 0, 13)
-	key := CacheKey{Name: "x", Scale: 1}
-	c := NewCache(1, dir, 0) // evicts immediately; spill file remains
-	if err := c.Put(key, tr); err != nil {
-		t.Fatal(err)
-	}
-	c.maxBytes = 1 << 30 // lift the bound so re-adopted columns stay
-	if err := c.Put(key, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c.Get(key)
-	if !ok || got != tr {
-		t.Fatal("re-put trace must be served from memory")
-	}
-	if s := c.Stats(); s.Loads != 0 {
-		t.Fatalf("Loads = %d, want 0 (no disk reload after re-adoption)", s.Loads)
 	}
 }
 
@@ -341,11 +330,11 @@ func TestCacheFlush(t *testing.T) {
 	dir := t.TempDir()
 	c := NewCache(0, dir, 0)
 	spilled := CacheKey{Name: "spilled", Scale: 1}
-	if err := c.Put(spilled, recordSynthetic(2000, 0, 17)); err != nil {
+	if err := c.Put(spilled, residentSynthetic(2000, 0, 17)); err != nil {
 		t.Fatal(err)
 	}
 	memOnly := NewCache(0, "", 0)
-	if err := memOnly.Put(spilled, recordSynthetic(2000, 0, 17)); err != nil {
+	if err := memOnly.Put(spilled, residentSynthetic(2000, 0, 17)); err != nil {
 		t.Fatal(err)
 	}
 	c.Flush()
@@ -362,12 +351,43 @@ func TestCacheFlush(t *testing.T) {
 	}
 }
 
-// TestChunkStatsSinkMatchesRecorder pins the O(1)-memory audit model
-// against the real recorder, including a partial final chunk.
+// TestChunkStats pins the chunk count and encoded bytes brtrace -info
+// reports: the payload bytes a ChunkRecorder holds resident, which a
+// spill file of the same stream holds too, frame for frame — including
+// an empty stream and a partial final chunk.
+func TestChunkStats(t *testing.T) {
+	for _, n := range []int{0, 999, 2500} {
+		tr := recordSynthetic(n, 1000, 3)
+		h := NewResidentHandle(tr)
+		spilled := recordSpill(t, filepath.Join(t.TempDir(), "stats.btr"), n, 1000, 3, nil)
+		chunks := (n + 999) / 1000
+		if tr.Chunks() != chunks || tr.Events() != int64(n) || h.Chunks() != chunks || spilled.Chunks() != chunks {
+			t.Fatalf("n=%d: chunks %d/%d/%d, events %d; want %d chunks", n, tr.Chunks(), h.Chunks(), spilled.Chunks(), tr.Events(), chunks)
+		}
+		if h.EncodedBytes() != tr.SizeBytes() || spilled.EncodedBytes() != tr.SizeBytes() || h.ResidentBytes() != tr.SizeBytes() {
+			t.Fatalf("n=%d: encoded bytes resident %d, spilled %d, resident now %d; want the trace's %d",
+				n, h.EncodedBytes(), spilled.EncodedBytes(), h.ResidentBytes(), tr.SizeBytes())
+		}
+		// Every event costs a delta byte and every 8 events a mask byte.
+		if lo := int64(n + (n+7)/8); tr.SizeBytes() < lo || tr.SizeBytes() > 2*lo {
+			t.Fatalf("n=%d: %d encoded bytes, implausible against %d", n, tr.SizeBytes(), lo)
+		}
+		spilled.f.Close()
+	}
+}
+
+// TestChunkStatsSinkMatchesRecorder pins the bounded-memory record path
+// against the real recorder: a StreamRecorder that keeps nothing
+// resident, fed event by event alongside a ChunkRecorder, seals a
+// handle with the same event count, chunk count and encoded bytes,
+// including a partial final chunk.
 func TestChunkStatsSinkMatchesRecorder(t *testing.T) {
 	for _, n := range []int{0, 999, 2500} {
 		rec := NewChunkRecorder(1000)
-		sink := NewChunkStatsSink(1000)
+		sink, err := NewStreamRecorder("", 1000, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		r := uint64(5)
 		for i := 0; i < n; i++ {
 			r ^= r << 13
@@ -377,28 +397,20 @@ func TestChunkStatsSinkMatchesRecorder(t *testing.T) {
 			rec.Branch(pc, taken)
 			sink.Branch(pc, taken)
 		}
-		if got, want := sink.Stats(), rec.Trace().MemStats(); got != want {
-			t.Fatalf("n=%d: sink stats %+v != recorder stats %+v", n, got, want)
+		h, err := sink.Seal()
+		if err != nil {
+			t.Fatalf("n=%d: Seal: %v", n, err)
 		}
-	}
-}
-
-func TestChunkStats(t *testing.T) {
-	tr := recordSynthetic(2500, 1000, 3)
-	s := tr.MemStats()
-	if s.Chunks != 3 || s.Events != 2500 {
-		t.Fatalf("stats %+v", s)
-	}
-	if s.EncodedBytes() != tr.SizeBytes() {
-		t.Fatalf("EncodedBytes %d != SizeBytes %d", s.EncodedBytes(), tr.SizeBytes())
-	}
-	if s.BytesPerEvent() <= 0 || s.BytesPerEvent() > 16 {
-		t.Fatalf("bytes/event %.2f implausible", s.BytesPerEvent())
-	}
-	if (ChunkStats{}).BytesPerEvent() != 0 {
-		t.Fatal("empty stats must not divide by zero")
-	}
-	if s.String() == "" {
-		t.Fatal("String must render")
+		tr := rec.Trace()
+		if h.Events() != tr.Events() || h.Chunks() != tr.Chunks() || h.EncodedBytes() != tr.SizeBytes() {
+			t.Fatalf("n=%d: sink events=%d chunks=%d bytes=%d != recorder events=%d chunks=%d bytes=%d",
+				n, h.Events(), h.Chunks(), h.EncodedBytes(), tr.Events(), tr.Chunks(), tr.SizeBytes())
+		}
+		if h.ResidentBytes() != 0 {
+			t.Fatalf("n=%d: a zero-budget recording holds %d bytes resident", n, h.ResidentBytes())
+		}
+		if h.f != nil {
+			h.f.Close()
+		}
 	}
 }

@@ -36,22 +36,25 @@ func assertRoundTrip(t *testing.T, events []Event, chunkEvents int) {
 	}
 
 	// Chunk-at-a-time replay.
-	rep := tr.NewReplayer()
+	rd := NewResidentHandle(tr).NewReader()
 	pos := 0
 	for {
-		pcs, dirs, n, ok := rep.NextChunk()
+		d, ok, err := rd.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !ok {
 			break
 		}
-		if n == 0 {
+		if d.N == 0 {
 			t.Fatal("empty chunk emitted")
 		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < d.N; i++ {
 			want := events[pos]
-			taken := dirs[i>>6]&(1<<(uint(i)&63)) != 0
-			if pcs[i] != want.PC || taken != want.Taken {
+			taken := d.Dirs[i>>6]&(1<<(uint(i)&63)) != 0
+			if d.PCs[i] != want.PC || taken != want.Taken {
 				t.Fatalf("event %d: got (%#x,%v) want (%#x,%v)",
-					pos, pcs[i], taken, want.PC, want.Taken)
+					pos, d.PCs[i], taken, want.PC, want.Taken)
 			}
 			pos++
 		}
@@ -99,14 +102,15 @@ func TestChunkedEmptyTrace(t *testing.T) {
 	if tr.Events() != 0 || tr.Chunks() != 0 || tr.SizeBytes() != 0 {
 		t.Fatalf("empty trace not empty: %d events, %d chunks", tr.Events(), tr.Chunks())
 	}
-	if _, _, _, ok := tr.NewReplayer().NextChunk(); ok {
-		t.Fatal("replayer of empty trace returned a chunk")
+	h := NewResidentHandle(tr)
+	if _, ok, err := h.NewReader().Next(); ok || err != nil {
+		t.Fatalf("reader of empty trace: ok=%v err=%v", ok, err)
 	}
 	if _, ok, err := tr.Source().Next(); ok || err != nil {
 		t.Fatalf("source of empty trace: ok=%v err=%v", ok, err)
 	}
 	var n int
-	tr.Replay(SinkFunc(func(uint64, bool) { n++ }))
+	h.Replay(SinkFunc(func(uint64, bool) { n++ }))
 	if n != 0 {
 		t.Fatalf("replay of empty trace emitted %d events", n)
 	}
@@ -124,26 +128,40 @@ func TestChunkedSealedRecorderPanics(t *testing.T) {
 	rec.Branch(0x400004, false)
 }
 
+// TestChunkedReplayerReset: Open rewinds a reader, onto the same
+// recording or another one, and the reader keeps its buffers.
 func TestChunkedReplayerReset(t *testing.T) {
 	events := genEvents(100)
-	tr := recordChunked(events, 32)
-	rep := tr.NewReplayer()
+	h := NewResidentHandle(recordChunked(events, 32))
+	other := NewResidentHandle(recordChunked(events[:40], 32))
+	rd := h.NewReader()
 	count := func() int {
 		n := 0
 		for {
-			_, _, c, ok := rep.NextChunk()
+			d, ok, err := rd.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !ok {
 				return n
 			}
-			n += c
+			n += d.N
 		}
 	}
 	if first := count(); first != len(events) {
 		t.Fatalf("first replay saw %d events", first)
 	}
-	rep.Reset()
+	pcs := rd.pcs
+	rd.Open(h)
 	if second := count(); second != len(events) {
-		t.Fatalf("replay after Reset saw %d events", second)
+		t.Fatalf("replay after Open saw %d events", second)
+	}
+	rd.Open(other)
+	if third := count(); third != 40 {
+		t.Fatalf("replay of another recording saw %d events, want 40", third)
+	}
+	if &rd.pcs[0] != &pcs[0] {
+		t.Fatal("Open dropped the reader's buffers")
 	}
 }
 
@@ -180,7 +198,7 @@ func TestChunkedMatchesSliceRecorder(t *testing.T) {
 	events := genEvents(777)
 	tr := recordChunked(events, 100)
 	var replayed []Event
-	tr.Replay(SinkFunc(func(pc uint64, taken bool) {
+	NewResidentHandle(tr).Replay(SinkFunc(func(pc uint64, taken bool) {
 		replayed = append(replayed, Event{PC: pc, Taken: taken})
 	}))
 	if len(replayed) != len(events) {

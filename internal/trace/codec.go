@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -38,8 +37,14 @@ import (
 // The stream ends with a trailer frame — events == 0 followed by
 // uvarint(total events) — so truncation at any byte, frame boundaries
 // included, is detectable. Chunks are self-contained (no cross-frame
-// delta chaining), so any frame decodes from one bounded read and its
-// checksum is verified on every page-in.
+// delta chaining), so any frame decodes from one bounded read.
+//
+// The format is also the in-memory one: a resident chunk (ChunkedTrace,
+// a Handle's resident prefix) is one frame's payload, startPC, CRC and
+// event count, and a spill file is those frames written verbatim. One
+// encoder (frameEncoder) builds every frame and one decoder
+// (frame.decode) reads every frame, verifying its checksum on each
+// decode, resident or paged in.
 
 var magic = [4]byte{'B', 'T', 'R', '2'}
 
@@ -92,31 +97,6 @@ func (e *CorruptError) Unwrap() error { return ErrCorruptSpill }
 
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// decodeDeltas decodes len(pcs) zigzag-varint PC deltas from the start
-// of b into pcs, chaining from pc, and returns the last PC and the bytes
-// read; ok is false when b runs out or holds a malformed varint. Both
-// delta decoders run it. One-byte varints, most deltas, decode inline.
-func decodeDeltas(b []byte, pc uint64, pcs []uint64) (last uint64, read int, ok bool) {
-	off := 0
-	for i := range pcs {
-		var word uint64
-		if off < len(b) && b[off] < 0x80 {
-			word = uint64(b[off])
-			off++
-		} else {
-			x, w := binary.Uvarint(b[off:])
-			if w <= 0 {
-				return pc, off, false
-			}
-			word = x
-			off += w
-		}
-		pc += uint64(unzigzag(word))
-		pcs[i] = pc
-	}
-	return pc, off, true
-}
 
 // WriteText streams events from src to w in a line-oriented text format
 // ("0x<pc> T|N"), useful for debugging and diffing. It reports the number

@@ -2,33 +2,44 @@ package trace
 
 import (
 	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 )
 
-// refDecodeDeltas is the plain binary.Uvarint loop decodeDeltas
-// replaces: the oracle its one-byte fast path must agree with.
-func refDecodeDeltas(b []byte, pc uint64, n int) ([]uint64, int, bool) {
+// refDecodeFrame is a plain binary.Uvarint loop over a frame payload's
+// groups, the oracle frame.decode's inline one-byte path must agree
+// with: the PCs, the group masks, and whether the payload decodes.
+func refDecodeFrame(b []byte, pc uint64, n int) (pcs []uint64, masks []byte, ok bool) {
 	pcs, off := make([]uint64, n), 0
 	for i := range pcs {
+		if i%groupSize == 0 {
+			if off >= len(b) {
+				return nil, nil, false
+			}
+			masks = append(masks, b[off])
+			off++
+		}
 		x, w := binary.Uvarint(b[off:])
 		if w <= 0 {
-			return nil, off, false
+			return nil, nil, false
 		}
 		off += w
 		pc += uint64(unzigzag(x))
 		pcs[i] = pc
 	}
-	return pcs, off, true
+	return pcs, masks, true
 }
 
-// randomDeltas encodes n varints whose lengths are drawn from 1 to 10
-// bytes, the 10-byte ones including the largest uint64, and returns the
-// bytes with a random damage applied to some of them: a cut, an
-// overlong varint, or a 10-byte varint that overflows 64 bits.
-func randomDeltas(r *uint64, n int) []byte {
+// randomPayload encodes a frame payload of n events: a random mask
+// byte per group, then varint deltas whose lengths are drawn from 1 to
+// 10 bytes, the 10-byte ones including the largest uint64. Some
+// payloads get a random damage: a cut, an overlong varint, or a 10-byte
+// varint that overflows 64 bits.
+func randomPayload(r *uint64, n int) []byte {
 	next := func() uint64 {
 		*r ^= *r << 13
 		*r ^= *r >> 7
@@ -37,6 +48,9 @@ func randomDeltas(r *uint64, n int) []byte {
 	}
 	var b []byte
 	for i := 0; i < n; i++ {
+		if i%groupSize == 0 {
+			b = append(b, byte(next()))
+		}
 		v := next()
 		switch bytes := int(next()%10) + 1; {
 		case bytes == 10 && v%4 == 0:
@@ -59,26 +73,34 @@ func randomDeltas(r *uint64, n int) []byte {
 	return b
 }
 
-// TestDecodeDeltasMatchesUvarint: over random mixes of 1- to 10-byte
-// deltas, clean and damaged, decodeDeltas returns what a binary.Uvarint
-// loop returns — the same PCs and byte count, and a failure exactly
-// where the loop fails.
+// TestDecodeDeltasMatchesUvarint: over random payloads mixing 1- to
+// 10-byte deltas, clean and damaged, frame.decode returns what a
+// binary.Uvarint loop returns — the same PCs and directions, and a
+// corruption error exactly where the loop fails.
 func TestDecodeDeltasMatchesUvarint(t *testing.T) {
 	r := uint64(0x9e3779b97f4a7c15)
 	for trial := 0; trial < 5000; trial++ {
 		n := int(r%24) + 1
-		b := randomDeltas(&r, n)
-		want, wantRead, wantOK := refDecodeDeltas(b, 0x400000, n)
-		got := make([]uint64, n)
-		last, read, ok := decodeDeltas(b, 0x400000, got)
-		if ok != wantOK {
-			t.Fatalf("trial %d: ok = %v, Uvarint loop says %v (bytes % x)", trial, ok, wantOK, b)
+		b := randomPayload(&r, n)
+		want, masks, wantOK := refDecodeFrame(b, 0x400000, n)
+		fr := frame{payload: b, startPC: 0x400000, crc: crc32.Checksum(b, castagnoli), n: n}
+		got, err := fr.decode(0, nil, nil)
+		if (err == nil) != wantOK {
+			t.Fatalf("trial %d: err = %v, Uvarint loop ok = %v (bytes % x)", trial, err, wantOK, b)
 		}
-		if !ok {
+		if !wantOK {
+			if !errors.Is(err, ErrCorruptSpill) {
+				t.Fatalf("trial %d: err = %v, want ErrCorruptSpill", trial, err)
+			}
 			continue
 		}
-		if read != wantRead || !slices.Equal(got, want) || last != want[n-1] {
-			t.Fatalf("trial %d: decoded %x (%d bytes, last %x), Uvarint loop %x (%d bytes)", trial, got, read, last, want, wantRead)
+		if !slices.Equal(got.PCs, want) {
+			t.Fatalf("trial %d: decoded %x, Uvarint loop %x", trial, got.PCs, want)
+		}
+		for i := 0; i < n; i++ {
+			if got.Dirs[i>>6]>>(i&63)&1 != uint64(masks[i/groupSize]>>(i%groupSize)&1) {
+				t.Fatalf("trial %d: event %d's direction differs from its mask bit", trial, i)
+			}
 		}
 	}
 }
@@ -122,42 +144,27 @@ func mixedDeltaFile(tb testing.TB, events []Event) []byte {
 	return data
 }
 
-// TestFrameDecodeMixedDeltas: a BTR2 file whose frames mix 1- and
-// 10-byte deltas, including short final groups, pages back in event for
-// event, through the frame decoder and the in-memory chunk decoder
-// alike.
+// TestFrameDecodeMixedDeltas: frames that mix 1- and 10-byte deltas,
+// including short final groups, decode event for event whether they
+// are paged in from a BTR2 file or held resident by a ChunkRecorder.
 func TestFrameDecodeMixedDeltas(t *testing.T) {
 	events := mixedDeltaEvents(203)
 	path := filepath.Join(t.TempDir(), "mixed.btr")
 	if err := os.WriteFile(path, mixedDeltaFile(t, events), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	h, err := OpenSpillHandle(path, 0)
+	spilled, err := OpenSpillHandle(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.f.Close()
+	defer spilled.f.Close()
 	rec := NewChunkRecorder(40)
 	for _, e := range events {
 		rec.Branch(e.PC, e.Taken)
 	}
-	rep := rec.Trace().NewReplayer()
-	var got, fromMemory []Event
-	for k := 0; k < h.Chunks(); k++ {
-		d, err := h.DecodeChunk(k)
-		if err != nil {
-			t.Fatal(err)
+	for _, h := range []*Handle{spilled, NewResidentHandle(rec.Trace())} {
+		if got := replayHandle(h); !slices.Equal(got, events) {
+			t.Fatalf("decoded events differ from the recorded ones (spilled %v)", h.Spilled())
 		}
-		pcs, dirs, n, ok := rep.NextChunk()
-		if !ok || n != d.N {
-			t.Fatalf("chunk %d: in-memory replay has %d events, frame %d", k, n, d.N)
-		}
-		for i := 0; i < d.N; i++ {
-			got = append(got, Event{PC: d.PCs[i], Taken: d.Dirs[i>>6]>>(i&63)&1 == 1})
-			fromMemory = append(fromMemory, Event{PC: pcs[i], Taken: dirs[i>>6]>>(i&63)&1 == 1})
-		}
-	}
-	if !slices.Equal(got, events) || !slices.Equal(fromMemory, events) {
-		t.Fatal("decoded events differ from the recorded ones")
 	}
 }

@@ -251,10 +251,10 @@ func TestSyncFaultFailsSeal(t *testing.T) {
 func TestCacheQuarantinesCorruptSpill(t *testing.T) {
 	dir := t.TempDir()
 	key := CacheKey{Name: "synthetic/fault", Scale: 1, ChunkEvents: 64}
-	tr := recordSynthetic(1000, 64, 11)
+	events := syntheticEvents(1000, 11)
 
 	c := NewCache(1<<20, dir, 0)
-	if err := c.Put(key, tr); err != nil {
+	if err := c.Put(key, residentSynthetic(1000, 64, 11)); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	path := c.SpillPathFor(key)
@@ -263,9 +263,9 @@ func TestCacheQuarantinesCorruptSpill(t *testing.T) {
 	}
 
 	// Damage the payload, then come back as a fresh process: the probe
-	// scan passes (frame headers are intact), materialisation trips the
-	// checksum, and the cache quarantines instead of re-probing the same
-	// damaged bytes forever.
+	// scan passes (frame headers are intact), the read trips the
+	// checksum, and the caller quarantines instead of re-probing the
+	// same damaged bytes forever.
 	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -273,8 +273,16 @@ func TestCacheQuarantinesCorruptSpill(t *testing.T) {
 	flipByte(t, path, st.Size()/2)
 
 	c2 := NewCache(1<<20, dir, 0)
+	h, ok := c2.Get(key)
+	if !ok {
+		t.Fatal("the probe scan must accept intact frame headers")
+	}
+	if _, err := Copy(SinkFunc(func(uint64, bool) {}), h.Source()); !errors.Is(err, ErrCorruptSpill) {
+		t.Fatalf("reading the damaged file: err = %v, want ErrCorruptSpill", err)
+	}
+	c2.Quarantine(key)
 	if _, ok := c2.Get(key); ok {
-		t.Fatal("Get returned a trace from a corrupt spill file")
+		t.Fatal("Get served a quarantined spill file")
 	}
 	s := c2.Stats()
 	if s.Quarantined == 0 {
@@ -288,20 +296,20 @@ func TestCacheQuarantinesCorruptSpill(t *testing.T) {
 	}
 
 	// The slot is usable again: a re-record lands and round-trips.
-	if err := c2.Put(key, tr); err != nil {
+	if err := c2.Put(key, residentSynthetic(1000, 64, 11)); err != nil {
 		t.Fatalf("re-Put after quarantine: %v", err)
 	}
 	got, ok := NewCache(1<<20, dir, 0).Get(key)
 	if !ok {
 		t.Fatal("re-recorded spill not readable")
 	}
-	want, have := collect(tr), collect(got)
-	if len(want) != len(have) {
-		t.Fatalf("re-recorded trace has %d events, want %d", len(have), len(want))
+	have := replayHandle(got)
+	if len(events) != len(have) {
+		t.Fatalf("re-recorded trace has %d events, want %d", len(have), len(events))
 	}
-	for i := range want {
-		if want[i] != have[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, have[i], want[i])
+	for i := range events {
+		if events[i] != have[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, have[i], events[i])
 		}
 	}
 }
@@ -311,7 +319,7 @@ func TestCacheQuarantinesTruncatedSpillOnProbe(t *testing.T) {
 	key := CacheKey{Name: "synthetic/trunc", Scale: 1, ChunkEvents: 64}
 
 	c := NewCache(1<<20, dir, 0)
-	if err := c.Put(key, recordSynthetic(1000, 64, 12)); err != nil {
+	if err := c.Put(key, residentSynthetic(1000, 64, 12)); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	path := c.SpillPathFor(key)
@@ -326,8 +334,8 @@ func TestCacheQuarantinesTruncatedSpillOnProbe(t *testing.T) {
 	// Truncation is structural, so the probe scan itself rejects the
 	// file and the handle never materialises.
 	c2 := NewCache(1<<20, dir, 0)
-	if _, ok := c2.GetHandle(key); ok {
-		t.Fatal("GetHandle succeeded on a truncated spill file")
+	if _, ok := c2.Get(key); ok {
+		t.Fatal("Get succeeded on a truncated spill file")
 	}
 	if c2.Stats().Quarantined == 0 {
 		t.Fatal("truncated spill was not quarantined at probe time")

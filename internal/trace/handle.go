@@ -9,29 +9,20 @@ import (
 	"time"
 )
 
-// Handle is the out-of-core view of one recording: the same chunked
-// event stream a ChunkedTrace holds, but whose columns may live in
-// memory, in a BTR2 spill file, or both. A fully resident handle wraps
-// an existing trace with zero copying; a spill-backed handle pages
-// chunks in on demand and can drop its resident columns (Release)
-// without invalidating readers. Replay paths that used to require the
-// whole recording in RAM — the simulator's bank sweep, ablation
-// replays, CLI audits — read through a Handle instead, so peak memory
-// is bounded by what the caller chooses to keep resident.
+// Handle is the out-of-core view of one recording: the BTR2 frames a
+// ChunkedTrace holds, which may live in memory, in a BTR2 spill file,
+// or both. A fully resident handle wraps an existing trace with zero
+// copying; a spill-backed handle pages frames in on demand and can
+// drop its resident frames (Release) without invalidating readers.
+// Every chunk, resident or paged in, decodes through one
+// checksum-verified decoder, so a replay sees the same columns, and the
+// same errors, wherever the frame lives. Replay paths — the simulator's
+// bank sweep, ablation replays, CLI audits — read through a Handle, so
+// peak memory is bounded by what the caller chooses to keep resident.
 //
 // A Handle is safe for concurrent use. Decoded chunks are immutable
 // once returned; releasing residency mid-read only affects where later
 // reads come from, never the bytes they see.
-
-// ChunkReader is the sequential chunk-at-a-time replay protocol shared
-// by the in-memory Replayer and the handle's paging reader. The
-// returned pcs slice is owned by the reader and overwritten by the next
-// call; dirs may alias immutable storage.
-type ChunkReader interface {
-	NextChunk() (pcs []uint64, dirs []uint64, n int, ok bool)
-}
-
-var _ ChunkReader = (*Replayer)(nil)
 
 // DecodedChunk is one chunk's decoded columns: the PC column, the
 // direction bitmap (event i's outcome is bit i&63 of word i>>6, in
@@ -65,13 +56,13 @@ type Handle struct {
 	chunkEvents  int
 	events       int64
 	nchunks      int
-	encoded      int64 // full column footprint if materialised
-	residentPeak int64 // high-water mark of resident column bytes
+	encoded      int64 // payload bytes of every frame
+	residentPeak int64 // high-water mark of resident payload bytes
 
 	mu       sync.Mutex
-	res      *ChunkedTrace // resident chunk prefix (possibly all chunks); nil = none
-	path     string        // spill file, "" for anonymous temp or memory-only
-	f        *os.File      // open spill file, lazily opened from path
+	res      []frame  // resident frame prefix (possibly every frame)
+	path     string   // spill file, "" for anonymous temp or memory-only
+	f        *os.File // open spill file, lazily opened from path
 	fileSize int64
 	idx      []chunkPos // per-chunk file positions, lazily built
 	sio      SpillIO    // injectable spill file ops; nil = direct
@@ -81,22 +72,22 @@ type Handle struct {
 }
 
 // NewResidentHandle wraps an in-memory trace as a fully resident
-// handle. No copying: the handle shares the trace's immutable columns.
+// handle. No copying: the handle shares the trace's immutable frames.
 func NewResidentHandle(tr *ChunkedTrace) *Handle {
 	size := tr.SizeBytes()
 	return &Handle{
 		chunkEvents:  tr.chunkEvents,
 		events:       tr.events,
-		nchunks:      len(tr.chunks),
+		nchunks:      len(tr.frames),
 		encoded:      size,
 		residentPeak: size,
-		res:          tr,
+		res:          tr.frames,
 	}
 }
 
 // OpenSpillHandle opens a BTR2 spill file as a handle with no resident
-// columns: one sequential scan builds the chunk index (offsets only — no
-// columns are retained), after which chunks page in on demand. The file
+// frames: one sequential scan builds the chunk index (offsets only — no
+// payloads are retained), after which chunks page in on demand. The file
 // must chunk every chunkEvents events; chunkEvents <= 0 accepts the
 // granularity its header declares. A structurally damaged or truncated
 // file fails here with an error unwrapping to ErrCorruptSpill.
@@ -110,7 +101,7 @@ func OpenSpillHandle(path string, chunkEvents int) (*Handle, error) {
 		f.Close()
 		return nil, err
 	}
-	idx, events, deltaBytes, chunkEvents, err := scanSpill(io.NewSectionReader(f, 0, st.Size()), chunkEvents)
+	idx, events, payload, chunkEvents, err := scanSpill(io.NewSectionReader(f, 0, st.Size()), chunkEvents)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -119,7 +110,7 @@ func OpenSpillHandle(path string, chunkEvents int) (*Handle, error) {
 		chunkEvents: chunkEvents,
 		events:      events,
 		nchunks:     len(idx),
-		encoded:     deltaBytes + int64(len(idx))*int64((chunkEvents+63)/64)*8,
+		encoded:     payload,
 		path:        path,
 		f:           f,
 		fileSize:    st.Size(),
@@ -136,21 +127,19 @@ func (h *Handle) Chunks() int { return h.nchunks }
 // ChunkEvents returns the chunk granularity.
 func (h *Handle) ChunkEvents() int { return h.chunkEvents }
 
-// EncodedBytes returns the full column footprint the recording would
-// occupy if materialised, resident or not.
+// EncodedBytes returns the payload bytes of every frame: what holding
+// the whole recording resident costs, resident or not.
 func (h *Handle) EncodedBytes() int64 { return h.encoded }
 
-// ResidentBytes returns the bytes of chunk columns currently in memory.
+// ResidentBytes returns the payload bytes of the frames currently in
+// memory.
 func (h *Handle) ResidentBytes() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.res == nil {
-		return 0
-	}
-	return h.res.SizeBytes()
+	return payloadBytes(h.res)
 }
 
-// ResidentPeak returns the high-water mark of resident column bytes
+// ResidentPeak returns the high-water mark of resident payload bytes
 // over the handle's lifetime (for streamed recordings, the bounded
 // window; for resident ones, the whole trace).
 func (h *Handle) ResidentPeak() int64 {
@@ -222,9 +211,9 @@ func (h *Handle) SpillPath() string {
 	return h.path
 }
 
-// Release drops the resident columns of a spill-backed handle and
+// Release drops the resident frames of a spill-backed handle and
 // returns the bytes freed; later reads page back in from disk. A
-// memory-only handle keeps its columns (dropping them would lose the
+// memory-only handle keeps its frames (dropping them would lose the
 // recording) and returns 0.
 func (h *Handle) Release() int64 {
 	h.mu.Lock()
@@ -232,37 +221,9 @@ func (h *Handle) Release() int64 {
 	if h.f == nil && h.path == "" {
 		return 0
 	}
-	if h.res == nil {
-		return 0
-	}
-	freed := h.res.SizeBytes()
+	freed := payloadBytes(h.res)
 	h.res = nil
 	return freed
-}
-
-// attachSpill records that the recording now also lives at path (a
-// write-through by the cache). The file is opened lazily; the chunk
-// index is built on the first page-in.
-func (h *Handle) attachSpill(path string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.path == "" && h.f == nil {
-		h.path = path
-	}
-}
-
-// adoptResident installs tr as the handle's resident columns if it
-// currently holds fewer (a re-Put after eviction re-adopts the offered
-// trace; recordings are deterministic, so the two are identical).
-func (h *Handle) adoptResident(tr *ChunkedTrace) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.res == nil || len(h.res.chunks) < h.nchunks {
-		h.res = tr
-		if s := tr.SizeBytes(); s > h.residentPeak {
-			h.residentPeak = s
-		}
-	}
 }
 
 // fileLocked returns the open spill file, opening h.path on first use.
@@ -319,171 +280,122 @@ func (h *Handle) chunkLen(k int) int {
 	return h.chunkEvents
 }
 
-// DecodeChunk decodes chunk k into fresh columns, from the resident
-// trace when k is resident, otherwise paging from the spill file.
+// DecodeChunk decodes chunk k into fresh columns, from its resident
+// frame when it has one, otherwise paging the frame from the spill file.
 func (h *Handle) DecodeChunk(k int) (DecodedChunk, error) {
 	return h.DecodeChunkInto(k, nil, nil)
 }
 
-// DecodeChunkInto is DecodeChunk reusing the caller's buffers when
-// they are large enough (pass nil to allocate). The returned Dirs may
-// alias the resident trace's immutable bitmap.
+// DecodeChunkInto is DecodeChunk decoding into the caller's buffers
+// when they are large enough (nil allocates): the returned columns are
+// always those buffers or fresh ones. A resident frame and a paged-in
+// one go through the same checksum-verified decode, so damage to
+// either returns an error unwrapping to ErrCorruptSpill.
 func (h *Handle) DecodeChunkInto(k int, pcs, dirs []uint64) (DecodedChunk, error) {
 	if k < 0 || k >= h.nchunks {
 		return DecodedChunk{}, fmt.Errorf("trace: chunk %d out of range [0,%d)", k, h.nchunks)
 	}
-	base := int64(k) * int64(h.chunkEvents)
+	var d DecodedChunk
+	var err error
 	h.mu.Lock()
-	if h.res != nil && k < len(h.res.chunks) {
-		c := &h.res.chunks[k]
+	if k < len(h.res) {
+		fr := h.res[k]
 		h.mu.Unlock()
-		if cap(pcs) < c.n {
-			pcs = make([]uint64, c.n)
+		d, err = fr.decode(k, pcs, dirs)
+	} else {
+		var f *os.File
+		var idx []chunkPos
+		f, err = h.fileLocked()
+		if err == nil {
+			idx, err = h.indexLocked()
 		}
-		c.decodeInto(pcs[:c.n])
-		return DecodedChunk{PCs: pcs[:c.n], Dirs: c.bitmap(), N: c.n, Base: base}, nil
-	}
-	f, err := h.fileLocked()
-	if err != nil {
 		h.mu.Unlock()
-		return DecodedChunk{}, err
-	}
-	idx, err := h.indexLocked()
-	h.mu.Unlock()
-	if err != nil {
-		return DecodedChunk{}, err
-	}
-
-	d, err := h.readChunkAt(f, idx[k], k, h.chunkLen(k), pcs, dirs)
-	if err != nil {
-		return DecodedChunk{}, err
-	}
-	d.Base = base
-	h.pageIns.Add(1)
-	return d, nil
-}
-
-// Materialise returns the recording as a fully resident ChunkedTrace,
-// reading the spill file if the columns are not already in memory. The
-// materialised columns become the handle's resident set.
-func (h *Handle) Materialise() (*ChunkedTrace, error) {
-	tr, _, err := h.materialise()
-	return tr, err
-}
-
-// materialise additionally reports whether the spill file was read.
-// Chunks page in through DecodeChunkInto, so every check a page-in
-// makes (checksum, payload structure, event count) runs here too.
-func (h *Handle) materialise() (*ChunkedTrace, bool, error) {
-	h.mu.Lock()
-	res := h.res
-	h.mu.Unlock()
-	if res != nil && len(res.chunks) == h.nchunks {
-		return res, false, nil
-	}
-	rec := NewChunkRecorder(h.chunkEvents)
-	var pcs []uint64
-	dirs := make([]uint64, (h.chunkEvents+63)/64) // never the resident bitmap a decode may return
-	for k := 0; k < h.nchunks; k++ {
-		d, err := h.DecodeChunkInto(k, pcs, dirs)
 		if err != nil {
-			return nil, true, err
+			return DecodedChunk{}, err
 		}
-		for i := 0; i < d.N; i++ {
-			rec.Branch(d.PCs[i], d.Dirs[i>>6]&(1<<(uint(i)&63)) != 0)
+		d, err = h.readChunkAt(f, idx[k], k, h.chunkLen(k), pcs, dirs)
+		if err == nil {
+			h.pageIns.Add(1)
 		}
-		pcs = d.PCs
 	}
-	h.adoptResident(rec.Trace())
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.res, true, nil
+	d.Base = int64(k) * int64(h.chunkEvents)
+	return d, err
 }
 
-// ChunkReader returns a sequential reader over the whole recording:
-// the resident prefix decodes from memory, the remainder pages in from
-// the spill file. Each reader owns its buffers, so any number may run
-// concurrently. Paging errors panic with context (replay interfaces
-// have no error path); the simulator converts such panics into
-// per-input errors.
-func (h *Handle) ChunkReader() ChunkReader { return h.newReader() }
-
-func (h *Handle) newReader() *handleReader {
-	h.mu.Lock()
-	res := h.res
-	h.mu.Unlock()
-	r := &handleReader{h: h}
-	if res != nil {
-		r.rep = res.NewReplayer()
-		r.next = len(res.chunks)
-	}
-	return r
-}
-
-// handleReader pages through the handle: the resident prefix snapshot
-// via a Replayer, then chunk-at-a-time from the spill file.
-type handleReader struct {
+// Reader reads a recording chunk by chunk in stream order, each chunk
+// through DecodeChunkInto into buffers the reader owns: the columns
+// one Next returns are overwritten by the next. Open points a reader
+// at another recording and keeps its buffers, so one reader can serve
+// many recordings in turn. Any number of readers may read one handle
+// concurrently.
+type Reader struct {
 	h    *Handle
-	rep  *Replayer // over the resident prefix snapshot; nil when exhausted
-	next int       // next chunk index once rep is exhausted
+	next int
 	pcs  []uint64
-	// dirs is the reader's own direction bitmap, one chunk's worth of
-	// words, allocated at the first page-in. It is never taken from a
-	// decoded chunk, whose Dirs may alias the resident trace.
 	dirs []uint64
 }
 
-func (r *handleReader) NextChunk() (pcs []uint64, dirs []uint64, n int, ok bool) {
-	pcs, dirs, n, ok, err := r.nextChunk()
-	if err != nil {
-		// The panic value is an error wrapping the cause, so a recover
-		// further up can errors.Is it (e.g. against ErrCorruptSpill).
-		panic(err)
-	}
-	return pcs, dirs, n, ok
-}
+// NewReader returns a reader at the recording's first chunk.
+func (h *Handle) NewReader() *Reader { return &Reader{h: h} }
 
-// nextChunk is NextChunk returning paging errors instead of panicking.
-func (r *handleReader) nextChunk() (pcs []uint64, dirs []uint64, n int, ok bool, err error) {
-	if r.rep != nil {
-		if pcs, dirs, n, ok = r.rep.NextChunk(); ok {
-			return pcs, dirs, n, true, nil
-		}
-		r.rep = nil
-	}
+// Open rewinds r to the first chunk of h, keeping r's buffers.
+func (r *Reader) Open(h *Handle) { r.h, r.next = h, 0 }
+
+// Next decodes the next chunk; ok is false once the recording is
+// exhausted. A paging failure or detected damage is returned as err
+// (errors.Is ErrCorruptSpill for damage).
+func (r *Reader) Next() (d DecodedChunk, ok bool, err error) {
 	if r.next >= r.h.nchunks {
-		return nil, nil, 0, false, nil
+		return DecodedChunk{}, false, nil
 	}
-	if r.dirs == nil {
-		r.dirs = make([]uint64, (r.h.chunkEvents+63)/64)
-	}
-	d, err := r.h.DecodeChunkInto(r.next, r.pcs, r.dirs)
-	if err != nil {
-		return nil, nil, 0, false, fmt.Errorf("trace: paging chunk %d: %w", r.next, err)
+	if d, err = r.h.DecodeChunkInto(r.next, r.pcs, r.dirs); err != nil {
+		return DecodedChunk{}, false, err
 	}
 	r.next++
-	r.pcs = d.PCs
-	return d.PCs, d.Dirs, d.N, true, nil
+	r.pcs, r.dirs = d.PCs, d.Dirs
+	return d, true, nil
 }
 
-// Replay drives every recorded event through sink, paging spilled
-// chunks as needed. Paging errors panic with context, matching
-// ChunkReader.
+// Replay drives every recorded event through sink. Sinks have no error
+// path, so a paging error panics with the error as its value (a recover
+// further up can errors.Is it; the simulator turns such panics into
+// per-input errors).
 func (h *Handle) Replay(sink Sink) {
-	r := h.ChunkReader()
+	r := h.NewReader()
 	for {
-		pcs, dirs, n, ok := r.NextChunk()
+		d, ok, err := r.Next()
+		if err != nil {
+			panic(err)
+		}
 		if !ok {
 			return
 		}
-		for i := 0; i < n; i++ {
-			sink.Branch(pcs[i], dirs[i>>6]&(1<<(uint(i)&63)) != 0)
+		for i := 0; i < d.N; i++ {
+			sink.Branch(d.PCs[i], d.Dirs[i>>6]&(1<<(uint(i)&63)) != 0)
 		}
 	}
 }
 
 // Source returns an event-at-a-time view of the recording. Unlike
 // Replay, a paging error is returned by Next rather than panicking.
-func (h *Handle) Source() Source {
-	return &chunkSource{next: h.newReader().nextChunk}
+func (h *Handle) Source() Source { return &chunkSource{r: h.NewReader()} }
+
+// chunkSource is an event-at-a-time view over a Reader.
+type chunkSource struct {
+	r *Reader
+	d DecodedChunk
+	i int
+}
+
+func (s *chunkSource) Next() (Event, bool, error) {
+	for s.i >= s.d.N {
+		d, ok, err := s.r.Next()
+		if !ok {
+			return Event{}, false, err
+		}
+		s.d, s.i = d, 0
+	}
+	i := s.i
+	s.i++
+	return Event{PC: s.d.PCs[i], Taken: s.d.Dirs[i>>6]&(1<<(uint(i)&63)) != 0}, true, nil
 }

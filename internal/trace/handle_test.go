@@ -28,23 +28,19 @@ func replayHandle(h *Handle) []Event {
 	return rec.Events
 }
 
-// chunkOf decodes chunk k of a fully resident trace, the reference the
-// spill pager must match.
-func chunkOf(tr *ChunkedTrace, k int) DecodedChunk {
-	rep := tr.NewReplayer()
-	var base int64
-	for i := 0; ; i++ {
-		pcs, dirs, n, ok := rep.NextChunk()
-		if !ok {
-			panic("chunk out of range")
+// wantChunk is chunk k of a recording of events at chunkEvents events
+// per chunk, laid out as a decode returns it: the oracle every decode
+// is checked against.
+func wantChunk(events []Event, chunkEvents, k int) DecodedChunk {
+	evs := events[k*chunkEvents : min(len(events), (k+1)*chunkEvents)]
+	d := DecodedChunk{PCs: make([]uint64, len(evs)), Dirs: make([]uint64, (len(evs)+63)/64), N: len(evs), Base: int64(k * chunkEvents)}
+	for i, e := range evs {
+		d.PCs[i] = e.PC
+		if e.Taken {
+			d.Dirs[i>>6] |= 1 << (i & 63)
 		}
-		if i == k {
-			cp := make([]uint64, n)
-			copy(cp, pcs)
-			return DecodedChunk{PCs: cp, Dirs: dirs, N: n, Base: base}
-		}
-		base += int64(n)
 	}
+	return d
 }
 
 // TestStreamRecorderRoundTrip pins the out-of-core recording path: a
@@ -86,10 +82,9 @@ func TestStreamRecorderRoundTrip(t *testing.T) {
 				t.Fatalf("chunk=%d: zero-budget replay should have paged from disk", chunkEvents)
 			}
 
-			// Random-order page-ins must match the in-memory decode.
-			ref := recordSynthetic(n, chunkEvents, 42)
+			// Random-order page-ins must match the event slice.
 			for _, k := range []int{wantChunks - 1, 0, wantChunks / 2, 1} {
-				want := chunkOf(ref, k)
+				want := wantChunk(events, chunkEvents, k)
 				got, err := h.DecodeChunk(k)
 				if err != nil {
 					t.Fatalf("chunk=%d budget=%d: DecodeChunk(%d): %v", chunkEvents, budget, k, err)
@@ -133,13 +128,6 @@ func TestStreamRecorderNamedPath(t *testing.T) {
 	if got := replayHandle(reopened); !reflect.DeepEqual(got, events) {
 		t.Fatal("reopened spill replay diverged")
 	}
-	tr, err := reopened.Materialise()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(collect(tr), events) {
-		t.Fatal("materialised trace diverged")
-	}
 	declared, err := OpenSpillHandle(path, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +164,7 @@ func TestStreamRecorderEmpty(t *testing.T) {
 }
 
 // TestHandleReleaseAndRepage pins eviction-while-reading: dropping a
-// spill-backed handle's resident columns mid-replay must not change
+// spill-backed handle's resident frames mid-replay must not change
 // the stream, and later reads page back in.
 func TestHandleReleaseAndRepage(t *testing.T) {
 	events := syntheticEvents(4000, 99)
@@ -191,31 +179,40 @@ func TestHandleReleaseAndRepage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := h.ChunkReader()
-	r.NextChunk() // resident prefix snapshot in hand
+	r := h.NewReader()
+	var got []Event
+	read := func(d DecodedChunk) {
+		for i := 0; i < d.N; i++ {
+			got = append(got, Event{PC: d.PCs[i], Taken: d.Dirs[i>>6]>>(i&63)&1 == 1})
+		}
+	}
+	d, ok, err := r.Next() // a resident chunk in hand
+	if !ok || err != nil {
+		t.Fatalf("first chunk: ok=%v err=%v", ok, err)
+	}
+	read(d)
 	if freed := h.Release(); freed == 0 {
 		t.Fatal("release of a resident spill-backed handle must free bytes")
 	}
 	if h.ResidentBytes() != 0 {
-		t.Fatal("columns still resident after Release")
+		t.Fatal("frames still resident after Release")
 	}
-	var rec Recorder
-	// The in-flight reader keeps its snapshot; a fresh replay pages in.
+	// The in-flight reader pages the rest in from disk.
 	for {
-		pcs, dirs, n, ok := r.NextChunk()
+		d, ok, err := r.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !ok {
 			break
 		}
-		_ = pcs
-		_ = dirs
-		_ = n
+		read(d)
 	}
-	h.Replay(&rec)
-	if !reflect.DeepEqual(rec.Events, events) {
-		t.Fatal("post-release replay diverged")
+	if !reflect.DeepEqual(got, events) {
+		t.Fatal("replay across a Release diverged")
 	}
-	if h.PageIns() == 0 {
-		t.Fatal("post-release replay should have paged from disk")
+	if h.PageIns() != int64(h.Chunks()-1) {
+		t.Fatalf("paged in %d chunks after the release, want %d", h.PageIns(), h.Chunks()-1)
 	}
 }
 
@@ -229,12 +226,11 @@ func TestResidentHandle(t *testing.T) {
 	if h.Release() != 0 {
 		t.Fatal("memory-only handle must not release its only copy")
 	}
-	got, err := h.Materialise()
-	if err != nil || got != tr {
-		t.Fatalf("Materialise must return the wrapped trace (err %v)", err)
+	if !reflect.DeepEqual(replayHandle(h), syntheticEvents(2500, 3)) {
+		t.Fatal("handle replay diverged from the recorded events")
 	}
-	if !reflect.DeepEqual(replayHandle(h), collect(tr)) {
-		t.Fatal("handle replay diverged from trace replay")
+	if h.PageIns() != 0 {
+		t.Fatal("a resident handle paged in")
 	}
 	if h.EncodedBytes() != tr.SizeBytes() {
 		t.Fatalf("EncodedBytes %d != SizeBytes %d", h.EncodedBytes(), tr.SizeBytes())
@@ -244,7 +240,7 @@ func TestResidentHandle(t *testing.T) {
 // TestChunkReaderReusesBuffers: a reader over a zero-resident handle
 // allocates its column buffers at the first page-in and reuses them for
 // every later chunk, so a full replay costs the same handful of
-// allocations at 2 chunks as at 26.
+// allocations (the reader and its two buffers) at 2 chunks as at 26.
 func TestChunkReaderReusesBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops page buffers at random")
@@ -267,9 +263,9 @@ func TestChunkReaderReusesBuffers(t *testing.T) {
 			t.Fatalf("recorded %d chunks, want %d", h.Chunks(), chunks)
 		}
 		return testing.AllocsPerRun(5, func() {
-			r := h.ChunkReader()
+			r := h.NewReader()
 			for {
-				if _, _, _, ok := r.NextChunk(); !ok {
+				if _, ok, _ := r.Next(); !ok {
 					break
 				}
 			}

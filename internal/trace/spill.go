@@ -12,175 +12,287 @@ import (
 )
 
 // Spill-file machinery for out-of-core recordings: BTR2 files (codec.go)
-// double as the paging store behind a Handle. Their frames map 1:1 onto
-// the handle's chunks, so random access is one bounded ReadAt per frame,
-// and the frame checksum is verified on every page-in.
+// double as the paging store behind a Handle. A resident chunk is one
+// BTR2 frame held in memory, so the one encoder below writes every
+// chunk, in memory or on disk, and the one decoder reads it back: a
+// spill file is the frames written verbatim between header and
+// trailer, random access is one bounded ReadAt per frame, and the frame
+// checksum is verified on every decode.
 
-// spillEncoder streams events into BTR2 chunk frames on an io.Writer,
-// tracking the chunk index as it goes. It is the shared encoding core
-// of writeSpill (whole trace at once) and StreamRecorder (out-of-core,
-// event at a time).
-type spillEncoder struct {
-	w           io.Writer
-	chunkEvents int
-
-	off          int64 // bytes emitted: header + completed frames
-	idx          []chunkPos
-	groupMask    byte
-	groupDeltas  []byte
-	np           int // events pending in the current group
-	lastPC       uint64
-	chunkStartPC uint64
-	chunkN       int    // events in the open chunk
-	chunkBuf     []byte // the open chunk's encoded groups
-	events       int64
-	deltaBytes   int64
-
-	err error
+// frame is one BTR2 chunk frame: n events encoded as groups in payload,
+// their deltas chaining from startPC, and crc the payload's CRC32C.
+type frame struct {
+	payload []byte
+	startPC uint64
+	crc     uint32
+	n       int
 }
 
-// newSpillEncoder writes the BTR2 header and returns an encoder cutting
-// frames every chunkEvents events (<= 0 means DefaultChunkEvents).
-func newSpillEncoder(w io.Writer, chunkEvents int) (*spillEncoder, error) {
+// payloadBytes sums the frames' payload lengths.
+func payloadBytes(frames []frame) int64 {
+	var n int64
+	for i := range frames {
+		n += int64(len(frames[i].payload))
+	}
+	return n
+}
+
+// frameEncoder cuts an event stream into frames of chunkEvents events.
+// Each group's mask byte is appended when the group's first event
+// arrives and its bits are set in place, so the payload is built
+// without a per-group staging copy.
+type frameEncoder struct {
+	chunkEvents int
+	cur         frame // the open frame
+	mask        int   // offset in cur.payload of the open group's mask byte
+	lastPC      uint64
+	events      int64
+}
+
+// newFrameEncoder returns an encoder cutting frames every chunkEvents
+// events (<= 0 means DefaultChunkEvents).
+func newFrameEncoder(chunkEvents int) frameEncoder {
 	if chunkEvents <= 0 {
 		chunkEvents = DefaultChunkEvents
 	}
-	e := &spillEncoder{w: w, chunkEvents: chunkEvents}
-	var hdr [4 + binary.MaxVarintLen64]byte
-	copy(hdr[:], magic[:])
-	n := 4 + binary.PutUvarint(hdr[4:], uint64(chunkEvents))
-	if _, err := w.Write(hdr[:n]); err != nil {
-		return nil, fmt.Errorf("trace: writing spill header: %w", err)
-	}
-	e.off = int64(n)
-	return e, nil
+	return frameEncoder{chunkEvents: chunkEvents}
 }
 
-// Branch encodes one event. Write errors are sticky; finish reports them.
-func (e *spillEncoder) Branch(pc uint64, taken bool) {
-	if e.err != nil {
-		return
+// add encodes one event into the open frame and reports whether that
+// filled it; the caller then takes the frame with seal.
+func (e *frameEncoder) add(pc uint64, taken bool) bool {
+	f := &e.cur
+	if f.n == 0 {
+		f.startPC = e.lastPC
+		if f.payload == nil {
+			// Reserve for the common ~1.2 byte/event case; rare
+			// delta-heavy frames just grow.
+			f.payload = make([]byte, 0, e.chunkEvents+e.chunkEvents/4)
+		}
 	}
-	if e.chunkN == 0 {
-		e.chunkStartPC = e.lastPC
+	if f.n%groupSize == 0 {
+		e.mask = len(f.payload)
+		f.payload = append(f.payload, 0)
 	}
 	if taken {
-		e.groupMask |= 1 << uint(e.np)
+		f.payload[e.mask] |= 1 << (f.n % groupSize)
 	}
-	var scratch [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(scratch[:], zigzag(int64(pc-e.lastPC)))
-	e.groupDeltas = append(e.groupDeltas, scratch[:n]...)
-	e.deltaBytes += int64(n)
+	if d := zigzag(int64(pc - e.lastPC)); d < 0x80 {
+		f.payload = append(f.payload, byte(d))
+	} else {
+		f.payload = binary.AppendUvarint(f.payload, d)
+	}
 	e.lastPC = pc
-	e.np++
-	e.chunkN++
 	e.events++
-	if e.np == groupSize {
-		e.emitGroup()
+	f.n++
+	return f.n == e.chunkEvents
+}
+
+// seal checksums and returns the open frame, which must hold events.
+// The next frame starts in a fresh buffer; a caller that does not keep
+// the frame may hand its payload back through cur.payload.
+func (e *frameEncoder) seal() frame {
+	f := e.cur
+	f.crc = crc32.Checksum(f.payload, castagnoli)
+	e.cur = frame{}
+	return f
+}
+
+// decode verifies the frame's payload against its checksum and decodes
+// its n events, chunk k of the recording, into pcs and dirs, reused
+// when large enough. Resident and paged-in chunks both decode here, so
+// a damaged frame is detected before a single wrong event reaches a
+// replay. Both columns are sized by n, which the spill scan has bounded
+// by the payload length, never by the header's declared granularity.
+func (fr *frame) decode(k int, pcs, dirs []uint64) (DecodedChunk, error) {
+	payload, n := fr.payload, fr.n
+	if crc32.Checksum(payload, castagnoli) != fr.crc {
+		return DecodedChunk{}, &CorruptError{Chunk: k, Reason: "chunk checksum mismatch"}
 	}
-	if e.chunkN == e.chunkEvents {
-		e.flushChunk()
+	if cap(pcs) < n {
+		pcs = make([]uint64, n)
+	}
+	pcs = pcs[:n]
+	words := (n + 63) / 64
+	if cap(dirs) < words {
+		dirs = make([]uint64, words)
+	}
+	dirs = dirs[:words]
+	clear(dirs)
+
+	// A group's mask byte precedes its events' deltas. A group starts at
+	// a multiple of 8 events, so its directions land in one bitmap word;
+	// mask bits past a short final group are ignored. One-byte varints,
+	// most deltas, decode inline.
+	p, pc := 0, fr.startPC
+	for i := range pcs {
+		if i%groupSize == 0 {
+			if p >= len(payload) {
+				return DecodedChunk{}, &CorruptError{Chunk: k, Reason: "undecodable chunk bytes"}
+			}
+			m := min(groupSize, n-i)
+			dirs[i>>6] |= uint64(payload[p]) & (1<<m - 1) << (uint(i) & 63)
+			p++
+		}
+		var d uint64
+		if p < len(payload) && payload[p] < 0x80 {
+			d = uint64(payload[p])
+			p++
+		} else {
+			x, w := binary.Uvarint(payload[p:])
+			if w <= 0 {
+				return DecodedChunk{}, &CorruptError{Chunk: k, Reason: "undecodable chunk bytes"}
+			}
+			d, p = x, p+w
+		}
+		pc += uint64(unzigzag(d))
+		pcs[i] = pc
+	}
+	return DecodedChunk{PCs: pcs, Dirs: dirs, N: n}, nil
+}
+
+// spillWriter lands one BTR2 file: the header, then frames written
+// verbatim, then the trailer. With path == "" the file is an anonymous
+// temp file, unlinked at once (the open descriptor keeps it readable
+// and the OS reclaims it when the handle is garbage, crash included).
+// With a path it is written via temp, fsync and rename, so a process
+// killed at any point leaves either the complete file or a stray .tmp
+// that no probe ever opens, never a torn .btr. Write errors are sticky
+// and reported by finish.
+type spillWriter struct {
+	f       *os.File
+	bw      *bufio.Writer
+	sio     SpillIO
+	path    string
+	tmpPath string
+	off     int64      // bytes written: the header and whole frames
+	idx     []chunkPos // the written frames' positions
+	err     error
+}
+
+// createSpill opens a spill file for frames of chunkEvents events and
+// writes its header through sio.
+func createSpill(path string, chunkEvents int, sio SpillIO) (*spillWriter, error) {
+	w := &spillWriter{path: path, sio: sio}
+	var err error
+	if path == "" {
+		if w.f, err = os.CreateTemp("", "btr-stream-*.btr"); err != nil {
+			return nil, err
+		}
+		os.Remove(w.f.Name())
+	} else {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			return nil, err
+		}
+		if w.f, err = os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*"); err != nil {
+			return nil, err
+		}
+		w.tmpPath = w.f.Name()
+	}
+	w.bw = bufio.NewWriterSize(faultWriter{f: w.f, sio: sio}, 1<<16)
+	w.write(binary.AppendUvarint(magic[:], uint64(chunkEvents)))
+	if w.err != nil {
+		w.discard()
+		return nil, w.err
+	}
+	return w, nil
+}
+
+func (w *spillWriter) write(b []byte) {
+	if w.err != nil {
+		return
+	}
+	if _, err := w.bw.Write(b); err != nil {
+		w.err = fmt.Errorf("trace: writing spill file: %w", err)
+	}
+	w.off += int64(len(b))
+}
+
+// writeFrame writes f's header (event count, payload length, chaining
+// PC, CRC32C) and payload, and indexes the payload's position.
+func (w *spillWriter) writeFrame(f *frame) {
+	var buf [3*binary.MaxVarintLen64 + 4]byte
+	hdr := binary.AppendUvarint(buf[:0], uint64(f.n))
+	hdr = binary.AppendUvarint(hdr, uint64(len(f.payload)))
+	hdr = binary.AppendUvarint(hdr, f.startPC)
+	w.write(binary.LittleEndian.AppendUint32(hdr, f.crc))
+	w.idx = append(w.idx, chunkPos{off: w.off, startPC: f.startPC, plen: int64(len(f.payload)), crc: f.crc})
+	w.write(f.payload)
+}
+
+// finish writes the end-of-stream trailer for a stream of events
+// events, after which truncation anywhere in the file is detectable,
+// then flushes, syncs and lands the file. It returns the file's path,
+// "" when it is anonymous or its rename failed (the unlinked temp
+// still backs the open descriptor, so only the durable path is lost).
+// A failed finish discards the file.
+func (w *spillWriter) finish(events int64) (string, error) {
+	w.write(binary.AppendUvarint([]byte{0}, uint64(events)))
+	if w.err == nil {
+		if err := w.bw.Flush(); err != nil {
+			w.err = fmt.Errorf("trace: writing spill file: %w", err)
+		}
+	}
+	if w.err == nil {
+		if err := w.sio.Sync(w.f); err != nil {
+			w.err = fmt.Errorf("trace: syncing spill file: %w", err)
+		}
+	}
+	if w.err != nil {
+		w.discard()
+		return "", w.err
+	}
+	tmp := w.tmpPath
+	w.tmpPath = ""
+	if tmp == "" {
+		return "", nil
+	}
+	if err := os.Rename(tmp, w.path); err != nil {
+		os.Remove(tmp)
+		return "", nil
+	}
+	return w.path, nil
+}
+
+// discard closes and removes the file.
+func (w *spillWriter) discard() {
+	if w.f != nil {
+		w.f.Close()
+		w.f = nil
+	}
+	if w.tmpPath != "" {
+		os.Remove(w.tmpPath)
+		w.tmpPath = ""
 	}
 }
 
-// emitGroup appends the pending (possibly short) group to the open
-// chunk's payload. Short groups only ever end a chunk: Branch emits at
-// every 8th event, and flushChunk drains the remainder.
-func (e *spillEncoder) emitGroup() {
-	if e.np == 0 {
-		return
-	}
-	e.chunkBuf = append(e.chunkBuf, e.groupMask)
-	e.chunkBuf = append(e.chunkBuf, e.groupDeltas...)
-	e.np = 0
-	e.groupMask = 0
-	e.groupDeltas = e.groupDeltas[:0]
-}
-
-// flushChunk frames and writes the open chunk: header (event count,
-// payload length, chaining PC, CRC32C), then the payload.
-func (e *spillEncoder) flushChunk() {
-	if e.err != nil || e.chunkN == 0 {
-		return
-	}
-	e.emitGroup()
-	sum := crc32.Checksum(e.chunkBuf, castagnoli)
-	var hdr [3*binary.MaxVarintLen64 + 4]byte
-	n := binary.PutUvarint(hdr[:], uint64(e.chunkN))
-	n += binary.PutUvarint(hdr[n:], uint64(len(e.chunkBuf)))
-	n += binary.PutUvarint(hdr[n:], e.chunkStartPC)
-	binary.LittleEndian.PutUint32(hdr[n:], sum)
-	n += 4
-	if _, err := e.w.Write(hdr[:n]); err != nil {
-		e.err = fmt.Errorf("trace: writing spill chunk frame: %w", err)
-		return
-	}
-	if _, err := e.w.Write(e.chunkBuf); err != nil {
-		e.err = fmt.Errorf("trace: writing spill chunk payload: %w", err)
-		return
-	}
-	e.idx = append(e.idx, chunkPos{
-		off:     e.off + int64(n),
-		startPC: e.chunkStartPC,
-		plen:    int64(len(e.chunkBuf)),
-		crc:     sum,
-	})
-	e.off += int64(n) + int64(len(e.chunkBuf))
-	e.chunkBuf = e.chunkBuf[:0]
-	e.chunkN = 0
-}
-
-// finish flushes the final (possibly short) chunk and writes the
-// end-of-stream trailer, after which truncation anywhere in the file is
-// detectable.
-func (e *spillEncoder) finish() error {
-	e.flushChunk()
-	if e.err != nil {
-		return e.err
-	}
-	var tr [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tr[:], 0)
-	n += binary.PutUvarint(tr[n:], uint64(e.events))
-	if _, err := e.w.Write(tr[:n]); err != nil {
-		return fmt.Errorf("trace: writing spill trailer: %w", err)
-	}
-	e.off += int64(n)
-	return nil
-}
-
-// writeSpill encodes the trace as a BTR2 file, via a temp file, fsync
-// and rename: a process killed at any point leaves either the complete
-// file or a stray .tmp that no probe ever opens — never a torn .btr.
-func writeSpill(path string, tr *ChunkedTrace) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+// spillTo writes a memory-only handle's frames verbatim as a BTR2 file
+// at path (a write-through by the cache) and records that the
+// recording now also lives there. The file is reopened on the first
+// page-in, which also builds the chunk index.
+func (h *Handle) spillTo(path string) error {
+	h.mu.Lock()
+	res := h.res
+	h.mu.Unlock()
+	w, err := createSpill(path, h.chunkEvents, defaultSpillIO)
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	enc, err := newSpillEncoder(bw, tr.chunkEvents)
-	if err == nil {
-		tr.Replay(enc)
-		err = enc.finish()
+	for i := range res {
+		w.writeFrame(&res[i])
 	}
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	landed, err := w.finish(h.events)
 	if err != nil {
-		os.Remove(f.Name())
 		return err
 	}
-	if err := os.Rename(f.Name(), path); err != nil {
-		os.Remove(f.Name())
-		return err
+	w.f.Close()
+	if landed == "" {
+		return fmt.Errorf("trace: spill file did not land at %s", path)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.path == "" && h.f == nil {
+		h.path = path
 	}
 	return nil
 }
@@ -218,13 +330,13 @@ func (c *countingReader) noteErr(err error) {
 }
 
 // scanSpill walks a BTR2 stream once, building the chunk index without
-// retaining columns, and reports the event count, the total delta bytes
-// (from which a would-be resident footprint is derived) and the
+// retaining frames, and reports the event count, the total payload
+// bytes (what holding every frame resident would cost) and the
 // granularity the file declares. chunkEvents > 0 must match that
 // granularity; chunkEvents <= 0 accepts it. Checksums are deferred to
 // page-in (the scan is the cheap open path), but frame structure and
 // the trailer are verified, so a truncated file fails here.
-func scanSpill(r io.Reader, chunkEvents int) (idx []chunkPos, events int64, deltaBytes int64, granularity int, err error) {
+func scanSpill(r io.Reader, chunkEvents int) (idx []chunkPos, events int64, payload int64, granularity int, err error) {
 	c := &countingReader{br: bufio.NewReaderSize(r, 1<<16)}
 	var hdr [4]byte
 	if _, err := io.ReadFull(c, hdr[:]); err != nil {
@@ -269,7 +381,7 @@ func scanSpill(r io.Reader, chunkEvents int) (idx []chunkPos, events int64, delt
 			if _, err := c.ReadByte(); err != io.EOF {
 				return corrupt(-1, "bytes past the end-of-stream trailer")
 			}
-			return idx, events, deltaBytes, granularity, nil
+			return idx, events, payload, granularity, nil
 		}
 		if short {
 			return corrupt(len(idx), "short chunk frame is not the last")
@@ -309,92 +421,35 @@ func scanSpill(r io.Reader, chunkEvents int) (idx []chunkPos, events int64, delt
 			crc:     binary.LittleEndian.Uint32(crcb[:]),
 		})
 		events += int64(n)
-		deltaBytes += int64(plen) - (int64(n)+groupSize-1)/groupSize
+		payload += int64(plen)
 	}
 }
 
-// pageBufPool recycles the scratch buffers spill page-ins read encoded
-// spans into. The decode copies everything it needs into the chunk's
+// pageBufPool recycles the scratch buffers spill page-ins read frame
+// payloads into. The decode copies everything it needs into the chunk's
 // columns, so the buffer never outlives the call and steady-state
 // streaming does zero per-page-in allocations.
 var pageBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// getPageBuf returns a pooled scratch buffer of length n.
-func getPageBuf(n int) *[]byte {
-	bp := pageBufPool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	*bp = (*bp)[:n]
-	return bp
-}
-
-func putPageBuf(bp *[]byte) { pageBufPool.Put(bp) }
-
 // readChunkAt pages chunk k (n events) from an open spill file: one
-// ReadAt covering the chunk's span (retried with backoff on transient
-// errors), then a checksum-verified decode. Buffers are reused when
-// large enough.
+// ReadAt covering the frame's payload (retried with backoff on
+// transient errors), then the checksum-verified decode. Buffers are
+// reused when large enough.
 func (h *Handle) readChunkAt(f *os.File, pos chunkPos, k, n int, pcs, dirs []uint64) (DecodedChunk, error) {
-	bp := getPageBuf(int(pos.plen))
-	defer putPageBuf(bp)
-	buf := *bp
+	bp := pageBufPool.Get().(*[]byte)
+	defer pageBufPool.Put(bp)
+	if int64(cap(*bp)) < pos.plen {
+		*bp = make([]byte, pos.plen)
+	}
+	buf := (*bp)[:pos.plen]
 	if err := h.readFull(f, buf, pos.off); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return DecodedChunk{}, &CorruptError{Chunk: k, Reason: "spill file shorter than its chunk index (truncated?)"}
 		}
 		return DecodedChunk{}, fmt.Errorf("trace: paging spill chunk %d: %w", k, err)
 	}
-	return decodeChunk(buf, pos, k, n, pcs, dirs)
-}
-
-// decodeChunk verifies and decodes chunk k (n events) from buf, which
-// must start with the chunk's payload. Every page-in funnels through
-// here, so a damaged chunk is detected before a single wrong event
-// reaches a replay. Both columns are sized by n, which the scan has
-// bounded by the payload length, never by the header's declared
-// granularity.
-func decodeChunk(buf []byte, pos chunkPos, k, n int, pcs, dirs []uint64) (DecodedChunk, error) {
-	if int64(len(buf)) < pos.plen {
-		return DecodedChunk{}, &CorruptError{Chunk: k, Reason: "chunk payload extends past end of file"}
-	}
-	buf = buf[:pos.plen]
-	if crc32.Checksum(buf, castagnoli) != pos.crc {
-		return DecodedChunk{}, &CorruptError{Chunk: k, Reason: "chunk checksum mismatch"}
-	}
-	corrupt := func() (DecodedChunk, error) {
-		return DecodedChunk{}, &CorruptError{Chunk: k, Reason: "undecodable chunk bytes"}
-	}
-	if cap(pcs) < n {
-		pcs = make([]uint64, n)
-	}
-	pcs = pcs[:n]
-	words := (n + 63) / 64
-	if cap(dirs) < words {
-		dirs = make([]uint64, words)
-	}
-	dirs = dirs[:words]
-	for i := range dirs {
-		dirs[i] = 0
-	}
-
-	// Each group is a direction mask byte, then its events' deltas. A
-	// group starts at a multiple of 8 events, so its directions land in
-	// one bitmap word; mask bits past a short final group are ignored.
-	p, pc := 0, pos.startPC
-	for i := 0; i < n; i += groupSize {
-		if p >= len(buf) {
-			return corrupt()
-		}
-		mask, m := uint64(buf[p]), min(groupSize, n-i)
-		last, w, ok := decodeDeltas(buf[p+1:], pc, pcs[i:i+m])
-		if !ok {
-			return corrupt()
-		}
-		p, pc = p+1+w, last
-		dirs[i>>6] |= mask & (1<<m - 1) << (uint(i) & 63)
-	}
-	return DecodedChunk{PCs: pcs, Dirs: dirs, N: n}, nil
+	fr := frame{payload: buf, startPC: pos.startPC, crc: pos.crc, n: n}
+	return fr.decode(k, pcs, dirs)
 }
 
 // faultWriter adapts a SpillIO's Write to io.Writer for one file, so a
@@ -408,37 +463,29 @@ type faultWriter struct {
 func (fw faultWriter) Write(p []byte) (int, error) { return fw.sio.Write(fw.f, p) }
 
 // StreamRecorder is a Sink that writes a recording straight to a BTR2
-// spill file as events arrive, keeping at most a bounded prefix of
-// chunk columns resident — the out-of-core replacement for recording
-// into a ChunkRecorder and spilling afterwards, with peak memory
-// O(budget) instead of O(trace). Seal returns the finished recording
-// as a Handle whose resident prefix serves the hot head of replays and
-// whose remainder pages back in from the file it just wrote.
+// spill file as events arrive, keeping at most a bounded prefix of its
+// frames resident — the out-of-core replacement for recording into a
+// ChunkRecorder and spilling afterwards, with peak memory O(budget)
+// instead of O(trace). Seal returns the finished recording as a Handle
+// whose resident prefix serves the hot head of replays and whose
+// remainder pages back in from the file it just wrote.
 //
-// With path == "" the recorder writes an anonymous temp file (unlinked
-// immediately; the open descriptor keeps it readable), so a bounded
-// run without a cache directory leaves nothing behind. With a path the
-// file is written via temp, fsync and rename, landing exactly where the
-// trace cache's spill probe will find it — and never as a torn .btr.
+// With path == "" the recorder writes an anonymous temp file, so a
+// bounded run without a cache directory leaves nothing behind. With a
+// path the file lands exactly where the trace cache's spill probe will
+// find it, and never as a torn .btr.
 //
 // The resident budget is a target, not a hard wall: retention stops at
 // the first chunk boundary past it, so the prefix may overshoot by up
 // to one chunk. residentBudget <= 0 retains nothing.
 type StreamRecorder struct {
-	f         *os.File
-	bw        *bufio.Writer
-	tmpPath   string
-	finalPath string
-	sio       SpillIO
-
-	enc *spillEncoder
-
-	rec           *ChunkRecorder // resident-prefix recorder; nil once the budget is hit
-	budget        int64
-	prefix        *ChunkedTrace
-	retainedBytes int64
-
-	sealed bool
+	w         *spillWriter
+	enc       frameEncoder
+	budget    int64
+	kept      []frame // the resident prefix
+	keptBytes int64
+	keep      bool // still retaining: the prefix is under budget
+	sealed    bool
 }
 
 var _ Sink = (*StreamRecorder)(nil)
@@ -446,7 +493,7 @@ var _ Sink = (*StreamRecorder)(nil)
 // NewStreamRecorder opens a streaming recorder writing to path (or an
 // anonymous temp file when path is ""), cutting chunks every
 // chunkEvents events (<= 0 means DefaultChunkEvents) and keeping about
-// residentBudget bytes of leading chunk columns in memory.
+// residentBudget bytes of leading frames in memory.
 func NewStreamRecorder(path string, chunkEvents int, residentBudget int64) (*StreamRecorder, error) {
 	return NewStreamRecorderIO(path, chunkEvents, residentBudget, nil)
 }
@@ -458,36 +505,12 @@ func NewStreamRecorderIO(path string, chunkEvents int, residentBudget int64, sio
 	if sio == nil {
 		sio = defaultSpillIO
 	}
-	s := &StreamRecorder{budget: residentBudget, finalPath: path, sio: sio}
-	var err error
-	if path == "" {
-		s.f, err = os.CreateTemp("", "btr-stream-*.btr")
-		if err != nil {
-			return nil, err
-		}
-		// Unlink immediately: the descriptor keeps the file readable and
-		// the OS reclaims it when the handle is garbage, crash included.
-		os.Remove(s.f.Name())
-	} else {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return nil, err
-		}
-		s.f, err = os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-		if err != nil {
-			return nil, err
-		}
-		s.tmpPath = s.f.Name()
-	}
-	s.bw = bufio.NewWriterSize(faultWriter{f: s.f, sio: sio}, 1<<16)
-	s.enc, err = newSpillEncoder(s.bw, chunkEvents)
+	enc := newFrameEncoder(chunkEvents)
+	w, err := createSpill(path, enc.chunkEvents, sio)
 	if err != nil {
-		s.Discard()
 		return nil, err
 	}
-	if residentBudget > 0 {
-		s.rec = NewChunkRecorder(s.enc.chunkEvents)
-	}
-	return s, nil
+	return &StreamRecorder{w: w, enc: enc, budget: residentBudget, keep: residentBudget > 0}, nil
 }
 
 // Branch streams one event. Write errors are sticky and reported by
@@ -496,24 +519,24 @@ func (s *StreamRecorder) Branch(pc uint64, taken bool) {
 	if s.sealed {
 		panic("trace: recording into a sealed StreamRecorder")
 	}
-	if s.enc.err != nil {
+	if s.enc.add(pc, taken) {
+		s.flush()
+	}
+}
+
+// flush writes the open frame and either keeps it, while the prefix is
+// under budget (stopping at the first frame past it), or reuses its
+// buffer for the next frame.
+func (s *StreamRecorder) flush() {
+	f := s.enc.seal()
+	s.w.writeFrame(&f)
+	if s.keep {
+		s.kept = append(s.kept, f)
+		s.keptBytes += int64(len(f.payload))
+		s.keep = s.keptBytes <= s.budget
 		return
 	}
-	s.enc.Branch(pc, taken)
-	if s.rec != nil {
-		s.rec.Branch(pc, taken)
-		if s.enc.chunkN == 0 {
-			// A chunk just completed (the prefix recorder cuts at the same
-			// boundaries, so it just flushed too): charge it, and stop
-			// retaining at the first boundary past the budget.
-			last := &s.rec.tr.chunks[len(s.rec.tr.chunks)-1]
-			s.retainedBytes += int64(len(last.deltas)) + int64(len(last.dirs))*8
-			if s.retainedBytes > s.budget {
-				s.prefix = s.rec.Trace()
-				s.rec = nil
-			}
-		}
-	}
+	s.enc.cur.payload = f.payload[:0]
 }
 
 // Events returns the number of events streamed so far.
@@ -528,54 +551,30 @@ func (s *StreamRecorder) Seal() (*Handle, error) {
 	if s.sealed {
 		panic("trace: sealing a sealed StreamRecorder")
 	}
-	err := s.enc.finish()
-	if err == nil {
-		err = s.bw.Flush()
-	}
-	if err == nil {
-		if serr := s.sio.Sync(s.f); serr != nil {
-			err = fmt.Errorf("trace: syncing spill file: %w", serr)
-		}
-	}
-	if err != nil {
-		s.Discard()
-		return nil, err
+	if s.enc.cur.n > 0 {
+		s.flush()
 	}
 	s.sealed = true
-
-	path := ""
-	if s.tmpPath != "" {
-		if err := os.Rename(s.tmpPath, s.finalPath); err != nil {
-			// The unlinked temp still backs the open descriptor, so the
-			// recording survives as an anonymous handle; only the durable
-			// path is lost.
-			os.Remove(s.tmpPath)
-		} else {
-			path = s.finalPath
-		}
-		s.tmpPath = ""
+	path, err := s.w.finish(s.enc.events)
+	if err != nil {
+		return nil, err
 	}
-
-	prefix := s.prefix
-	if s.rec != nil {
-		prefix = s.rec.Trace() // the whole recording fit the budget
-	}
-	var peak int64
-	if prefix != nil {
-		peak = prefix.SizeBytes()
+	var encoded int64
+	for _, pos := range s.w.idx {
+		encoded += pos.plen
 	}
 	return &Handle{
 		chunkEvents:  s.enc.chunkEvents,
 		events:       s.enc.events,
-		nchunks:      len(s.enc.idx),
-		encoded:      s.enc.deltaBytes + int64(len(s.enc.idx))*int64((s.enc.chunkEvents+63)/64)*8,
-		residentPeak: peak,
-		res:          prefix,
+		nchunks:      len(s.w.idx),
+		encoded:      encoded,
+		residentPeak: s.keptBytes,
+		res:          s.kept,
 		path:         path,
-		f:            s.f,
-		fileSize:     s.enc.off,
-		idx:          s.enc.idx,
-		sio:          s.sio,
+		f:            s.w.f,
+		fileSize:     s.w.off,
+		idx:          s.w.idx,
+		sio:          s.w.sio,
 	}, nil
 }
 
@@ -584,13 +583,6 @@ func (s *StreamRecorder) Seal() (*Handle, error) {
 // abandoned recorder; a successful Seal hands the file to the Handle
 // and Discard must not be called.
 func (s *StreamRecorder) Discard() {
-	if s.f != nil {
-		s.f.Close()
-		s.f = nil
-	}
-	if s.tmpPath != "" {
-		os.Remove(s.tmpPath)
-		s.tmpPath = ""
-	}
+	s.w.discard()
 	s.sealed = true
 }

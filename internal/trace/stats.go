@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Stats summarises a branch event stream.
 type Stats struct {
@@ -51,29 +48,3 @@ func (s *StatsSink) Branch(pc uint64, taken bool) {
 
 // Stats returns the accumulated summary.
 func (s *StatsSink) Stats() Stats { return s.stats }
-
-// SiteCounts returns the dynamic execution count of every observed PC,
-// sorted by PC, as parallel slices. Useful for inspecting hot sites.
-func SiteCounts(src Source) (pcs []uint64, counts []int64, err error) {
-	m := make(map[uint64]int64)
-	for {
-		ev, ok, err := src.Next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ok {
-			break
-		}
-		m[ev.PC]++
-	}
-	pcs = make([]uint64, 0, len(m))
-	for pc := range m {
-		pcs = append(pcs, pc)
-	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	counts = make([]int64, len(pcs))
-	for i, pc := range pcs {
-		counts[i] = m[pc]
-	}
-	return pcs, counts, nil
-}

@@ -243,28 +243,6 @@ func TestStatsSink(t *testing.T) {
 	}
 }
 
-func TestSiteCounts(t *testing.T) {
-	pcs, counts, err := SiteCounts(SliceSource(sampleEvents()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pcs) != len(counts) {
-		t.Fatal("length mismatch")
-	}
-	total := int64(0)
-	for i := 1; i < len(pcs); i++ {
-		if pcs[i-1] >= pcs[i] {
-			t.Fatal("pcs not sorted")
-		}
-	}
-	for _, c := range counts {
-		total += c
-	}
-	if total != int64(len(sampleEvents())) {
-		t.Fatalf("counts sum %d, want %d", total, len(sampleEvents()))
-	}
-}
-
 func TestZigzagRoundTrip(t *testing.T) {
 	for _, v := range []int64{0, 1, -1, 63, -64, 1 << 40, -(1 << 40), -1 << 62} {
 		if got := unzigzag(zigzag(v)); got != v {

@@ -108,13 +108,12 @@ func recycleInputs(t *testing.T) (a, b ablationRowInput) {
 	var ins [2]ablationRowInput
 	for i, in := range suite.Inputs {
 		ins[i].in = in
-		rd := in.Recorded.ChunkReader()
-		for {
-			pcs, dirs, n, ok := rd.NextChunk()
-			if !ok {
-				break
+		for k := range in.Recorded.Chunks() {
+			d, err := in.Recorded.DecodeChunk(k)
+			if err != nil {
+				t.Fatal(err)
 			}
-			ins[i].chunks = append(ins[i].chunks, trace.DecodedChunk{PCs: slices.Clone(pcs), Dirs: slices.Clone(dirs), N: n})
+			ins[i].chunks = append(ins[i].chunks, d)
 		}
 	}
 	return ins[0], ins[1]
