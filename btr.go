@@ -117,14 +117,16 @@ type (
 	// Experiment regenerates one paper table or figure.
 	Experiment = experiments.Experiment
 
-	// Scheduler is the shared work-stealing task scheduler. Build one
-	// with NewScheduler, assign it to SimConfig.Sched, and any number of
-	// suite runs — sequential or concurrent — submit their task graphs
-	// to it as independently-awaited groups; Close retires the workers.
+	// Scheduler is the shared work-stealing task scheduler: one mutexed
+	// queue per worker plus a FIFO injector, fed only through task
+	// groups. Build one with NewScheduler, assign it to SimConfig.Sched,
+	// and any number of suite runs — sequential or concurrent — submit
+	// their task graphs to it as independently-awaited groups; Close
+	// retires the workers once the queued work has run.
 	Scheduler = sched.Scheduler
-	// SchedulerStats is a snapshot of a Scheduler's lifetime counters
-	// (tasks executed, steals, injector submits, park episodes, queue
-	// depth).
+	// SchedulerStats is a snapshot of a Scheduler's counters: tasks
+	// executed, steals, injector (group) submits and park episodes since
+	// it started, plus the worker count and the tasks still pending.
 	SchedulerStats = sched.Stats
 	// TaskGroup tracks (and can cancel) one related set of tasks on a
 	// long-lived Scheduler — one suite run, one server request. Build

@@ -7,15 +7,14 @@ import (
 
 // Group tracks the completion of one related set of tasks — typically
 // one request's task grid — on a scheduler whose lifetime spans many
-// such sets. Scheduler.Wait drains the whole queue and spends the
-// scheduler; a Group waits only for its own tasks, so concurrent
+// such sets. A Group waits only for its own tasks, so concurrent
 // requests interleave their grids over one worker pool and each caller
 // still gets a private barrier.
 //
 // Membership is sticky through fan-out: a task submitted via
 // Group.Submit runs with the worker's group pointer set, so any
-// follow-up it pushes through Worker.Submit is wrapped into the same
-// group without the submitting code knowing groups exist. That is what
+// follow-up it pushes through Worker.Submit joins the same group
+// without the submitting code knowing groups exist. That is what
 // lets sim's sweep grids — which fan out thousands of chunk-range
 // continuations — ride a shared server scheduler unchanged.
 //
@@ -59,30 +58,20 @@ func (g *Group) Canceled() bool { return g.canceled.Load() }
 // Submit enqueues a task into the scheduler's injector queue as a
 // member of g. Safe from any goroutine.
 func (g *Group) Submit(t Task) {
-	g.s.Submit(g.wrap(t))
+	g.s.statSubmits.Add(1)
+	g.s.submit(&g.s.injector, entry{t, g})
 }
 
-// wrap registers one task with the group before it is published (so
-// Wait can never observe a queued-but-uncounted member) and returns the
-// closure that maintains the worker's group pointer, captures panics,
-// and hands the group to the worker so exec signals its completion.
-func (g *Group) wrap(t Task) Task {
-	g.pending.Add(1)
-	return func(w *Worker) {
-		prev := w.g
-		w.g = g
-		defer func() {
-			r := recover()
-			w.g = prev
-			if r != nil {
-				g.mu.Lock()
-				g.panicked = append(g.panicked, r)
-				g.mu.Unlock()
-			}
-			w.finished = g
-		}()
-		t(w)
-	}
+// run runs one member task on w, capturing a panic for Wait.
+func (g *Group) run(w *Worker, t Task) {
+	defer func() {
+		if r := recover(); r != nil {
+			g.mu.Lock()
+			g.panicked = append(g.panicked, r)
+			g.mu.Unlock()
+		}
+	}()
+	t(w)
 }
 
 // done counts one member task finished and signals the barrier on the

@@ -55,19 +55,25 @@ func TestGroupTracksFanOut(t *testing.T) {
 }
 
 // TestGroupPanicIsolation: a panicking task surfaces on its own group's
-// Wait, other groups and the scheduler keep working.
+// Wait after its sibling tasks have still run, and other groups and the
+// scheduler keep working.
 func TestGroupPanicIsolation(t *testing.T) {
 	s := New(2)
 	defer s.Close()
 
+	var sibling atomic.Int64
 	bad := s.NewGroup()
 	bad.Submit(func(w *Worker) {
 		w.Submit(func(*Worker) { panic("tenant bug") })
 	})
+	bad.Submit(func(*Worker) { sibling.Add(1) })
 	func() {
 		defer func() {
 			if r := recover(); r != "tenant bug" {
 				t.Errorf("bad group Wait recovered %v, want tenant bug", r)
+			}
+			if sibling.Load() != 1 {
+				t.Error("the panicking task's sibling must still run")
 			}
 		}()
 		bad.Wait()
@@ -120,13 +126,15 @@ func TestConcurrentGroupsStress(t *testing.T) {
 
 // TestStatsCounters: executed counts every task exactly once, injector
 // submits count external Submits, and a fan-out pinned to one blocked
-// worker's deque forces the other three to steal.
+// worker's queue forces the other three to steal.
 func TestStatsCounters(t *testing.T) {
 	s := New(4)
+	defer s.Close()
+	g := s.NewGroup()
 	var gate sync.WaitGroup
 	gate.Add(4)
-	s.Submit(func(w *Worker) {
-		// Three tasks land on this worker's deque while it blocks below,
+	g.Submit(func(w *Worker) {
+		// Three tasks land on this worker's queue while it blocks below,
 		// so they can only run by being stolen — and the gate needs all
 		// four workers, so they must be.
 		for j := 0; j < 3; j++ {
@@ -136,9 +144,9 @@ func TestStatsCounters(t *testing.T) {
 		gate.Wait()
 	})
 	for i := 0; i < 99; i++ {
-		s.Submit(func(*Worker) {})
+		g.Submit(func(*Worker) {})
 	}
-	s.Wait()
+	g.Wait()
 
 	st := s.Stats()
 	if st.Executed != 103 {
@@ -162,9 +170,10 @@ func TestStatsCounters(t *testing.T) {
 // everything already submitted, and is idempotent.
 func TestCloseRunsQueuedWork(t *testing.T) {
 	s := New(2)
+	g := s.NewGroup()
 	var ran atomic.Int64
 	for i := 0; i < 100; i++ {
-		s.Submit(func(w *Worker) {
+		g.Submit(func(w *Worker) {
 			ran.Add(1)
 			w.Submit(func(*Worker) { ran.Add(1) })
 		})

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -34,13 +35,34 @@ func testContext(t *testing.T, s *Server) *experiments.Context {
 	return ctx
 }
 
-// settleLeaks waits, polling as sim's settleGoroutines does, for the
-// goroutine count to return to base and for dir to hold no temporary
-// spill file (a recording not yet sealed into the cache is a *.tmp*
-// file beside its final name), and fails the test if either stays
-// above its baseline. The default client's idle keep-alive
-// connections, which hold goroutines on both ends, are closed first.
-func settleLeaks(t *testing.T, label string, base int, dir string) {
+// leaks counts what a finished request or server must hand back: the
+// process's goroutines and its open file descriptors (where
+// /proc/self/fd can be read; elsewhere fds stays 0 and only goroutines
+// are compared).
+type leaks struct{ goroutines, fds int }
+
+// countLeaks takes the counts, leaving out fds on the sealed spill files
+// in dir: the trace cache keeps those open for as long as it holds
+// their recordings.
+func countLeaks(dir string) leaks {
+	fds, _ := os.ReadDir("/proc/self/fd")
+	n := 0
+	for _, fd := range fds {
+		target, _ := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if filepath.Dir(target) != dir || strings.Contains(target, ".tmp") {
+			n++
+		}
+	}
+	return leaks{runtime.NumGoroutine(), n}
+}
+
+// settleLeaks waits, polling as sim's settleLeaks does, for the
+// goroutine and open-fd counts to return to base and for dir to hold no
+// temporary spill file (a recording not yet sealed into the cache is a
+// *.tmp* file beside its final name), and fails the test if any stays
+// above its baseline. The default client's idle keep-alive connections,
+// which hold goroutines and sockets on both ends, are closed first.
+func settleLeaks(t *testing.T, label string, base leaks, dir string) {
 	t.Helper()
 	http.DefaultClient.CloseIdleConnections()
 	deadline := time.Now().Add(5 * time.Second)
@@ -49,12 +71,13 @@ func settleLeaks(t *testing.T, label string, base int, dir string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := runtime.NumGoroutine()
-		if n <= base && len(tmps) == 0 {
+		n := countLeaks(dir)
+		if n.goroutines <= base.goroutines && n.fds <= base.fds && len(tmps) == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: %d goroutines, baseline %d; temporary spill files %v", label, n, base, tmps)
+			t.Fatalf("%s: %d goroutines and %d open fds, baseline %d and %d; temporary spill files %v",
+				label, n.goroutines, n.fds, base.goroutines, base.fds, tmps)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -151,12 +174,12 @@ func TestStreamCanceledAblationEmitsCanceledRecord(t *testing.T) {
 // the suite finishes streams a canceled record and frees its slot; the
 // next request on the same server runs to completion. Both record
 // through a persistent cache dir under a memory budget, and afterwards
-// the goroutines and the cache dir's temporary spill files are back at
-// their baselines.
+// the goroutines, the open fds and the cache dir's temporary spill
+// files are back at their baselines.
 func TestDeadlineCancelsRequest(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{CacheDir: dir})
-	base := runtime.NumGoroutine()
+	base := countLeaks(dir)
 
 	req := Request{Experiments: []string{"T1", "F13"}, Specs: testSpecs, Scale: testScale, MemBudget: 4096, DeadlineMS: 1}
 	code, recs := post(t, ts.URL, req)
@@ -187,12 +210,13 @@ func TestDeadlineCancelsRequest(t *testing.T) {
 // TestClientDisconnectCancels is the live-disconnect smoke: the client
 // hangs up after the first record, the server cancels the request
 // cooperatively, the slot drains and the canceled counter moves —
-// without waiting for the suite to finish — and the goroutines and the
-// cache dir's temporary spill files return to their baselines.
+// without waiting for the suite to finish — and the goroutines, the
+// open fds and the cache dir's temporary spill files return to their
+// baselines.
 func TestClientDisconnectCancels(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{CacheDir: dir})
-	base := runtime.NumGoroutine()
+	base := countLeaks(dir)
 
 	// A deliberately heavy request (50x the test scale): the hang-up
 	// below lands microseconds after the start record, so the suite must

@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -421,11 +420,11 @@ func TestDroppedInputsStreamAsStructuredRecords(t *testing.T) {
 // TestHealthzAndDrain: healthz flips to 503 on BeginDrain and new
 // requests are refused while in-flight ones finish (the scheduler is
 // still alive until Close). Closing the drained server returns the
-// goroutines and the cache dir's temporary spill files to their
-// baselines from before it started.
+// goroutines, the open fds and the cache dir's temporary spill files to
+// their baselines from before it started.
 func TestHealthzAndDrain(t *testing.T) {
-	base := runtime.NumGoroutine()
 	dir := t.TempDir()
+	base := countLeaks(dir)
 	s, ts := newTestServer(t, Config{CacheDir: dir})
 	if code, _ := post(t, ts.URL, Request{Experiments: []string{"T1"}, Specs: testSpecs, Scale: testScale, MemBudget: 4096}); code != http.StatusOK {
 		t.Fatalf("pre-drain POST status %d, want 200", code)

@@ -219,36 +219,62 @@ func TestSuiteGroupCancelMidRun(t *testing.T) {
 	}
 }
 
-// settleGoroutines waits for the goroutine count to return to base.
-func settleGoroutines(t *testing.T, label string, base int) {
+// leaks counts what a finished run must hand back: the process's
+// goroutines and its open file descriptors (where /proc/self/fd can be
+// read; elsewhere fds stays 0 and only goroutines are compared).
+type leaks struct{ goroutines, fds int }
+
+func countLeaks() leaks {
+	fds, _ := os.ReadDir("/proc/self/fd")
+	return leaks{runtime.NumGoroutine(), len(fds)}
+}
+
+// settleLeaks waits for the goroutine and fd counts to return to base.
+func settleLeaks(t *testing.T, label string, base leaks) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > base {
+	for {
+		n := countLeaks()
+		if n.goroutines <= base.goroutines && n.fds <= base.fds {
+			return
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: goroutines %d, baseline %d", label, runtime.NumGoroutine(), base)
+			t.Fatalf("%s: %d goroutines and %d open fds, baseline %d and %d",
+				label, n.goroutines, n.fds, base.goroutines, base.fds)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestSuiteRunsLeaveNoGoroutines counts goroutines around the run
-// shapes that build or borrow schedulers: RunInput and RunSuite stop
-// their private schedulers, and a canceled RunSuiteGroup leaves the
-// caller's scheduler exactly as it found it.
+// TestSuiteRunsLeaveNoGoroutines counts goroutines and open fds around
+// the run shapes that build or borrow schedulers or spill files:
+// RunInput and RunSuite stop their private schedulers, a streamed run
+// closes its anonymous spill files, a canceled RunSuiteGroup (streamed
+// or not) leaves the caller's scheduler exactly as it found it, and
+// Close stops the workers.
 func TestSuiteRunsLeaveNoGoroutines(t *testing.T) {
 	spec := testSpec(t, "perl", "primes.pl")
-	base := runtime.NumGoroutine()
+	base := countLeaks()
 	RunInput(spec, Config{Scale: testScale, Workers: 4})
-	settleGoroutines(t, "RunInput", base)
+	settleLeaks(t, "RunInput", base)
 	RunSuite([]workload.Spec{spec}, Config{Scale: testScale, Workers: 4})
-	settleGoroutines(t, "RunSuite", base)
+	settleLeaks(t, "RunSuite", base)
+	RunSuite([]workload.Spec{spec}, Config{Scale: testScale, Workers: 4, ChunkEvents: 256, MemBudget: 4096})
+	settleLeaks(t, "streamed RunSuite", base)
 
 	s := sched.New(4)
-	withSched := runtime.NumGoroutine()
+	withSched := countLeaks()
 	g := s.NewGroup()
 	g.Cancel()
 	RunSuiteGroup(g, []workload.Spec{spec}, Config{Scale: testScale})
-	settleGoroutines(t, "canceled RunSuiteGroup", withSched)
+	settleLeaks(t, "canceled RunSuiteGroup", withSched)
+	g = s.NewGroup()
+	go func() {
+		time.Sleep(2 * time.Millisecond)
+		g.Cancel()
+	}()
+	RunSuiteGroup(g, []workload.Spec{spec}, Config{Scale: testScale, ChunkEvents: 256, MemBudget: 4096})
+	settleLeaks(t, "streamed RunSuiteGroup canceled mid-run", withSched)
 	s.Close()
-	settleGoroutines(t, "scheduler close", base)
+	settleLeaks(t, "scheduler close", base)
 }

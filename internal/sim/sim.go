@@ -119,8 +119,9 @@ type Config struct {
 type chunkWindow = trace.ChunkWindow[sched.Task]
 
 // checkout serves chunk k to a window consumer, resubmitting any
-// continuations the window hands back onto w's own deque (LIFO), so a
-// woken chain runs next on the worker that just made its chunk ready.
+// continuations the window hands back onto w's own queue (newest
+// first), so a woken chain runs next on the worker that just made its
+// chunk ready.
 // ok is false when the consumer parked: cont now waits on the window,
 // and the task that unblocks it resubmits it.
 func checkout(w *sched.Worker, win *chunkWindow, k int, cont sched.Task) (d trace.DecodedChunk, ok bool, err error) {

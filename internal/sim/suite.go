@@ -237,7 +237,7 @@ func startChunkSweep(w *sched.Worker, res *InputResult, cfg Config, out **InputR
 // chunks for the Figure 15 distances: it carries the last hard position
 // from chunk to chunk the way a slot chain carries its predictor. Each
 // task sweeps one chunk: at DefaultChunkEvents events that lands in the
-// tens of microseconds, coarse enough that the deque overhead is noise
+// tens of microseconds, coarse enough that the queue overhead is noise
 // and fine enough that stealing levels the tail of a single huge input.
 // A chain that runs ahead of the window parks its continuation there
 // instead of holding a worker.
