@@ -90,6 +90,27 @@ func TestWaitWithNoTasks(t *testing.T) {
 	s.Close()
 }
 
+// TestPanicPropagates: a panic in a submitted task re-raises on Wait
+// after the other submitted task has still run.
+func TestPanicPropagates(t *testing.T) {
+	s := New(2)
+	defer s.Close()
+	var ran atomic.Int64
+	g := s.NewGroup()
+	g.Submit(func(*Worker) { panic("task bug") })
+	g.Submit(func(*Worker) { ran.Add(1) })
+	defer func() {
+		if r := recover(); r != "task bug" {
+			t.Fatalf("Wait recovered %v, want the task's panic", r)
+		}
+		if ran.Load() != 1 {
+			t.Fatal("non-panicking task must still run")
+		}
+	}()
+	g.Wait()
+	t.Fatal("Wait must re-panic")
+}
+
 func TestManyConcurrentSubmitters(t *testing.T) {
 	s := New(3)
 	defer s.Close()

@@ -230,10 +230,16 @@ func countLeaks() leaks {
 }
 
 // settleLeaks waits for the goroutine and fd counts to return to base.
+// An anonymous spill file is unlinked at creation and its descriptor is
+// released when the recording's handle is garbage — after a run returns
+// (the test drops the result) or after a canceled grid drops its input —
+// so each poll collects first; a descriptor still open after that is
+// held by something live.
 func settleLeaks(t *testing.T, label string, base leaks) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
+		runtime.GC()
 		n := countLeaks()
 		if n.goroutines <= base.goroutines && n.fds <= base.fds {
 			return
